@@ -37,7 +37,9 @@ fn filled(kind: DescriptionKind, boxes: &[fp_geometry::HyperRect]) -> Box<dyn Ca
 
 fn bench_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("description_lookup");
-    for n in [100usize, 1_000, 10_000] {
+    // 2,000 is the description the benchmark's `hit_small` workload
+    // probes on every request.
+    for n in [100usize, 1_000, 2_000, 10_000] {
         let entries = boxes(n, 42);
         let probes = boxes(256, 7);
         group.throughput(Throughput::Elements(probes.len() as u64));

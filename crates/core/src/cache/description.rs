@@ -5,7 +5,7 @@
 //! at realistic sizes, with the array winning on maintenance cost. Both
 //! live behind one trait so the proxy (and the benchmarks) can swap them.
 
-use fp_geometry::HyperRect;
+use fp_geometry::{approx_le, HyperRect};
 use fp_rtree::RTree;
 
 /// Index over the bounding boxes of cached query regions.
@@ -59,33 +59,50 @@ impl std::fmt::Display for DescriptionKind {
     }
 }
 
-/// The linear-scan description ("ACNR").
+/// The linear-scan description ("ACNR"), stored struct-of-arrays: the
+/// ids in one column and every dimension's lower and upper bounds in a
+/// contiguous column each, all indexed by the same position. A probe
+/// streams dimension 0's two columns and looks at the other dimensions
+/// only for the positions that survive, so the scan touches flat memory
+/// instead of two heap boxes per entry.
+///
+/// Positions follow push / swap-remove order, so candidates come out in
+/// the order a `Vec<(id, bbox)>` scan would produce them.
 #[derive(Debug, Default)]
 pub struct ArrayDescription {
-    #[allow(dead_code)]
-    dims: usize,
-    entries: Vec<(u64, HyperRect)>,
+    ids: Vec<u64>,
+    /// Per dimension: the `lo` column and the `hi` column.
+    bounds: Vec<(Vec<f64>, Vec<f64>)>,
 }
 
 impl ArrayDescription {
     /// An empty array description.
     pub fn new(dims: usize) -> Self {
         ArrayDescription {
-            dims,
-            entries: Vec::new(),
+            ids: Vec::new(),
+            bounds: vec![(Vec::new(), Vec::new()); dims],
         }
     }
 }
 
 impl CacheDescription for ArrayDescription {
     fn insert(&mut self, id: u64, bbox: HyperRect) {
-        self.entries.push((id, bbox));
+        assert_eq!(bbox.dims(), self.bounds.len(), "bbox dimensionality");
+        self.ids.push(id);
+        for ((lo, hi), (l, h)) in self.bounds.iter_mut().zip(bbox.lo().iter().zip(bbox.hi())) {
+            lo.push(*l);
+            hi.push(*h);
+        }
     }
 
     fn remove(&mut self, id: u64, _bbox: &HyperRect) -> bool {
-        match self.entries.iter().position(|(e, _)| *e == id) {
+        match self.ids.iter().position(|e| *e == id) {
             Some(i) => {
-                self.entries.swap_remove(i);
+                self.ids.swap_remove(i);
+                for (lo, hi) in &mut self.bounds {
+                    lo.swap_remove(i);
+                    hi.swap_remove(i);
+                }
                 true
             }
             None => false,
@@ -93,15 +110,49 @@ impl CacheDescription for ArrayDescription {
     }
 
     fn candidates(&self, bbox: &HyperRect, out: &mut Vec<u64>) {
-        for (id, r) in &self.entries {
-            if r.intersects_rect(bbox) {
-                out.push(*id);
+        assert_eq!(bbox.dims(), self.bounds.len(), "probe dimensionality");
+        let Some(((lo0, hi0), rest)) = self.bounds.split_first() else {
+            return;
+        };
+        let (qlo, qhi) = (bbox.lo(), bbox.hi());
+
+        // Dimension 0 in two straight-line passes, neither with a
+        // data-dependent branch: the verdicts (a loop the compiler can
+        // vectorise), then positions compacted over them in place.
+        // Same predicate as `HyperRect::intersects_rect`.
+        let start = out.len();
+        out.extend(
+            lo0.iter()
+                .zip(hi0)
+                .map(|(&lo, &hi)| u64::from(approx_le(lo, qhi[0]) & approx_le(qlo[0], hi))),
+        );
+        let verdicts = &mut out[start..];
+        let mut kept = 0;
+        for i in 0..verdicts.len() {
+            let pass = verdicts[i] as usize;
+            verdicts[kept] = i as u64;
+            kept += pass;
+        }
+        out.truncate(start + kept);
+
+        // Remaining dimensions on the survivors, then positions → ids.
+        for (d, (lo, hi)) in rest.iter().enumerate() {
+            let (ql, qh) = (qlo[d + 1], qhi[d + 1]);
+            let mut kept = start;
+            for k in start..out.len() {
+                let i = out[k] as usize;
+                out[kept] = out[k];
+                kept += usize::from(approx_le(lo[i], qh) & approx_le(ql, hi[i]));
             }
+            out.truncate(kept);
+        }
+        for slot in &mut out[start..] {
+            *slot = self.ids[*slot as usize];
         }
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     fn kind(&self) -> DescriptionKind {
@@ -151,6 +202,7 @@ impl CacheDescription for RTreeDescription {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rect(lo: f64, hi: f64) -> HyperRect {
         HyperRect::new(vec![lo, lo], vec![hi, hi]).unwrap()
@@ -229,6 +281,91 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "probe {probe}");
+        }
+    }
+
+    /// One step of a random description history. Coordinates are
+    /// lattice cells plus a jitter of zero, half an `EPS` or two `EPS`
+    /// either way, so boxes that touch a probe exactly, within the
+    /// tolerance and just outside it all occur.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(Vec<(u8, u8, u8)>),
+        Remove(usize),
+        Probe(Vec<(u8, u8, u8)>),
+    }
+
+    fn lattice_rect(cells: &[(u8, u8, u8)], dims: usize) -> HyperRect {
+        const JITTER: [f64; 5] = [0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9];
+        let (lo, hi) = cells[..dims]
+            .iter()
+            .map(|&(cell, width, jitter)| {
+                let lo = f64::from(cell) + JITTER[usize::from(jitter)];
+                (lo, lo + f64::from(width))
+            })
+            .unzip();
+        HyperRect::new(lo, hi).unwrap()
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let cells = || prop::collection::vec((0u8..8, 0u8..3, 0u8..5), 4);
+        prop::collection::vec(
+            prop_oneof![
+                4 => cells().prop_map(Op::Insert),
+                2 => (0usize..64).prop_map(Op::Remove),
+                3 => cells().prop_map(Op::Probe),
+            ],
+            1..120,
+        )
+    }
+
+    proptest! {
+        /// The SoA array answers every probe with the same ids in the
+        /// same order as the `Vec<(id, bbox)>` it replaced, and with the
+        /// same set as the R-tree, across inserts and swap-removes.
+        #[test]
+        fn array_matches_reference_model_and_rtree(dims in 1usize..=4, ops in ops()) {
+            let mut array = ArrayDescription::new(dims);
+            let mut rtree = RTreeDescription::new(dims);
+            let mut model: Vec<(u64, HyperRect)> = Vec::new();
+            let mut next_id = 0u64;
+            for op in ops {
+                match op {
+                    Op::Insert(cells) => {
+                        let r = lattice_rect(&cells, dims);
+                        array.insert(next_id, r.clone());
+                        rtree.insert(next_id, r.clone());
+                        model.push((next_id, r));
+                        next_id += 1;
+                    }
+                    Op::Remove(pick) if !model.is_empty() => {
+                        let (id, r) = model.swap_remove(pick % model.len());
+                        prop_assert!(array.remove(id, &r));
+                        prop_assert!(rtree.remove(id, &r));
+                        prop_assert!(!array.remove(id, &r));
+                    }
+                    Op::Remove(_) => {}
+                    Op::Probe(cells) => {
+                        let probe = lattice_rect(&cells, dims);
+                        let expected: Vec<u64> = model
+                            .iter()
+                            .filter(|(_, r)| r.intersects_rect(&probe))
+                            .map(|(id, _)| *id)
+                            .collect();
+                        // A non-empty `out` must be appended to, not reused.
+                        let mut from_array = vec![u64::MAX];
+                        array.candidates(&probe, &mut from_array);
+                        prop_assert_eq!(&from_array[1..], &expected[..]);
+                        let mut from_rtree = Vec::new();
+                        rtree.candidates(&probe, &mut from_rtree);
+                        from_rtree.sort_unstable();
+                        let mut sorted = expected;
+                        sorted.sort_unstable();
+                        prop_assert_eq!(from_rtree, sorted);
+                    }
+                }
+                prop_assert_eq!(array.len(), model.len());
+            }
         }
     }
 }

@@ -10,9 +10,10 @@ use crate::cache::tier::{
 use crate::lifecycle::snapshot::{read_snapshot_file, write_snapshot_file};
 use crate::lifecycle::{freshness_at, Freshness, LifecycleConfig, LifecycleStamp};
 use crate::resilience::Clock;
-use fp_geometry::Region;
+use fp_geometry::{HyperRect, Region};
 use fp_skyserver::{ColumnarRows, ResultSet};
 use fp_xmlite::Element;
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,6 +68,21 @@ pub struct ClassifyView<'a> {
     pub truncated: bool,
     /// Result row count (smallest-containing-entry preference).
     pub rows: usize,
+}
+
+/// Buffers one description probe fills: the probe region's bounding
+/// box and the candidate ids. Kept per thread and reused, so a probe
+/// allocates nothing once they have grown to the working size.
+struct ProbeScratch {
+    bbox: HyperRect,
+    ids: Vec<u64>,
+}
+
+thread_local! {
+    static PROBE: RefCell<ProbeScratch> = RefCell::new(ProbeScratch {
+        bbox: HyperRect::new(vec![0.0], vec![0.0]).expect("a point is a valid box"),
+        ids: Vec::new(),
+    });
 }
 
 /// Outcome of a disk-tier warm restart.
@@ -306,11 +322,12 @@ impl CacheStore {
         if self.time.is_none() {
             return 0;
         }
-        let dead: Vec<u64> = self
-            .candidates(residual_key, region)
-            .into_iter()
-            .filter(|&id| self.freshness(id) == Some(Freshness::Dead))
-            .collect();
+        let dead: Vec<u64> = self.with_candidates(residual_key, region, |ids| {
+            ids.iter()
+                .copied()
+                .filter(|&id| self.freshness(id) == Some(Freshness::Dead))
+                .collect()
+        });
         let n = dead.len();
         for id in dead {
             self.remove(id);
@@ -890,14 +907,30 @@ impl CacheStore {
         self.exact.get(sql).copied()
     }
 
-    /// Ids in `residual_key`'s group whose bounding box intersects the
-    /// probe region's bounding box.
-    pub fn candidates(&self, residual_key: &str, region: &Region) -> Vec<u64> {
-        let mut out = Vec::new();
-        if let Some(g) = self.groups.get(residual_key) {
-            g.candidates(&region.bounding_rect(), &mut out);
-        }
-        out
+    /// Runs `f` over the ids in `residual_key`'s group whose bounding
+    /// box intersects the probe region's bounding box, in description
+    /// order. The ids live in this thread's reusable probe buffers, so
+    /// `f` must not probe again.
+    pub fn with_candidates<R>(
+        &self,
+        residual_key: &str,
+        region: &Region,
+        f: impl FnOnce(&[u64]) -> R,
+    ) -> R {
+        PROBE.with(|probe| {
+            let ProbeScratch { bbox, ids } = &mut *probe.borrow_mut();
+            ids.clear();
+            if let Some(g) = self.groups.get(residual_key) {
+                g.candidates(region.bounding_rect_in(bbox), ids);
+            }
+            f(ids)
+        })
+    }
+
+    /// The candidate ids as an owned list.
+    #[cfg(test)]
+    pub(crate) fn candidates(&self, residual_key: &str, region: &Region) -> Vec<u64> {
+        self.with_candidates(residual_key, region, <[u64]>::to_vec)
     }
 
     /// Iterates all live entries in unspecified order.

@@ -56,11 +56,22 @@ pub fn classify(store: &CacheStore, bound: &BoundQuery) -> QueryStatus {
 /// (stale-if-error). `Dead` entries never classify; they are retired by
 /// the store's sweep.
 pub fn classify_graded(store: &CacheStore, bound: &BoundQuery, allow_grace: bool) -> QueryStatus {
+    store.with_candidates(&bound.residual_key, &bound.region, |candidates| {
+        classify_candidates(store, bound, allow_grace, candidates)
+    })
+}
+
+fn classify_candidates(
+    store: &CacheStore,
+    bound: &BoundQuery,
+    allow_grace: bool,
+    candidates: &[u64],
+) -> QueryStatus {
     let mut contained_by: Option<u64> = None;
     let mut contains: Vec<u64> = Vec::new();
     let mut overlaps: Vec<u64> = Vec::new();
 
-    for id in store.candidates(&bound.residual_key, &bound.region) {
+    for &id in candidates {
         match store.freshness(id) {
             Some(f) if f.serveable(allow_grace) => {}
             _ => continue,
@@ -232,5 +243,88 @@ mod tests {
             )
             .unwrap();
         assert_eq!(classify(&store, &rect), QueryStatus::Disjoint);
+    }
+
+    /// The verdict in a form that does not depend on the order a
+    /// description lists candidates in: id lists sorted, and the
+    /// containing entry named by its row count (equally small
+    /// containers are interchangeable).
+    fn normalized(store: &CacheStore, status: QueryStatus) -> (&'static str, Vec<u64>) {
+        let label = status.label();
+        let mut key = match status {
+            QueryStatus::ExactMatch(id) => vec![id],
+            QueryStatus::ContainedBy(id) => vec![store.classify_view(id).unwrap().rows as u64],
+            QueryStatus::RegionContainment(ids) | QueryStatus::Overlapping(ids) => ids,
+            QueryStatus::Disjoint => Vec::new(),
+        };
+        key.sort_unstable();
+        (label, key)
+    }
+
+    #[test]
+    fn array_and_rtree_agree_over_2000_entries_on_all_five_relations() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::Arc;
+
+        let m = TemplateManager::with_sky_defaults();
+        let mut rng = StdRng::seed_from_u64(0x14);
+        let cones: Vec<(f64, f64, f64)> = (0..2_000)
+            .map(|_| {
+                (
+                    rng.gen_range(180.0..190.0),
+                    rng.gen_range(-3.0..3.0),
+                    rng.gen_range(0.5..6.0),
+                )
+            })
+            .collect();
+        let results: Vec<Arc<ResultSet>> = (0..5).map(|n| Arc::new(rs(n))).collect();
+        let mut array = CacheStore::new(DescriptionKind::Array, None);
+        let mut rtree = CacheStore::new(DescriptionKind::RTree, None);
+        for (i, &(ra, dec, radius)) in cones.iter().enumerate() {
+            let b = bound(&m, ra, dec, radius);
+            for store in [&mut array, &mut rtree] {
+                store.insert(
+                    &b.residual_key,
+                    b.region.clone(),
+                    Arc::clone(&results[i % results.len()]),
+                    false,
+                    &b.sql,
+                    &[],
+                );
+            }
+        }
+        // One residual key, so one description holds all 2,000 boxes.
+        let key = bound(&m, 185.0, 0.0, 1.0).residual_key;
+        assert_eq!(array.group_len(&key), 2_000);
+        assert_eq!(rtree.group_len(&key), 2_000);
+
+        let mut seen = std::collections::BTreeMap::new();
+        for probe in 0..1_000 {
+            let (ra, dec, radius) = cones[rng.gen_range(0..cones.len())];
+            let b = match probe % 5 {
+                0 => bound(&m, ra, dec, radius),
+                1 => bound(&m, ra, dec, radius * rng.gen_range(0.2..0.9)),
+                2 => bound(&m, ra, dec, radius * rng.gen_range(1.5..4.0)),
+                3 => bound(&m, ra + radius / 60.0, dec, radius),
+                _ => bound(&m, ra - 90.0, dec, radius),
+            };
+            let from_array = normalized(&array, classify(&array, &b));
+            let from_rtree = normalized(&rtree, classify(&rtree, &b));
+            assert_eq!(from_array, from_rtree, "probe {probe}: {:?}", b.region);
+            *seen.entry(from_array.0).or_insert(0usize) += 1;
+        }
+        let labels: Vec<&str> = seen.keys().copied().collect();
+        assert_eq!(
+            labels,
+            [
+                "contained",
+                "disjoint",
+                "exact",
+                "overlap",
+                "region-containment"
+            ],
+            "every relation must be exercised: {seen:?}"
+        );
     }
 }

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod conn;
+mod outq;
 pub mod pool;
 pub mod reactor;
 pub mod service;

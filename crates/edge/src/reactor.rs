@@ -17,7 +17,16 @@
 //! parsed request gets a per-connection sequence number, out-of-order
 //! completions park in a `BTreeMap`, and bytes go on the wire strictly
 //! in request order. `Connection: close` and error responses close
-//! after the flush.
+//! after the flush; nothing that arrives behind a `Connection: close`
+//! request is parsed.
+//!
+//! ## Bytes in, bytes out
+//!
+//! Reads land directly in the connection's accumulation buffer. Every
+//! response — fast-path hit, worker completion, shed, error — becomes a
+//! `[head, body]` pair of owned buffers (the body is the service's own
+//! `Vec`, moved), parks under its sequence number, and goes out through
+//! the connection's out queue (`outq.rs`) with gathered writes.
 //!
 //! ## Admission control
 //!
@@ -31,16 +40,18 @@
 //! are answered `408` and closed.
 
 use crate::conn::{try_parse, ParseOutcome};
+use crate::outq::OutQueue;
 use crate::pool::{Job, WorkerPool};
 use crate::service::EdgeService;
 use crate::stats::{EdgeSnapshot, EdgeStats};
 use crate::sys::{
-    Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, MAX_EVENTS,
+    read_into_spare, Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+    MAX_EVENTS,
 };
 use fp_httpd::{Request, Response, Status};
 use funcproxy::observe::{Observer, PathClass, Phase};
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -50,6 +61,9 @@ use std::time::{Duration, Instant};
 
 const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKE: u64 = u64::MAX - 1;
+
+/// Most bytes one `read` takes off a socket.
+const READ_CHUNK: usize = 16 * 1024;
 
 const RUNNING: u8 = 0;
 const DRAINING: u8 = 1;
@@ -156,12 +170,16 @@ impl EdgeConfig {
     }
 }
 
+/// A response in wire form: the head and the body, each an owned
+/// buffer that is moved — never copied — from here to the socket.
+type Reply = [Vec<u8>; 2];
+
 /// A worker-finished response addressed back to its connection.
 struct Completion {
     slot: usize,
     generation: u64,
     seq: u64,
-    bytes: Vec<u8>,
+    reply: Reply,
     close: bool,
     pushed_at: Instant,
 }
@@ -180,14 +198,17 @@ struct Conn {
     stream: TcpStream,
     generation: u64,
     read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    write_pos: usize,
+    /// How far into `read_buf` the search for the current request
+    /// head's end has got (see [`try_parse`]).
+    head_scanned: usize,
+    /// Replies whose turn has come, awaiting the socket.
+    out: OutQueue,
     /// Next sequence number to assign to a parsed request.
     next_seq: u64,
     /// Next sequence number eligible to go on the wire.
     next_write_seq: u64,
     /// Out-of-order finished responses waiting for their turn.
-    ready: BTreeMap<u64, (Vec<u8>, bool)>,
+    ready: BTreeMap<u64, (Reply, bool)>,
     /// Requests currently on the worker side.
     inflight: usize,
     last_activity: Instant,
@@ -205,8 +226,8 @@ impl Conn {
             stream,
             generation,
             read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
+            head_scanned: 0,
+            out: OutQueue::default(),
             next_seq: 0,
             next_write_seq: 0,
             ready: BTreeMap::new(),
@@ -220,7 +241,17 @@ impl Conn {
 
     /// Nothing left to serve or flush.
     fn is_idle(&self) -> bool {
-        self.inflight == 0 && self.ready.is_empty() && self.write_pos >= self.write_buf.len()
+        self.inflight == 0 && self.ready.is_empty() && self.out.is_empty()
+    }
+
+    /// Stops reading requests off this connection: whatever has been
+    /// buffered (or arrives later) is dropped, and the connection
+    /// closes once every response already owed has flushed.
+    fn stop_parsing(&mut self) {
+        self.closing = true;
+        self.read_buf.clear();
+        self.head_scanned = 0;
+        self.head_started = None;
     }
 }
 
@@ -277,15 +308,12 @@ impl EdgeServer {
                     PathClass::Miss,
                     ms_since(job.enqueued_at),
                 );
-                let mut response = service.handle(&job.request);
-                if job.close {
-                    response.headers.set("Connection", "close");
-                }
+                let response = service.handle(&job.request);
                 let completion = Completion {
                     slot: job.slot,
                     generation: job.generation,
                     seq: job.seq,
-                    bytes: response.to_bytes(),
+                    reply: finalize(response, job.close),
                     close: job.close,
                     pushed_at: Instant::now(),
                 };
@@ -541,23 +569,25 @@ impl Reactor {
     }
 
     fn readable(&mut self, slot: usize) {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
             };
-            match conn.stream.read(&mut chunk) {
+            let fd = conn.stream.as_raw_fd();
+            match read_into_spare(fd, &mut conn.read_buf, READ_CHUNK) {
                 Ok(0) => {
                     self.close_conn(slot);
                     return;
                 }
                 Ok(n) => {
-                    if conn.head_started.is_none() {
+                    if conn.closing {
+                        // Nothing more is served on this connection.
+                        conn.read_buf.clear();
+                    } else if conn.head_started.is_none() {
                         conn.head_started = Some(Instant::now());
                     }
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
                     conn.last_activity = Instant::now();
-                    if n < chunk.len() {
+                    if n < READ_CHUNK {
                         break;
                     }
                 }
@@ -585,13 +615,11 @@ impl Reactor {
             if conn.inflight + conn.ready.len() >= self.config.max_pipeline {
                 return;
             }
-            match try_parse(&conn.read_buf) {
+            match try_parse(&conn.read_buf, &mut conn.head_scanned) {
                 ParseOutcome::NeedMore => return,
                 ParseOutcome::Error(e) => {
                     EdgeStats::bump(&self.stats.bad_requests);
-                    conn.closing = true;
-                    conn.read_buf.clear();
-                    conn.head_started = None;
+                    conn.stop_parsing();
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
                     let response = Response::error(Status::BAD_REQUEST, &e.to_string());
@@ -600,6 +628,7 @@ impl Reactor {
                 }
                 ParseOutcome::Request { request, consumed } => {
                     conn.read_buf.drain(..consumed);
+                    conn.head_scanned = 0;
                     conn.last_activity = Instant::now();
                     let head_started = conn.head_started.take();
                     conn.head_started = if conn.read_buf.is_empty() {
@@ -621,6 +650,14 @@ impl Reactor {
                         .headers
                         .get("connection")
                         .is_some_and(|v| v.eq_ignore_ascii_case("close"));
+                    if close {
+                        // Its response ends the connection, so nothing
+                        // pipelined behind it may be parsed: an answer
+                        // parked behind the closing one could never
+                        // flush, and the connection would never look
+                        // finished.
+                        conn.stop_parsing();
+                    }
                     self.dispatch(slot, seq, request, close);
                 }
             }
@@ -634,7 +671,7 @@ impl Reactor {
         if self.shared.state.load(Ordering::SeqCst) == DRAINING {
             EdgeStats::bump(&self.stats.shed_draining);
             if let Some(conn) = self.conns[slot].as_mut() {
-                conn.closing = true;
+                conn.stop_parsing();
             }
             self.queue_response(
                 slot,
@@ -729,20 +766,23 @@ impl Reactor {
             self.record_phase(Phase::Handoff, PathClass::Miss, ms_since(c.pushed_at));
             let conn = self.conns[c.slot].as_mut().expect("alive checked");
             conn.inflight -= 1;
-            self.queue_response(c.slot, c.seq, c.bytes, c.close);
+            self.queue_response(c.slot, c.seq, c.reply, c.close);
             // A completed request may have unblocked the pipeline bound.
             self.parse_ready(c.slot);
         }
     }
 
-    /// Parks `bytes` for in-order flushing and attempts the write.
-    fn queue_response(&mut self, slot: usize, seq: u64, bytes: Vec<u8>, close: bool) {
+    /// Parks `reply` until its turn in request order, moves every reply
+    /// whose turn has come into the out queue, and attempts the write.
+    fn queue_response(&mut self, slot: usize, seq: u64, reply: Reply, close: bool) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        conn.ready.insert(seq, (bytes, close));
-        while let Some((bytes, close)) = conn.ready.remove(&conn.next_write_seq) {
-            conn.write_buf.extend_from_slice(&bytes);
+        conn.ready.insert(seq, (reply, close));
+        while let Some((reply, close)) = conn.ready.remove(&conn.next_write_seq) {
+            for buf in reply {
+                conn.out.push(buf);
+            }
             conn.next_write_seq += 1;
             if close {
                 conn.closing = true;
@@ -752,48 +792,33 @@ impl Reactor {
         self.flush_write(slot);
     }
 
-    /// Writes as much buffered output as the socket accepts; manages
+    /// Writes as much queued output as the socket accepts; manages
     /// `EPOLLOUT` interest and deferred closes. Returns `false` when
     /// the connection was closed.
     fn flush_write(&mut self, slot: usize) -> bool {
         let Some(conn) = self.conns[slot].as_mut() else {
             return false;
         };
-        while conn.write_pos < conn.write_buf.len() {
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                Ok(0) => {
-                    self.close_conn(slot);
-                    return false;
-                }
-                Ok(n) => {
-                    conn.write_pos += n;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(slot);
-                    return false;
-                }
+        match conn.out.flush(&mut &conn.stream) {
+            Ok(0) => {}
+            Ok(_) => conn.last_activity = Instant::now(),
+            Err(_) => {
+                self.close_conn(slot);
+                return false;
             }
         }
-        let flushed = conn.write_pos >= conn.write_buf.len();
-        if flushed {
-            conn.write_buf.clear();
-            conn.write_pos = 0;
-            let fd = conn.stream.as_raw_fd();
+        let fd = conn.stream.as_raw_fd();
+        if conn.out.is_empty() {
             if conn.want_write {
                 conn.want_write = false;
                 let _ = self.epoll.modify(fd, EPOLLIN | EPOLLRDHUP, slot as u64);
             }
-            let conn = self.conns[slot].as_ref().expect("conn present");
             if conn.closing && conn.inflight == 0 && conn.ready.is_empty() {
                 self.close_conn(slot);
                 return false;
             }
         } else if !conn.want_write {
             conn.want_write = true;
-            let fd = conn.stream.as_raw_fd();
             let _ = self
                 .epoll
                 .modify(fd, EPOLLIN | EPOLLOUT | EPOLLRDHUP, slot as u64);
@@ -817,9 +842,7 @@ impl Reactor {
                 .is_some_and(|t0| now.duration_since(t0) >= self.config.read_deadline);
             if dribbling && !conn.closing {
                 EdgeStats::bump(&self.stats.read_timeouts);
-                conn.closing = true;
-                conn.read_buf.clear();
-                conn.head_started = None;
+                conn.stop_parsing();
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
                 let response =
@@ -848,13 +871,15 @@ fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1000.0
 }
 
-/// Serializes a response, adding `Connection: close` when the
-/// connection will close behind it.
-fn finalize(mut response: Response, close: bool) -> Vec<u8> {
+/// Puts a response in wire form, adding `Connection: close` when the
+/// connection will close behind it. The body is moved, not copied.
+fn finalize(mut response: Response, close: bool) -> Reply {
     if close {
         response.headers.set("Connection", "close");
     }
-    response.to_bytes()
+    let mut head = Vec::with_capacity(256);
+    response.write_head(&mut head);
+    [head, response.body]
 }
 
 /// The admission-control refusal: `503` with an honest retry hint.

@@ -1,6 +1,9 @@
-//! Thin, hand-declared bindings to the three kernel facilities the
-//! reactor needs: `epoll` (readiness), `eventfd` (cross-thread wakeup),
-//! and `signal` (SIGINT/SIGTERM → flag). The build environment has no
+//! Thin, hand-declared bindings to the kernel facilities the reactor
+//! needs: `epoll` (readiness), `eventfd` (cross-thread wakeup), `signal`
+//! (SIGINT/SIGTERM → flag), and `read` into a `Vec`'s spare capacity
+//! (stable std can only read into initialised bytes; gathered writes
+//! need nothing here — `TcpStream::write_vectored` is `writev`). The
+//! build environment has no
 //! crates.io access, so there is no `libc` crate to lean on; std links
 //! the platform libc anyway, and these few prototypes are stable ABI.
 //!
@@ -57,6 +60,31 @@ extern "C" {
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn signal(signum: i32, handler: usize) -> usize;
+    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+}
+
+/// Reads up to `want` bytes from `fd` straight onto the end of `buf`
+/// (growing its capacity first if needed) and returns how many arrived;
+/// `Ok(0)` is end of stream. Nothing is zeroed and nothing is copied:
+/// the kernel writes into the vector's spare capacity.
+pub fn read_into_spare(fd: RawFd, buf: &mut Vec<u8>, want: usize) -> io::Result<usize> {
+    buf.reserve(want);
+    let spare = &mut buf.spare_capacity_mut()[..want];
+    // SAFETY: `spare` is `want` writable bytes that `buf` owns and that
+    // nothing else refers to; the kernel writes at most `want` of them.
+    let n = unsafe { read(fd, spare.as_mut_ptr().cast(), want) };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    let n = n as usize;
+    assert!(
+        n <= want,
+        "read(2) returned more than it was given room for"
+    );
+    // SAFETY: the kernel initialised the first `n` spare bytes, and
+    // `len + n <= len + want <= capacity` after the `reserve` above.
+    unsafe { buf.set_len(buf.len() + n) };
+    Ok(n)
 }
 
 /// An owned epoll instance.
@@ -226,6 +254,36 @@ mod tests {
         let bits = events[0].events;
         assert_ne!(bits & EPOLLIN, 0);
         epoll.delete(listener.as_raw_fd()).unwrap();
+    }
+
+    #[test]
+    fn read_into_spare_appends_without_touching_what_is_there() {
+        use std::io::Write;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+
+        client.write_all(b"hello world").unwrap();
+        let mut buf = b"kept:".to_vec();
+        // A small `want` caps the read even though more is waiting.
+        assert_eq!(read_into_spare(server.as_raw_fd(), &mut buf, 5).unwrap(), 5);
+        assert_eq!(buf, b"kept:hello");
+        assert_eq!(
+            read_into_spare(server.as_raw_fd(), &mut buf, 64).unwrap(),
+            6
+        );
+        assert_eq!(buf, b"kept:hello world");
+
+        server.set_nonblocking(true).unwrap();
+        let err = read_into_spare(server.as_raw_fd(), &mut buf, 64).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        drop(client);
+        server.set_nonblocking(false).unwrap();
+        assert_eq!(
+            read_into_spare(server.as_raw_fd(), &mut buf, 64).unwrap(),
+            0
+        );
+        assert_eq!(buf, b"kept:hello world");
     }
 
     #[test]

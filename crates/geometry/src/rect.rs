@@ -50,6 +50,15 @@ impl HyperRect {
         }
     }
 
+    /// Overwrites this box with the cube `center ± half` (`half >= 0`),
+    /// reusing its allocations.
+    pub(crate) fn set_cube(&mut self, center: &[f64], half: f64) {
+        self.lo.clear();
+        self.lo.extend(center.iter().map(|c| c - half));
+        self.hi.clear();
+        self.hi.extend(center.iter().map(|c| c + half));
+    }
+
     /// Dimensionality.
     #[inline]
     pub fn dims(&self) -> usize {

@@ -58,6 +58,19 @@ impl Region {
         }
     }
 
+    /// [`Self::bounding_rect`] without allocating: boxes and polytopes
+    /// lend the box they hold, a ball writes its box over `scratch`.
+    pub fn bounding_rect_in<'a>(&'a self, scratch: &'a mut HyperRect) -> &'a HyperRect {
+        match self {
+            Region::Rect(r) => r,
+            Region::Sphere(s) => {
+                s.bounding_rect_into(scratch);
+                scratch
+            }
+            Region::Polytope(p) => p.bbox(),
+        }
+    }
+
     /// Classifies the spatial relationship of `self` (the *new* query)
     /// against `other` (a *cached* query). See [`Relation`] for the
     /// soundness contract.
@@ -145,5 +158,13 @@ mod tests {
             assert!(bb.lo()[d] <= 0.0 && bb.lo()[d] > -1e-8);
             assert!(bb.hi()[d] >= 2.0 && bb.hi()[d] < 2.0 + 1e-8);
         }
+        // The non-allocating form yields the same box whatever the
+        // scratch held before (here: another dimensionality).
+        let mut scratch = HyperRect::new(vec![7.0], vec![8.0]).unwrap();
+        assert_eq!(s.bounding_rect_in(&mut scratch), &bb);
+        let r: Region = HyperRect::new(vec![0.0, 1.0], vec![2.0, 3.0])
+            .unwrap()
+            .into();
+        assert_eq!(r.bounding_rect_in(&mut scratch), &r.bounding_rect());
     }
 }

@@ -126,10 +126,16 @@ impl HyperSphere {
     /// test it feeds. At arcminute chord scales `EPS` on `d²` is ~0.3 %
     /// of the radius — large enough to lose real boundary objects.
     pub fn bounding_rect(&self) -> HyperRect {
+        let mut rect = HyperRect::degenerate(&self.center);
+        self.bounding_rect_into(&mut rect);
+        rect
+    }
+
+    /// [`Self::bounding_rect`] written over `out`, reusing its
+    /// allocations (a probe per request must not allocate).
+    pub fn bounding_rect_into(&self, out: &mut HyperRect) {
         let half = (self.radius * self.radius + EPS).sqrt();
-        let lo: Vec<f64> = self.center.coords().iter().map(|c| c - half).collect();
-        let hi: Vec<f64> = self.center.coords().iter().map(|c| c + half).collect();
-        HyperRect::new(lo, hi).expect("ball bounding box is well-formed")
+        out.set_cube(self.center.coords(), half);
     }
 }
 

@@ -240,12 +240,15 @@ impl Response {
         String::from_utf8_lossy(&self.body).into_owned()
     }
 
-    /// Serializes the response to wire form (always sets Content-Length).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
-        out.extend_from_slice(
-            format!("HTTP/1.1 {} {}\r\n", self.status.0, self.status.reason()).as_bytes(),
-        );
+    /// Appends the status line and the headers, through the blank
+    /// line, to `out`. `Content-Length` is always the body's length,
+    /// whatever the header set says.
+    pub fn write_head(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"HTTP/1.1 ");
+        push_decimal(out, usize::from(self.status.0));
+        out.push(b' ');
+        out.extend_from_slice(self.status.reason().as_bytes());
+        out.extend_from_slice(b"\r\n");
         for (k, v) in self.headers.iter() {
             if k.eq_ignore_ascii_case("content-length") {
                 continue; // recomputed below
@@ -255,10 +258,34 @@ impl Response {
             out.extend_from_slice(v.as_bytes());
             out.extend_from_slice(b"\r\n");
         }
-        out.extend_from_slice(format!("Content-Length: {}\r\n\r\n", self.body.len()).as_bytes());
+        out.extend_from_slice(b"Content-Length: ");
+        push_decimal(out, self.body.len());
+        out.extend_from_slice(b"\r\n\r\n");
+    }
+
+    /// Serializes the response to wire form: [`Self::write_head`], then
+    /// the body.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(128 + self.body.len());
+        self.write_head(&mut out);
         out.extend_from_slice(&self.body);
         out
     }
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 fn split_target(target: &str) -> (String, String) {
@@ -313,6 +340,57 @@ mod tests {
         assert!(text.ends_with("\r\n\r\nhi"));
         assert!(Status::OK.is_success());
         assert!(!Status::NOT_FOUND.is_success());
+    }
+
+    /// The bytes the server has always put on the wire for a Radial
+    /// search reply and for an error reply, header for header. Pins
+    /// `write_head` to the `format!`-built head it replaced.
+    #[test]
+    fn response_wire_form_is_golden() {
+        let mut radial = Response::ok("text/xml", "<rows n=\"0\"/>");
+        radial.headers.set("X-Cache-Outcome", "contained");
+        radial
+            .headers
+            .set("X-Sim-Response-Ms", format!("{:.0}", 12.4));
+        radial.headers.set("X-Coalesced", false.to_string());
+        radial.headers.set("X-Degraded", false.to_string());
+        radial.headers.set("X-Stale", true.to_string());
+        radial.headers.set("content-length", "999"); // never trusted
+        radial.headers.set("Connection", "close");
+        assert_eq!(
+            String::from_utf8(radial.to_bytes()).unwrap(),
+            "HTTP/1.1 200 OK\r\n\
+             Content-Type: text/xml\r\n\
+             X-Cache-Outcome: contained\r\n\
+             X-Sim-Response-Ms: 12\r\n\
+             X-Coalesced: false\r\n\
+             X-Degraded: false\r\n\
+             X-Stale: true\r\n\
+             Connection: close\r\n\
+             Content-Length: 13\r\n\
+             \r\n\
+             <rows n=\"0\"/>"
+        );
+        let mut head = Vec::new();
+        radial.write_head(&mut head);
+        assert_eq!([head, radial.body.clone()].concat(), radial.to_bytes());
+
+        let shed = Response::error(Status::SERVICE_UNAVAILABLE, "");
+        assert_eq!(
+            String::from_utf8(shed.to_bytes()).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\n\
+             Content-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 0\r\n\
+             \r\n"
+        );
+        let big = Response {
+            status: Status(418),
+            headers: Headers::new(),
+            body: vec![b'x'; 1_048_576],
+        };
+        assert!(big
+            .to_bytes()
+            .starts_with(b"HTTP/1.1 418 Unknown\r\nContent-Length: 1048576\r\n\r\nx"));
     }
 
     #[test]

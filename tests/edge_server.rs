@@ -11,8 +11,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A service whose behavior the tests control: `handle` sleeps for
-/// `delay` then echoes the path; `/fast/...` paths are served inline
-/// when `fast` is on.
+/// `delay` then echoes the path (or, for `/big/<n>`, answers with
+/// [`big_body`]`(n)`); `/fast/...` paths are served inline when `fast`
+/// is on.
 struct TestService {
     delay: Duration,
     fast: bool,
@@ -36,13 +37,24 @@ impl EdgeService for TestService {
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
         }
-        Response::ok("text/plain", format!("handled:{}", request.path))
+        match request.path.strip_prefix("/big/") {
+            Some(n) => Response::ok("application/octet-stream", big_body(n.parse().unwrap())),
+            None => Response::ok("text/plain", format!("handled:{}", request.path)),
+        }
     }
 
     fn try_fast(&self, request: &Request) -> Option<Response> {
         (self.fast && request.path.starts_with("/fast"))
             .then(|| Response::ok("text/plain", format!("fast:{}", request.path)))
     }
+}
+
+/// One megabyte that differs from byte to byte and from `n` to `n`, so
+/// a lost, repeated or misplaced span cannot go unnoticed.
+fn big_body(n: usize) -> Vec<u8> {
+    (0..1 << 20)
+        .map(|i| ((i * 31 + n * 7) % 251) as u8)
+        .collect()
 }
 
 fn connect(server: &EdgeServer) -> TcpStream {
@@ -75,6 +87,40 @@ fn read_until(
         }
     }
     buf
+}
+
+/// Reads until the server closes the connection; `None` when it has
+/// not done so by the deadline.
+fn read_to_eof(stream: &mut TcpStream, deadline: Duration) -> Option<Vec<u8>> {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let end = Instant::now() + deadline;
+    while Instant::now() < end {
+        match stream.read(&mut chunk) {
+            Ok(0) => return Some(buf),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(e) => panic!("read failed: {e}"),
+        }
+    }
+    None
+}
+
+/// Shrinks `stream`'s receive buffer, so the peer's send window stays
+/// small and its large writes come back short.
+fn shrink_receive_buffer(stream: &TcpStream, bytes: i32) {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_RCVBUF: i32 = 8;
+    // SAFETY: `value` points at a live `i32` and `len` is its size; the
+    // fd is open for as long as `stream` is borrowed.
+    let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, &bytes, 4) };
+    assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
 }
 
 fn contains(haystack: &[u8], needle: &str) -> bool {
@@ -133,6 +179,90 @@ fn pipelined_requests_answer_in_request_order() {
         snap.pipelined >= 1,
         "second request parsed while first was in flight"
     );
+    server.shutdown();
+}
+
+#[test]
+fn nothing_is_served_behind_a_connection_close_request() {
+    // An offloaded `Connection: close` request with an inline hit
+    // pipelined behind it. The hit used to be answered and parked behind
+    // the closing response, where it could never flush: the connection
+    // was then neither closed nor ever idle, and leaked.
+    let service = Arc::new(TestService {
+        delay: Duration::from_millis(50),
+        fast: true,
+    });
+    let server = EdgeServer::bind(
+        "127.0.0.1:0",
+        service,
+        EdgeConfig::default().with_workers(1),
+    )
+    .unwrap();
+    let mut stream = connect(&server);
+    stream
+        .write_all(
+            b"GET /miss HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n\
+              GET /fast/hit HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
+        .unwrap();
+    let buf = read_to_eof(&mut stream, Duration::from_secs(5))
+        .expect("the server closes the connection behind the closing response");
+    let text = String::from_utf8_lossy(&buf);
+    assert_eq!(
+        text.matches("HTTP/1.1 ").count(),
+        1,
+        "one response:\n{text}"
+    );
+    assert!(text.contains("Connection: close\r\n"), "{text}");
+    assert!(text.ends_with("handled:/miss"), "{text}");
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().conns_open != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let snap = server.stats();
+    assert_eq!(snap.conns_open, 0, "the connection must be reaped");
+    assert_eq!(snap.requests, 1, "the pipelined request is never parsed");
+    assert_eq!(snap.fast_path, 0);
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_megabyte_replies_survive_a_slow_reader_byte_for_byte() {
+    // Twelve pipelined 1 MB replies to a client with a small receive
+    // buffer that reads in 4 KB sips. 12 MB is more than a loopback
+    // socket pair can hold (send buffers grow to `wmem_max`, 4 MB by
+    // default), so the server's gathered writes come back short again
+    // and again and the reply queue must resume exactly where each one
+    // stopped. (Where the stops fall is the kernel's choice; stops
+    // inside a head and inside a body are pinned one by one in the
+    // queue's unit tests.) Four workers finish out of order, so the
+    // replies also cross the parked-response map.
+    const REPLIES: usize = 12;
+    let server = EdgeServer::bind(
+        "127.0.0.1:0",
+        TestService::instant(),
+        EdgeConfig::default().with_workers(4),
+    )
+    .unwrap();
+    let mut stream = connect(&server);
+    shrink_receive_buffer(&stream, 32 * 1024);
+    let requests: String = (0..REPLIES)
+        .map(|n| format!("GET /big/{n} HTTP/1.1\r\nHost: t\r\n\r\n"))
+        .collect();
+    stream.write_all(requests.as_bytes()).unwrap();
+    let expected: Vec<u8> = (0..REPLIES)
+        .flat_map(|n| Response::ok("application/octet-stream", big_body(n)).to_bytes())
+        .collect();
+
+    // `read_until` takes 4 KB sips.
+    let got = read_until(&mut stream, Duration::from_secs(30), |b| {
+        b.len() >= expected.len()
+    });
+    assert_eq!(got.len(), expected.len(), "reply stream length");
+    let first_difference = got.iter().zip(&expected).position(|(a, b)| a != b);
+    assert_eq!(first_difference, None, "replies differ from what was sent");
+    assert_eq!(server.stats().requests, REPLIES);
     server.shutdown();
 }
 
