@@ -1,20 +1,21 @@
 //! Cache-hit hot-path micro-benchmarks: row-major local evaluation vs
 //! the columnar SoA + micro-index + slab-assembly path.
 //!
-//! Three questions, each a group:
+//! Three questions:
 //! * `hit_select` / `hit_serve` — how much faster is the columnar path
 //!   at selecting a contained region, and at producing the response
 //!   *bytes* (the quantity a client actually waits on)?
 //! * `micro_index` — where is the flat/zones/grid crossover? (The
 //!   constants in `fp_skyserver::columnar` encode the answer.)
-//! * `build` — what does the columnar form cost at insert time?
+//! * `build` / `miss_reply` — what does the columnar form cost at insert
+//!   time, and what does a miss pay from fetched rows to reply bytes?
 //!
 //! The run ends with a headline `speedup:` line measuring the end-to-end
 //! serve ratio at 10 000 rows — the PR-acceptance number.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fp_geometry::{HyperSphere, Point, Region};
-use fp_skyserver::{ColumnarRows, IndexKind, ResultSet};
+use fp_skyserver::{accounted_xml_bytes, ColumnarRows, IndexKind, ResultSet};
 use fp_sqlmini::Value;
 use funcproxy::query::{eval_entry_region, eval_region_over, EvalScratch};
 use rand::rngs::StdRng;
@@ -148,13 +149,45 @@ fn bench_micro_index(c: &mut Criterion) {
     group.finish();
 }
 
+/// Result sizes of the miss path: a typical trace cone, a large one,
+/// and the biggest the traces produce.
+const MISS_SIZES: [usize; 3] = [200, 1_500, 10_000];
+
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("build");
     group.sample_size(20);
-    for &rows in &SIZES {
+    for &rows in &MISS_SIZES {
         let rs = entry(rows, 13);
         group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
             b.iter(|| ColumnarRows::build(&rs, &COORD_IDX).unwrap())
+        });
+    }
+    group.finish();
+}
+
+/// Fetched rows → cache entry + reply bytes. `three_pass` is the shape
+/// the miss path had (size the document, build the slab, serialize the
+/// reply — three runs of the serializer); `one_pass` is what it does
+/// now (build the slab, read the size off it, copy it out).
+fn bench_miss_reply(c: &mut Criterion) {
+    let mut group = c.benchmark_group("miss_reply");
+    group.sample_size(20);
+    for &rows in &MISS_SIZES {
+        let rs = entry(rows, 13);
+        group.bench_with_input(BenchmarkId::new("three_pass", rows), &rows, |b, _| {
+            b.iter(|| {
+                let bytes = rs.to_xml_string().len();
+                let col = ColumnarRows::build(&rs, &COORD_IDX).unwrap();
+                (bytes, col, rs.to_xml_string().into_bytes())
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("one_pass", rows), &rows, |b, _| {
+            b.iter(|| {
+                let col = ColumnarRows::build(&rs, &COORD_IDX).unwrap();
+                let bytes = accounted_xml_bytes(&rs, Some(&col));
+                let body = col.full_document();
+                (bytes, col, body)
+            })
         });
     }
     group.finish();
@@ -267,6 +300,7 @@ criterion_group!(
     bench_hit_serve,
     bench_micro_index,
     bench_build,
+    bench_miss_reply,
     headline_speedup,
     headline_observe_overhead,
 );

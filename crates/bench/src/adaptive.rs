@@ -76,10 +76,6 @@ pub struct AdaptiveCounters {
     pub adaptive_templates: usize,
     /// Requests served per scheme, in declaration order.
     pub scheme_serves: Vec<usize>,
-    /// Combined remainder round trips the overlap path issued.
-    pub remainder_batches: usize,
-    /// Remainder queries answered by those combined trips.
-    pub batched_remainders: usize,
 }
 
 /// One trace's section: all static schemes plus adaptive.
@@ -176,8 +172,6 @@ impl Experiment {
                 scheme_switches: snapshot.scheme_switches,
                 adaptive_templates: snapshot.adaptive_templates,
                 scheme_serves: snapshot.scheme_serves.to_vec(),
-                remainder_batches: snapshot.remainder_batches,
-                batched_remainders: snapshot.batched_remainders,
             },
             best_static: best_static.scheme,
             adaptive_matches_best_hit_rate,
@@ -300,13 +294,8 @@ impl std::fmt::Display for AdaptiveBench {
             }
             writeln!(
                 f,
-                "    adaptive: {} switches over {} template(s), serves {:?}, \
-                 {} combined remainder trip(s) covering {} batched remainder(s)",
-                s.adaptive.scheme_switches,
-                s.adaptive.adaptive_templates,
-                s.adaptive.scheme_serves,
-                s.adaptive.remainder_batches,
-                s.adaptive.batched_remainders,
+                "    adaptive: {} switches over {} template(s), serves {:?}",
+                s.adaptive.scheme_switches, s.adaptive.adaptive_templates, s.adaptive.scheme_serves,
             )?;
             writeln!(
                 f,

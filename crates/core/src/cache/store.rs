@@ -11,7 +11,7 @@ use crate::lifecycle::snapshot::{read_snapshot_file, write_snapshot_file};
 use crate::lifecycle::{freshness_at, Freshness, LifecycleConfig, LifecycleStamp};
 use crate::resilience::Clock;
 use fp_geometry::{HyperRect, Region};
-use fp_skyserver::{ColumnarRows, ResultSet};
+use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet};
 use fp_xmlite::Element;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -386,8 +386,8 @@ impl CacheStore {
         coord_idx: &[usize],
     ) -> Option<u64> {
         let result: Arc<ResultSet> = result.into();
-        let bytes = result.xml_bytes();
         let columnar = ColumnarRows::build(&result, coord_idx).map(Arc::new);
+        let bytes = accounted_xml_bytes(&result, columnar.as_deref());
         self.insert_prebuilt(
             residual_key,
             region,
@@ -757,7 +757,7 @@ impl CacheStore {
         let Some(d) = self.tier.as_mut().and_then(|t| t.demoted.remove(&id)) else {
             return false;
         };
-        let bytes = result.xml_bytes();
+        let bytes = accounted_xml_bytes(&result, columnar.as_deref());
         let footprint = bytes + columnar.as_ref().map_or(0, |c| c.heap_bytes());
         let entry = CacheEntry {
             id,
@@ -1202,7 +1202,7 @@ impl CacheStore {
             bbox: bbox.clone(),
             skeleton: Arc::new(col.skeleton()),
             rows: result.len(),
-            bytes: result.xml_bytes(),
+            bytes: accounted_xml_bytes(&result, Some(&col)),
             truncated,
             exact_sql: Arc::clone(&exact_sql),
             epoch: stamp.epoch,

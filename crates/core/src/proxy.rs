@@ -10,7 +10,7 @@ use crate::query::{
 use crate::schemes::Scheme;
 use crate::template::{BoundQuery, TemplateManager};
 use crate::ProxyError;
-use fp_skyserver::ResultSet;
+use fp_skyserver::{ColumnarRows, ResultSet};
 use fp_sqlmini::Query;
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,6 +23,11 @@ use std::time::Instant;
 pub struct ProxyResponse {
     /// Rows returned to the client.
     pub result: Arc<ResultSet>,
+    /// The columnar form of exactly `result`, when the serving path
+    /// built or held one (a miss builds it for the insert, an exact hit
+    /// shares the entry's): its `full_document()` is the response body,
+    /// byte-identical to serializing `result` again.
+    pub columnar: Option<Arc<ColumnarRows>>,
     /// The per-query metrics the proxy servlet logs.
     pub metrics: QueryMetrics,
 }
@@ -512,7 +517,11 @@ impl FunctionProxy {
             entry_age_ms: 0.0,
             disk_hit: false,
         };
-        ProxyResponse { result, metrics }
+        ProxyResponse {
+            result,
+            columnar: None,
+            metrics,
+        }
     }
 }
 

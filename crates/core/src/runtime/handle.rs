@@ -46,8 +46,8 @@ use crate::observe::{Observer, OutcomeClass, PathClass, Phase as ObsPhase};
 use crate::origin::Origin;
 use crate::proxy::ProxyResponse;
 use crate::query::{
-    classify, classify_graded, eval_entry_region, merge_results, region_inside_predicate,
-    remainder_query, EvalScratch, QueryStatus,
+    classify, classify_graded, eval_entry_region, merge_results, remainder_query, EvalScratch,
+    QueryStatus,
 };
 use crate::resilience::{Clock, ResilientOrigin, SystemClock};
 use crate::runtime::shard::ShardedStore;
@@ -56,16 +56,15 @@ use crate::runtime::{RuntimeSnapshot, RuntimeStats};
 use crate::schemes::Scheme;
 use crate::template::{BoundQuery, TemplateManager};
 use crate::ProxyError;
-use fp_geometry::Region;
-use fp_skyserver::{ColumnarRows, ResultSet};
-use fp_sqlmini::{BinOp, Expr, Query, TableSource};
+use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet};
+use fp_sqlmini::Query;
 use fp_xmlite::Element;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -133,176 +132,9 @@ struct Runtime {
     /// `scheme_choice` is [`SchemeChoice::Adaptive`]. Consulted once
     /// per request and fed once per finished request.
     profit: Option<ProfitModel>,
-    /// In-flight overlap remainder batches, keyed by residual key.
-    /// While one request's remainder fetch is out, later overlap
-    /// misses on the same key park their remainder queries here; the
-    /// finishing leader answers the whole queue with a single combined
-    /// origin round trip.
-    remainder_batches: Mutex<HashMap<String, RemainderBatch>>,
     /// The observability hub: per-phase latency histograms and the
     /// sampled span recorder, shared with the resilience layer.
     observe: Arc<Observer>,
-}
-
-/// One in-flight overlap remainder batch: followers that missed on
-/// the same residual key while the leading remainder fetch was out.
-/// A shared residual key pins the template, the non-spatial bindings,
-/// and the select list, so the queued queries differ only in their
-/// spatial predicates — which is what makes OR-combining them sound.
-struct RemainderBatch {
-    waiters: Vec<BatchTicket>,
-}
-
-/// A parked follower: its own remainder query and query region, plus
-/// the slot the leader fills with the shared combined result.
-struct BatchTicket {
-    query: Query,
-    region: Region,
-    slot: Arc<BatchSlot>,
-}
-
-/// What a batch leader hands each follower: the shared combined
-/// result set and its simulated fetch cost.
-type BatchResult = Result<(Arc<ResultSet>, f64), ProxyError>;
-
-/// The rendezvous between a batch leader and one follower.
-struct BatchSlot {
-    ready: Mutex<Option<BatchResult>>,
-    cv: Condvar,
-}
-
-impl BatchSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(BatchSlot {
-            ready: Mutex::new(None),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, result: BatchResult) {
-        *self.ready.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-        self.cv.notify_one();
-    }
-
-    fn wait(&self) -> BatchResult {
-        let mut ready = self.ready.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = ready.take() {
-                return result;
-            }
-            ready = self.cv.wait(ready).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Synthesizes the one origin query answering every parked remainder.
-///
-/// A remainder query's spatial restriction is the table-valued function
-/// call in its `FROM` clause, so OR-ing the waiters' `WHERE` clauses
-/// under any single waiter's `FROM` would pin the candidate rows to
-/// that waiter's region. Instead the combined query scans the joined
-/// base table directly and carries each waiter's region as an explicit
-/// predicate:
-///
-/// ```sql
-/// SELECT … FROM <base table> <alias>
-/// WHERE (inside(region_1) AND <remainder predicates_1>)
-///    OR (inside(region_2) AND <remainder predicates_2>) …
-/// ```
-///
-/// This is sound because [`region_inside_predicate`]'s closed
-/// inequalities are exactly the function's declared region test (the
-/// same equivalence the probe/remainder split already relies on), and
-/// the shared residual key pins every non-spatial predicate. The
-/// rewrite drops the function and its semijoin, so it only applies
-/// when the query shape proves nothing else reads the function's rows:
-/// one plain-table join over the registered coordinate alias, joined by
-/// a single key equality, with every other column reference qualified
-/// by that alias. Returns `None` otherwise.
-fn combined_batch_query(bound: &BoundQuery, waiters: &[BatchTicket]) -> Option<Query> {
-    let reg = &bound.reg;
-    let first = &waiters[0].query;
-    if !matches!(first.from, TableSource::Function { .. }) {
-        return None;
-    }
-    let fn_binding = first.from.binding_name();
-    let [join] = first.joins.as_slice() else {
-        return None;
-    };
-    if !matches!(join.source, TableSource::Table { .. })
-        || join.source.binding_name() != reg.coord_alias
-        || !is_key_equijoin(&join.on, fn_binding, &reg.coord_alias)
-    {
-        return None;
-    }
-    let reads_only_alias = |e: &Expr| {
-        let mut ok = true;
-        e.walk(&mut |n| {
-            if let Expr::Column { qualifier, .. } = n {
-                ok &= qualifier.as_deref() == Some(reg.coord_alias.as_str());
-            }
-        });
-        ok
-    };
-    let projectable = first.select.iter().all(|item| match item {
-        fp_sqlmini::SelectItem::Wildcard => false,
-        fp_sqlmini::SelectItem::QualifiedWildcard(a) => *a == reg.coord_alias,
-        fp_sqlmini::SelectItem::Expr { expr, .. } => reads_only_alias(expr),
-    });
-    if !projectable || first.order_by.is_some() {
-        return None;
-    }
-    for w in waiters {
-        if !w.query.where_clause.iter().all(&reads_only_alias) {
-            return None;
-        }
-    }
-
-    let mut combined = first.clone();
-    combined.from = join.source.clone();
-    combined.joins.clear();
-    let mut pred: Option<Expr> = None;
-    for w in waiters {
-        let inside = region_inside_predicate(&w.region, &reg.coord_alias, &reg.coord_columns);
-        let branch = match &w.query.where_clause {
-            Some(clause) => Expr::binary(BinOp::And, inside, clause.clone()),
-            None => inside,
-        };
-        pred = Some(match pred {
-            Some(acc) => Expr::binary(BinOp::Or, acc, branch),
-            None => branch,
-        });
-    }
-    combined.where_clause = pred;
-    Some(combined)
-}
-
-/// Whether `on` is exactly `<fn_binding>.k = <alias>.k` (either order):
-/// the key semijoin that restricting the base table to the query region
-/// replaces.
-fn is_key_equijoin(on: &Expr, fn_binding: &str, alias: &str) -> bool {
-    let Expr::Binary {
-        op: BinOp::Eq,
-        left,
-        right,
-    } = on
-    else {
-        return false;
-    };
-    let (
-        Expr::Column {
-            qualifier: Some(lq),
-            name: ln,
-        },
-        Expr::Column {
-            qualifier: Some(rq),
-            name: rn,
-        },
-    ) = (left.as_ref(), right.as_ref())
-    else {
-        return false;
-    };
-    ln == rn && ((lq == fn_binding && rq == alias) || (lq == alias && rq == fn_binding))
 }
 
 /// Mutable snapshot-scheduler state (behind a `try_lock` so the serve
@@ -562,7 +394,6 @@ impl ProxyHandle {
                 reval_threads: Mutex::new(Vec::new()),
                 snap,
                 profit,
-                remainder_batches: Mutex::new(HashMap::new()),
                 observe,
                 clock,
                 config,
@@ -1000,12 +831,17 @@ impl ProxyHandle {
         }
     }
 
-    /// Serializes a row response into response bytes, timing the
-    /// serialization into the observe layer (the non-columnar paths —
-    /// the columnar hot paths time their slab assembly at the site).
+    /// Turns a row response into response bytes, timing the step into
+    /// the observe layer (the columnar hit paths time their slab
+    /// assembly at the site). A response that carries its columnar form
+    /// — every miss under a caching scheme — is a copy of the slab the
+    /// insert just built; only the rest serialize their rows here.
     fn xml_from_rows(&self, response: ProxyResponse) -> XmlResponse {
         let ser_start = Instant::now();
-        let body = response.result.to_xml_string().into_bytes();
+        let body = match response.columnar.as_deref() {
+            Some(col) => col.full_document(),
+            None => response.result.to_xml_string().into_bytes(),
+        };
         let path = if matches!(
             response.metrics.outcome,
             Outcome::Exact | Outcome::Contained
@@ -1420,13 +1256,14 @@ impl ProxyHandle {
         match self.cache_phase_locked(bound, scheme, timing) {
             LockedPhase::Exact {
                 result,
+                columnar,
                 sim_ms,
                 life,
-                ..
             } => {
                 let cached = result.len();
                 let mut response =
                     self.respond(result, Outcome::Exact, cached, sim_ms, timing, coalesced);
+                response.columnar = columnar;
                 self.apply_life(&mut response.metrics, &life, true);
                 Phase::Served(response)
             }
@@ -2135,13 +1972,8 @@ impl ProxyHandle {
             timing.local_ms += ms_since(local_start);
         }
 
-        // Overlap remainders are batchable: concurrent overlap misses
-        // sharing the residual key ride one combined origin round trip.
-        let (fetched, origin_sim_ms) = if plan.is_remainder && plan.outcome == Outcome::Overlap {
-            self.fetch_overlap_remainder(bound, &plan.query)?
-        } else {
-            self.fetch(&plan.query, plan.is_remainder, PathClass::Miss)?
-        };
+        let (fetched, origin_sim_ms) =
+            self.fetch(&plan.query, plan.is_remainder, PathClass::Miss)?;
 
         let (result, rows_from_cache, truncated) = match cached_part {
             Some(part) => {
@@ -2157,41 +1989,32 @@ impl ProxyHandle {
         };
         let result = Arc::new(result);
 
-        // The expensive halves of an insert — serialized size and the
-        // columnar form (row slab, micro-index) — are prebuilt here,
-        // off-lock, so the locked window below is just map updates.
-        // Building them under the shard lock made every miss landing
-        // serialize the shard's concurrent hits: the 8-thread hit p99
-        // sat three orders of magnitude above single-thread.
-        let prebuilt = if scheme.caches() {
+        // The expensive half of an insert — the columnar form (row
+        // slab, micro-index), whose slab also gives the accounted size
+        // and the reply body — is prebuilt here, off-lock, so the
+        // locked window below is just map updates. Building it under
+        // the shard lock made every miss landing serialize the shard's
+        // concurrent hits: the 8-thread hit p99 sat three orders of
+        // magnitude above single-thread.
+        let prebuilt = scheme.caches().then(|| {
             let build_start = Instant::now();
-            let coord_idx: Option<Vec<usize>> = bound
-                .reg
-                .coord_columns
-                .iter()
-                .map(|c| result.column_index(c))
-                .collect();
-            let bytes = result.xml_bytes();
-            let columnar =
-                ColumnarRows::build(&result, coord_idx.as_deref().unwrap_or(&[])).map(Arc::new);
+            let prebuilt = prebuild(bound, &result);
             timing.local_ms += ms_since(build_start);
-            Some((bytes, columnar))
-        } else {
-            None
-        };
+            prebuilt
+        });
 
         {
             let (mut store, wait) = self.inner.store.lock(&bound.residual_key);
             self.note_lock_wait(timing, wait);
-            if let Some((bytes, columnar)) = prebuilt {
+            if let Some((bytes, columnar)) = &prebuilt {
                 let inserted = store.insert_prebuilt(
                     &bound.residual_key,
                     bound.region.clone(),
                     Arc::clone(&result),
                     truncated,
                     &bound.sql,
-                    bytes,
-                    columnar,
+                    *bytes,
+                    columnar.clone(),
                 );
                 // Seed the entry's measured refetch cost for the
                 // cost-aware replacement policy: what this fetch just
@@ -2213,6 +2036,7 @@ impl ProxyHandle {
             timing,
             false,
         );
+        response.columnar = prebuilt.and_then(|(_, columnar)| columnar);
         response.metrics.rows_scanned = rows_scanned;
         response.metrics.rows_pruned = rows_pruned;
         response.metrics.local_fallback = plan.local_fallback;
@@ -2244,142 +2068,8 @@ impl ProxyHandle {
         metrics.local_fallback = false;
         ProxyResponse {
             result: leader.result,
+            columnar: leader.columnar,
             metrics,
-        }
-    }
-
-    /// The overlap path's origin interaction, with cross-request
-    /// remainder batching. The first remainder out for a residual key
-    /// fetches alone; remainders that arrive while it is in flight
-    /// park in the batch table, and the finishing leader serves the
-    /// whole queue with **one** combined round trip — the OR of their
-    /// remainder predicates (sound because a shared residual key pins
-    /// everything but the spatial clauses). Each follower then filters
-    /// the shared result down to its own region; rows the filter
-    /// admits beyond the follower's remainder are already covered by
-    /// its cached probe parts and deduplicate in the key-based merge.
-    fn fetch_overlap_remainder(
-        &self,
-        bound: &BoundQuery,
-        query: &Query,
-    ) -> Result<(ResultSet, f64), ProxyError> {
-        let enlisted = {
-            let mut table = self
-                .inner
-                .remainder_batches
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            match table.get_mut(&bound.residual_key) {
-                None => {
-                    table.insert(
-                        bound.residual_key.clone(),
-                        RemainderBatch {
-                            waiters: Vec::new(),
-                        },
-                    );
-                    None
-                }
-                Some(batch) => {
-                    let slot = BatchSlot::new();
-                    batch.waiters.push(BatchTicket {
-                        query: query.clone(),
-                        region: bound.region.clone(),
-                        slot: Arc::clone(&slot),
-                    });
-                    Some(slot)
-                }
-            }
-        };
-
-        let Some(slot) = enlisted else {
-            // Leader: own fetch first, then serve whoever queued up
-            // meanwhile. The batch entry is removed in `drain`
-            // regardless of the fetch's outcome, so a failed leader
-            // never wedges the key.
-            let own = self.fetch(query, true, PathClass::Miss);
-            let waiters = self.drain_batch(&bound.residual_key);
-            if !waiters.is_empty() {
-                match &own {
-                    Ok(_) => self.serve_batch(bound, waiters),
-                    // Origin just failed; followers decide their own
-                    // fate with their own (likely also failing, but
-                    // independently retried/breakered) attempts.
-                    Err(e) => {
-                        for w in waiters {
-                            w.slot.fill(Err(e.clone()));
-                        }
-                    }
-                }
-            }
-            return own;
-        };
-
-        // Follower: wait out the leader's combined fetch.
-        match slot.wait() {
-            Ok((combined, sim_ms)) => {
-                let coord_idx: Option<Vec<usize>> = bound
-                    .reg
-                    .coord_columns
-                    .iter()
-                    .map(|c| combined.column_index(c))
-                    .collect();
-                let filtered = coord_idx.and_then(|idx| {
-                    with_scratch(|scratch| {
-                        eval_entry_region(&combined, None, &idx, &bound.region, scratch)
-                    })
-                });
-                match filtered {
-                    // The follower waited out the combined fetch, so it
-                    // is charged that fetch's simulated cost (the same
-                    // convention as coalesced exact followers).
-                    Some(eval) => Ok((eval.result, sim_ms)),
-                    // The combined result cannot map the coordinate
-                    // columns: fetch solo rather than serve bad rows.
-                    None => self.fetch(query, true, PathClass::Miss),
-                }
-            }
-            Err(_) => self.fetch(query, true, PathClass::Miss),
-        }
-    }
-
-    /// Removes and returns the batch queue for `residual_key`.
-    fn drain_batch(&self, residual_key: &str) -> Vec<BatchTicket> {
-        let mut table = self
-            .inner
-            .remainder_batches
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        table
-            .remove(residual_key)
-            .map_or_else(Vec::new, |b| b.waiters)
-    }
-
-    /// The leader's follower service: one combined fetch covering
-    /// every parked remainder, distributed through their slots.
-    fn serve_batch(&self, bound: &BoundQuery, waiters: Vec<BatchTicket>) {
-        let Some(combined) = combined_batch_query(bound, &waiters) else {
-            // The queries' shape defeats the rewrite; every follower
-            // falls back to its own solo fetch.
-            let e = ProxyError::Template("remainder batch is not combinable".into());
-            for w in waiters {
-                w.slot.fill(Err(e.clone()));
-            }
-            return;
-        };
-        self.inner.stats.note_remainder_batch(waiters.len());
-
-        match self.fetch(&combined, true, PathClass::Miss) {
-            Ok((result, sim_ms)) => {
-                let shared = Arc::new(result);
-                for w in waiters {
-                    w.slot.fill(Ok((Arc::clone(&shared), sim_ms)));
-                }
-            }
-            Err(e) => {
-                for w in waiters {
-                    w.slot.fill(Err(e.clone()));
-                }
-            }
         }
     }
 
@@ -2621,16 +2311,7 @@ impl ProxyHandle {
                     let truncated = bound.query.top.is_some_and(|n| result.len() as u64 >= n);
                     // Prebuild off-lock, like the request path's insert.
                     let result = Arc::new(result);
-                    let coord_idx: Option<Vec<usize>> = bound
-                        .reg
-                        .coord_columns
-                        .iter()
-                        .map(|c| result.column_index(c))
-                        .collect();
-                    let bytes = result.xml_bytes();
-                    let columnar =
-                        ColumnarRows::build(&result, coord_idx.as_deref().unwrap_or(&[]))
-                            .map(Arc::new);
+                    let (bytes, columnar) = prebuild(&bound, &result);
                     let (mut store, _) = self.inner.store.lock(&bound.residual_key);
                     store.insert_prebuilt(
                         &bound.residual_key,
@@ -2682,7 +2363,11 @@ impl ProxyHandle {
             timing,
             coalesced,
         );
-        ProxyResponse { result, metrics }
+        ProxyResponse {
+            result,
+            columnar: None,
+            metrics,
+        }
     }
 
     fn metrics_for(
@@ -2935,6 +2620,21 @@ fn coverage_worthwhile(
     coverage >= threshold
 }
 
+/// What an insert needs beyond the rows, computed off-lock with one
+/// serialization: the columnar form over the template's coordinate
+/// columns, and the accounted XML size read off its slab.
+fn prebuild(bound: &BoundQuery, result: &ResultSet) -> (usize, Option<Arc<ColumnarRows>>) {
+    let coord_idx: Option<Vec<usize>> = bound
+        .reg
+        .coord_columns
+        .iter()
+        .map(|c| result.column_index(c))
+        .collect();
+    let columnar = ColumnarRows::build(result, coord_idx.as_deref().unwrap_or(&[])).map(Arc::new);
+    let bytes = accounted_xml_bytes(result, columnar.as_deref());
+    (bytes, columnar)
+}
+
 fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1000.0
 }
@@ -2945,6 +2645,9 @@ mod tests {
     use crate::origin::SiteOrigin;
     use crate::sim::CostModel;
     use fp_skyserver::{Catalog, CatalogSpec, SkySite};
+    use fp_sqlmini::TableSource;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Condvar;
 
     fn handle(scheme: Scheme) -> ProxyHandle {
         let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
@@ -2958,16 +2661,17 @@ mod tests {
         )
     }
 
+    fn radial_fields(ra: f64, dec: f64, radius: f64) -> [(String, String); 3] {
+        [
+            ("ra".to_string(), ra.to_string()),
+            ("dec".to_string(), dec.to_string()),
+            ("radius".to_string(), radius.to_string()),
+        ]
+    }
+
     fn radial(h: &ProxyHandle, ra: f64, dec: f64, radius: f64) -> ProxyResponse {
-        h.handle_form(
-            "/search/radial",
-            &[
-                ("ra".to_string(), ra.to_string()),
-                ("dec".to_string(), dec.to_string()),
-                ("radius".to_string(), radius.to_string()),
-            ],
-        )
-        .unwrap()
+        h.handle_form("/search/radial", &radial_fields(ra, dec, radius))
+            .unwrap()
     }
 
     fn ids_of(r: &ProxyResponse) -> Vec<i64> {
@@ -3054,13 +2758,14 @@ mod tests {
     }
 
     /// A [`SiteOrigin`] behind a closable gate: while closed, `execute`
-    /// blocks (after counting its arrival) until the gate reopens — the
-    /// measuring device for the remainder-batching rendezvous.
+    /// blocks (after recording its arrival) until the gate reopens. It
+    /// also counts the queries that are not table-valued-function calls.
     struct GateOrigin {
         site: SiteOrigin,
         open: Mutex<bool>,
         cv: Condvar,
-        executes: std::sync::atomic::AtomicUsize,
+        executes: AtomicUsize,
+        plain_scans: AtomicUsize,
     }
 
     impl GateOrigin {
@@ -3070,7 +2775,8 @@ mod tests {
                 site: SiteOrigin::new(site),
                 open: Mutex::new(true),
                 cv: Condvar::new(),
-                executes: std::sync::atomic::AtomicUsize::new(0),
+                executes: AtomicUsize::new(0),
+                plain_scans: AtomicUsize::new(0),
             }
         }
 
@@ -3089,6 +2795,9 @@ mod tests {
             &self,
             query: &Query,
         ) -> Result<fp_skyserver::result::QueryOutcome, crate::origin::OriginError> {
+            if !matches!(query.from, TableSource::Function { .. }) {
+                self.plain_scans.fetch_add(1, Ordering::SeqCst);
+            }
             self.executes.fetch_add(1, Ordering::SeqCst);
             let mut open = self.open.lock().unwrap();
             while !*open {
@@ -3110,8 +2819,35 @@ mod tests {
         }
     }
 
+    fn rows_by_id(r: &ProxyResponse) -> Vec<Vec<fp_sqlmini::Value>> {
+        let k = r.result.column_index("objID").unwrap();
+        let mut rows = r.result.rows.clone();
+        rows.sort_by_key(|row| row[k].as_i64().unwrap());
+        rows
+    }
+
+    /// The cone `(ra, dec, radius)` resolves to, as (centre, chord² radius).
+    fn cone_of(h: &ProxyHandle, ra: f64, dec: f64, radius: f64) -> (Vec<f64>, f64) {
+        let bound = h
+            .manager()
+            .resolve_form("/search/radial", &radial_fields(ra, dec, radius))
+            .unwrap();
+        let fp_geometry::Region::Sphere(ball) = &bound.region else {
+            panic!("radial queries are cones");
+        };
+        (
+            ball.center().coords().to_vec(),
+            ball.radius() * ball.radius(),
+        )
+    }
+
+    /// Two overlap misses on one residual key, in flight together: each
+    /// remainder must reach the origin as its own table-valued-function
+    /// query while the other is still out, and an object on one cone's
+    /// ε-fringe (`r² < d² ≤ r² + EPS`, which the function admits and an
+    /// exact `d² ≤ r²` predicate over the plain table drops) must survive.
     #[test]
-    fn concurrent_overlap_remainders_share_one_combined_round_trip() {
+    fn concurrent_overlap_remainders_stay_function_queries() {
         let origin = Arc::new(GateOrigin::new());
         let h = ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
@@ -3121,54 +2857,78 @@ mod tests {
                 .with_cost(CostModel::free()),
             1,
         );
+        let oracle = handle(Scheme::NoCache);
 
-        // Seed one cached entry every later query overlaps.
-        radial(&h, 185.0, 0.0, 20.0);
+        // Seed one cached entry both later queries overlap.
+        let seed = (185.0, 0.0, 20.0);
+        radial(&h, seed.0, seed.1, seed.2);
         assert_eq!(origin.executes(), 1);
 
-        // Close the gate and launch the batch leader: its remainder
-        // fetch parks inside the origin, holding the batch open.
+        // Put a catalog object on the second waiter's fringe: pick one
+        // near its cone's edge but outside the seed (so only the
+        // remainder can deliver it) and bisect the radius onto it.
+        let (ra, dec) = (185.0 - 25.0 / 60.0, 0.1);
+        let (centre, _) = cone_of(&h, ra, dec, 15.0);
+        let (seed_centre, seed_r2) = cone_of(&h, seed.0, seed.1, seed.2);
+        let dist2 = |c: &[f64], p: &[f64]| c.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum();
+        let wide = radial(&oracle, ra, dec, 16.0);
+        let xyz: Vec<usize> = ["cx", "cy", "cz"]
+            .iter()
+            .map(|c| wide.result.column_index(c).unwrap())
+            .collect();
+        let key = wide.result.column_index("objID").unwrap();
+        let (_, r2_inner) = cone_of(&h, ra, dec, 14.0);
+        let (fringe_id, fringe_d2): (i64, f64) = wide
+            .result
+            .rows
+            .iter()
+            .find_map(|row| {
+                let p: Vec<f64> = xyz.iter().map(|&i| row[i].as_f64().unwrap()).collect();
+                let d2: f64 = dist2(&centre, &p);
+                let outside_seed = dist2(&seed_centre, &p) > seed_r2 + 1e-6;
+                (d2 > r2_inner && outside_seed).then(|| (row[key].as_i64().unwrap(), d2))
+            })
+            .expect("an object between 14' and 16' outside the seed cone");
+        let (mut lo, mut hi) = (14.0, 16.0);
+        for _ in 0..60 {
+            let mid = (lo + hi) / 2.0;
+            if cone_of(&h, ra, dec, mid).1 < fringe_d2 - fp_geometry::EPS / 2.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let r2 = cone_of(&h, ra, dec, lo).1;
+        assert!(r2 < fringe_d2 && fringe_d2 <= r2 + fp_geometry::EPS);
+        let queries = [(185.0 + 25.0 / 60.0, 0.0, 15.0), (ra, dec, lo)];
+
+        // Close the gate; the first remainder parks inside the origin,
+        // and the second must arrive there while it is still out.
         origin.set_open(false);
-        let queries = [
-            (185.0 + 25.0 / 60.0, 0.0, 15.0),
-            (185.0 - 25.0 / 60.0, 0.1, 15.0),
-            (185.0, 0.4, 15.0),
-        ];
         let spawn = |&(ra, dec, r): &(f64, f64, f64)| {
             let h = h.clone();
             std::thread::spawn(move || radial(&h, ra, dec, r))
         };
-        let leader = spawn(&queries[0]);
+        let first = spawn(&queries[0]);
         spin_until(10_000, || origin.executes() == 2);
-
-        // Two more overlap misses arrive mid-flight and must enlist.
-        let followers: Vec<_> = queries[1..].iter().map(spawn).collect();
-        spin_until(10_000, || {
-            let table = h.inner.remainder_batches.lock().unwrap();
-            table.values().map(|b| b.waiters.len()).sum::<usize>() == 2
-        });
-
+        let second = spawn(&queries[1]);
+        spin_until(10_000, || origin.executes() == 3);
         origin.set_open(true);
-        let mut responses = vec![leader.join().unwrap()];
-        for f in followers {
-            responses.push(f.join().unwrap());
-        }
+        let responses = [first.join().unwrap(), second.join().unwrap()];
 
-        // Seed + leader remainder + ONE combined fetch for both
-        // followers: three origin round trips, not four.
         assert_eq!(origin.executes(), 3);
-        let stats = h.runtime_stats();
-        assert_eq!(stats.remainder_batches, 1);
-        assert_eq!(stats.batched_remainders, 2);
-
-        // Soundness: every batched answer is row-identical to a
-        // no-cache oracle's.
-        let oracle = handle(Scheme::NoCache);
+        assert_eq!(origin.plain_scans.load(Ordering::SeqCst), 0);
         for (response, &(ra, dec, r)) in responses.iter().zip(&queries) {
             assert_eq!(response.metrics.outcome, Outcome::Overlap);
             assert!(response.metrics.rows_from_cache > 0);
-            assert_eq!(ids_of(response), ids_of(&radial(&oracle, ra, dec, r)));
+            let truth = radial(&oracle, ra, dec, r);
+            assert_eq!(ids_of(response), ids_of(&truth));
+            assert!(
+                rows_by_id(response) == rows_by_id(&truth),
+                "same keys as the oracle but different cells"
+            );
         }
+        assert!(ids_of(&responses[1]).contains(&fringe_id));
     }
 
     #[test]

@@ -85,12 +85,6 @@ pub struct RuntimeStats {
     /// [`crate::schemes::Scheme::index`] — all in one bucket under a
     /// fixed scheme, spread across buckets under adaptive selection.
     scheme_serves: [AtomicUsize; 5],
-    /// Combined remainder round trips executed on behalf of queued
-    /// overlap requests (each replaced ≥ 2 would-be origin trips).
-    remainder_batches: AtomicUsize,
-    /// Overlap requests whose remainder was answered from a combined
-    /// round trip instead of a solo origin fetch.
-    batched_remainders: AtomicUsize,
 }
 
 impl RuntimeStats {
@@ -172,12 +166,6 @@ impl RuntimeStats {
 
     pub(crate) fn note_scheme_serve(&self, scheme: crate::schemes::Scheme) {
         self.scheme_serves[scheme.index()].fetch_add(1, Ordering::Release);
-    }
-
-    pub(crate) fn note_remainder_batch(&self, waiters: usize) {
-        self.remainder_batches.fetch_add(1, Ordering::Release);
-        self.batched_remainders
-            .fetch_add(waiters, Ordering::Release);
     }
 }
 
@@ -296,12 +284,6 @@ pub struct RuntimeSnapshot {
     pub scheme_switches: usize,
     /// Templates the profit model is currently tracking.
     pub adaptive_templates: usize,
-    /// Combined remainder round trips executed for queued overlap
-    /// requests.
-    pub remainder_batches: usize,
-    /// Overlap requests answered from a combined remainder round trip
-    /// rather than a solo origin fetch.
-    pub batched_remainders: usize,
     /// Measured end-to-end latency quantiles over every served request.
     pub request_latency: LatencySummary,
     /// Measured latency quantiles over fresh cache hits (exact +
@@ -342,8 +324,6 @@ impl RuntimeStats {
         for (slot, counter) in scheme_serves.iter_mut().zip(&self.scheme_serves) {
             *slot = counter.load(Ordering::Acquire);
         }
-        let remainder_batches = self.remainder_batches.load(Ordering::Acquire);
-        let batched_remainders = self.batched_remainders.load(Ordering::Acquire);
         // Read last: every derived increment observed above was preceded
         // by its request's `note_request`, so this load sees it too.
         let requests = self.requests.load(Ordering::Acquire);
@@ -392,8 +372,6 @@ impl RuntimeStats {
             scheme_serves,
             scheme_switches: 0,
             adaptive_templates: 0,
-            remainder_batches,
-            batched_remainders,
             request_latency: LatencySummary::default(),
             hit_latency: LatencySummary::default(),
             origin_fetch_latency: LatencySummary::default(),
@@ -534,16 +512,6 @@ impl RuntimeSnapshot {
             "funcproxy_scheme_switches_total",
             "Times the adaptive profit model changed a template's scheme.",
             self.scheme_switches as f64,
-        );
-        counter(
-            "funcproxy_remainder_batches_total",
-            "Combined remainder round trips executed for queued overlaps.",
-            self.remainder_batches as f64,
-        );
-        counter(
-            "funcproxy_batched_remainders_total",
-            "Overlap requests answered from a combined remainder trip.",
-            self.batched_remainders as f64,
         );
         let _ = writeln!(
             out,

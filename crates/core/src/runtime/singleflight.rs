@@ -320,6 +320,7 @@ mod tests {
                     .map(|i| vec![fp_sqlmini::Value::Int(i as i64)])
                     .collect(),
             }),
+            columnar: None,
             metrics: QueryMetrics {
                 outcome: Outcome::Forwarded,
                 response_ms: 1.0,

@@ -29,7 +29,8 @@
 use crate::result::ResultSet;
 use fp_geometry::Region;
 use fp_sqlmini::Value;
-use fp_xmlite::escape_text;
+use fp_xmlite::{escape_text_into, escaped_len};
+use std::{fmt, io};
 
 /// Closing tag shared by every assembled document.
 pub const FOOTER: &[u8] = b"</ResultSet>";
@@ -169,6 +170,9 @@ impl ColumnarRows {
             spans.push((start as u32, (slab.len() - start) as u32));
         }
 
+        let mut header = Vec::with_capacity(32 + rs.columns.len() * 12);
+        write_document_header(&rs.columns, &mut header);
+
         let index = match kind {
             IndexKind::Flat => MicroIndex::Flat,
             IndexKind::Zones => build_zones(&cols, rows),
@@ -180,7 +184,7 @@ impl ColumnarRows {
             cols,
             slab,
             spans,
-            header: document_header(&rs.columns),
+            header,
             index,
         })
     }
@@ -490,58 +494,144 @@ fn build_grid(cols: &[Vec<f64>], rows: usize) -> MicroIndex {
     }
 }
 
+/// Where the serializer's output goes. `Vec<u8>` keeps the document;
+/// [`ByteCount`] only measures it, so sizing a result for the cache's
+/// byte accounting or the origin's cost model materializes nothing.
+pub(crate) trait XmlSink {
+    /// Markup, copied verbatim.
+    fn raw(&mut self, bytes: &[u8]);
+    /// Character data, entity-escaped on the way in.
+    fn text(&mut self, text: &str);
+    /// A non-string cell's display form (digits, sign, point, exponent,
+    /// `NaN`, `inf`, `true`/`false`) — never contains an escapable.
+    fn display(&mut self, value: fmt::Arguments<'_>);
+}
+
+impl XmlSink for Vec<u8> {
+    fn raw(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn text(&mut self, text: &str) {
+        escape_text_into(text, self);
+    }
+
+    fn display(&mut self, value: fmt::Arguments<'_>) {
+        io::Write::write_fmt(self, value).expect("writing to a Vec cannot fail");
+    }
+}
+
+/// The counting sink: the length of what a `Vec<u8>` sink would hold.
+#[derive(Default)]
+pub(crate) struct ByteCount(pub(crate) usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+impl XmlSink for ByteCount {
+    fn raw(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn text(&mut self, text: &str) {
+        self.0 += escaped_len(text);
+    }
+
+    fn display(&mut self, value: fmt::Arguments<'_>) {
+        fmt::Write::write_fmt(self, value).expect("counting cannot fail");
+    }
+}
+
 /// Serializes the shared document prefix:
 /// `<ResultSet><Columns><C>…</C>…</Columns>`.
-fn document_header(columns: &[String]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + columns.len() * 12);
-    out.extend_from_slice(b"<ResultSet>");
+fn write_document_header(columns: &[String], out: &mut impl XmlSink) {
+    out.raw(b"<ResultSet>");
     if columns.is_empty() {
-        out.extend_from_slice(b"<Columns/>");
+        out.raw(b"<Columns/>");
     } else {
-        out.extend_from_slice(b"<Columns>");
+        out.raw(b"<Columns>");
         for c in columns {
-            out.extend_from_slice(b"<C>");
-            out.extend_from_slice(escape_text(c).as_bytes());
-            out.extend_from_slice(b"</C>");
+            out.raw(b"<C>");
+            out.text(c);
+            out.raw(b"</C>");
         }
-        out.extend_from_slice(b"</Columns>");
+        out.raw(b"</Columns>");
     }
-    out
 }
 
 /// Serializes one `<Row>…</Row>` fragment, byte-identical to the
 /// [`fp_xmlite::Element`] tree built by [`ResultSet::to_xml`] (pinned by
 /// tests; note a non-null empty string still yields `<V></V>`, because
-/// the tree form carries an empty text node).
-pub(crate) fn write_row_xml(row: &[Value], out: &mut Vec<u8>) {
+/// the tree form carries an empty text node). Cells go straight into the
+/// sink: strings through the escaper, everything else through `Value`'s
+/// own `Display`, which is what the tree form's `to_string()` runs.
+fn write_row_xml(row: &[Value], out: &mut impl XmlSink) {
     if row.is_empty() {
-        out.extend_from_slice(b"<Row/>");
+        out.raw(b"<Row/>");
         return;
     }
-    out.extend_from_slice(b"<Row>");
+    out.raw(b"<Row>");
     for v in row {
         match v {
-            Value::Null => out.extend_from_slice(b"<V null=\"1\"/>"),
-            other => {
-                out.extend_from_slice(b"<V>");
-                out.extend_from_slice(escape_text(&other.to_string()).as_bytes());
-                out.extend_from_slice(b"</V>");
+            Value::Null => out.raw(b"<V null=\"1\"/>"),
+            Value::Str(s) => {
+                out.raw(b"<V>");
+                out.text(s);
+                out.raw(b"</V>");
+            }
+            number => {
+                out.raw(b"<V>");
+                out.display(format_args!("{number}"));
+                out.raw(b"</V>");
             }
         }
     }
-    out.extend_from_slice(b"</Row>");
+    out.raw(b"</Row>");
+}
+
+/// The one serializer: the whole result document into `out`.
+pub(crate) fn write_result_xml(rs: &ResultSet, out: &mut impl XmlSink) {
+    write_document_header(&rs.columns, out);
+    for row in &rs.rows {
+        write_row_xml(row, out);
+    }
+    out.raw(FOOTER);
 }
 
 /// Serializes the whole result document directly into bytes —
 /// byte-identical to `rs.to_xml().to_xml()` without building the element
-/// tree. This is the non-hit serving path and the byte-accounting path.
+/// tree. This is the serving path of results that have no columnar form.
 pub fn result_to_xml_bytes(rs: &ResultSet) -> Vec<u8> {
-    let mut out = document_header(&rs.columns);
-    for row in &rs.rows {
-        write_row_xml(row, &mut out);
-    }
-    out.extend_from_slice(FOOTER);
+    let mut out = Vec::new();
+    write_result_xml(rs, &mut out);
     out
+}
+
+/// The XML size the cache accounts for `rs`, equal to
+/// [`ResultSet::xml_bytes`]. With the result's columnar form at hand
+/// (the full form [`ColumnarRows::build`] returned for `rs`, not a
+/// [`ColumnarRows::skeleton`]) the size is read off the slab that build
+/// just serialized; only a result without one is walked, by the
+/// counting sink.
+pub fn accounted_xml_bytes(rs: &ResultSet, columnar: Option<&ColumnarRows>) -> usize {
+    match columnar {
+        Some(col) => {
+            debug_assert_eq!(col.len(), rs.len());
+            debug_assert_eq!(
+                col.spans
+                    .last()
+                    .map_or(0, |&(off, len)| (off + len) as usize),
+                col.slab.len(),
+                "a skeleton carries no slab to size"
+            );
+            col.header.len() + col.slab.len() + FOOTER.len()
+        }
+        None => rs.xml_bytes(),
+    }
 }
 
 #[cfg(test)]

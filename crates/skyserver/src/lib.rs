@@ -33,7 +33,7 @@ pub mod site;
 pub mod tvf;
 
 pub use catalog::Catalog;
-pub use columnar::{ColumnarRows, IndexKind, SelectStats};
+pub use columnar::{accounted_xml_bytes, ColumnarRows, IndexKind, SelectStats};
 pub use generate::{CatalogSpec, SkyWindow};
 pub use result::{ExecStats, ResultSet};
 pub use site::{SiteError, SkySite};

@@ -39,8 +39,13 @@ impl ResultSet {
     /// Serialized size in bytes of the XML document form — the unit the
     /// proxy's cache-size accounting uses (the paper stores results as XML
     /// files and bounds the cache by their total size).
+    ///
+    /// Counted by running the serializer into a counting sink: the
+    /// length of [`Self::to_xml_string`] without building it.
     pub fn xml_bytes(&self) -> usize {
-        self.to_xml_string().len()
+        let mut count = crate::columnar::ByteCount::default();
+        crate::columnar::write_result_xml(self, &mut count);
+        count.0
     }
 
     /// Serializes the XML document form directly into a string without

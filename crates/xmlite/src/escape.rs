@@ -1,19 +1,51 @@
 //! XML entity escaping and unescaping.
 
-/// Escapes `text` for use as element text or attribute value.
-pub fn escape_text(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
+/// The entity replacing `byte`, for the five escapable (all ASCII) bytes.
+fn entity(byte: u8) -> Option<&'static [u8]> {
+    match byte {
+        b'&' => Some(b"&amp;"),
+        b'<' => Some(b"&lt;"),
+        b'>' => Some(b"&gt;"),
+        b'"' => Some(b"&quot;"),
+        b'\'' => Some(b"&apos;"),
+        _ => None,
+    }
+}
+
+/// Appends `text`, escaped for use as element text or attribute value,
+/// to `out`. Every escapable is ASCII and no UTF-8 continuation byte is,
+/// so the loop runs over bytes and copies the stretches between matches
+/// whole; text with nothing to escape is one `extend_from_slice`.
+pub fn escape_text_into(text: &str, out: &mut Vec<u8>) {
+    let bytes = text.as_bytes();
+    let mut copied = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if let Some(entity) = entity(b) {
+            out.extend_from_slice(&bytes[copied..i]);
+            out.extend_from_slice(entity);
+            copied = i + 1;
         }
     }
-    out
+    out.extend_from_slice(&bytes[copied..]);
+}
+
+/// Byte length of `text` once escaped — what [`escape_text_into`] would
+/// append, without writing it.
+pub fn escaped_len(text: &str) -> usize {
+    let grown: usize = text
+        .bytes()
+        .filter_map(entity)
+        .map(|entity| entity.len() - 1)
+        .sum();
+    text.len() + grown
+}
+
+/// Escapes `text` for use as element text or attribute value.
+pub fn escape_text(text: &str) -> String {
+    let mut out = Vec::with_capacity(text.len());
+    escape_text_into(text, &mut out);
+    // Whole bytes of a `&str` plus ASCII entities.
+    String::from_utf8(out).expect("escaping preserves UTF-8")
 }
 
 /// Unescapes the five predefined entities plus decimal/hex character
@@ -77,6 +109,18 @@ mod tests {
     #[test]
     fn escape_all_specials() {
         assert_eq!(escape_text("a<b>&\"'"), "a&lt;b&gt;&amp;&quot;&apos;");
+    }
+
+    #[test]
+    fn escape_into_appends_and_length_agrees() {
+        let mut out = b"x=".to_vec();
+        for s in ["", "plain", "a<b>&\"'", "é<✓>", "&&&", "tail&"] {
+            out.truncate(2);
+            escape_text_into(s, &mut out);
+            assert_eq!(&out[2..], escape_text(s).as_bytes());
+            assert_eq!(escaped_len(s), out.len() - 2);
+        }
+        assert_eq!(escape_text("é<✓>"), "é&lt;✓&gt;");
     }
 
     #[test]

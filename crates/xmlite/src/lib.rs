@@ -26,7 +26,7 @@ mod escape;
 mod parser;
 mod writer;
 
-pub use escape::{escape_text, unescape_text};
+pub use escape::{escape_text, escape_text_into, escaped_len, unescape_text};
 
 /// A node in an XML element tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,9 +161,10 @@ impl Element {
 
     /// Serializes the element as a compact document (no pretty printing).
     pub fn to_xml(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         writer::write_compact(self, &mut out);
-        out
+        // Names, attribute keys and escaped text are all `&str` bytes.
+        String::from_utf8(out).expect("element serialization is UTF-8")
     }
 
     /// Serializes the element with two-space indentation.

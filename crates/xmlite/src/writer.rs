@@ -1,33 +1,34 @@
 //! Serialization of element trees back to XML text.
 
-use crate::escape::escape_text;
+use crate::escape::{escape_text, escape_text_into};
 use crate::{Element, XmlNode};
 
-/// Writes `e` with no insignificant whitespace.
-pub(crate) fn write_compact(e: &Element, out: &mut String) {
-    out.push('<');
-    out.push_str(e.name());
+/// Writes `e` with no insignificant whitespace. The buffer is bytes so
+/// text and attribute values escape straight into it.
+pub(crate) fn write_compact(e: &Element, out: &mut Vec<u8>) {
+    out.push(b'<');
+    out.extend_from_slice(e.name().as_bytes());
     for (k, v) in e.attrs() {
-        out.push(' ');
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(&escape_text(v));
-        out.push('"');
+        out.push(b' ');
+        out.extend_from_slice(k.as_bytes());
+        out.extend_from_slice(b"=\"");
+        escape_text_into(v, out);
+        out.push(b'"');
     }
     if e.children().is_empty() {
-        out.push_str("/>");
+        out.extend_from_slice(b"/>");
         return;
     }
-    out.push('>');
+    out.push(b'>');
     for child in e.children() {
         match child {
             XmlNode::Element(el) => write_compact(el, out),
-            XmlNode::Text(t) => out.push_str(&escape_text(t)),
+            XmlNode::Text(t) => escape_text_into(t, out),
         }
     }
-    out.push_str("</");
-    out.push_str(e.name());
-    out.push('>');
+    out.extend_from_slice(b"</");
+    out.extend_from_slice(e.name().as_bytes());
+    out.push(b'>');
 }
 
 /// Writes `e` with two-space indentation. Elements whose children are all

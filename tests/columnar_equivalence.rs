@@ -7,7 +7,8 @@
 
 use fp_suite::geometry::{HalfSpace, HyperRect, HyperSphere, Point, Polytope, Region};
 use fp_suite::proxy::query::{eval_entry_region, eval_region_over, EvalScratch};
-use fp_suite::skyserver::{ColumnarRows, ResultSet};
+use fp_suite::skyserver::columnar::result_to_xml_bytes;
+use fp_suite::skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet};
 use fp_suite::sqlmini::Value;
 use proptest::prelude::*;
 
@@ -72,6 +73,66 @@ fn arb_region() -> impl Strategy<Value = Region> {
     ]
 }
 
+/// Text for cells and column names: every escapable, multi-byte
+/// scalars, plain ASCII, and (at length zero) the empty string.
+fn arb_text() -> impl Strategy<Value = String> {
+    let ch = prop_oneof![
+        Just('&'),
+        Just('<'),
+        Just('>'),
+        Just('"'),
+        Just('\''),
+        Just('é'),
+        Just('中'),
+        Just('😀'),
+        any::<char>(),
+    ];
+    prop::collection::vec(ch, 0..10).prop_map(|chars| chars.into_iter().collect())
+}
+
+/// Cells of every `Value` variant, with the numbers whose display form
+/// has a special case: non-finite floats, negative zero, integral
+/// floats on both sides of the `{:.1}` cutoff at 1e15, and `i64::MIN`.
+fn arb_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<i64>().prop_map(Value::Int),
+        Just(Value::Int(i64::MIN)),
+        any::<f64>().prop_map(Value::Float),
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            Just(42.0),
+            Just(999_999_999_999_999.0),
+            Just(1e15),
+            Just(-1e15),
+            Just(1.5e300),
+        ]
+        .prop_map(Value::Float),
+        arb_text().prop_map(Value::Str),
+        any::<bool>().prop_map(Value::Bool),
+    ]
+}
+
+/// Arbitrary result sets of zero to four columns and zero to eleven
+/// rows (the column count cuts fixed-width draws down to size).
+fn arb_any_result() -> impl Strategy<Value = ResultSet> {
+    (
+        0usize..5,
+        prop::collection::vec(arb_text(), 4),
+        prop::collection::vec(prop::collection::vec(arb_cell(), 4), 0..12),
+    )
+        .prop_map(|(width, mut columns, mut rows)| {
+            columns.truncate(width);
+            for row in &mut rows {
+                row.truncate(width);
+            }
+            ResultSet { columns, rows }
+        })
+}
+
 const COORD_IDX: [usize; 2] = [1, 2];
 
 proptest! {
@@ -117,6 +178,28 @@ proptest! {
         );
         // The full document too (the exact-hit serving path).
         prop_assert_eq!(columnar.full_document(), rs.to_xml_string().into_bytes());
+    }
+
+    /// The one serializer against the tree writer, through both sinks
+    /// and through the columnar slab: same bytes, same count.
+    #[test]
+    fn serializer_sinks_match_tree_writer(rs in arb_any_result()) {
+        let tree = rs.to_xml().to_xml();
+        prop_assert_eq!(&result_to_xml_bytes(&rs), tree.as_bytes());
+        prop_assert_eq!(rs.xml_bytes(), rs.to_xml_string().len());
+        prop_assert_eq!(accounted_xml_bytes(&rs, None), tree.len());
+
+        // A columnar form needs a numeric coordinate: lead with one.
+        let mut keyed = rs;
+        keyed.columns.insert(0, "x".into());
+        for (i, row) in keyed.rows.iter_mut().enumerate() {
+            row.insert(0, Value::Float(i as f64 / 4.0));
+        }
+        let columnar = ColumnarRows::build(&keyed, &[0]).expect("numeric coordinate");
+        let bytes = result_to_xml_bytes(&keyed);
+        prop_assert_eq!(&bytes, &keyed.to_xml().to_xml().into_bytes());
+        prop_assert_eq!(columnar.full_document(), &bytes[..]);
+        prop_assert_eq!(accounted_xml_bytes(&keyed, Some(&columnar)), bytes.len());
     }
 
     /// NaN coordinates are numeric (no fallback) but never selected.

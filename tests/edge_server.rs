@@ -3,8 +3,11 @@
 //! gate, and graceful drain — all against a live `EdgeServer` on
 //! loopback TCP.
 
-use fp_suite::edge::{EdgeConfig, EdgeServer, EdgeService};
+use fp_suite::edge::{EdgeConfig, EdgeServer, EdgeService, ProxyEdgeService};
 use fp_suite::httpd::{HttpClient, Request, Response, Status};
+use fp_suite::proxy::template::TemplateManager;
+use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
+use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -450,3 +453,66 @@ fn graceful_shutdown_drains_the_in_flight_request() {
         String::from_utf8_lossy(&buf)
     );
 }
+
+/// A miss reply is a copy of the slab its insert just built; the exact
+/// hit that follows copies the same slab out of the cache. Through the
+/// socket the two bodies must be the same bytes on every miss path, and
+/// building the columnar form before sizing the entry must charge the
+/// cache what sizing it separately did.
+#[test]
+fn miss_replies_are_byte_identical_to_the_hits_that_follow() {
+    let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+    let handle = ProxyHandle::with_shards(
+        TemplateManager::with_sky_defaults(),
+        Arc::new(SiteOrigin::new(site)),
+        ProxyConfig::default()
+            .with_scheme(Scheme::FullSemantic)
+            .with_cost(CostModel::free()),
+        1,
+    );
+    let server = EdgeServer::bind(
+        "127.0.0.1:0",
+        Arc::new(ProxyEdgeService::new(handle.clone())),
+        EdgeConfig::default().with_workers(2),
+    )
+    .unwrap();
+    let client = HttpClient::new(server.addr());
+
+    // (ra, dec, radius, how the first request is answered, cache
+    // entries and charged bytes once it has been inserted). The byte
+    // counts are the parent commit's (e3c7bd3), which sized each entry
+    // with its own serialization pass before building the slab.
+    let steps = [
+        (185.0, 0.0, 20.0, "forwarded", 1, PARENT_BYTES[0]),
+        (
+            185.0 + 25.0 / 60.0,
+            0.0,
+            15.0,
+            "overlap",
+            2,
+            PARENT_BYTES[1],
+        ),
+        (185.2, 0.0, 45.0, "region-containment", 1, PARENT_BYTES[2]),
+    ];
+    for (ra, dec, radius, outcome, entries, bytes) in steps {
+        let path = format!("/search/radial?ra={ra}&dec={dec}&radius={radius}");
+        let miss = client.get(&path).expect("miss is served");
+        assert_eq!(miss.status, Status::OK);
+        assert_eq!(miss.headers.get("X-Cache-Outcome"), Some(outcome));
+        let stats = handle.cache_stats();
+        assert_eq!((stats.entries, stats.bytes), (entries, bytes), "{outcome}");
+
+        let hit = client.get(&path).expect("hit is served");
+        assert_eq!(hit.headers.get("X-Cache-Outcome"), Some("exact"));
+        assert!(miss.body.len() > 1000, "{outcome}: a non-trivial document");
+        assert!(
+            miss.body == hit.body,
+            "{outcome}: miss and hit bodies differ"
+        );
+    }
+    server.shutdown();
+}
+
+/// `CacheStats::bytes` after each of the three inserts above, from a run
+/// of that test at the parent commit.
+const PARENT_BYTES: [usize; 3] = [56_100, 120_330, 485_696];
