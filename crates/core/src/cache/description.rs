@@ -62,9 +62,11 @@ impl std::fmt::Display for DescriptionKind {
 /// The linear-scan description ("ACNR"), stored struct-of-arrays: the
 /// ids in one column and every dimension's lower and upper bounds in a
 /// contiguous column each, all indexed by the same position. A probe
-/// streams dimension 0's two columns and looks at the other dimensions
-/// only for the positions that survive, so the scan touches flat memory
-/// instead of two heap boxes per entry.
+/// streams the two columns of one dimension — the one over which the
+/// boxes seen so far spread widest, where a probe rules out the most —
+/// and looks at the other dimensions only for the positions that
+/// survive, so the scan touches flat memory instead of two heap boxes
+/// per entry.
 ///
 /// Positions follow push / swap-remove order, so candidates come out in
 /// the order a `Vec<(id, bbox)>` scan would produce them.
@@ -73,6 +75,10 @@ pub struct ArrayDescription {
     ids: Vec<u64>,
     /// Per dimension: the `lo` column and the `hi` column.
     bounds: Vec<(Vec<f64>, Vec<f64>)>,
+    /// Per dimension: the least `lo` and the greatest `hi` ever inserted.
+    /// Never shrunk on remove — it only chooses which dimension is
+    /// streamed first, never what a probe answers.
+    extent: Vec<(f64, f64)>,
 }
 
 impl ArrayDescription {
@@ -81,7 +87,19 @@ impl ArrayDescription {
         ArrayDescription {
             ids: Vec::new(),
             bounds: vec![(Vec::new(), Vec::new()); dims],
+            extent: vec![(f64::INFINITY, f64::NEG_INFINITY); dims],
         }
+    }
+
+    /// The dimension of widest extent (the first of equals).
+    fn widest(&self) -> usize {
+        let mut best = (0, f64::NEG_INFINITY);
+        for (d, (lo, hi)) in self.extent.iter().enumerate() {
+            if hi - lo > best.1 {
+                best = (d, hi - lo);
+            }
+        }
+        best.0
     }
 }
 
@@ -92,6 +110,9 @@ impl CacheDescription for ArrayDescription {
         for ((lo, hi), (l, h)) in self.bounds.iter_mut().zip(bbox.lo().iter().zip(bbox.hi())) {
             lo.push(*l);
             hi.push(*h);
+        }
+        for (extent, (l, h)) in self.extent.iter_mut().zip(bbox.lo().iter().zip(bbox.hi())) {
+            *extent = (extent.0.min(*l), extent.1.max(*h));
         }
     }
 
@@ -111,20 +132,23 @@ impl CacheDescription for ArrayDescription {
 
     fn candidates(&self, bbox: &HyperRect, out: &mut Vec<u64>) {
         assert_eq!(bbox.dims(), self.bounds.len(), "probe dimensionality");
-        let Some(((lo0, hi0), rest)) = self.bounds.split_first() else {
+        if self.bounds.is_empty() {
             return;
-        };
+        }
+        let first = self.widest();
+        let (lo0, hi0) = &self.bounds[first];
         let (qlo, qhi) = (bbox.lo(), bbox.hi());
 
-        // Dimension 0 in two straight-line passes, neither with a
-        // data-dependent branch: the verdicts (a loop the compiler can
+        // The first dimension in two straight-line passes, neither with
+        // a data-dependent branch: the verdicts (a loop the compiler can
         // vectorise), then positions compacted over them in place.
         // Same predicate as `HyperRect::intersects_rect`.
         let start = out.len();
+        let (ql, qh) = (qlo[first], qhi[first]);
         out.extend(
             lo0.iter()
                 .zip(hi0)
-                .map(|(&lo, &hi)| u64::from(approx_le(lo, qhi[0]) & approx_le(qlo[0], hi))),
+                .map(|(&lo, &hi)| u64::from(approx_le(lo, qh) & approx_le(ql, hi))),
         );
         let verdicts = &mut out[start..];
         let mut kept = 0;
@@ -135,9 +159,14 @@ impl CacheDescription for ArrayDescription {
         }
         out.truncate(start + kept);
 
-        // Remaining dimensions on the survivors, then positions → ids.
-        for (d, (lo, hi)) in rest.iter().enumerate() {
-            let (ql, qh) = (qlo[d + 1], qhi[d + 1]);
+        // Remaining dimensions on the survivors, in index order (every
+        // compaction is stable, so which dimension went first does not
+        // reorder the candidates), then positions → ids.
+        for (d, (lo, hi)) in self.bounds.iter().enumerate() {
+            if d == first {
+                continue;
+            }
+            let (ql, qh) = (qlo[d], qhi[d]);
             let mut kept = start;
             for k in start..out.len() {
                 let i = out[k] as usize;
@@ -319,53 +348,128 @@ mod tests {
         )
     }
 
+    /// Replays `ops` on the SoA array, the `Vec<(id, bbox)>` it replaced
+    /// and the R-tree: every probe must give the same ids in the same
+    /// order as the vector, and the same set as the tree.
+    fn check_history(dims: usize, ops: Vec<Op>) -> Result<(), TestCaseError> {
+        let mut array = ArrayDescription::new(dims);
+        let mut rtree = RTreeDescription::new(dims);
+        let mut model: Vec<(u64, HyperRect)> = Vec::new();
+        let mut next_id = 0u64;
+        for op in ops {
+            match op {
+                Op::Insert(cells) => {
+                    let r = lattice_rect(&cells, dims);
+                    array.insert(next_id, r.clone());
+                    rtree.insert(next_id, r.clone());
+                    model.push((next_id, r));
+                    next_id += 1;
+                }
+                Op::Remove(pick) if !model.is_empty() => {
+                    let (id, r) = model.swap_remove(pick % model.len());
+                    prop_assert!(array.remove(id, &r));
+                    prop_assert!(rtree.remove(id, &r));
+                    prop_assert!(!array.remove(id, &r));
+                }
+                Op::Remove(_) => {}
+                Op::Probe(cells) => {
+                    let probe = lattice_rect(&cells, dims);
+                    let expected: Vec<u64> = model
+                        .iter()
+                        .filter(|(_, r)| r.intersects_rect(&probe))
+                        .map(|(id, _)| *id)
+                        .collect();
+                    // A non-empty `out` must be appended to, not reused.
+                    let mut from_array = vec![u64::MAX];
+                    array.candidates(&probe, &mut from_array);
+                    prop_assert_eq!(&from_array[1..], &expected[..]);
+                    let mut from_rtree = Vec::new();
+                    rtree.candidates(&probe, &mut from_rtree);
+                    from_rtree.sort_unstable();
+                    let mut sorted = expected;
+                    sorted.sort_unstable();
+                    prop_assert_eq!(from_rtree, sorted);
+                }
+            }
+            prop_assert_eq!(array.len(), model.len());
+        }
+        Ok(())
+    }
+
     proptest! {
         /// The SoA array answers every probe with the same ids in the
         /// same order as the `Vec<(id, bbox)>` it replaced, and with the
         /// same set as the R-tree, across inserts and swap-removes.
         #[test]
         fn array_matches_reference_model_and_rtree(dims in 1usize..=4, ops in ops()) {
-            let mut array = ArrayDescription::new(dims);
-            let mut rtree = RTreeDescription::new(dims);
-            let mut model: Vec<(u64, HyperRect)> = Vec::new();
-            let mut next_id = 0u64;
-            for op in ops {
-                match op {
-                    Op::Insert(cells) => {
-                        let r = lattice_rect(&cells, dims);
-                        array.insert(next_id, r.clone());
-                        rtree.insert(next_id, r.clone());
-                        model.push((next_id, r));
-                        next_id += 1;
+            check_history(dims, ops)?;
+        }
+
+        /// The same when every box sits in one cell of dimension 0 (the
+        /// sky window's `cx`), so another dimension is streamed first.
+        #[test]
+        fn array_matches_the_model_when_dimension_0_is_constant(
+            dims in 2usize..=4,
+            ops in ops(),
+        ) {
+            let pinned = ops
+                .into_iter()
+                .map(|op| match op {
+                    Op::Insert(mut cells) => {
+                        cells[0] = (3, 1, 0);
+                        Op::Insert(cells)
                     }
-                    Op::Remove(pick) if !model.is_empty() => {
-                        let (id, r) = model.swap_remove(pick % model.len());
-                        prop_assert!(array.remove(id, &r));
-                        prop_assert!(rtree.remove(id, &r));
-                        prop_assert!(!array.remove(id, &r));
-                    }
-                    Op::Remove(_) => {}
-                    Op::Probe(cells) => {
-                        let probe = lattice_rect(&cells, dims);
-                        let expected: Vec<u64> = model
-                            .iter()
-                            .filter(|(_, r)| r.intersects_rect(&probe))
-                            .map(|(id, _)| *id)
-                            .collect();
-                        // A non-empty `out` must be appended to, not reused.
-                        let mut from_array = vec![u64::MAX];
-                        array.candidates(&probe, &mut from_array);
-                        prop_assert_eq!(&from_array[1..], &expected[..]);
-                        let mut from_rtree = Vec::new();
-                        rtree.candidates(&probe, &mut from_rtree);
-                        from_rtree.sort_unstable();
-                        let mut sorted = expected;
-                        sorted.sort_unstable();
-                        prop_assert_eq!(from_rtree, sorted);
-                    }
-                }
-                prop_assert_eq!(array.len(), model.len());
+                    other => other,
+                })
+                .collect();
+            check_history(dims, pinned)?;
+        }
+    }
+
+    /// The dimension streamed first follows the boxes inserted, keeps its
+    /// choice when removals narrow the live extent (the choice is only a
+    /// heuristic), and never changes what a probe answers or its order.
+    #[test]
+    fn the_first_dimension_follows_the_widest_extent() {
+        let rect = |x: f64, y: f64| HyperRect::new(vec![x, y], vec![x + 1.0, y + 1.0]).unwrap();
+        let mut array = ArrayDescription::new(2);
+        let mut model: Vec<(u64, HyperRect)> = Vec::new();
+        let check = |array: &ArrayDescription, model: &[(u64, HyperRect)]| {
+            for probe in [
+                rect(0.5, 0.5),
+                rect(3.0, 0.0),
+                rect(0.0, 12.5),
+                rect(40.0, 40.0),
+            ] {
+                let expected: Vec<u64> = model
+                    .iter()
+                    .filter(|(_, r)| r.intersects_rect(&probe))
+                    .map(|(id, _)| *id)
+                    .collect();
+                let mut got = Vec::new();
+                array.candidates(&probe, &mut got);
+                assert_eq!(got, expected);
             }
+        };
+        assert_eq!(array.widest(), 0, "empty: the first of equals");
+        for id in 0..6u64 {
+            let r = rect(id as f64, 0.0);
+            array.insert(id, r.clone());
+            model.push((id, r));
+        }
+        assert_eq!(array.widest(), 0);
+        check(&array, &model);
+        for id in 6..12u64 {
+            let r = rect(0.0, (id * 3) as f64);
+            array.insert(id, r.clone());
+            model.push((id, r));
+        }
+        assert_eq!(array.widest(), 1);
+        check(&array, &model);
+        while let Some((id, r)) = model.pop() {
+            assert!(array.remove(id, &r));
+            check(&array, &model);
+            assert_eq!(array.widest(), 1, "removals never move the choice");
         }
     }
 }

@@ -500,7 +500,7 @@ impl ClusterRouter {
             });
         }
 
-        if let Ok(bound) = node.handle.manager().resolve_form(path, fields) {
+        if let Ok(bound) = node.handle.manager().bind_form(path, fields) {
             let owner = owner_of_key(&routing_key(&bound.residual_key, &bound.region), &live);
             if let Some(owner) = owner.filter(|&o| o != node.id) {
                 if let Some(response) = self.probe_owner(node, owner, &bound.sql) {

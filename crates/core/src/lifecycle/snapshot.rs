@@ -28,16 +28,57 @@ pub const VERSION: u32 = 1;
 const HEADER_LEN: usize = 8 + 4 + 8;
 const SEGMENT_HEADER_LEN: usize = 4 + 4;
 
-/// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the same
-/// checksum gzip and PNG use, computed bitwise to stay dependency-free.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `CRC_TABLES[k][b]` is the CRC state after byte `b`
+/// followed by `k` zero bytes, so eight input bytes fold into the state
+/// with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the same
+/// checksum gzip and PNG use, eight bytes per step over tables built at
+/// compile time, to stay dependency-free.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -128,6 +169,48 @@ pub fn read_snapshot_file(path: &Path) -> io::Result<SnapshotFile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-at-a-time definition `crc32` replaced.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_definition_at_every_length() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect()
+        };
+        // Every tail length, at every alignment of the 8-byte step.
+        let data = random(72);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bitwise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        let big = random(1 << 20);
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -1,7 +1,7 @@
 //! Classifying a new query against the cache.
 
 use crate::cache::CacheStore;
-use crate::template::BoundQuery;
+use crate::template::BoundKey;
 use fp_geometry::Relation;
 
 /// The status the paper's Section 3.2 assigns to a new query, with the
@@ -43,7 +43,7 @@ impl QueryStatus {
 /// Entries whose result was clipped by a `TOP` limit are only eligible
 /// for exact matches — a clipped result cannot prove completeness for any
 /// other relationship (see `CacheEntry::truncated`).
-pub fn classify(store: &CacheStore, bound: &BoundQuery) -> QueryStatus {
+pub fn classify(store: &CacheStore, bound: &BoundKey) -> QueryStatus {
     classify_graded(store, bound, false)
 }
 
@@ -55,7 +55,7 @@ pub fn classify(store: &CacheStore, bound: &BoundQuery) -> QueryStatus {
 /// where the origin is known down — `Grace` entries are admitted too
 /// (stale-if-error). `Dead` entries never classify; they are retired by
 /// the store's sweep.
-pub fn classify_graded(store: &CacheStore, bound: &BoundQuery, allow_grace: bool) -> QueryStatus {
+pub fn classify_graded(store: &CacheStore, bound: &BoundKey, allow_grace: bool) -> QueryStatus {
     store.with_candidates(&bound.residual_key, &bound.region, |candidates| {
         classify_candidates(store, bound, allow_grace, candidates)
     })
@@ -63,7 +63,7 @@ pub fn classify_graded(store: &CacheStore, bound: &BoundQuery, allow_grace: bool
 
 fn classify_candidates(
     store: &CacheStore,
-    bound: &BoundQuery,
+    bound: &BoundKey,
     allow_grace: bool,
     candidates: &[u64],
 ) -> QueryStatus {
@@ -130,8 +130,8 @@ mod tests {
     use fp_skyserver::ResultSet;
     use fp_sqlmini::Value;
 
-    fn bound(m: &TemplateManager, ra: f64, dec: f64, radius: f64) -> BoundQuery {
-        m.resolve_form(
+    fn bound(m: &TemplateManager, ra: f64, dec: f64, radius: f64) -> BoundKey {
+        m.bind_form(
             "/search/radial",
             &[
                 ("ra".to_string(), ra.to_string()),
@@ -149,7 +149,7 @@ mod tests {
         }
     }
 
-    fn seed(store: &mut CacheStore, b: &BoundQuery, n: usize, truncated: bool) -> u64 {
+    fn seed(store: &mut CacheStore, b: &BoundKey, n: usize, truncated: bool) -> u64 {
         store
             .insert(
                 &b.residual_key,

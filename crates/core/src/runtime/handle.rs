@@ -54,8 +54,9 @@ use crate::runtime::shard::ShardedStore;
 use crate::runtime::singleflight::{Coalesce, FlightLease, Joined, SingleFlight};
 use crate::runtime::{RuntimeSnapshot, RuntimeStats};
 use crate::schemes::Scheme;
-use crate::template::{BoundQuery, TemplateManager};
+use crate::template::{BoundKey, BoundQuery, TemplateManager};
 use crate::ProxyError;
+use fp_geometry::Region;
 use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet};
 use fp_sqlmini::Query;
 use fp_xmlite::Element;
@@ -275,12 +276,14 @@ struct ProbePart {
     life: ServeLife,
 }
 
-/// Everything a leader needs to finish a request off-lock: the query to
-/// send, `Arc` snapshots of the probed entries, and the entries to
-/// compact afterwards.
+/// Everything a leader needs to finish a request off-lock: what to leave
+/// out of the query it sends, `Arc` snapshots of the probed entries, and
+/// the entries to compact afterwards.
 struct OriginPlan {
-    query: Query,
-    is_remainder: bool,
+    /// Cached regions the fetch subtracts from the query (a remainder
+    /// query); empty = forward the query as it stands. The query itself
+    /// is synthesized off-lock, in [`ProxyHandle::execute_plan`].
+    exclude: Vec<Region>,
     /// Probed entries whose rows merge into the response.
     probe_parts: Vec<ProbePart>,
     /// Simulated cost of reading the probed entries.
@@ -297,10 +300,9 @@ struct OriginPlan {
 }
 
 impl OriginPlan {
-    fn forward(bound: &BoundQuery, compact_ids: Vec<u64>) -> Box<Self> {
+    fn forward(compact_ids: Vec<u64>) -> Box<Self> {
         Box::new(OriginPlan {
-            query: bound.query.clone(),
-            is_remainder: false,
+            exclude: Vec::new(),
             probe_parts: Vec::new(),
             probe_sim_ms: 0.0,
             compact_ids,
@@ -310,8 +312,8 @@ impl OriginPlan {
         })
     }
 
-    fn forward_fallback(bound: &BoundQuery) -> Box<Self> {
-        let mut plan = Self::forward(bound, Vec::new());
+    fn forward_fallback() -> Box<Self> {
+        let mut plan = Self::forward(Vec::new());
         plan.local_fallback = true;
         plan
     }
@@ -517,7 +519,7 @@ impl ProxyHandle {
     /// or the profit model's current per-template choice when the
     /// config asked for adaptive selection. Resolved once per request
     /// so one request never straddles a scheme switch.
-    fn effective_scheme(&self, bound: &BoundQuery) -> Scheme {
+    fn effective_scheme(&self, bound: &BoundKey) -> Scheme {
         match &self.inner.profit {
             Some(profit) => profit.scheme_for(&bound.reg.template.name),
             None => self.inner.config.scheme,
@@ -668,10 +670,10 @@ impl ProxyHandle {
     ///
     /// # Errors
     /// Propagates resolution failures and origin errors.
-    pub fn handle_form(
+    pub fn handle_form<K: AsRef<str>, V: AsRef<str>>(
         &self,
         path: &str,
-        fields: &[(String, String)],
+        fields: &[(K, V)],
     ) -> Result<ProxyResponse, ProxyError> {
         let bound = self.inner.manager.resolve_form(path, fields)?;
         self.handle_bound(bound)
@@ -803,13 +805,13 @@ impl ProxyHandle {
     ///
     /// # Errors
     /// Propagates resolution failures and origin errors.
-    pub fn handle_form_xml(
+    pub fn handle_form_xml<K: AsRef<str>, V: AsRef<str>>(
         &self,
         path: &str,
-        fields: &[(String, String)],
+        fields: &[(K, V)],
     ) -> Result<XmlResponse, ProxyError> {
-        let bound = self.inner.manager.resolve_form(path, fields)?;
-        self.serve_xml(bound)
+        let key = self.inner.manager.bind_form(path, fields)?;
+        self.serve_xml(key)
     }
 
     /// [`ProxyHandle::handle_sql`], served straight to response bytes.
@@ -817,8 +819,8 @@ impl ProxyHandle {
     /// # Errors
     /// Propagates resolution failures and origin errors.
     pub fn handle_sql_xml(&self, sql: &str) -> Result<XmlResponse, ProxyError> {
-        match self.inner.manager.resolve_sql(sql) {
-            Some(bound) => self.serve_xml(bound?),
+        match self.inner.manager.bind_sql(sql) {
+            Some(key) => self.serve_xml(key?),
             None => {
                 let _trace = self.inner.observe.begin_trace();
                 let started = Instant::now();
@@ -864,12 +866,12 @@ impl ProxyHandle {
     /// The byte-serving front: try the hot paths (exact / contained hit
     /// assembled from the columnar slab), fall back to the ordinary row
     /// pipeline plus serialization for everything else.
-    fn serve_xml(&self, bound: BoundQuery) -> Result<XmlResponse, ProxyError> {
+    fn serve_xml(&self, key: BoundKey) -> Result<XmlResponse, ProxyError> {
         let _trace = self.inner.observe.begin_trace();
         let started = Instant::now();
-        let reg = Arc::clone(&bound.reg);
-        let scheme = self.effective_scheme(&bound);
-        let response = self.serve_xml_inner(bound, scheme);
+        let reg = Arc::clone(&key.reg);
+        let scheme = self.effective_scheme(&key);
+        let response = self.serve_xml_inner(key, scheme);
         if let Ok(r) = &response {
             self.note_served(&reg.template.name, scheme, &r.metrics);
         }
@@ -878,15 +880,13 @@ impl ProxyHandle {
         response
     }
 
-    fn serve_xml_inner(
-        &self,
-        bound: BoundQuery,
-        scheme: Scheme,
-    ) -> Result<XmlResponse, ProxyError> {
+    /// A hit is answered from the key alone; the concrete query is built
+    /// only once the origin is needed.
+    fn serve_xml_inner(&self, key: BoundKey, scheme: Scheme) -> Result<XmlResponse, ProxyError> {
         self.inner.stats.note_request();
         if scheme == Scheme::NoCache {
             let timing = Timing::begin();
-            let (result, sim_ms) = self.fetch(&bound.query, false, PathClass::Miss)?;
+            let (result, sim_ms) = self.fetch(&key.complete().query, false, PathClass::Miss)?;
             let response = self.respond(
                 Arc::new(result),
                 Outcome::Forwarded,
@@ -899,12 +899,12 @@ impl ProxyHandle {
         }
 
         let mut timing = Timing::begin();
-        match self.try_locked_hit(&bound, scheme, &mut timing, false) {
+        match self.try_locked_hit(&key, scheme, &mut timing, false) {
             Some(response) => Ok(response),
             // Malformed entry or miss: rejoin the ordinary loop (it
             // re-runs the cache phase under the flight table, which is
             // what closes the fetch/join race).
-            None => Ok(self.xml_from_rows(self.serve_caching(bound, scheme)?)),
+            None => Ok(self.xml_from_rows(self.serve_caching(key.complete(), scheme)?)),
         }
     }
 
@@ -915,7 +915,7 @@ impl ProxyHandle {
     /// so revalidation spawning stays off the reactor thread.
     fn try_locked_hit(
         &self,
-        bound: &BoundQuery,
+        bound: &BoundKey,
         scheme: Scheme,
         timing: &mut Timing,
         fresh_only: bool,
@@ -977,33 +977,33 @@ impl ProxyHandle {
     /// failures, and the no-cache scheme all decline. Declined requests
     /// must be re-served through [`ProxyHandle::handle_form_xml`] on a
     /// thread that may block.
-    pub fn try_form_xml_cached(
+    pub fn try_form_xml_cached<K: AsRef<str>, V: AsRef<str>>(
         &self,
         path: &str,
-        fields: &[(String, String)],
+        fields: &[(K, V)],
     ) -> Option<XmlResponse> {
-        let bound = self.inner.manager.resolve_form(path, fields).ok()?;
-        self.try_cached_xml(bound)
+        let key = self.inner.manager.bind_form(path, fields).ok()?;
+        self.try_cached_xml(&key)
     }
 
     /// [`ProxyHandle::try_form_xml_cached`] for raw SQL requests.
     /// Unregistered SQL always declines (it always needs the origin).
     pub fn try_sql_xml_cached(&self, sql: &str) -> Option<XmlResponse> {
-        match self.inner.manager.resolve_sql(sql)? {
-            Ok(bound) => self.try_cached_xml(bound),
+        match self.inner.manager.bind_sql(sql)? {
+            Ok(key) => self.try_cached_xml(&key),
             Err(_) => None,
         }
     }
 
-    fn try_cached_xml(&self, bound: BoundQuery) -> Option<XmlResponse> {
-        let scheme = self.effective_scheme(&bound);
+    fn try_cached_xml(&self, bound: &BoundKey) -> Option<XmlResponse> {
+        let scheme = self.effective_scheme(bound);
         if scheme == Scheme::NoCache {
             return None;
         }
         let _trace = self.inner.observe.begin_trace();
         let started = Instant::now();
         let mut timing = Timing::begin();
-        let response = self.try_locked_hit(&bound, scheme, &mut timing, true)?;
+        let response = self.try_locked_hit(bound, scheme, &mut timing, true)?;
         // Count the request only once it is actually served here; a
         // declined probe is re-served (and counted) by the blocking
         // path. Snapshot scheduling is deliberately skipped — the
@@ -1019,7 +1019,7 @@ impl ProxyHandle {
     /// span out of the slab. Returns `None` for malformed entries.
     fn contained_bytes(
         &self,
-        bound: &BoundQuery,
+        bound: &BoundKey,
         plan: &ContainedPlan,
         timing: &mut Timing,
     ) -> Option<XmlResponse> {
@@ -1029,7 +1029,7 @@ impl ProxyHandle {
             let (body, rows, stats, ser_ms) = with_scratch(|scratch| {
                 let (point, selected) = scratch.parts_mut();
                 let stats = col.select_region(&bound.region, selected, point);
-                if let Some(n) = bound.query.top {
+                if let Some(n) = bound.reg.top() {
                     selected.truncate(n as usize);
                 }
                 let ser_start = Instant::now();
@@ -1055,7 +1055,7 @@ impl ProxyHandle {
             eval_entry_region(&plan.result, None, idx, &bound.region, scratch)
         })?;
         let mut result = eval.result;
-        if let Some(n) = bound.query.top {
+        if let Some(n) = bound.reg.top() {
             result.rows.truncate(n as usize);
         }
         timing.local_ms += ms_since(local_start);
@@ -1230,7 +1230,7 @@ impl ProxyHandle {
     /// surface the error.
     fn serve_after_failure(
         &self,
-        bound: &BoundQuery,
+        bound: &BoundKey,
         scheme: Scheme,
         error: ProxyError,
         timing: &mut Timing,
@@ -1248,7 +1248,7 @@ impl ProxyHandle {
     /// and either answer from the cache or plan the origin work.
     fn cache_phase(
         &self,
-        bound: &BoundQuery,
+        bound: &BoundKey,
         scheme: Scheme,
         timing: &mut Timing,
         coalesced: bool,
@@ -1279,7 +1279,7 @@ impl ProxyHandle {
     /// filtering both run after the lock is released.
     fn cache_phase_locked(
         &self,
-        bound: &BoundQuery,
+        bound: &BoundKey,
         scheme: Scheme,
         timing: &mut Timing,
     ) -> LockedPhase {
@@ -1318,7 +1318,7 @@ impl ProxyHandle {
                         life,
                     }
                 } else {
-                    self.disk_phase(&mut store, id, bound, true, life)
+                    self.disk_phase(&mut store, id, true, life)
                 }
             }
 
@@ -1334,7 +1334,7 @@ impl ProxyHandle {
                         life,
                     }))
                 } else {
-                    self.disk_phase(&mut store, id, bound, false, life)
+                    self.disk_phase(&mut store, id, false, life)
                 }
             }
 
@@ -1352,7 +1352,7 @@ impl ProxyHandle {
 
             QueryStatus::RegionContainment(_)
             | QueryStatus::Overlapping(_)
-            | QueryStatus::Disjoint => LockedPhase::Origin(OriginPlan::forward(bound, Vec::new())),
+            | QueryStatus::Disjoint => LockedPhase::Origin(OriginPlan::forward(Vec::new())),
         }
     }
 
@@ -1365,12 +1365,11 @@ impl ProxyHandle {
         &self,
         store: &mut CacheStore,
         id: u64,
-        bound: &BoundQuery,
         exact: bool,
         life: ServeLife,
     ) -> LockedPhase {
         let Some(d) = store.disk_entry(id) else {
-            return LockedPhase::Origin(OriginPlan::forward(bound, Vec::new()));
+            return LockedPhase::Origin(OriginPlan::forward(Vec::new()));
         };
         let skeleton = Arc::clone(&d.skeleton);
         let residual_key = Arc::clone(&d.residual_key);
@@ -1380,7 +1379,7 @@ impl ProxyHandle {
             // The skeleton cannot select rows by region — same handling
             // as a malformed contained entry.
             self.inner.stats.note_local_fallback();
-            return LockedPhase::Origin(OriginPlan::forward_fallback(bound));
+            return LockedPhase::Origin(OriginPlan::forward_fallback());
         }
         match store.disk_slice(id) {
             Some(slice) => LockedPhase::Disk(Box::new(DiskPlan {
@@ -1400,7 +1399,7 @@ impl ProxyHandle {
                 if store.quarantine_corrupt_demoted(id).is_some() {
                     self.inner.stats.note_read_repair();
                 }
-                LockedPhase::Origin(OriginPlan::forward(bound, Vec::new()))
+                LockedPhase::Origin(OriginPlan::forward(Vec::new()))
             }
         }
     }
@@ -1410,7 +1409,7 @@ impl ProxyHandle {
     /// contained hit selects rows through the resident micro-index first
     /// and assembles only the selected spans. Byte-identical to serving
     /// the entry from RAM.
-    fn disk_bytes(&self, bound: &BoundQuery, plan: &DiskPlan, timing: &mut Timing) -> XmlResponse {
+    fn disk_bytes(&self, bound: &BoundKey, plan: &DiskPlan, timing: &mut Timing) -> XmlResponse {
         let serve_start = Instant::now();
         let obs = &self.inner.observe;
         let (body, rows, scanned, pruned) = if plan.exact {
@@ -1424,7 +1423,7 @@ impl ProxyHandle {
             let (body, rows, stats) = with_scratch(|scratch| {
                 let (point, selected) = scratch.parts_mut();
                 let stats = plan.skeleton.select_region(&bound.region, selected, point);
-                if let Some(n) = bound.query.top {
+                if let Some(n) = bound.reg.top() {
                     selected.truncate(n as usize);
                 }
                 let body = plan
@@ -1463,7 +1462,7 @@ impl ProxyHandle {
     /// in the rebuilt result) instead of spawning a worker.
     fn finish_disk_rows(
         &self,
-        bound: &BoundQuery,
+        bound: &BoundKey,
         plan: DiskPlan,
         timing: &mut Timing,
         coalesced: bool,
@@ -1481,7 +1480,7 @@ impl ProxyHandle {
             if store.quarantine_corrupt_demoted(plan.id).is_some() {
                 self.inner.stats.note_read_repair();
             }
-            return Phase::Origin(OriginPlan::forward(bound, Vec::new()));
+            return Phase::Origin(OriginPlan::forward(Vec::new()));
         };
         let result = Arc::new(result);
         let columnar = ColumnarRows::build(&result, &coord_idx).map(Arc::new);
@@ -1531,7 +1530,7 @@ impl ProxyHandle {
     /// match, row-major otherwise).
     fn finish_contained(
         &self,
-        bound: &BoundQuery,
+        bound: &BoundKey,
         plan: &ContainedPlan,
         timing: &mut Timing,
         coalesced: bool,
@@ -1552,7 +1551,7 @@ impl ProxyHandle {
         match eval {
             Some(eval) => {
                 let mut result = eval.result;
-                if let Some(n) = bound.query.top {
+                if let Some(n) = bound.reg.top() {
                     result.rows.truncate(n as usize);
                 }
                 let cached = result.len();
@@ -1572,7 +1571,7 @@ impl ProxyHandle {
             // Malformed cached document: fall back to the origin.
             None => {
                 self.inner.stats.note_local_fallback();
-                Phase::Origin(OriginPlan::forward_fallback(bound))
+                Phase::Origin(OriginPlan::forward_fallback())
             }
         }
     }
@@ -1597,7 +1596,7 @@ impl ProxyHandle {
     /// (disjoint, passive scheme, nothing usable).
     fn degraded_phase(
         &self,
-        bound: &BoundQuery,
+        bound: &BoundKey,
         scheme: Scheme,
         timing: &mut Timing,
     ) -> Option<ProxyResponse> {
@@ -1628,8 +1627,7 @@ impl ProxyHandle {
                 let life = self.error_life_of(&store, id);
                 if store.peek(id).is_none() {
                     // Demoted: serve (and promote) from the slab.
-                    let LockedPhase::Disk(plan) =
-                        self.disk_phase(&mut store, id, bound, true, life)
+                    let LockedPhase::Disk(plan) = self.disk_phase(&mut store, id, true, life)
                     else {
                         return None;
                     };
@@ -1652,8 +1650,7 @@ impl ProxyHandle {
             QueryStatus::ContainedBy(id) => {
                 let life = self.error_life_of(&store, id);
                 if store.peek(id).is_none() {
-                    let LockedPhase::Disk(plan) =
-                        self.disk_phase(&mut store, id, bound, false, life)
+                    let LockedPhase::Disk(plan) = self.disk_phase(&mut store, id, false, life)
                     else {
                         return None;
                     };
@@ -1761,7 +1758,7 @@ impl ProxyHandle {
             return None;
         }
         let mut merged = merge_results(&bound.reg.key_column, &refs);
-        if let Some(n) = bound.query.top {
+        if let Some(n) = bound.reg.top() {
             merged.rows.truncate(n as usize);
         }
         timing.local_ms += ms_since(local_start);
@@ -1784,18 +1781,18 @@ impl ProxyHandle {
     fn merge_plan(
         &self,
         store: &mut CacheStore,
-        bound: &BoundQuery,
+        bound: &BoundKey,
         mut ids: Vec<u64>,
         probe_filters: bool,
         timing: &mut Timing,
     ) -> LockedPhase {
         let config = &self.inner.config;
         // Remainder queries need server support and a TOP-free query.
-        if !self.inner.origin.supports_remainder() || bound.query.top.is_some() {
+        if !self.inner.origin.supports_remainder() || bound.reg.top().is_some() {
             // Region containment: the forwarded result still covers the
             // subsumed entries, so compaction remains valid.
             let compact_ids = if probe_filters { Vec::new() } else { ids };
-            return LockedPhase::Origin(OriginPlan::forward(bound, compact_ids));
+            return LockedPhase::Origin(OriginPlan::forward(compact_ids));
         }
 
         // Demoted entries never join merges: probing one would drag a
@@ -1818,7 +1815,7 @@ impl ProxyHandle {
             } else {
                 demoted_ids
             };
-            return LockedPhase::Origin(OriginPlan::forward(bound, compact_ids));
+            return LockedPhase::Origin(OriginPlan::forward(compact_ids));
         }
 
         // Bound the fan-in; prefer the largest cached parts.
@@ -1847,7 +1844,7 @@ impl ProxyHandle {
                     // columns: treat like a malformed entry.
                     None => {
                         self.inner.stats.note_local_fallback();
-                        return LockedPhase::Origin(OriginPlan::forward_fallback(bound));
+                        return LockedPhase::Origin(OriginPlan::forward_fallback());
                     }
                 }
             } else {
@@ -1862,15 +1859,11 @@ impl ProxyHandle {
         }
 
         // Remainder phase setup (the fetch itself happens off-lock).
-        let exclude: Vec<fp_geometry::Region> = ids
+        let exclude: Vec<Region> = ids
             .iter()
             .map(|id| store.peek(*id).expect("live id").region.clone())
             .collect();
-        let exclude_refs: Vec<&fp_geometry::Region> = exclude.iter().collect();
         timing.local_ms += ms_since(local_start);
-        let Some(rq) = remainder_query(bound, &exclude_refs) else {
-            return LockedPhase::Origin(OriginPlan::forward(bound, Vec::new()));
-        };
 
         let (compact_ids, outcome) = if probe_filters {
             (Vec::new(), Outcome::Overlap)
@@ -1879,8 +1872,7 @@ impl ProxyHandle {
             (ids, Outcome::RegionContainment)
         };
         LockedPhase::Origin(Box::new(OriginPlan {
-            query: rq,
-            is_remainder: true,
+            exclude,
             probe_parts,
             probe_sim_ms,
             compact_ids,
@@ -1953,7 +1945,7 @@ impl ProxyHandle {
             if malformed {
                 // Malformed probe entry: forward the original query.
                 self.inner.stats.note_local_fallback();
-                plan = *OriginPlan::forward_fallback(bound);
+                plan = *OriginPlan::forward_fallback();
                 rows_scanned = 0;
                 rows_pruned = 0;
             } else {
@@ -1972,8 +1964,11 @@ impl ProxyHandle {
             timing.local_ms += ms_since(local_start);
         }
 
-        let (fetched, origin_sim_ms) =
-            self.fetch(&plan.query, plan.is_remainder, PathClass::Miss)?;
+        let exclude: Vec<&Region> = plan.exclude.iter().collect();
+        let (fetched, origin_sim_ms) = match remainder_query(bound, &exclude) {
+            Some(remainder) => self.fetch(&remainder, true, PathClass::Miss)?,
+            None => self.fetch(&bound.query, false, PathClass::Miss)?,
+        };
 
         let (result, rows_from_cache, truncated) = match cached_part {
             Some(part) => {
@@ -1983,7 +1978,7 @@ impl ProxyHandle {
                 (merged, part.len(), false)
             }
             None => {
-                let truncated = bound.query.top.is_some_and(|n| fetched.len() as u64 >= n);
+                let truncated = bound.reg.top().is_some_and(|n| fetched.len() as u64 >= n);
                 (fetched, 0, truncated)
             }
         };
@@ -2308,7 +2303,7 @@ impl ProxyHandle {
                 if let Ok((result, _sim_ms)) =
                     self.fetch(&bound.query, false, PathClass::Background)
                 {
-                    let truncated = bound.query.top.is_some_and(|n| result.len() as u64 >= n);
+                    let truncated = bound.reg.top().is_some_and(|n| result.len() as u64 >= n);
                     // Prebuild off-lock, like the request path's insert.
                     let result = Arc::new(result);
                     let (bytes, columnar) = prebuild(&bound, &result);
@@ -2602,14 +2597,14 @@ impl ProxyHandle {
 fn coverage_worthwhile(
     config: &ProxyConfig,
     store: &CacheStore,
-    bound: &BoundQuery,
+    bound: &BoundKey,
     ids: &[u64],
 ) -> bool {
     let threshold = config.min_overlap_coverage;
     if threshold <= 0.0 {
         return true;
     }
-    let regions: Vec<&fp_geometry::Region> = ids
+    let regions: Vec<&Region> = ids
         .iter()
         .filter_map(|id| store.peek(*id).map(|e| &e.region))
         .collect();
@@ -2623,7 +2618,7 @@ fn coverage_worthwhile(
 /// What an insert needs beyond the rows, computed off-lock with one
 /// serialization: the columnar form over the template's coordinate
 /// columns, and the accounted XML size read off its slab.
-fn prebuild(bound: &BoundQuery, result: &ResultSet) -> (usize, Option<Arc<ColumnarRows>>) {
+fn prebuild(bound: &BoundKey, result: &ResultSet) -> (usize, Option<Arc<ColumnarRows>>) {
     let coord_idx: Option<Vec<usize>> = bound
         .reg
         .coord_columns
@@ -2832,7 +2827,7 @@ mod tests {
             .manager()
             .resolve_form("/search/radial", &radial_fields(ra, dec, radius))
             .unwrap();
-        let fp_geometry::Region::Sphere(ball) = &bound.region else {
+        let Region::Sphere(ball) = &bound.region else {
             panic!("radial queries are cones");
         };
         (

@@ -2,9 +2,8 @@
 
 use crate::ProxyError;
 use fp_geometry::{HalfSpace, HyperRect, HyperSphere, Point, Polytope, Region};
-use fp_skyserver::exec::eval_const;
-use fp_sqlmini::template::substitute_expr;
-use fp_sqlmini::{parser::parse_expr, Bindings, Expr};
+use fp_skyserver::exec::eval_const_with;
+use fp_sqlmini::{parser::parse_expr, Bindings, Expr, ParamLookup};
 use fp_xmlite::Element;
 
 /// The region shape a function template declares, with the parameter→
@@ -157,13 +156,25 @@ impl FunctionTemplate {
     /// unbound parameter, evaluates to a non-number, or produces an
     /// invalid region (negative radius, inverted box).
     pub fn region_for(&self, bindings: &Bindings) -> Result<Region, ProxyError> {
+        self.region_with(&|p| bindings.get(p))
+    }
+
+    /// [`FunctionTemplate::region_for`] under a parameter lookup: the
+    /// formulas are evaluated as they stand, reading each `$param` through
+    /// `lookup`.
+    ///
+    /// # Errors
+    /// As [`FunctionTemplate::region_for`].
+    pub fn region_with(&self, lookup: &ParamLookup<'_>) -> Result<Region, ProxyError> {
         let eval = |e: &Expr| -> Result<f64, ProxyError> {
-            let bound = substitute_expr(e, bindings);
-            eval_const(&bound).and_then(|v| v.as_f64()).ok_or_else(|| {
-                ProxyError::Template(format!(
-                    "formula `{e}` did not evaluate to a number under {bindings:?}"
-                ))
-            })
+            eval_const_with(e, lookup)
+                .and_then(|v| v.as_f64())
+                .ok_or_else(|| {
+                    let under: Vec<_> = e.params().into_iter().map(|p| (p, lookup(p))).collect();
+                    ProxyError::Template(format!(
+                        "formula `{e}` did not evaluate to a number under {under:?}"
+                    ))
+                })
         };
         let eval_all =
             |es: &[Expr]| -> Result<Vec<f64>, ProxyError> { es.iter().map(eval).collect() };

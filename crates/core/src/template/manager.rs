@@ -3,33 +3,87 @@
 use crate::template::{FunctionTemplate, InfoFile, RegisteredQueryTemplate};
 use crate::ProxyError;
 use fp_geometry::Region;
-use fp_skyserver::exec::eval_const;
-use fp_sqlmini::template::substitute_expr;
-use fp_sqlmini::{parse_query, Bindings, Query, TableSource, Value};
+use fp_skyserver::exec::eval_const_with;
+use fp_sqlmini::{parse_query, Query, TableSource, Value};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// A fully resolved query: template, bindings, region, concrete SQL.
+/// What binding a request computes, and all a cache hit reads: the
+/// template, the region, the residual group and the canonical SQL text.
+/// Classification, exact lookup and local evaluation take this; only the
+/// origin-facing paths need the concrete query of a [`BoundQuery`].
 ///
-/// This is the unit every proxy decision operates on. `residual_key`
-/// encodes everything *non-spatial* that must agree before two queries may
-/// be related geometrically: the template identity, the values of all
-/// non-spatial parameters, and the `TOP` limit.
+/// `residual_key` encodes everything *non-spatial* that must agree before
+/// two queries may be related geometrically: the template identity, the
+/// values of all non-spatial parameters, and the `TOP` limit.
 #[derive(Debug, Clone)]
-pub struct BoundQuery {
+pub struct BoundKey {
     /// The registered template this query instantiates.
     pub reg: Arc<RegisteredQueryTemplate>,
-    /// Parameter bindings recovered from the form/SQL.
-    pub bindings: Bindings,
     /// The query's spatial region.
     pub region: Region,
     /// Group key: queries are only related within equal keys.
-    pub residual_key: String,
-    /// The concrete query AST.
-    pub query: Query,
+    pub residual_key: Arc<str>,
     /// Canonical SQL text (doubles as the passive-cache key).
     pub sql: String,
+    /// Parameter values recovered from the form/SQL, one per
+    /// `reg.template.params()` entry, in that order.
+    slots: Vec<Value>,
+}
+
+impl BoundKey {
+    /// Builds the concrete query the origin-facing paths send: the
+    /// template instantiated with this key's parameter values.
+    pub fn complete(self) -> BoundQuery {
+        let query = self
+            .reg
+            .template
+            .instantiate_with(&slot_lookup(self.reg.template.params(), &self.slots))
+            .expect("a key holds a value for every template parameter");
+        BoundQuery { key: self, query }
+    }
+}
+
+/// A fully resolved query: a [`BoundKey`] (whose fields read through
+/// this) completed with the concrete query AST.
+#[derive(Debug, Clone)]
+pub struct BoundQuery {
+    key: BoundKey,
+    /// The concrete query AST; prints as `sql`.
+    pub query: Query,
+}
+
+impl Deref for BoundQuery {
+    type Target = BoundKey;
+
+    fn deref(&self) -> &BoundKey {
+        &self.key
+    }
+}
+
+/// The `$param → value` lookup of a slot vector laid out like `params`.
+fn slot_lookup<'a>(
+    params: &'a [String],
+    slots: &'a [Value],
+) -> impl Fn(&str) -> Option<&'a Value> + 'a {
+    move |p| params.iter().position(|n| n == p).map(|i| &slots[i])
+}
+
+/// A registered form, compiled for binding: per template parameter, where
+/// its value comes from.
+struct Form {
+    reg: Arc<RegisteredQueryTemplate>,
+    /// One per `reg.template.params()` entry, in that order.
+    sources: Vec<SlotSource>,
+}
+
+struct SlotSource {
+    /// The form fields the info file maps to this parameter, in file
+    /// order; of those a request carries, the last one wins.
+    fields: Vec<String>,
+    /// The info file's default for this parameter.
+    default: Option<Value>,
 }
 
 /// Registry of function templates, query templates, and info files.
@@ -37,7 +91,7 @@ pub struct BoundQuery {
 pub struct TemplateManager {
     functions: HashMap<String, Arc<FunctionTemplate>>,
     queries: HashMap<String, Arc<RegisteredQueryTemplate>>,
-    forms: HashMap<String, InfoFile>,
+    forms: HashMap<String, Form>,
 }
 
 impl TemplateManager {
@@ -193,13 +247,35 @@ impl TemplateManager {
                 info.form_path
             )));
         }
-        if !self.queries.contains_key(&info.query_template) {
+        let Some(reg) = self.queries.get(&info.query_template) else {
             return Err(ProxyError::Template(format!(
                 "info file for `{}` references unknown template `{}`",
                 info.form_path, info.query_template
             )));
-        }
-        self.forms.insert(info.form_path.clone(), info);
+        };
+        let sources = reg
+            .template
+            .params()
+            .iter()
+            .map(|param| SlotSource {
+                fields: info
+                    .field_map
+                    .iter()
+                    .filter(|(_, p)| p == param)
+                    .map(|(field, _)| field.clone())
+                    .collect(),
+                default: info
+                    .defaults
+                    .iter()
+                    .find(|(p, _)| p == param)
+                    .map(|(_, text)| Value::from_form_text(text)),
+            })
+            .collect();
+        let form = Form {
+            reg: Arc::clone(reg),
+            sources,
+        };
+        self.forms.insert(info.form_path, form);
         Ok(())
     }
 
@@ -213,85 +289,101 @@ impl TemplateManager {
         self.functions.get(name)
     }
 
-    /// Resolves a form request (`path` + decoded fields) into a
-    /// [`BoundQuery`].
+    /// Binds a form request (`path` + decoded fields) to its
+    /// [`BoundKey`] — all a cache hit needs.
     ///
     /// # Errors
     /// [`ProxyError::UnknownForm`] for unregistered paths,
     /// [`ProxyError::BadRequest`] for missing fields,
     /// [`ProxyError::Template`] when formulas fail to evaluate.
-    pub fn resolve_form(
+    pub fn bind_form<K: AsRef<str>, V: AsRef<str>>(
         &self,
         path: &str,
-        fields: &[(String, String)],
-    ) -> Result<BoundQuery, ProxyError> {
-        let info = self
+        fields: &[(K, V)],
+    ) -> Result<BoundKey, ProxyError> {
+        let form = self
             .forms
             .get(path)
             .ok_or_else(|| ProxyError::UnknownForm(path.to_string()))?;
-        let reg = self
-            .queries
-            .get(&info.query_template)
-            .expect("registration validated the reference");
-
-        let mut bindings = Bindings::new();
-        for (field, param) in &info.field_map {
-            if let Some((_, v)) = fields.iter().find(|(k, _)| k == field) {
-                bindings.insert(param.clone(), Value::from_form_text(v));
+        let params = form.reg.template.params();
+        let mut slots = Vec::with_capacity(params.len());
+        for (param, source) in params.iter().zip(&form.sources) {
+            let given = source.fields.iter().rev().find_map(|field| {
+                let (_, text) = fields.iter().find(|(k, _)| k.as_ref() == field)?;
+                Some(Value::from_form_text(text.as_ref()))
+            });
+            match given.or_else(|| source.default.clone()) {
+                Some(value) => slots.push(value),
+                None => {
+                    return Err(ProxyError::BadRequest(format!(
+                        "missing form field for parameter `{param}`"
+                    )))
+                }
             }
         }
-        for (param, default) in &info.defaults {
-            bindings
-                .entry(param.clone())
-                .or_insert_with(|| Value::from_form_text(default));
-        }
-        if let Some(missing) = reg
-            .template
-            .params()
-            .iter()
-            .find(|p| !bindings.contains_key(*p))
-        {
-            return Err(ProxyError::BadRequest(format!(
-                "missing form field for parameter `{missing}`"
-            )));
-        }
-
-        self.bind(Arc::clone(reg), bindings)
+        self.bind_key(&form.reg, slots)
     }
 
-    /// Resolves raw SQL text against the registered templates (the path a
+    /// Resolves a form request into a [`BoundQuery`]:
+    /// [`TemplateManager::bind_form`], then [`BoundKey::complete`].
+    ///
+    /// # Errors
+    /// As [`TemplateManager::bind_form`].
+    pub fn resolve_form<K: AsRef<str>, V: AsRef<str>>(
+        &self,
+        path: &str,
+        fields: &[(K, V)],
+    ) -> Result<BoundQuery, ProxyError> {
+        self.bind_form(path, fields).map(BoundKey::complete)
+    }
+
+    /// Binds raw SQL text against the registered templates (the path a
     /// power user's typed query takes). Returns `None` when no template
     /// matches — such queries bypass active caching.
-    pub fn resolve_sql(&self, sql: &str) -> Option<Result<BoundQuery, ProxyError>> {
+    pub fn bind_sql(&self, sql: &str) -> Option<Result<BoundKey, ProxyError>> {
         let query = parse_query(sql).ok()?;
-        self.resolve_query(&query)
+        self.bind_query(&query)
     }
 
-    /// [`TemplateManager::resolve_sql`] on an already-parsed query.
-    pub fn resolve_query(&self, query: &Query) -> Option<Result<BoundQuery, ProxyError>> {
+    /// [`TemplateManager::bind_sql`] on an already-parsed query.
+    pub fn bind_query(&self, query: &Query) -> Option<Result<BoundKey, ProxyError>> {
         for reg in self.queries.values() {
             if let Some(bindings) = reg.template.match_query(query) {
-                return Some(self.bind(Arc::clone(reg), bindings));
+                let slots = reg
+                    .template
+                    .params()
+                    .iter()
+                    .map(|p| {
+                        bindings.get(p).cloned().ok_or_else(|| {
+                            ProxyError::BadRequest(format!("missing binding for ${p}"))
+                        })
+                    })
+                    .collect::<Result<Vec<Value>, ProxyError>>();
+                return Some(slots.and_then(|slots| self.bind_key(reg, slots)));
             }
         }
         None
     }
 
-    /// Builds the bound form: instantiate SQL, map function arguments,
-    /// evaluate the region, derive the residual key.
-    fn bind(
-        &self,
-        reg: Arc<RegisteredQueryTemplate>,
-        bindings: Bindings,
-    ) -> Result<BoundQuery, ProxyError> {
-        let query = reg
-            .template
-            .instantiate(&bindings)
-            .map_err(|e| ProxyError::BadRequest(e.to_string()))?;
-        let sql = query.to_sql();
+    /// [`TemplateManager::bind_sql`], then [`BoundKey::complete`].
+    pub fn resolve_sql(&self, sql: &str) -> Option<Result<BoundQuery, ProxyError>> {
+        Some(self.bind_sql(sql)?.map(BoundKey::complete))
+    }
 
-        // Map the TVF's positional arguments onto the function template's
-        // parameter names, evaluating each argument under the bindings.
+    /// [`TemplateManager::bind_query`], then [`BoundKey::complete`].
+    pub fn resolve_query(&self, query: &Query) -> Option<Result<BoundQuery, ProxyError>> {
+        Some(self.bind_query(query)?.map(BoundKey::complete))
+    }
+
+    /// The one binder: print the SQL text, map function arguments,
+    /// evaluate the region and derive the residual key, all from the
+    /// template as registered, reading parameters out of `slots` (one per
+    /// `reg.template.params()` entry). No tree is cloned or rewritten.
+    fn bind_key(
+        &self,
+        reg: &Arc<RegisteredQueryTemplate>,
+        slots: Vec<Value>,
+    ) -> Result<BoundKey, ProxyError> {
         let func = self
             .functions
             .get(&reg.function)
@@ -299,34 +391,34 @@ impl TemplateManager {
         let TableSource::Function { args, .. } = &reg.template.query.from else {
             unreachable!("checked at registration");
         };
-        let mut func_bindings = Bindings::new();
-        for (param, arg) in func.params.iter().zip(args) {
-            let bound = substitute_expr(arg, &bindings);
-            let value = eval_const(&bound).ok_or_else(|| {
-                ProxyError::BadRequest(format!(
-                    "function argument `{arg}` did not evaluate to a constant"
-                ))
+        let (sql, region) = {
+            let lookup = slot_lookup(reg.template.params(), &slots);
+            let sql = reg.template.to_sql_with(&lookup);
+            // Map the TVF's positional arguments onto the function
+            // template's parameter names, evaluating each argument
+            // under the slots.
+            let mut arg_values = Vec::with_capacity(args.len());
+            for arg in args {
+                arg_values.push(eval_const_with(arg, &lookup).ok_or_else(|| {
+                    ProxyError::BadRequest(format!(
+                        "function argument `{arg}` did not evaluate to a constant"
+                    ))
+                })?);
+            }
+            let region = func.region_with(&|p| {
+                let i = func.params.iter().rposition(|n| n == p)?;
+                arg_values.get(i)
             })?;
-            func_bindings.insert(param.clone(), value);
-        }
-        let region = func.region_for(&func_bindings)?;
+            (sql, region)
+        };
+        let residual_key = reg.residual_key(&slots);
 
-        // Residual key: template identity + all non-spatial parameter
-        // values + TOP. Two queries relate geometrically only within one
-        // residual group.
-        let mut residual_key = format!("{}|top={:?}", reg.template.name, reg.top());
-        for p in reg.residual_params() {
-            let v = bindings.get(p).expect("instantiate checked completeness");
-            let _ = write!(residual_key, "|{p}={v}");
-        }
-
-        Ok(BoundQuery {
-            reg,
-            bindings,
+        Ok(BoundKey {
+            reg: Arc::clone(reg),
             region,
             residual_key,
-            query,
             sql,
+            slots,
         })
     }
 }
@@ -364,7 +456,7 @@ mod tests {
     fn unknown_form_and_missing_fields() {
         let m = TemplateManager::with_sky_defaults();
         assert!(matches!(
-            m.resolve_form("/nope", &[]),
+            m.resolve_form("/nope", &fields(&[])),
             Err(ProxyError::UnknownForm(_))
         ));
         assert!(matches!(

@@ -17,5 +17,5 @@ mod query_template;
 
 pub use function_template::{FunctionTemplate, Shape};
 pub use info::InfoFile;
-pub use manager::{BoundQuery, TemplateManager};
+pub use manager::{BoundKey, BoundQuery, TemplateManager};
 pub use query_template::RegisteredQueryTemplate;

@@ -2,7 +2,9 @@
 //! local evaluation depends on.
 
 use crate::ProxyError;
-use fp_sqlmini::{QueryTemplate, TableSource};
+use fp_sqlmini::{QueryTemplate, TableSource, Value};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A query template registered with the proxy, together with:
 ///
@@ -32,6 +34,11 @@ pub struct RegisteredQueryTemplate {
     pub coord_alias: String,
     /// Column that uniquely keys result rows (e.g. `objID`).
     pub key_column: String,
+    /// The part of every residual key this template's queries share:
+    /// template name and `TOP`. The whole key when nothing is residual.
+    residual_prefix: Arc<str>,
+    /// Positions in `template.params()` of the residual parameters.
+    residual_slots: Vec<usize>,
 }
 
 impl RegisteredQueryTemplate {
@@ -66,6 +73,10 @@ impl RegisteredQueryTemplate {
         }
         let coord_alias = coord_alias.into();
         let key_column = key_column.into();
+        let residual_prefix = format!("{}|top={:?}", template.name, template.query.top).into();
+        let residual_slots = (0..template.params().len())
+            .filter(|i| !spatial_params.contains(&template.params()[*i]))
+            .collect();
 
         let reg = RegisteredQueryTemplate {
             template,
@@ -74,6 +85,8 @@ impl RegisteredQueryTemplate {
             coord_columns,
             coord_alias,
             key_column,
+            residual_prefix,
+            residual_slots,
         };
         reg.check_result_attributes()?;
         Ok(reg)
@@ -119,12 +132,27 @@ impl RegisteredQueryTemplate {
 
     /// Residual (non-spatial) parameters of the template.
     pub fn residual_params(&self) -> Vec<&str> {
-        self.template
-            .params()
+        let params = self.template.params();
+        self.residual_slots
             .iter()
-            .filter(|p| !self.spatial_params.iter().any(|s| s == *p))
-            .map(|s| s.as_str())
+            .map(|&i| params[i].as_str())
             .collect()
+    }
+
+    /// The residual key of the query whose parameter values are `slots`
+    /// (one per `template.params()` entry, in that order): template
+    /// identity, `TOP`, and every non-spatial parameter's value. Two
+    /// queries relate geometrically only within one residual group.
+    pub(crate) fn residual_key(&self, slots: &[Value]) -> Arc<str> {
+        if self.residual_slots.is_empty() {
+            return Arc::clone(&self.residual_prefix);
+        }
+        let params = self.template.params();
+        let mut key = String::from(&*self.residual_prefix);
+        for &i in &self.residual_slots {
+            let _ = write!(key, "|{}={}", params[i], slots[i]);
+        }
+        key.into()
     }
 
     /// The template's `TOP` limit, when declared.

@@ -3,6 +3,7 @@
 //! function proxy's HTTP face wired for the reactor/worker split.
 
 use crate::stats::EdgeStats;
+use fp_httpd::urlenc::parse_query_borrowed;
 use fp_httpd::{Request, Response, Router, Status};
 use funcproxy::runtime::XmlResponse;
 use funcproxy::{ProxyError, ProxyHandle};
@@ -77,20 +78,18 @@ impl ProxyEdgeService {
     /// and offloaded paths: cache outcome, coalescing and degradation
     /// flags, and the RFC 9111 staleness warning.
     fn radial_response(r: XmlResponse) -> Response {
+        // Every name and value is a static string but the one number.
+        let flag = |b: bool| if b { "true" } else { "false" };
         let mut resp = Response::ok("text/xml", r.body);
-        resp.headers
-            .set("X-Cache-Outcome", r.metrics.outcome.label());
-        resp.headers
-            .set("X-Sim-Response-Ms", format!("{:.0}", r.metrics.response_ms));
-        resp.headers
-            .set("X-Coalesced", r.metrics.coalesced.to_string());
-        resp.headers
-            .set("X-Degraded", r.metrics.degraded.to_string());
-        resp.headers.set("X-Stale", r.metrics.stale.to_string());
+        let headers = &mut resp.headers;
+        headers.set("X-Cache-Outcome", r.metrics.outcome.label());
+        headers.set("X-Sim-Response-Ms", format!("{:.0}", r.metrics.response_ms));
+        headers.set("X-Coalesced", flag(r.metrics.coalesced));
+        headers.set("X-Degraded", flag(r.metrics.degraded));
+        headers.set("X-Stale", flag(r.metrics.stale));
         if r.metrics.stale || r.metrics.degraded {
             // RFC 9111 §5.5: 110 = "Response is Stale".
-            resp.headers
-                .set("Warning", "110 funcproxy \"Response is stale\"");
+            headers.set("Warning", "110 funcproxy \"Response is stale\"");
         }
         resp
     }
@@ -142,7 +141,7 @@ impl EdgeService for ProxyEdgeService {
                 }
             }
             "/search/radial" => {
-                let fields = request.query_params();
+                let fields = parse_query_borrowed(&request.query);
                 match self.handle.handle_form_xml("/search/radial", &fields) {
                     Ok(r) => Self::radial_response(r),
                     Err(e) => self.error_response(&e),
@@ -164,7 +163,7 @@ impl EdgeService for ProxyEdgeService {
     fn try_fast(&self, request: &Request) -> Option<Response> {
         match request.path.as_str() {
             "/search/radial" => {
-                let fields = request.query_params();
+                let fields = parse_query_borrowed(&request.query);
                 self.handle
                     .try_form_xml_cached("/search/radial", &fields)
                     .map(Self::radial_response)

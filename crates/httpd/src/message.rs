@@ -1,5 +1,7 @@
 //! HTTP message types.
 
+use std::borrow::Cow;
+
 /// Request methods the proxy uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
@@ -72,10 +74,11 @@ impl Status {
     }
 }
 
-/// An ordered, case-insensitive header map.
+/// An ordered, case-insensitive header map. Names and values given as
+/// string literals are kept as they are; only computed ones own memory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Headers {
-    entries: Vec<(String, String)>,
+    entries: Vec<(Cow<'static, str>, Cow<'static, str>)>,
 }
 
 impl Headers {
@@ -85,7 +88,11 @@ impl Headers {
     }
 
     /// Appends a header (duplicates allowed, order preserved).
-    pub fn push(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn push(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) {
         self.entries.push((name.into(), value.into()));
     }
 
@@ -94,18 +101,19 @@ impl Headers {
         self.entries
             .iter()
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_ref())
     }
 
     /// Sets `name` to `value`, replacing any existing occurrences.
-    pub fn set(&mut self, name: &str, value: impl Into<String>) {
-        self.entries.retain(|(k, _)| !k.eq_ignore_ascii_case(name));
-        self.entries.push((name.to_string(), value.into()));
+    pub fn set(&mut self, name: impl Into<Cow<'static, str>>, value: impl Into<Cow<'static, str>>) {
+        let name = name.into();
+        self.entries.retain(|(k, _)| !k.eq_ignore_ascii_case(&name));
+        self.entries.push((name, value.into()));
     }
 
     /// Iterates `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+        self.entries.iter().map(|(k, v)| (k.as_ref(), v.as_ref()))
     }
 
     /// Number of header lines.
@@ -214,7 +222,7 @@ pub struct Response {
 
 impl Response {
     /// A 200 response with a body and content type.
-    pub fn ok(content_type: &str, body: impl Into<Vec<u8>>) -> Response {
+    pub fn ok(content_type: impl Into<Cow<'static, str>>, body: impl Into<Vec<u8>>) -> Response {
         let mut headers = Headers::new();
         headers.set("Content-Type", content_type);
         Response {

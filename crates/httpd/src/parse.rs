@@ -134,7 +134,7 @@ fn read_headers<R: BufRead>(stream: &mut R) -> Result<Headers, HttpError> {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| HttpError::Malformed(format!("bad header line `{line}`")))?;
-        headers.push(name.trim(), value.trim());
+        headers.push(name.trim().to_string(), value.trim().to_string());
     }
 }
 

@@ -1,5 +1,7 @@
 //! Percent-encoding and `application/x-www-form-urlencoded` codecs.
 
+use std::borrow::Cow;
+
 /// Percent-encodes `s` for use as a query-string key or value
 /// (form-urlencoded: space becomes `+`).
 pub fn encode_component(s: &str) -> String {
@@ -50,22 +52,42 @@ pub fn decode_component(s: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
+/// [`decode_component`] that borrows `s` when decoding leaves it as it
+/// is: no `+` and no `%` in it.
+fn decode_component_borrowed(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b == b'+' || b == b'%') {
+        Cow::Owned(decode_component(s))
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// The undecoded `(key, value)` components of a query string, in order.
+/// Keys without `=` get an empty value.
+fn split_query(query: &str) -> impl Iterator<Item = (&str, &str)> {
+    query
+        .split('&')
+        .filter(|part| !part.is_empty())
+        .map(|part| part.split_once('=').unwrap_or((part, "")))
 }
 
 /// Parses a query string (`a=1&b=two+words`) into decoded pairs.
 /// Keys without `=` get an empty value.
 pub fn parse_query(query: &str) -> Vec<(String, String)> {
-    if query.is_empty() {
-        return Vec::new();
-    }
-    query
-        .split('&')
-        .filter(|part| !part.is_empty())
-        .map(|part| match part.split_once('=') {
-            Some((k, v)) => (decode_component(k), decode_component(v)),
-            None => (decode_component(part), String::new()),
-        })
+    split_query(query)
+        .map(|(k, v)| (decode_component(k), decode_component(v)))
+        .collect()
+}
+
+/// [`parse_query`] without the copies: a component is decoded into owned
+/// memory only when it contains `+` or `%`, and borrowed from `query`
+/// otherwise.
+pub fn parse_query_borrowed(query: &str) -> Vec<(Cow<'_, str>, Cow<'_, str>)> {
+    split_query(query)
+        .map(|(k, v)| (decode_component_borrowed(k), decode_component_borrowed(v)))
         .collect()
 }
 

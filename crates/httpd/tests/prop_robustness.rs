@@ -3,7 +3,9 @@
 //! wire forms.
 
 use fp_httpd::parse::{read_request, read_response};
-use fp_httpd::urlenc::{decode_component, encode_component, encode_query, parse_query};
+use fp_httpd::urlenc::{
+    decode_component, encode_component, encode_query, parse_query, parse_query_borrowed,
+};
 use fp_httpd::{Request, Response};
 use proptest::prelude::*;
 use std::io::BufReader;
@@ -94,4 +96,57 @@ proptest! {
     fn decode_never_panics(s in "[ -~%+]{0,64}") {
         let _ = decode_component(&s);
     }
+
+    /// The borrowing parser yields the pairs of the copying one, whatever
+    /// the query: escapes (`%2E`), `+`, malformed escapes (`%G1`, a
+    /// trailing `%`), escapes that are not UTF-8 (`%FF`, a lone `%C3`),
+    /// empty keys, empty values and empty parts.
+    #[test]
+    fn borrowed_query_parse_equals_the_copying_one(query in "[a-cA-G0-9%%%++&&==._ é]{0,48}") {
+        prop_assert_eq!(owned(parse_query_borrowed(&query)), parse_query(&query));
+    }
+}
+
+fn owned(
+    pairs: Vec<(std::borrow::Cow<'_, str>, std::borrow::Cow<'_, str>)>,
+) -> Vec<(String, String)> {
+    pairs
+        .into_iter()
+        .map(|(k, v)| (k.into_owned(), v.into_owned()))
+        .collect()
+}
+
+/// The shapes the strategy above is meant to reach, one by one, and that
+/// a component is copied only when decoding changes it.
+#[test]
+fn borrowed_query_parse_on_pinned_shapes() {
+    use std::borrow::Cow;
+    for query in [
+        "",
+        "&&",
+        "ra=185%2E0&dec=+1.5&radius=30",
+        "a=%G1&b=%&c=%2&d=%FF&e=%C3&f=%E2%9C%93",
+        "=v&k=&k&=&a==b",
+        "x=1&x=2&%41=%42",
+    ] {
+        assert_eq!(
+            owned(parse_query_borrowed(query)),
+            parse_query(query),
+            "{query}"
+        );
+    }
+    let pairs = parse_query_borrowed("ra=185%2E0&dec=1.5&flag");
+    assert!(matches!(&pairs[0], (Cow::Borrowed("ra"), Cow::Owned(v)) if v == "185.0"));
+    assert!(matches!(
+        &pairs[1],
+        (Cow::Borrowed("dec"), Cow::Borrowed("1.5"))
+    ));
+    assert!(matches!(
+        &pairs[2],
+        (Cow::Borrowed("flag"), Cow::Borrowed(""))
+    ));
+    assert_eq!(
+        decode_component("%FF%41+%E2%9C%93%E2%9C"),
+        "\u{FFFD}A ✓\u{FFFD}"
+    );
 }

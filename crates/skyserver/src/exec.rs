@@ -8,7 +8,7 @@
 use crate::catalog::Catalog;
 use crate::result::{ExecStats, QueryOutcome, ResultSet};
 use crate::tvf::{eval_tvf, is_tvf, TvfError, TvfOutput};
-use fp_sqlmini::{BinOp, Expr, Query, SelectItem, TableSource, UnOp, Value};
+use fp_sqlmini::{BinOp, Expr, ParamLookup, Query, SelectItem, TableSource, UnOp, Value};
 use std::collections::HashMap;
 
 /// An executor error.
@@ -460,15 +460,23 @@ fn validate_columns(e: &Expr, bindings: &[Binding<'_>]) -> Result<(), ExecError>
 }
 
 /// Evaluates a constant expression (no column references); `None` when the
-/// expression references rows.
+/// expression references rows or template parameters.
 pub fn eval_const(e: &Expr) -> Option<Value> {
+    eval_const_with(e, &|_| None)
+}
+
+/// [`eval_const`] under a parameter lookup: a `$param` that `lookup` binds
+/// evaluates to its value, as the literal a substitution would have left
+/// in its place does.
+pub fn eval_const_with(e: &Expr, lookup: &ParamLookup<'_>) -> Option<Value> {
     match e {
         Expr::Literal(l) => Some(Value::from(l)),
+        Expr::Param(p) => lookup(p).cloned(),
         Expr::Unary {
             op: UnOp::Neg,
             expr,
         } => {
-            let v = eval_const(expr)?;
+            let v = eval_const_with(expr, lookup)?;
             match v {
                 Value::Int(i) => Some(Value::Int(-i)),
                 Value::Float(f) => Some(Value::Float(-f)),
@@ -476,14 +484,24 @@ pub fn eval_const(e: &Expr) -> Option<Value> {
             }
         }
         Expr::Binary { op, left, right } => {
-            let l = eval_const(left)?;
-            let r = eval_const(right)?;
+            let l = eval_const_with(left, lookup)?;
+            let r = eval_const_with(right, lookup)?;
             arith(*op, &l, &r).ok()
         }
-        Expr::Call { name, args } => {
-            let vals: Option<Vec<Value>> = args.iter().map(eval_const).collect();
-            scalar_fn(name, &vals?).ok()
-        }
+        // Every scalar function takes one or two arguments; those are
+        // evaluated in place, without a vector.
+        Expr::Call { name, args } => match args.as_slice() {
+            [a] => scalar_fn(name, &[eval_const_with(a, lookup)?]).ok(),
+            [a, b] => {
+                let vals = [eval_const_with(a, lookup)?, eval_const_with(b, lookup)?];
+                scalar_fn(name, &vals).ok()
+            }
+            _ => {
+                let vals: Option<Vec<Value>> =
+                    args.iter().map(|a| eval_const_with(a, lookup)).collect();
+                scalar_fn(name, &vals?).ok()
+            }
+        },
         _ => None,
     }
 }
@@ -694,8 +712,18 @@ fn scalar_fn(name: &str, args: &[Value]) -> Result<Value, ExecError> {
             .as_f64()
             .ok_or_else(|| ExecError::Type("expected a number".into()))
     };
-    let lower = name.to_ascii_lowercase();
-    Ok(match lower.as_str() {
+    // Function names are matched case-insensitively; the longest
+    // (`greatest`) is eight bytes, so the folded copy lives on the stack.
+    let mut folded = [0u8; 8];
+    let Some(folded) = folded.get_mut(..name.len()) else {
+        return Err(ExecError::UnknownScalar(name.to_string()));
+    };
+    folded.copy_from_slice(name.as_bytes());
+    folded.make_ascii_lowercase();
+    let Ok(lower) = std::str::from_utf8(folded) else {
+        return Err(ExecError::UnknownScalar(name.to_string()));
+    };
+    Ok(match lower {
         "cos" => Value::Float(f1(args)?.to_radians().cos()),
         "sin" => Value::Float(f1(args)?.to_radians().sin()),
         "tan" => Value::Float(f1(args)?.to_radians().tan()),

@@ -39,6 +39,7 @@ pub mod value;
 
 pub use ast::{BinOp, Expr, Join, Literal, Query, SelectItem, TableSource, UnOp};
 pub use parser::parse_query;
+pub use printer::ParamLookup;
 pub use template::{Bindings, QueryTemplate};
 pub use value::Value;
 

@@ -9,13 +9,30 @@
 //! key fallback.
 
 use crate::ast::{Expr, Literal, Query, SelectItem, TableSource, UnOp};
+use crate::value::Value;
 use std::fmt::Write as _;
+
+/// Resolves a `$param` name to the value bound to it, `None` when the
+/// parameter is unbound. Printing and constant evaluation take one of
+/// these instead of a rewritten tree: a bound parameter prints (and
+/// evaluates) exactly as the literal a substitution would have put in its
+/// place.
+pub type ParamLookup<'a> = dyn Fn(&str) -> Option<&'a Value> + 'a;
 
 impl Query {
     /// Renders the query as canonical SQL text. The output re-parses to an
     /// equal AST.
     pub fn to_sql(&self) -> String {
         let mut s = String::with_capacity(128);
+        self.write_sql_with(&mut s, &|_| None);
+        s
+    }
+
+    /// Appends the canonical SQL text with every `$param` that `lookup`
+    /// binds printed as its literal: the text of the query
+    /// [`crate::QueryTemplate::instantiate`] would build, without
+    /// building it.
+    pub fn write_sql_with(&self, s: &mut String, lookup: &ParamLookup<'_>) {
         s.push_str("SELECT ");
         if let Some(n) = self.top {
             let _ = write!(s, "TOP {n} ");
@@ -30,7 +47,7 @@ impl Query {
                     let _ = write!(s, "{q}.*");
                 }
                 SelectItem::Expr { expr, alias } => {
-                    write_expr(&mut s, expr, 0);
+                    write_expr(s, expr, 0, lookup);
                     if let Some(a) = alias {
                         let _ = write!(s, " AS {a}");
                     }
@@ -38,21 +55,20 @@ impl Query {
             }
         }
         s.push_str(" FROM ");
-        write_source(&mut s, &self.from);
+        write_source(s, &self.from, lookup);
         for j in &self.joins {
             s.push_str(" JOIN ");
-            write_source(&mut s, &j.source);
+            write_source(s, &j.source, lookup);
             s.push_str(" ON ");
-            write_expr(&mut s, &j.on, 0);
+            write_expr(s, &j.on, 0, lookup);
         }
         if let Some(w) = &self.where_clause {
             s.push_str(" WHERE ");
-            write_expr(&mut s, w, 0);
+            write_expr(s, w, 0, lookup);
         }
         if let Some((col, asc)) = &self.order_by {
             let _ = write!(s, " ORDER BY {col} {}", if *asc { "ASC" } else { "DESC" });
         }
-        s
     }
 }
 
@@ -66,7 +82,7 @@ impl Expr {
     /// Renders the expression as SQL text.
     pub fn to_sql(&self) -> String {
         let mut s = String::new();
-        write_expr(&mut s, self, 0);
+        write_expr(&mut s, self, 0, &|_| None);
         s
     }
 }
@@ -77,7 +93,7 @@ impl std::fmt::Display for Expr {
     }
 }
 
-fn write_source(s: &mut String, src: &TableSource) {
+fn write_source(s: &mut String, src: &TableSource, lookup: &ParamLookup<'_>) {
     match src {
         TableSource::Table { name, alias } => {
             s.push_str(name);
@@ -92,7 +108,7 @@ fn write_source(s: &mut String, src: &TableSource) {
                 if i > 0 {
                     s.push_str(", ");
                 }
-                write_expr(s, a, 0);
+                write_expr(s, a, 0, lookup);
             }
             s.push(')');
             if let Some(a) = alias {
@@ -104,12 +120,15 @@ fn write_source(s: &mut String, src: &TableSource) {
 
 /// Writes `e`, parenthesizing when its top-level operator binds looser than
 /// `min_prec` (the precedence context of the caller).
-fn write_expr(s: &mut String, e: &Expr, min_prec: u8) {
+fn write_expr(s: &mut String, e: &Expr, min_prec: u8, lookup: &ParamLookup<'_>) {
     match e {
         Expr::Literal(lit) => write_literal(s, lit),
-        Expr::Param(p) => {
-            let _ = write!(s, "${p}");
-        }
+        Expr::Param(p) => match lookup(p) {
+            Some(v) => write_value(s, v),
+            None => {
+                let _ = write!(s, "${p}");
+            }
+        },
         Expr::Column { qualifier, name } => {
             if let Some(q) = qualifier {
                 let _ = write!(s, "{q}.");
@@ -123,7 +142,7 @@ fn write_expr(s: &mut String, e: &Expr, min_prec: u8) {
                 if i > 0 {
                     s.push_str(", ");
                 }
-                write_expr(s, a, 0);
+                write_expr(s, a, 0, lookup);
             }
             s.push(')');
         }
@@ -137,11 +156,11 @@ fn write_expr(s: &mut String, e: &Expr, min_prec: u8) {
             // grammar: a nested comparison on either side must be
             // parenthesized, so the left context is tightened too.
             let left_prec = if prec == 3 { prec + 1 } else { prec };
-            write_expr(s, left, left_prec);
+            write_expr(s, left, left_prec, lookup);
             let _ = write!(s, " {} ", op.as_str());
             // Right operand of a left-associative chain needs one level
             // tighter binding to force parens around same-precedence ops.
-            write_expr(s, right, prec + 1);
+            write_expr(s, right, prec + 1, lookup);
             if need_parens {
                 s.push(')');
             }
@@ -152,16 +171,25 @@ fn write_expr(s: &mut String, e: &Expr, min_prec: u8) {
                 // `--x` would lex as a line comment, and a leading
                 // negative literal would fuse the signs; parenthesize
                 // anything that starts with `-` itself.
-                let starts_negative = matches!(
-                    expr.as_ref(),
-                    Expr::Unary { op: UnOp::Neg, .. } | Expr::Literal(Literal::Int(i64::MIN..=-1))
-                ) || matches!(expr.as_ref(), Expr::Literal(Literal::Float(f)) if *f < 0.0);
+                // A bound parameter prints as its literal, so it is
+                // judged as one.
+                let starts_negative = match expr.as_ref() {
+                    Expr::Unary { op: UnOp::Neg, .. } => true,
+                    Expr::Literal(Literal::Int(i)) => *i < 0,
+                    Expr::Literal(Literal::Float(f)) => *f < 0.0,
+                    Expr::Param(p) => match lookup(p) {
+                        Some(Value::Int(i)) => *i < 0,
+                        Some(Value::Float(f)) => *f < 0.0,
+                        _ => false,
+                    },
+                    _ => false,
+                };
                 if starts_negative {
                     s.push('(');
-                    write_expr(s, expr, 0);
+                    write_expr(s, expr, 0, lookup);
                     s.push(')');
                 } else {
-                    write_expr(s, expr, u8::MAX);
+                    write_expr(s, expr, u8::MAX, lookup);
                 }
             }
             UnOp::Not => {
@@ -172,7 +200,7 @@ fn write_expr(s: &mut String, e: &Expr, min_prec: u8) {
                     s.push('(');
                 }
                 s.push_str("NOT ");
-                write_expr(s, expr, 3);
+                write_expr(s, expr, 3, lookup);
                 if need_parens {
                     s.push(')');
                 }
@@ -190,14 +218,14 @@ fn write_expr(s: &mut String, e: &Expr, min_prec: u8) {
             if need_parens {
                 s.push('(');
             }
-            write_expr(s, expr, 4);
+            write_expr(s, expr, 4, lookup);
             if *negated {
                 s.push_str(" NOT");
             }
             s.push_str(" BETWEEN ");
-            write_expr(s, low, 4);
+            write_expr(s, low, 4, lookup);
             s.push_str(" AND ");
-            write_expr(s, high, 4);
+            write_expr(s, high, 4, lookup);
             if need_parens {
                 s.push(')');
             }
@@ -211,7 +239,7 @@ fn write_expr(s: &mut String, e: &Expr, min_prec: u8) {
             if need_parens {
                 s.push('(');
             }
-            write_expr(s, expr, 4);
+            write_expr(s, expr, 4, lookup);
             if *negated {
                 s.push_str(" NOT");
             }
@@ -220,7 +248,7 @@ fn write_expr(s: &mut String, e: &Expr, min_prec: u8) {
                 if i > 0 {
                     s.push_str(", ");
                 }
-                write_expr(s, item, 0);
+                write_expr(s, item, 0, lookup);
             }
             s.push(')');
             if need_parens {
@@ -232,7 +260,7 @@ fn write_expr(s: &mut String, e: &Expr, min_prec: u8) {
             if need_parens {
                 s.push('(');
             }
-            write_expr(s, expr, 4);
+            write_expr(s, expr, 4, lookup);
             s.push_str(if *negated { " IS NOT NULL" } else { " IS NULL" });
             if need_parens {
                 s.push(')');
@@ -246,27 +274,44 @@ fn write_literal(s: &mut String, lit: &Literal) {
         Literal::Int(i) => {
             let _ = write!(s, "{i}");
         }
-        Literal::Float(f) => {
-            // Always keep a decimal point so the literal re-lexes as Float.
-            if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
-                let _ = write!(s, "{f:.1}");
-            } else {
-                let _ = write!(s, "{f}");
-            }
-        }
-        Literal::Str(v) => {
-            s.push('\'');
-            for c in v.chars() {
-                if c == '\'' {
-                    s.push('\'');
-                }
-                s.push(c);
-            }
-            s.push('\'');
-        }
+        Literal::Float(f) => write_float(s, *f),
+        Literal::Str(v) => write_str(s, v),
         Literal::Bool(b) => s.push_str(if *b { "TRUE" } else { "FALSE" }),
         Literal::Null => s.push_str("NULL"),
     }
+}
+
+/// Writes `v` as [`write_literal`] writes `v.to_literal()`.
+fn write_value(s: &mut String, v: &Value) {
+    match v {
+        Value::Int(i) => {
+            let _ = write!(s, "{i}");
+        }
+        Value::Float(f) => write_float(s, *f),
+        Value::Str(v) => write_str(s, v),
+        Value::Bool(b) => s.push_str(if *b { "TRUE" } else { "FALSE" }),
+        Value::Null => s.push_str("NULL"),
+    }
+}
+
+fn write_float(s: &mut String, f: f64) {
+    // Always keep a decimal point so the literal re-lexes as Float.
+    if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
+        let _ = write!(s, "{f:.1}");
+    } else {
+        let _ = write!(s, "{f}");
+    }
+}
+
+fn write_str(s: &mut String, v: &str) {
+    s.push('\'');
+    for c in v.chars() {
+        if c == '\'' {
+            s.push('\'');
+        }
+        s.push(c);
+    }
+    s.push('\'');
 }
 
 #[cfg(test)]

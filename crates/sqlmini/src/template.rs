@@ -16,6 +16,7 @@
 
 use crate::ast::{Expr, Join, Literal, Query, SelectItem, TableSource};
 use crate::parser::parse_query;
+use crate::printer::ParamLookup;
 use crate::value::Value;
 use crate::SqlError;
 use std::collections::BTreeMap;
@@ -31,6 +32,9 @@ pub struct QueryTemplate {
     /// The parameterized query.
     pub query: Query,
     params: Vec<String>,
+    /// Length of the template's own canonical text: sizes the buffer of
+    /// [`QueryTemplate::to_sql_with`].
+    sql_len: usize,
 }
 
 impl QueryTemplate {
@@ -41,10 +45,12 @@ impl QueryTemplate {
     pub fn parse(name: impl Into<String>, sql: &str) -> Result<Self, SqlError> {
         let query = parse_query(sql)?;
         let params = query.params();
+        let sql_len = query.to_sql().len();
         Ok(QueryTemplate {
             name: name.into(),
             query,
             params,
+            sql_len,
         })
     }
 
@@ -105,24 +111,43 @@ impl QueryTemplate {
     /// # Errors
     /// Returns an error naming the first parameter that has no binding.
     pub fn instantiate(&self, bindings: &Bindings) -> Result<Query, SqlError> {
-        if let Some(missing) = self.params.iter().find(|p| !bindings.contains_key(*p)) {
+        self.instantiate_with(&|p| bindings.get(p))
+    }
+
+    /// [`QueryTemplate::instantiate`] under a parameter lookup.
+    ///
+    /// # Errors
+    /// Returns an error naming the first parameter `lookup` does not bind.
+    pub fn instantiate_with(&self, lookup: &ParamLookup<'_>) -> Result<Query, SqlError> {
+        if let Some(missing) = self.params.iter().find(|p| lookup(p).is_none()) {
             return Err(SqlError::new(0, format!("missing binding for ${missing}")));
         }
         let mut q = self.query.clone();
         for item in &mut q.select {
             if let SelectItem::Expr { expr, .. } = item {
-                substitute(expr, bindings);
+                substitute(expr, lookup);
             }
         }
-        substitute_source(&mut q.from, bindings);
+        substitute_source(&mut q.from, lookup);
         for j in &mut q.joins {
-            substitute_source(&mut j.source, bindings);
-            substitute(&mut j.on, bindings);
+            substitute_source(&mut j.source, lookup);
+            substitute(&mut j.on, lookup);
         }
         if let Some(w) = &mut q.where_clause {
-            substitute(w, bindings);
+            substitute(w, lookup);
         }
         Ok(q)
+    }
+
+    /// The canonical SQL text of the template with every parameter
+    /// `lookup` binds printed as its literal. When `lookup` binds every
+    /// declared parameter this is byte for byte
+    /// `self.instantiate_with(lookup)?.to_sql()`, without the tree.
+    pub fn to_sql_with(&self, lookup: &ParamLookup<'_>) -> String {
+        // A float literal prints in at most 24 bytes.
+        let mut s = String::with_capacity(self.sql_len + 24 * self.params.len());
+        self.query.write_sql_with(&mut s, lookup);
+        s
     }
 }
 
@@ -296,14 +321,14 @@ fn values_equal(a: &Value, b: &Value) -> bool {
 /// outside any query).
 pub fn substitute_expr(e: &Expr, b: &Bindings) -> Expr {
     let mut out = e.clone();
-    substitute(&mut out, b);
+    substitute(&mut out, &|p| b.get(p));
     out
 }
 
-fn substitute(e: &mut Expr, b: &Bindings) {
+fn substitute(e: &mut Expr, b: &ParamLookup<'_>) {
     match e {
         Expr::Param(p) => {
-            if let Some(v) = b.get(p) {
+            if let Some(v) = b(p) {
                 *e = Expr::Literal(v.to_literal());
             }
         }
@@ -335,7 +360,7 @@ fn substitute(e: &mut Expr, b: &Bindings) {
     }
 }
 
-fn substitute_source(s: &mut TableSource, b: &Bindings) {
+fn substitute_source(s: &mut TableSource, b: &ParamLookup<'_>) {
     if let TableSource::Function { args, .. } = s {
         for a in args {
             substitute(a, b);

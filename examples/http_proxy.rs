@@ -532,10 +532,7 @@ fn proxy_router(
             //    peer and ask its cache (fresh-only, zero origin
             //    traffic) before paying for an origin fetch.
             if let Some(fleet) = &form_fleet {
-                if let Ok(bound) = form_handle
-                    .manager()
-                    .resolve_form("/search/radial", &fields)
-                {
+                if let Ok(bound) = form_handle.manager().bind_form("/search/radial", &fields) {
                     let live = fleet.lock_membership().live_nodes();
                     let key = routing_key(&bound.residual_key, &bound.region);
                     if let Some(owner) = owner_of_key(&key, &live).filter(|&o| o != fleet.self_id) {

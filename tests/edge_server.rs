@@ -516,3 +516,75 @@ fn miss_replies_are_byte_identical_to_the_hits_that_follow() {
 /// `CacheStats::bytes` after each of the three inserts above, from a run
 /// of that test at the parent commit.
 const PARENT_BYTES: [usize; 3] = [56_100, 120_330, 485_696];
+
+/// The reply head of a hit served inline on the reactor, byte for byte:
+/// status line, header names, their order and their values are what the
+/// server sent before its headers became static strings (pinned from a
+/// run at commit 8ce68c2). A percent-encoded spelling of the same form
+/// values is the same query, so it is an exact hit with the same head.
+#[test]
+fn hit_reply_heads_are_golden() {
+    let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+    let handle = ProxyHandle::with_shards(
+        TemplateManager::with_sky_defaults(),
+        Arc::new(SiteOrigin::new(site)),
+        ProxyConfig::default()
+            .with_scheme(Scheme::FullSemantic)
+            // A fixed simulated read cost far from a rounding edge, so
+            // `X-Sim-Response-Ms` does not depend on the measured part.
+            .with_cost(CostModel {
+                cache_hit_base_ms: 7.25,
+                ..CostModel::free()
+            }),
+        1,
+    );
+    let server = EdgeServer::bind(
+        "127.0.0.1:0",
+        Arc::new(ProxyEdgeService::new(handle)),
+        EdgeConfig::default().with_workers(2),
+    )
+    .unwrap();
+    let client = HttpClient::new(server.addr());
+    let loaded = client
+        .get("/search/radial?ra=185.0&dec=1.5&radius=30")
+        .expect("miss is served");
+    assert_eq!(loaded.headers.get("X-Cache-Outcome"), Some("forwarded"));
+
+    let head_of = |target: &str| -> String {
+        let mut stream = connect(&server);
+        write!(stream, "GET {target} HTTP/1.1\r\nHost: edge\r\n\r\n").unwrap();
+        let reply = read_until(&mut stream, Duration::from_secs(5), |b| {
+            contains(b, "\r\n\r\n")
+        });
+        let text = String::from_utf8_lossy(&reply).into_owned();
+        let end = text.find("\r\n\r\n").expect("a complete head") + 4;
+        text[..end].to_string()
+    };
+    let exact = "HTTP/1.1 200 OK\r\n\
+                 Content-Type: text/xml\r\n\
+                 X-Cache-Outcome: exact\r\n\
+                 X-Sim-Response-Ms: 7\r\n\
+                 X-Coalesced: false\r\n\
+                 X-Degraded: false\r\n\
+                 X-Stale: false\r\n\
+                 Content-Length: 118109\r\n\
+                 \r\n";
+    assert_eq!(head_of("/search/radial?ra=185.0&dec=1.5&radius=30"), exact);
+    assert_eq!(
+        head_of("/search/radial?ra=185%2E0&dec=+1.5&radius=30"),
+        exact
+    );
+    assert_eq!(
+        head_of("/search/radial?ra=185.0&dec=1.5&radius=10"),
+        "HTTP/1.1 200 OK\r\n\
+         Content-Type: text/xml\r\n\
+         X-Cache-Outcome: contained\r\n\
+         X-Sim-Response-Ms: 7\r\n\
+         X-Coalesced: false\r\n\
+         X-Degraded: false\r\n\
+         X-Stale: false\r\n\
+         Content-Length: 9345\r\n\
+         \r\n"
+    );
+    server.shutdown();
+}
