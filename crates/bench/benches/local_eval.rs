@@ -1,11 +1,13 @@
 //! Cache-hit hot-path micro-benchmarks: row-major local evaluation vs
 //! the columnar SoA + micro-index + slab-assembly path.
 //!
-//! Three questions:
+//! Four questions:
 //! * `hit_select` / `hit_serve` — how much faster is the columnar path
 //!   at selecting a contained region, and at producing the response
 //!   *bytes* (the quantity a client actually waits on)?
-//! * `micro_index` — where is the flat/zones/grid crossover? (The
+//! * `select` — what does the column pass cost per row, by entry size,
+//!   selectivity and region kind, under the index `build` picks?
+//! * `micro_index` — where is the flat/grid crossover? (The
 //!   constants in `fp_skyserver::columnar` encode the answer.)
 //! * `build` / `miss_reply` — what does the columnar form cost at insert
 //!   time, and what does a miss pay from fetched rows to reply bytes?
@@ -14,7 +16,7 @@
 //! serve ratio at 10 000 rows — the PR-acceptance number.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use fp_geometry::{HyperSphere, Point, Region};
+use fp_geometry::{HyperRect, HyperSphere, Point, Region};
 use fp_skyserver::{accounted_xml_bytes, ColumnarRows, IndexKind, ResultSet};
 use fp_sqlmini::Value;
 use funcproxy::query::{eval_entry_region, eval_region_over, EvalScratch};
@@ -56,11 +58,74 @@ fn entry(rows: usize, seed: u64) -> ResultSet {
     }
 }
 
+/// The unit vector of the sky position (`ra`, `dec`), in degrees.
+fn unit_vector(ra: f64, dec: f64) -> [f64; 3] {
+    let (ra, dec) = (ra.to_radians(), dec.to_radians());
+    [dec.cos() * ra.cos(), dec.cos() * ra.sin(), dec.sin()]
+}
+
+/// Centre of the cones below.
+const CONE_CENTRE: (f64, f64) = (185.0, 1.5);
+
+/// A cached entry shaped like what the proxy really holds: the objects
+/// of a `radius_arcmin` cone, uniform on the sky, their coordinates the
+/// unit vectors the Radial template selects by — a curved 2-D sheet in
+/// 3-D, not a filled cube.
+fn cone_entry(rows: usize, radius_arcmin: f64, seed: u64) -> ResultSet {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rs = entry(rows, seed);
+    for row in &mut rs.rows {
+        let r = radius_arcmin / 60.0 * rng.gen_range(0.0f64..1.0).sqrt();
+        let theta = rng.gen_range(0.0..std::f64::consts::TAU);
+        let (ra, dec) = (
+            CONE_CENTRE.0 + r * theta.cos(),
+            CONE_CENTRE.1 + r * theta.sin(),
+        );
+        for (cell, v) in row[3..6].iter_mut().zip(unit_vector(ra, dec)) {
+            *cell = Value::Float(v);
+        }
+    }
+    rs
+}
+
+/// The Radial template's region for a cone of `radius_arcmin` about
+/// [`CONE_CENTRE`]: the ball of the cone's chord around the centre's
+/// unit vector.
+fn cone(radius_arcmin: f64) -> Region {
+    let chord = 2.0 * ((radius_arcmin / 60.0).to_radians() / 2.0).sin();
+    let centre = unit_vector(CONE_CENTRE.0, CONE_CENTRE.1);
+    Region::Sphere(HyperSphere::new(Point::from_slice(&centre), chord).unwrap())
+}
+
 /// A ball around the origin covering roughly `fraction` of the unit
 /// cube the coordinates are drawn from.
 fn ball(fraction: f64) -> Region {
     let radius = (fraction * 8.0 * 3.0 / (4.0 * std::f64::consts::PI)).cbrt();
     Region::Sphere(HyperSphere::new(Point::from_slice(&[0.0, 0.0, 0.0]), radius).unwrap())
+}
+
+/// A ball around the origin holding exactly `fraction` of `rs`'s rows.
+fn ball_holding(rs: &ResultSet, fraction: f64) -> Region {
+    let mut dist: Vec<f64> = rs
+        .rows
+        .iter()
+        .map(|row| {
+            COORD_IDX
+                .iter()
+                .map(|&c| row[c].as_f64().unwrap().powi(2))
+                .sum::<f64>()
+                .sqrt()
+        })
+        .collect();
+    dist.sort_by(f64::total_cmp);
+    let radius = dist[((dist.len() as f64 * fraction) as usize).min(dist.len() - 1)];
+    Region::Sphere(HyperSphere::new(Point::from_slice(&[0.0, 0.0, 0.0]), radius).unwrap())
+}
+
+/// A cube around the origin covering `fraction` of the unit cube.
+fn cube(fraction: f64) -> Region {
+    let half = fraction.cbrt();
+    Region::Rect(HyperRect::new(vec![-half; 3], vec![half; 3]).unwrap())
 }
 
 const SIZES: [usize; 2] = [1_000, 10_000];
@@ -129,21 +194,58 @@ fn bench_hit_serve(c: &mut Criterion) {
     group.finish();
 }
 
+/// The column pass under the index `build` chooses: a small, a
+/// `hit_large`-sized and a grid-sized entry, from a query that keeps
+/// next to nothing to one that keeps nearly everything.
+fn bench_select(c: &mut Criterion) {
+    let mut group = c.benchmark_group("select");
+    group.sample_size(50);
+    for rows in [200, 2_000, 8_000] {
+        let rs = entry(rows, 17);
+        let col = ColumnarRows::build(&rs, &COORD_IDX).expect("numeric entry");
+        for (label, fraction) in [("2pct", 0.02), ("50pct", 0.50), ("90pct", 0.90)] {
+            for (shape, region) in [
+                ("ball", ball_holding(&rs, fraction)),
+                ("box", cube(fraction)),
+            ] {
+                let mut selected = Vec::new();
+                let mut acc = Vec::new();
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{shape}/{label}"), rows),
+                    &rows,
+                    |b, _| {
+                        b.iter(|| col.select_region(black_box(&region), &mut selected, &mut acc))
+                    },
+                );
+            }
+        }
+    }
+    group.finish();
+}
+
 fn bench_micro_index(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro_index");
     group.sample_size(50);
-    let region = ball(0.01);
-    for rows in [256, 1_024, 4_096, 16_384] {
-        let rs = entry(rows, 11);
-        for kind in [IndexKind::Flat, IndexKind::Zones, IndexKind::Grid] {
-            let col = ColumnarRows::build_with_index(&rs, &COORD_IDX, kind).expect("numeric");
-            let mut selected = Vec::new();
-            let mut point = Vec::new();
-            group.bench_with_input(
-                BenchmarkId::new(format!("{kind:?}").to_lowercase(), rows),
-                &rows,
-                |b, _| b.iter(|| col.select_region(black_box(&region), &mut selected, &mut point)),
-            );
+    for rows in [64, 128, 256, 1_024, 2_048, 4_096, 16_384] {
+        // A 30′ cone of the sky and sub-cones of it: one an index can
+        // prune for (a tenth of the radius, 1 % of the rows) and one —
+        // the usual contained hit — that keeps most of the entry, where
+        // an index only costs.
+        let rs = cone_entry(rows, 30.0, 11);
+        for (label, region) in [("1pct", cone(3.0)), ("75pct", cone(26.0))] {
+            for kind in [IndexKind::Flat, IndexKind::Grid] {
+                let col = ColumnarRows::build_with_index(&rs, &COORD_IDX, kind).expect("numeric");
+                let mut selected = Vec::new();
+                let mut point = Vec::new();
+                let kind = format!("{kind:?}").to_lowercase();
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{kind}/{label}"), rows),
+                    &rows,
+                    |b, _| {
+                        b.iter(|| col.select_region(black_box(&region), &mut selected, &mut point))
+                    },
+                );
+            }
         }
     }
     group.finish();
@@ -298,6 +400,7 @@ criterion_group!(
     benches,
     bench_hit_select,
     bench_hit_serve,
+    bench_select,
     bench_micro_index,
     bench_build,
     bench_miss_reply,

@@ -1647,8 +1647,8 @@ mod tests {
         // And the demoted skeleton + mapped row slab rebuild the exact
         // XML document the resident entry would have served.
         let d = s.disk_entry(a).unwrap();
-        let doc = d.skeleton.full_document_with(slice.row_slab());
-        assert_eq!(doc, result.to_xml_string().into_bytes());
+        let doc = d.skeleton.doc().over(Arc::new(slice)).expect("slab fits");
+        assert_eq!(doc.to_vec(), result.to_xml_string().into_bytes());
 
         assert!(s.promote(a, result, columnar));
         assert!(s.peek(a).is_some(), "promoted entry is resident again");

@@ -316,13 +316,16 @@ enum SliceSrc {
         len: usize,
     },
     /// Fallback when mapping fails (e.g. a filesystem without mmap):
-    /// the payload is read into an owned buffer instead.
-    Owned(Vec<u8>),
+    /// the payload is read into a buffer instead, shared like the
+    /// mapping is.
+    Owned(Arc<Vec<u8>>),
 }
 
 /// A zero-copy view of one segment's payload, safe to carry outside the
 /// shard lock: the bytes live in the page cache (or an owned buffer),
-/// not in the store.
+/// not in the store. Cloning shares them. As a byte buffer
+/// (`AsRef<[u8]>`) the view is its [`SlabSlice::row_slab`] — what a
+/// served document borrows ranges of.
 #[derive(Debug, Clone)]
 pub struct SlabSlice {
     src: SliceSrc,
@@ -359,9 +362,15 @@ impl SlabSlice {
     }
 
     /// The entry's raw row-slab bytes (pre-serialized XML rows), ready
-    /// for `ColumnarRows::{full_document_with, assemble_document_with}`.
+    /// to be lent to the skeleton's documents (`SlabDoc::over`).
     pub fn row_slab(&self) -> &[u8] {
         &self.payload()[4 + self.xml_len..]
+    }
+}
+
+impl AsRef<[u8]> for SlabSlice {
+    fn as_ref(&self) -> &[u8] {
+        self.row_slab()
     }
 }
 
@@ -494,7 +503,7 @@ impl SlabFile {
                     // No mapping available; fall back to an owned read.
                     let mut buf = vec![0u8; seg.len as usize];
                     self.read_exact_at(&mut buf, seg.off).ok()?;
-                    return SlabSlice::new(SliceSrc::Owned(buf));
+                    return SlabSlice::new(SliceSrc::Owned(Arc::new(buf)));
                 }
             }
         }
@@ -1030,6 +1039,30 @@ mod tests {
         // The pre-compaction mapping still serves the old bytes.
         assert_eq!(pinned.payload(), &p1[..]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A slice lent to a served document: as a buffer it is the row
+    /// slab, a clone shares the bytes (mapped or read), and the bytes
+    /// outlive the slab file and its directory.
+    #[test]
+    fn a_lent_slice_shares_its_bytes_and_outlives_the_file() {
+        let dir = temp_dir("lent");
+        let mut slab = SlabFile::open(dir.join("slab_0.fpslab")).unwrap();
+        let p = payload(7, 3000);
+        let seg = slab.append(&p).unwrap();
+        let mapped = slab.slice(seg).unwrap();
+        let read = SlabSlice::new(SliceSrc::Owned(Arc::new(p.clone()))).unwrap();
+        drop(slab);
+        std::fs::remove_dir_all(&dir).unwrap();
+        for slice in [mapped, read] {
+            let lent: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(slice.clone());
+            assert_eq!((*lent).as_ref(), slice.row_slab());
+            assert_eq!((*lent).as_ref(), &p[p.len() - 3000..]);
+            assert!(
+                std::ptr::eq((*lent).as_ref(), slice.row_slab()),
+                "a clone is a second view, not a second copy"
+            );
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use observe::{LatencySummary, ObserveConfig, Observer};
 pub use origin::{CountingOrigin, Origin, OriginError, SiteOrigin};
 pub use proxy::FunctionProxy;
 pub use resilience::{ChaosOrigin, Fault, ResilienceConfig, ResilientOrigin};
-pub use runtime::{ProxyHandle, XmlResponse};
+pub use runtime::{DocResponse, ProxyHandle, XmlBody, XmlResponse};
 pub use schemes::Scheme;
 pub use sim::CostModel;
 

@@ -25,8 +25,8 @@ pub struct ProxyResponse {
     pub result: Arc<ResultSet>,
     /// The columnar form of exactly `result`, when the serving path
     /// built or held one (a miss builds it for the insert, an exact hit
-    /// shares the entry's): its `full_document()` is the response body,
-    /// byte-identical to serializing `result` again.
+    /// shares the entry's): its `doc()` is the response body, byte-
+    /// identical to serializing `result` again.
     pub columnar: Option<Arc<ColumnarRows>>,
     /// The per-query metrics the proxy servlet logs.
     pub metrics: QueryMetrics,

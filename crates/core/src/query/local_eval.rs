@@ -20,8 +20,9 @@ use fp_geometry::Region;
 use fp_skyserver::{ColumnarRows, ResultSet, SelectStats};
 
 /// Reusable buffers for repeated local evaluations: the coordinate point
-/// and the selected-row-id list survive across calls, so steady-state
-/// evaluation allocates only the output rows.
+/// (the row-major path's; the columnar pass keeps its per-row
+/// accumulators there) and the selected-row-id list survive across
+/// calls, so steady-state evaluation allocates only the output rows.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     point: Vec<f64>,

@@ -57,7 +57,7 @@ use crate::schemes::Scheme;
 use crate::template::{BoundKey, BoundQuery, TemplateManager};
 use crate::ProxyError;
 use fp_geometry::Region;
-use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet};
+use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet, SlabDoc};
 use fp_sqlmini::Query;
 use fp_xmlite::Element;
 use std::cell::RefCell;
@@ -188,16 +188,58 @@ impl Timing {
     }
 }
 
-/// A response served as pre-assembled XML bytes. On the columnar hot
-/// paths (exact and contained hits) the body is copied out of the
-/// entry's pre-serialized row slab — no tuple materialization, no XML
-/// re-serialization. Byte-identical to serializing the row response.
+/// A response served as contiguous XML bytes: a [`DocResponse`] with its
+/// body flattened, for callers that read it as a slice. Byte-identical
+/// to serializing the row response.
 #[derive(Debug, Clone)]
 pub struct XmlResponse {
     /// The complete `<ResultSet>` document.
     pub body: Vec<u8>,
     /// The same metrics a row response would carry.
     pub metrics: QueryMetrics,
+}
+
+/// The complete `<ResultSet>` document of one response, as the serving
+/// paths produce it.
+#[derive(Debug, Clone)]
+pub enum XmlBody {
+    /// Every answer whose entry has a columnar form — RAM hits, disk
+    /// hits, and the misses that just built one: ranges of the entry's
+    /// pre-serialized row slab, which the document pins. No tuple was
+    /// materialized, no XML re-serialized, no row byte copied.
+    Doc(SlabDoc),
+    /// The rows of a result that has no columnar form, serialized.
+    Bytes(Vec<u8>),
+}
+
+impl XmlBody {
+    /// The document as contiguous bytes (a copy of the rows, for `Doc`).
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            XmlBody::Doc(doc) => doc.to_vec(),
+            XmlBody::Bytes(bytes) => bytes,
+        }
+    }
+}
+
+/// A response whose body may still lie in the cache entry it came from;
+/// what the byte-serving paths return, and what a socket writer takes.
+#[derive(Debug, Clone)]
+pub struct DocResponse {
+    /// The complete `<ResultSet>` document.
+    pub body: XmlBody,
+    /// The same metrics a row response would carry.
+    pub metrics: QueryMetrics,
+}
+
+impl DocResponse {
+    /// The same response as contiguous bytes.
+    pub fn flatten(self) -> XmlResponse {
+        XmlResponse {
+            body: self.body.into_vec(),
+            metrics: self.metrics,
+        }
+    }
 }
 
 /// What the cache phase decided (after off-lock local evaluation).
@@ -231,19 +273,21 @@ enum LockedPhase {
 }
 
 /// A demoted entry's serve plan, captured under the shard lock. The
-/// slice pins the mmap (not the store), so assembly — splicing the
-/// entry's pre-serialized row bytes straight out of the page cache —
-/// runs after the lock is released. The resident skeleton does the row
-/// selection; the payload bytes are never copied until they reach the
-/// response body.
+/// slice pins the mmap (not the store), so row selection — by the
+/// resident skeleton — runs after the lock is released, and the answer
+/// lends the entry's pre-serialized row bytes straight out of the page
+/// cache.
 struct DiskPlan {
     id: u64,
     residual_key: Arc<str>,
-    slice: SlabSlice,
-    skeleton: Arc<ColumnarRows>,
+    slice: Arc<SlabSlice>,
+    /// The whole entry's document: the skeleton's framing over the
+    /// slice's row slab. That it exists says the slice fits the
+    /// skeleton.
+    doc: SlabDoc,
     /// Total rows in the demoted entry (exact hits serve them all).
     rows: usize,
-    /// `true` = exact hit; `false` = contained (select then assemble).
+    /// `true` = exact hit; `false` = contained (select, then name spans).
     exact: bool,
     sim_ms: f64,
     life: ServeLife,
@@ -797,11 +841,10 @@ impl ProxyHandle {
         }
     }
 
-    /// Serves an HTML-form request straight to response bytes. Cache
-    /// hits (exact and contained) copy pre-serialized XML out of the
-    /// entry's columnar slab without materializing tuples; every other
-    /// path serializes the row response. The body is byte-identical to
-    /// serializing [`ProxyHandle::handle_form`]'s result.
+    /// Serves an HTML-form request straight to response bytes:
+    /// [`ProxyHandle::handle_form_doc`], flattened. The body is
+    /// byte-identical to serializing [`ProxyHandle::handle_form`]'s
+    /// result.
     ///
     /// # Errors
     /// Propagates resolution failures and origin errors.
@@ -810,6 +853,22 @@ impl ProxyHandle {
         path: &str,
         fields: &[(K, V)],
     ) -> Result<XmlResponse, ProxyError> {
+        self.handle_form_doc(path, fields).map(DocResponse::flatten)
+    }
+
+    /// Serves an HTML-form request to a response document. Whatever has
+    /// a columnar form — cache hits (exact and contained, RAM and disk)
+    /// and fresh misses — lends ranges of the entry's pre-serialized row
+    /// slab without materializing tuples; every other path serializes
+    /// the row response.
+    ///
+    /// # Errors
+    /// Propagates resolution failures and origin errors.
+    pub fn handle_form_doc<K: AsRef<str>, V: AsRef<str>>(
+        &self,
+        path: &str,
+        fields: &[(K, V)],
+    ) -> Result<DocResponse, ProxyError> {
         let key = self.inner.manager.bind_form(path, fields)?;
         self.serve_xml(key)
     }
@@ -819,6 +878,14 @@ impl ProxyHandle {
     /// # Errors
     /// Propagates resolution failures and origin errors.
     pub fn handle_sql_xml(&self, sql: &str) -> Result<XmlResponse, ProxyError> {
+        self.handle_sql_doc(sql).map(DocResponse::flatten)
+    }
+
+    /// [`ProxyHandle::handle_sql`], served to a response document.
+    ///
+    /// # Errors
+    /// Propagates resolution failures and origin errors.
+    pub fn handle_sql_doc(&self, sql: &str) -> Result<DocResponse, ProxyError> {
         match self.inner.manager.bind_sql(sql) {
             Some(key) => self.serve_xml(key?),
             None => {
@@ -833,16 +900,16 @@ impl ProxyHandle {
         }
     }
 
-    /// Turns a row response into response bytes, timing the step into
-    /// the observe layer (the columnar hit paths time their slab
-    /// assembly at the site). A response that carries its columnar form
-    /// — every miss under a caching scheme — is a copy of the slab the
-    /// insert just built; only the rest serialize their rows here.
-    fn xml_from_rows(&self, response: ProxyResponse) -> XmlResponse {
+    /// Turns a row response into a response document, timing the step
+    /// into the observe layer (the columnar hit paths time their range
+    /// building at the site). A response that carries its columnar form
+    /// — every miss under a caching scheme — lends the slab the insert
+    /// just built; only the rest serialize their rows here.
+    fn xml_from_rows(&self, response: ProxyResponse) -> DocResponse {
         let ser_start = Instant::now();
-        let body = match response.columnar.as_deref() {
-            Some(col) => col.full_document(),
-            None => response.result.to_xml_string().into_bytes(),
+        let body = match &response.columnar {
+            Some(col) => XmlBody::Doc(col.doc()),
+            None => XmlBody::Bytes(response.result.to_xml_string().into_bytes()),
         };
         let path = if matches!(
             response.metrics.outcome,
@@ -857,16 +924,16 @@ impl ProxyHandle {
         obs.span("serialize", "serve", ser_start, ser_start.elapsed(), || {
             None
         });
-        XmlResponse {
+        DocResponse {
             body,
             metrics: response.metrics,
         }
     }
 
     /// The byte-serving front: try the hot paths (exact / contained hit
-    /// assembled from the columnar slab), fall back to the ordinary row
+    /// as ranges of the columnar slab), fall back to the ordinary row
     /// pipeline plus serialization for everything else.
-    fn serve_xml(&self, key: BoundKey) -> Result<XmlResponse, ProxyError> {
+    fn serve_xml(&self, key: BoundKey) -> Result<DocResponse, ProxyError> {
         let _trace = self.inner.observe.begin_trace();
         let started = Instant::now();
         let reg = Arc::clone(&key.reg);
@@ -882,7 +949,7 @@ impl ProxyHandle {
 
     /// A hit is answered from the key alone; the concrete query is built
     /// only once the origin is needed.
-    fn serve_xml_inner(&self, key: BoundKey, scheme: Scheme) -> Result<XmlResponse, ProxyError> {
+    fn serve_xml_inner(&self, key: BoundKey, scheme: Scheme) -> Result<DocResponse, ProxyError> {
         self.inner.stats.note_request();
         if scheme == Scheme::NoCache {
             let timing = Timing::begin();
@@ -919,7 +986,7 @@ impl ProxyHandle {
         scheme: Scheme,
         timing: &mut Timing,
         fresh_only: bool,
-    ) -> Option<XmlResponse> {
+    ) -> Option<DocResponse> {
         match self.cache_phase_locked(bound, scheme, timing) {
             LockedPhase::Exact {
                 result,
@@ -931,9 +998,9 @@ impl ProxyHandle {
                     return None;
                 }
                 let ser_start = Instant::now();
-                let body = match columnar.as_deref() {
-                    Some(col) => col.full_document(),
-                    None => result.to_xml_string().into_bytes(),
+                let body = match &columnar {
+                    Some(col) => XmlBody::Doc(col.doc()),
+                    None => XmlBody::Bytes(result.to_xml_string().into_bytes()),
                 };
                 let obs = &self.inner.observe;
                 obs.record_phase(ObsPhase::Serialize, PathClass::Hit, ms_since(ser_start));
@@ -944,7 +1011,7 @@ impl ProxyHandle {
                 let mut metrics =
                     self.metrics_for(result.len(), Outcome::Exact, cached, sim_ms, timing, false);
                 self.apply_life(&mut metrics, &life, true);
-                Some(XmlResponse { body, metrics })
+                Some(DocResponse { body, metrics })
             }
             LockedPhase::Contained(plan) => {
                 if fresh_only && plan.life.stale {
@@ -975,27 +1042,42 @@ impl ProxyHandle {
     /// the flight table, or the snapshot schedule — whenever serving
     /// would block: misses, stale entries, malformed entries, resolution
     /// failures, and the no-cache scheme all decline. Declined requests
-    /// must be re-served through [`ProxyHandle::handle_form_xml`] on a
+    /// must be re-served through [`ProxyHandle::handle_form_doc`] on a
     /// thread that may block.
+    pub fn try_form_doc_cached<K: AsRef<str>, V: AsRef<str>>(
+        &self,
+        path: &str,
+        fields: &[(K, V)],
+    ) -> Option<DocResponse> {
+        let key = self.inner.manager.bind_form(path, fields).ok()?;
+        self.try_cached_xml(&key)
+    }
+
+    /// [`ProxyHandle::try_form_doc_cached`], flattened.
     pub fn try_form_xml_cached<K: AsRef<str>, V: AsRef<str>>(
         &self,
         path: &str,
         fields: &[(K, V)],
     ) -> Option<XmlResponse> {
-        let key = self.inner.manager.bind_form(path, fields).ok()?;
-        self.try_cached_xml(&key)
+        self.try_form_doc_cached(path, fields)
+            .map(DocResponse::flatten)
     }
 
-    /// [`ProxyHandle::try_form_xml_cached`] for raw SQL requests.
+    /// [`ProxyHandle::try_form_doc_cached`] for raw SQL requests.
     /// Unregistered SQL always declines (it always needs the origin).
-    pub fn try_sql_xml_cached(&self, sql: &str) -> Option<XmlResponse> {
+    pub fn try_sql_doc_cached(&self, sql: &str) -> Option<DocResponse> {
         match self.inner.manager.bind_sql(sql)? {
             Ok(key) => self.try_cached_xml(&key),
             Err(_) => None,
         }
     }
 
-    fn try_cached_xml(&self, bound: &BoundKey) -> Option<XmlResponse> {
+    /// [`ProxyHandle::try_sql_doc_cached`], flattened.
+    pub fn try_sql_xml_cached(&self, sql: &str) -> Option<XmlResponse> {
+        self.try_sql_doc_cached(sql).map(DocResponse::flatten)
+    }
+
+    fn try_cached_xml(&self, bound: &BoundKey) -> Option<DocResponse> {
         let scheme = self.effective_scheme(bound);
         if scheme == Scheme::NoCache {
             return None;
@@ -1014,31 +1096,31 @@ impl ProxyHandle {
         Some(response)
     }
 
-    /// A contained hit as bytes: prune through the micro-index, then
-    /// assemble the body by copying each selected row's pre-serialized
-    /// span out of the slab. Returns `None` for malformed entries.
+    /// A contained hit as a document: select through the micro-index,
+    /// then name the selected rows' pre-serialized spans in the slab.
+    /// Returns `None` for malformed entries.
     fn contained_bytes(
         &self,
         bound: &BoundKey,
         plan: &ContainedPlan,
         timing: &mut Timing,
-    ) -> Option<XmlResponse> {
+    ) -> Option<DocResponse> {
         let idx = plan.coord_idx.as_deref()?;
         let local_start = Instant::now();
-        if let Some(col) = plan.columnar.as_deref().filter(|c| c.coord_idx() == idx) {
-            let (body, rows, stats, ser_ms) = with_scratch(|scratch| {
+        if let Some(col) = plan.columnar.as_ref().filter(|c| c.coord_idx() == idx) {
+            let (doc, rows, stats, ser_ms) = with_scratch(|scratch| {
                 let (point, selected) = scratch.parts_mut();
                 let stats = col.select_region(&bound.region, selected, point);
                 if let Some(n) = bound.reg.top() {
                     selected.truncate(n as usize);
                 }
                 let ser_start = Instant::now();
-                let body = col.assemble_document(selected);
-                (body, selected.len(), stats, ms_since(ser_start))
+                let doc = col.doc_of(selected);
+                (doc, selected.len(), stats, ms_since(ser_start))
             });
             // `local_ms` keeps its established meaning (all off-lock
-            // local work, assembly included); the serialize histogram
-            // carves the assembly share out separately.
+            // local work, range building included); the serialize
+            // histogram carves that share out separately.
             timing.local_ms += ms_since(local_start);
             self.inner
                 .observe
@@ -1048,7 +1130,10 @@ impl ProxyHandle {
             metrics.rows_scanned = stats.rows_scanned;
             metrics.rows_pruned = stats.rows_pruned();
             self.apply_life(&mut metrics, &plan.life, true);
-            return Some(XmlResponse { body, metrics });
+            return Some(DocResponse {
+                body: XmlBody::Doc(doc),
+                metrics,
+            });
         }
         // No matching columnar form: row-major selection, then serialize.
         let eval = with_scratch(|scratch| {
@@ -1070,7 +1155,10 @@ impl ProxyHandle {
         metrics.rows_scanned = eval.stats.rows_scanned;
         metrics.rows_pruned = eval.stats.rows_pruned();
         self.apply_life(&mut metrics, &plan.life, true);
-        Some(XmlResponse { body, metrics })
+        Some(DocResponse {
+            body: XmlBody::Bytes(body),
+            metrics,
+        })
     }
 
     /// The caching schemes' request loop: cache phase, then flight
@@ -1357,10 +1445,11 @@ impl ProxyHandle {
     }
 
     /// Builds the serve plan for a classification hit on a demoted
-    /// entry: pin its slab segment (zero-copy mmap slice) and snapshot
-    /// its resident skeleton, all within the held lock window. An
-    /// unreachable segment drops the entry (counting the corruption)
-    /// and falls back to forwarding.
+    /// entry: pin its slab segment (zero-copy mmap slice) and frame it
+    /// with its resident skeleton, all within the held lock window. A
+    /// segment that is unreachable, or not the length the skeleton's
+    /// spans index, drops the entry (counting the corruption) and falls
+    /// back to forwarding — no document over it ever exists.
     fn disk_phase(
         &self,
         store: &mut CacheStore,
@@ -1381,12 +1470,16 @@ impl ProxyHandle {
             self.inner.stats.note_local_fallback();
             return LockedPhase::Origin(OriginPlan::forward_fallback());
         }
-        match store.disk_slice(id) {
-            Some(slice) => LockedPhase::Disk(Box::new(DiskPlan {
+        let pinned = store.disk_slice(id).map(Arc::new).and_then(|slice| {
+            let doc = skeleton.doc().over(Arc::clone(&slice) as _)?;
+            Some((slice, doc))
+        });
+        match pinned {
+            Some((slice, doc)) => LockedPhase::Disk(Box::new(DiskPlan {
                 id,
                 residual_key,
                 slice,
-                skeleton,
+                doc,
                 rows,
                 exact,
                 sim_ms: self.inner.config.cost.cache_read_ms(bytes),
@@ -1404,35 +1497,31 @@ impl ProxyHandle {
         }
     }
 
-    /// A disk-tier hit as bytes, entirely off-lock: an exact hit splices
-    /// the skeleton's XML framing around the mmap'd row slab; a
+    /// A disk-tier hit as a document, entirely off-lock: an exact hit
+    /// is the skeleton's XML framing around the mmap'd row slab; a
     /// contained hit selects rows through the resident micro-index first
-    /// and assembles only the selected spans. Byte-identical to serving
-    /// the entry from RAM.
-    fn disk_bytes(&self, bound: &BoundKey, plan: &DiskPlan, timing: &mut Timing) -> XmlResponse {
+    /// and names only the selected spans. The mapping is lent, not
+    /// copied, and the document keeps it alive — across a compaction's
+    /// rename too. Byte-identical to serving the entry from RAM.
+    fn disk_bytes(&self, bound: &BoundKey, plan: &DiskPlan, timing: &mut Timing) -> DocResponse {
         let serve_start = Instant::now();
         let obs = &self.inner.observe;
-        let (body, rows, scanned, pruned) = if plan.exact {
-            (
-                plan.skeleton.full_document_with(plan.slice.row_slab()),
-                plan.rows,
-                0,
-                0,
-            )
+        let (doc, rows, scanned, pruned) = if plan.exact {
+            (plan.doc.clone(), plan.rows, 0, 0)
         } else {
-            let (body, rows, stats) = with_scratch(|scratch| {
+            let (doc, rows, stats) = with_scratch(|scratch| {
                 let (point, selected) = scratch.parts_mut();
-                let stats = plan.skeleton.select_region(&bound.region, selected, point);
+                let stats = plan
+                    .doc
+                    .form()
+                    .select_region(&bound.region, selected, point);
                 if let Some(n) = bound.reg.top() {
                     selected.truncate(n as usize);
                 }
-                let body = plan
-                    .skeleton
-                    .assemble_document_with(plan.slice.row_slab(), selected);
-                (body, selected.len(), stats)
+                (plan.doc.of_rows(selected), selected.len(), stats)
             });
             timing.local_ms += ms_since(serve_start);
-            (body, rows, stats.rows_scanned, stats.rows_pruned())
+            (doc, rows, stats.rows_scanned, stats.rows_pruned())
         };
         obs.record_phase(ObsPhase::DiskServe, PathClass::Hit, ms_since(serve_start));
         obs.span(
@@ -1453,7 +1542,10 @@ impl ProxyHandle {
         metrics.rows_pruned = pruned;
         metrics.disk_hit = true;
         self.apply_life(&mut metrics, &plan.life, true);
-        XmlResponse { body, metrics }
+        DocResponse {
+            body: XmlBody::Doc(doc),
+            metrics,
+        }
     }
 
     /// A disk-tier hit on the row-response path. The slab payload must
@@ -2172,7 +2264,7 @@ impl ProxyHandle {
         let handle = self.clone();
         let id = plan.id;
         let residual_key = Arc::clone(&plan.residual_key);
-        let slice = plan.slice.clone();
+        let slice = Arc::clone(&plan.slice);
         let spawned = std::thread::Builder::new()
             .name("fp-promote".into())
             .spawn(move || handle.promote_demoted(id, &residual_key, slice));
@@ -2198,7 +2290,7 @@ impl ProxyHandle {
     /// short lock window to swap the entry back into RAM. A payload
     /// that fails to parse drops the demoted entry and counts the
     /// corruption — the next request re-fetches from the origin.
-    fn promote_demoted(&self, id: u64, residual_key: &str, slice: SlabSlice) {
+    fn promote_demoted(&self, id: u64, residual_key: &str, slice: Arc<SlabSlice>) {
         let _trace = self.inner.observe.begin_trace();
         let start = Instant::now();
         let parsed = std::str::from_utf8(slice.xml())

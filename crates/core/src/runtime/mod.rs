@@ -32,7 +32,7 @@ pub mod handle;
 pub mod shard;
 pub mod singleflight;
 
-pub use handle::{ProxyHandle, XmlResponse};
+pub use handle::{DocResponse, ProxyHandle, XmlBody, XmlResponse};
 pub use shard::ShardedStore;
 pub use singleflight::SingleFlight;
 

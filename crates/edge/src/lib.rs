@@ -37,6 +37,6 @@ pub mod stats;
 #[allow(unsafe_code)]
 pub mod sys;
 
-pub use reactor::{EdgeConfig, EdgeServer};
+pub use reactor::{EdgeConfig, EdgeServer, INLINE_BODY_MAX};
 pub use service::{EdgeService, ProxyEdgeService};
 pub use stats::{EdgeSnapshot, EdgeStats};

@@ -4,9 +4,8 @@
 
 use crate::stats::EdgeStats;
 use fp_httpd::urlenc::parse_query_borrowed;
-use fp_httpd::{Request, Response, Router, Status};
-use funcproxy::runtime::XmlResponse;
-use funcproxy::{ProxyError, ProxyHandle};
+use fp_httpd::{Request, Response, Router, SharedTail, Status};
+use funcproxy::{DocResponse, ProxyError, ProxyHandle, XmlBody};
 use std::sync::Arc;
 
 /// Application logic behind an [`crate::EdgeServer`].
@@ -45,8 +44,9 @@ impl EdgeService for Router {
 /// The function proxy behind the nonblocking edge: the same four routes
 /// as the classic threaded deployment (`/search/radial`, `/sql`,
 /// `/metrics`, `/debug/trace`), with fresh cache hits served straight
-/// off the reactor via [`ProxyHandle::try_form_xml_cached`] and misses
-/// offloaded to the worker pool. The origin circuit breaker doubles as
+/// off the reactor via [`ProxyHandle::try_form_doc_cached`] and misses
+/// offloaded to the worker pool. Either way a document that lies in a
+/// cache entry's row slab leaves as ranges of it, not as a copy. The origin circuit breaker doubles as
 /// the load-shedding signal.
 pub struct ProxyEdgeService {
     handle: ProxyHandle,
@@ -77,10 +77,10 @@ impl ProxyEdgeService {
     /// The Radial search form's response headers, identical on the fast
     /// and offloaded paths: cache outcome, coalescing and degradation
     /// flags, and the RFC 9111 staleness warning.
-    fn radial_response(r: XmlResponse) -> Response {
+    fn radial_response(r: DocResponse) -> Response {
         // Every name and value is a static string but the one number.
         let flag = |b: bool| if b { "true" } else { "false" };
-        let mut resp = Response::ok("text/xml", r.body);
+        let mut resp = Self::xml_response(r.body);
         let headers = &mut resp.headers;
         headers.set("X-Cache-Outcome", r.metrics.outcome.label());
         headers.set("X-Sim-Response-Ms", format!("{:.0}", r.metrics.response_ms));
@@ -92,6 +92,19 @@ impl ProxyEdgeService {
             headers.set("Warning", "110 funcproxy \"Response is stale\"");
         }
         resp
+    }
+
+    /// A `200` carrying `body`: a slab document's header is the owned
+    /// part of the body, its slab ranges and footer the lent tail.
+    fn xml_response(body: XmlBody) -> Response {
+        match body {
+            XmlBody::Bytes(bytes) => Response::ok("text/xml", bytes),
+            XmlBody::Doc(doc) => {
+                let response = Response::ok("text/xml", doc.header());
+                let (slab, ranges, footer) = doc.into_parts();
+                response.with_tail(SharedTail::new(slab, ranges, footer))
+            }
+        }
     }
 
     /// A proxy error as the HTTP status the client should see: a
@@ -142,7 +155,7 @@ impl EdgeService for ProxyEdgeService {
             }
             "/search/radial" => {
                 let fields = parse_query_borrowed(&request.query);
-                match self.handle.handle_form_xml("/search/radial", &fields) {
+                match self.handle.handle_form_doc("/search/radial", &fields) {
                     Ok(r) => Self::radial_response(r),
                     Err(e) => self.error_response(&e),
                 }
@@ -151,8 +164,8 @@ impl EdgeService for ProxyEdgeService {
                 let Some(sql) = Self::sql_command(request) else {
                     return Response::error(Status::BAD_REQUEST, "missing cmd parameter");
                 };
-                match self.handle.handle_sql_xml(&sql) {
-                    Ok(r) => Response::ok("text/xml", r.body),
+                match self.handle.handle_sql_doc(&sql) {
+                    Ok(r) => Self::xml_response(r.body),
                     Err(e) => self.error_response(&e),
                 }
             }
@@ -165,14 +178,14 @@ impl EdgeService for ProxyEdgeService {
             "/search/radial" => {
                 let fields = parse_query_borrowed(&request.query);
                 self.handle
-                    .try_form_xml_cached("/search/radial", &fields)
+                    .try_form_doc_cached("/search/radial", &fields)
                     .map(Self::radial_response)
             }
             "/sql" => {
                 let sql = Self::sql_command(request)?;
                 self.handle
-                    .try_sql_xml_cached(&sql)
-                    .map(|r| Response::ok("text/xml", r.body))
+                    .try_sql_doc_cached(&sql)
+                    .map(|r| Self::xml_response(r.body))
             }
             // /metrics and /debug/trace render whole documents; keep
             // that allocation churn off the reactor.

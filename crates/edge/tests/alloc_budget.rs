@@ -4,9 +4,11 @@
 //! A count is deterministic where a timing is not, so this is the
 //! regression guard for the hit path's cost. Building the concrete query
 //! AST alone is more than thirty allocations, so staying inside the
-//! budget also shows that a fast-path hit never builds one.
+//! budget also shows that a fast-path hit never builds one. The size of
+//! the largest allocation shows the other thing a hit must not do:
+//! copy the rows it serves.
 
-use fp_edge::{EdgeService, ProxyEdgeService};
+use fp_edge::{EdgeService, ProxyEdgeService, INLINE_BODY_MAX};
 use fp_httpd::parse::read_request;
 use fp_httpd::Request;
 use fp_skyserver::{Catalog, CatalogSpec, SkySite};
@@ -19,17 +21,26 @@ use std::sync::Arc;
 /// Allocations one hit may make, head to tail.
 const BUDGET: usize = 24;
 
+/// No allocation of a hit on a large entry may reach this size: the
+/// reply's rows stay in the entry's slab (the parent commit made one
+/// allocation of body size, 118 KB and 447 KB for the entries below).
+const LARGEST: usize = 16 * 1024;
+
 thread_local! {
     /// Calls into the allocator that obtain memory (`alloc`,
     /// `alloc_zeroed`, `realloc`) made by this thread.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// The largest size any of those calls asked for since it was last
+    /// reset.
+    static LARGEST_ASKED: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+fn count(size: usize) {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST_ASKED.try_with(|n| n.set(n.get().max(size)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -37,17 +48,17 @@ fn count() {
 // `const`-initialised thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -64,24 +75,38 @@ fn wire(ra: f64, dec: f64, radius: f64) -> Vec<u8> {
         .into_bytes()
 }
 
-/// Serves `wire` as the reactor does and returns the allocations that
-/// took, after checking the reply is the hit it should be.
-fn allocations_of_hit(service: &ProxyEdgeService, wire: &[u8], outcome: &str) -> usize {
+/// What serving one hit as the reactor does cost the allocator.
+struct Spent {
+    /// Allocations made.
+    count: usize,
+    /// Size of the largest.
+    largest: usize,
+    /// Length of the reply's whole body.
+    body_len: usize,
+}
+
+/// Serves `wire` as the reactor does and returns what that took, after
+/// checking the reply is the hit it should be.
+fn allocations_of_hit(service: &ProxyEdgeService, wire: &[u8], outcome: &str) -> Spent {
     let mut head = Vec::with_capacity(512); // the reactor's reply buffer
     let before = ALLOCATIONS.with(Cell::get);
+    LARGEST_ASKED.with(|n| n.set(0));
     let request = read_request(&mut &wire[..])
         .expect("well-formed")
         .expect("one request");
     let response = service.try_fast(&request).expect("a warm cone is a hit");
     response.write_head(&mut head);
-    let spent = ALLOCATIONS.with(Cell::get) - before;
+    let spent = Spent {
+        count: ALLOCATIONS.with(Cell::get) - before,
+        largest: LARGEST_ASKED.with(Cell::get),
+        body_len: response.body_len(),
+    };
     assert_eq!(response.headers.get("X-Cache-Outcome"), Some(outcome));
     assert!(!response.body.is_empty());
     spent
 }
 
-#[test]
-fn a_ram_hit_stays_inside_its_allocation_budget() {
+fn service() -> ProxyEdgeService {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
     let handle = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
@@ -94,9 +119,25 @@ fn a_ram_hit_stays_inside_its_allocation_budget() {
             .with_observe(ObserveConfig::default().with_sample_every(0)),
         1,
     );
-    let service = ProxyEdgeService::new(handle);
+    ProxyEdgeService::new(handle)
+}
 
-    // Fifty disjoint 6′ cones, 0.25° apart.
+fn warm(service: &ProxyEdgeService, ra: f64, dec: f64, radius: f64) {
+    let target = format!("/search/radial?ra={ra}&dec={dec}&radius={radius}");
+    let reply = service.handle(&Request::get(&target));
+    assert_eq!(
+        reply.headers.get("X-Cache-Outcome"),
+        Some("forwarded"),
+        "{target}"
+    );
+}
+
+#[test]
+fn a_ram_hit_stays_inside_its_allocation_budget() {
+    let service = service();
+
+    // Fifty disjoint 3′ cones, 0.25° apart: replies of a few hundred
+    // bytes to 2 KB, like `hit_small`'s.
     let cones: Vec<(f64, f64)> = (0..50)
         .map(|i| {
             (
@@ -106,22 +147,55 @@ fn a_ram_hit_stays_inside_its_allocation_budget() {
         })
         .collect();
     for &(ra, dec) in &cones {
-        let target = format!("/search/radial?ra={ra}&dec={dec}&radius=6");
-        let reply = service.handle(&Request::get(&target));
-        assert_eq!(
-            reply.headers.get("X-Cache-Outcome"),
-            Some("forwarded"),
-            "{target}"
-        );
+        warm(&service, ra, dec, 3.0);
     }
 
     for &(ra, dec) in &cones {
-        let exact = allocations_of_hit(&service, &wire(ra, dec, 6.0), "exact");
-        assert!(exact <= BUDGET, "exact hit: {exact} allocations > {BUDGET}");
-        let contained = allocations_of_hit(&service, &wire(ra + 0.01, dec, 3.0), "contained");
-        assert!(
-            contained <= BUDGET,
-            "contained hit: {contained} allocations > {BUDGET}"
-        );
+        for (outcome, wire) in [
+            ("exact", wire(ra, dec, 3.0)),
+            ("contained", wire(ra + 0.01, dec, 1.5)),
+        ] {
+            let spent = allocations_of_hit(&service, &wire, outcome);
+            assert!(
+                spent.count <= BUDGET,
+                "{outcome} hit: {} allocations > {BUDGET}",
+                spent.count
+            );
+            // Small enough that the reactor appends the body to the
+            // head: the reply is queued as one buffer.
+            assert!(spent.body_len <= INLINE_BODY_MAX, "{}", spent.body_len);
+        }
+    }
+}
+
+/// Hits on large entries cost no more allocations than hits on small
+/// ones and never one of the reply's size: the rows are lent, so what is
+/// allocated does not grow with what is served.
+#[test]
+fn a_large_ram_hit_copies_no_rows() {
+    let service = service();
+    // 118 KB and 447 KB entries; sub-cones off-centre, so that their rows
+    // are scattered over the entry (the origin answers nearest first).
+    for (ra, dec, radius, sub) in [(185.0, 1.5, 30.0, 22.0), (188.0, 0.0, 60.0, 50.0)] {
+        warm(&service, ra, dec, radius);
+        for (outcome, wire) in [
+            ("exact", wire(ra, dec, radius)),
+            ("contained", wire(ra + 0.1, dec, sub)),
+        ] {
+            // The first hit grows this thread's selection buffers.
+            allocations_of_hit(&service, &wire, outcome);
+            let spent = allocations_of_hit(&service, &wire, outcome);
+            assert!(spent.body_len > 50_000, "{outcome}: {}", spent.body_len);
+            assert!(
+                spent.count <= BUDGET,
+                "{outcome} hit on a {radius}′ entry: {} allocations > {BUDGET}",
+                spent.count
+            );
+            assert!(
+                spent.largest < LARGEST,
+                "{outcome} hit on a {radius}′ entry allocated {} bytes at once",
+                spent.largest
+            );
+        }
     }
 }

@@ -24,7 +24,7 @@ pub mod server;
 pub mod urlenc;
 
 pub use client::HttpClient;
-pub use message::{Headers, Method, Request, Response, Status};
+pub use message::{Headers, Method, Request, Response, SharedBytes, SharedTail, Status};
 pub use router::Router;
 pub use server::HttpServer;
 

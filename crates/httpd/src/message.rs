@@ -1,6 +1,8 @@
 //! HTTP message types.
 
 use std::borrow::Cow;
+use std::fmt;
+use std::sync::Arc;
 
 /// Request methods the proxy uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,6 +211,84 @@ impl Request {
     }
 }
 
+/// A buffer shared with whoever owns it; which type that is, is the
+/// lender's business.
+pub type SharedBytes = Arc<dyn AsRef<[u8]> + Send + Sync>;
+
+/// Body bytes a response lends instead of owning: ranges of one shared
+/// buffer, in wire order, then a static closing slice. Whoever the
+/// buffer belongs to is behind the `Arc`; holding the tail keeps the
+/// bytes alive and in place, so a server can write them from where they
+/// lie.
+#[derive(Clone)]
+pub struct SharedTail {
+    owner: SharedBytes,
+    ranges: Vec<(u32, u32)>,
+    suffix: &'static [u8],
+    len: usize,
+}
+
+impl SharedTail {
+    /// The `(start, end)` byte `ranges` of `owner`'s buffer, followed by
+    /// `suffix`.
+    ///
+    /// # Panics
+    /// When a range does not lie inside the buffer — checked here, once,
+    /// so that writing the tail later cannot fail.
+    pub fn new(owner: SharedBytes, ranges: Vec<(u32, u32)>, suffix: &'static [u8]) -> SharedTail {
+        let available = (*owner).as_ref().len();
+        let mut len = suffix.len();
+        for &(start, end) in &ranges {
+            assert!(
+                start <= end && end as usize <= available,
+                "range {start}..{end} outside a shared buffer of {available} bytes"
+            );
+            len += (end - start) as usize;
+        }
+        SharedTail {
+            owner,
+            ranges,
+            suffix,
+            len,
+        }
+    }
+
+    /// Total bytes: every range plus the suffix.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the tail holds no byte at all.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends the tail's bytes to `out` — the copy an API that promises
+    /// contiguous bytes pays.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        let bytes = (*self.owner).as_ref();
+        for &(start, end) in &self.ranges {
+            out.extend_from_slice(&bytes[start as usize..end as usize]);
+        }
+        out.extend_from_slice(self.suffix);
+    }
+
+    /// The owner, its ranges and the suffix, for a writer that sends
+    /// them in place.
+    pub fn into_parts(self) -> (SharedBytes, Vec<(u32, u32)>, &'static [u8]) {
+        (self.owner, self.ranges, self.suffix)
+    }
+}
+
+impl fmt::Debug for SharedTail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharedTail")
+            .field("len", &self.len)
+            .field("ranges", &self.ranges.len())
+            .finish()
+    }
+}
+
 /// An HTTP response.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -216,20 +296,33 @@ pub struct Response {
     pub status: Status,
     /// Headers.
     pub headers: Headers,
-    /// Body bytes.
+    /// Body bytes — all of them, or those before `tail`.
     pub body: Vec<u8>,
+    /// The rest of the body, lent not owned.
+    pub tail: Option<SharedTail>,
 }
 
 impl Response {
     /// A 200 response with a body and content type.
     pub fn ok(content_type: impl Into<Cow<'static, str>>, body: impl Into<Vec<u8>>) -> Response {
-        let mut headers = Headers::new();
+        // Room for what a proxy reply adds (outcome, timing, flags,
+        // `Connection`), so the set is allocated once and never regrown.
+        let mut headers = Headers {
+            entries: Vec::with_capacity(8),
+        };
         headers.set("Content-Type", content_type);
         Response {
             status: Status::OK,
             headers,
             body: body.into(),
+            tail: None,
         }
+    }
+
+    /// The same response with `tail` following its body.
+    pub fn with_tail(mut self, tail: SharedTail) -> Response {
+        self.tail = Some(tail);
+        self
     }
 
     /// An error response with a plain-text body.
@@ -240,17 +333,38 @@ impl Response {
             status,
             headers,
             body: message.as_bytes().to_vec(),
+            tail: None,
         }
     }
 
-    /// Body interpreted as UTF-8 (lossy).
+    /// Length of the whole body, tail included.
+    pub fn body_len(&self) -> usize {
+        self.body.len() + self.tail.as_ref().map_or(0, SharedTail::len)
+    }
+
+    /// Appends the whole body, tail included, to `out`.
+    pub fn write_body(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.body);
+        if let Some(tail) = &self.tail {
+            tail.write_to(out);
+        }
+    }
+
+    /// The whole body interpreted as UTF-8 (lossy).
     pub fn body_text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
+        match &self.tail {
+            None => String::from_utf8_lossy(&self.body).into_owned(),
+            Some(_) => {
+                let mut whole = Vec::with_capacity(self.body_len());
+                self.write_body(&mut whole);
+                String::from_utf8_lossy(&whole).into_owned()
+            }
+        }
     }
 
     /// Appends the status line and the headers, through the blank
-    /// line, to `out`. `Content-Length` is always the body's length,
-    /// whatever the header set says.
+    /// line, to `out`. `Content-Length` is always the whole body's
+    /// length, whatever the header set says.
     pub fn write_head(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"HTTP/1.1 ");
         push_decimal(out, usize::from(self.status.0));
@@ -267,16 +381,16 @@ impl Response {
             out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"Content-Length: ");
-        push_decimal(out, self.body.len());
+        push_decimal(out, self.body_len());
         out.extend_from_slice(b"\r\n\r\n");
     }
 
     /// Serializes the response to wire form: [`Self::write_head`], then
-    /// the body.
+    /// the whole body.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
+        let mut out = Vec::with_capacity(128 + self.body_len());
         self.write_head(&mut out);
-        out.extend_from_slice(&self.body);
+        self.write_body(&mut out);
         out
     }
 }
@@ -395,10 +509,35 @@ mod tests {
             status: Status(418),
             headers: Headers::new(),
             body: vec![b'x'; 1_048_576],
+            tail: None,
         };
         assert!(big
             .to_bytes()
             .starts_with(b"HTTP/1.1 418 Unknown\r\nContent-Length: 1048576\r\n\r\nx"));
+    }
+
+    /// A lent tail counts in `Content-Length` and flattens in order.
+    #[test]
+    fn shared_tail_follows_the_body_on_the_wire() {
+        let owner: SharedBytes = Arc::new(b"0123456789".to_vec());
+        let tail = SharedTail::new(Arc::clone(&owner), vec![(2, 5), (7, 7), (8, 10)], b"</x>");
+        assert_eq!(tail.len(), 9);
+        let r = Response::ok("text/xml", "<x>").with_tail(tail);
+        assert_eq!(r.body_len(), 12);
+        assert_eq!(r.body_text(), "<x>23489</x>");
+        let text = String::from_utf8(r.to_bytes()).unwrap();
+        assert!(text.contains("Content-Length: 12\r\n"));
+        assert!(text.ends_with("\r\n\r\n<x>23489</x>"));
+        let parsed = crate::parse::read_response(&mut &r.to_bytes()[..]).unwrap();
+        assert_eq!(parsed.body, b"<x>23489</x>");
+        assert!(parsed.tail.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a shared buffer")]
+    fn shared_tail_rejects_a_range_past_its_buffer() {
+        let owner: SharedBytes = Arc::new(vec![0u8; 4]);
+        SharedTail::new(owner, vec![(1, 5)], b"");
     }
 
     #[test]

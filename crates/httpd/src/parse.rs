@@ -77,6 +77,7 @@ pub fn read_response<R: BufRead>(stream: &mut R) -> Result<Response, HttpError> 
         status: Status(code),
         headers,
         body,
+        tail: None,
     })
 }
 

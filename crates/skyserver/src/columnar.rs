@@ -1,6 +1,6 @@
 //! Columnar cache-entry representation: structure-of-arrays coordinate
 //! columns, a per-entry spatial micro-index, and a pre-serialized row
-//! slab for zero-copy response assembly.
+//! slab that responses lend ranges of.
 //!
 //! The proxy answers a contained query by "a spatial region selection
 //! query over cached results" (paper §3.2), so the latency of a hit *is*
@@ -11,51 +11,48 @@
 //! time**:
 //!
 //! * the declared coordinate attributes are extracted into one `Vec<f64>`
-//!   per dimension (structure of arrays — the selection loop reads plain
-//!   floats, no `Value` matching, no per-row allocation);
-//! * a small micro-index (see [`IndexKind`]) over those columns prunes
-//!   candidate rows
-//!   before the exact containment test (entries are at most a few
-//!   thousand rows, so the index is zones over a sort order or a uniform
-//!   grid, not a tree);
+//!   per dimension, stored in the micro-index's scan order, so the rows
+//!   the index lets through are contiguous floats and the containment
+//!   verdict is a pass per dimension over them (no `Value` matching, no
+//!   per-row dispatch on the region kind, no per-row allocation);
+//! * a small micro-index (see [`IndexKind`]) decides which runs of that
+//!   order a query has to look at (entries are at most a few thousand
+//!   rows, so the index is a uniform grid, not a tree);
 //! * every row's `<Row>…</Row>` XML fragment is serialized into one
 //!   contiguous byte slab with per-row `(offset, len)` spans, so a
-//!   response is assembled by copying byte ranges between a shared
-//!   header and footer — byte-identical to the [`Element`]-tree
-//!   serialization, without ever touching `Value`s again.
+//!   response is a [`SlabDoc`] — the shared header, ranges of the slab,
+//!   the footer — byte-identical to the [`Element`]-tree serialization,
+//!   without ever touching `Value`s again and without copying a row
+//!   until an API that promises contiguous bytes asks for them.
 //!
 //! [`Element`]: fp_xmlite::Element
 
 use crate::result::ResultSet;
-use fp_geometry::Region;
+use fp_geometry::{HalfSpace, HyperRect, Region, EPS};
 use fp_sqlmini::Value;
 use fp_xmlite::{escape_text_into, escaped_len};
+use std::cell::RefCell;
+use std::sync::Arc;
 use std::{fmt, io};
 
 /// Closing tag shared by every assembled document.
 pub const FOOTER: &[u8] = b"</ResultSet>";
 
-/// Rows per zone of [`MicroIndex::Zones`]. Small enough that one zone's
-/// exact tests are cheap, large enough that the per-zone bounding boxes
-/// stay a small fraction of the column data.
-const ZONE_ROWS: usize = 64;
+/// Rows the column pass judges at a time: one `u64` of verdicts.
+const BLOCK: usize = 64;
 
-/// Below this row count no index beats a straight scan of the SoA
-/// columns (measured in `benches/local_eval.rs`; the scan is a handful
-/// of nanoseconds per row).
+/// Below this row count the entry is scanned whole in row order
+/// (measured in `benches/local_eval.rs`, see DESIGN.md §8: up to here a
+/// grid saves a selective query at most 0.3 µs and costs a query that
+/// keeps most of the entry as much, for 4 B a row).
 const FLAT_MAX_ROWS: usize = 256;
-
-/// At and above this row count the uniform grid overtakes sorted zones
-/// for selective queries (measured crossover, see DESIGN.md §8: zones
-/// prune only along the sort dimension, the grid prunes along two).
-const GRID_MIN_ROWS: usize = 4096;
 
 /// Statistics of one columnar selection, for metrics and benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectStats {
     /// Rows in the entry.
     pub rows_total: usize,
-    /// Candidate rows the micro-index let through to the exact test.
+    /// Rows in the blocks the micro-index let through to the exact test.
     pub rows_scanned: usize,
     /// Rows selected.
     pub rows_selected: usize,
@@ -71,36 +68,29 @@ impl SelectStats {
 /// Which micro-index variant a [`ColumnarRows`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// No index: scan every row (tiny entries).
+    /// No index: rows stay in row order and every one is scanned (tiny
+    /// entries).
     Flat,
-    /// Rows sorted by the first coordinate, fixed-size zones with
-    /// per-zone bounding boxes.
-    Zones,
-    /// Uniform grid over the first two dimensions with per-cell row
-    /// lists (first dimension only when the entry is 1-D).
+    /// Uniform grid over the first two dimensions, rows sorted by cell
+    /// (first dimension only when the entry is 1-D).
     Grid,
 }
 
-/// The per-entry spatial micro-index over the SoA columns.
+/// The per-entry spatial micro-index: which runs of the scan order a
+/// query box can touch.
 #[derive(Debug, Clone)]
 enum MicroIndex {
     Flat,
-    Zones {
-        /// Row ids in ascending order of the first coordinate.
-        order: Vec<u32>,
-        /// Zone bounding boxes, zone-major: `lo[z * dims + d]`.
-        lo: Vec<f64>,
-        hi: Vec<f64>,
-    },
     Grid {
-        /// Cells in row-major order (`cy * side + cx`); each holds row
-        /// ids. Rows with non-finite grid coordinates go to `overflow`,
-        /// which every query scans (the exact test rejects them anyway).
-        cells: Vec<Vec<u32>>,
+        /// Cell `c` (row-major, `cy * side + cx`) holds scan positions
+        /// `cell_start[c]..cell_start[c + 1]`; the cells of one grid row
+        /// are therefore one contiguous run. Rows with non-finite grid
+        /// coordinates sit after the last cell and every query scans
+        /// them (the exact test rejects them anyway).
+        cell_start: Vec<u32>,
         side: usize,
         min: [f64; 2],
         inv_step: [f64; 2],
-        overflow: Vec<u32>,
     },
 }
 
@@ -110,9 +100,12 @@ pub struct ColumnarRows {
     /// Result-column index per region dimension (the coordinate set the
     /// columns were extracted for).
     coord_idx: Vec<usize>,
-    /// SoA coordinate columns: `cols[d][row]`.
+    /// SoA coordinate columns in scan order: `cols[d][p]` belongs to row
+    /// `order[p]`.
     cols: Vec<Vec<f64>>,
-    /// Concatenated `<Row>…</Row>` fragments.
+    /// Scan position → row id. Empty = the identity ([`IndexKind::Flat`]).
+    order: Vec<u32>,
+    /// Concatenated `<Row>…</Row>` fragments, in row order.
     slab: Vec<u8>,
     /// Per-row `(offset, len)` into `slab`.
     spans: Vec<(u32, u32)>,
@@ -120,6 +113,21 @@ pub struct ColumnarRows {
     /// assembled from this entry.
     header: Vec<u8>,
     index: MicroIndex,
+}
+
+/// What one selection needs besides its output: the query's bounding
+/// box and one bit per row of the entry. Kept per thread and reused, so
+/// a selection allocates nothing once they have grown to working size.
+struct SelectScratch {
+    bbox: HyperRect,
+    hits: Vec<u64>,
+}
+
+thread_local! {
+    static SELECT: RefCell<SelectScratch> = RefCell::new(SelectScratch {
+        bbox: HyperRect::new(vec![0.0], vec![0.0]).expect("a point is a valid box"),
+        hits: Vec::new(),
+    });
 }
 
 impl ColumnarRows {
@@ -132,10 +140,10 @@ impl ColumnarRows {
     /// evaluation aborts, so "columnar form exists" and "entry is
     /// locally evaluable" coincide.
     pub fn build(rs: &ResultSet, coord_idx: &[usize]) -> Option<ColumnarRows> {
-        let kind = match rs.len() {
-            n if n < FLAT_MAX_ROWS => IndexKind::Flat,
-            n if n < GRID_MIN_ROWS => IndexKind::Zones,
-            _ => IndexKind::Grid,
+        let kind = if rs.len() < FLAT_MAX_ROWS {
+            IndexKind::Flat
+        } else {
+            IndexKind::Grid
         };
         Self::build_with_index(rs, coord_idx, kind)
     }
@@ -173,15 +181,15 @@ impl ColumnarRows {
         let mut header = Vec::with_capacity(32 + rs.columns.len() * 12);
         write_document_header(&rs.columns, &mut header);
 
-        let index = match kind {
-            IndexKind::Flat => MicroIndex::Flat,
-            IndexKind::Zones => build_zones(&cols, rows),
-            IndexKind::Grid => build_grid(&cols, rows),
+        let (order, index) = match kind {
+            IndexKind::Flat => (Vec::new(), MicroIndex::Flat),
+            IndexKind::Grid => build_grid(&mut cols),
         };
 
         Some(ColumnarRows {
             coord_idx: coord_idx.to_vec(),
             cols,
+            order,
             slab,
             spans,
             header,
@@ -208,7 +216,6 @@ impl ColumnarRows {
     pub fn index_kind(&self) -> IndexKind {
         match self.index {
             MicroIndex::Flat => IndexKind::Flat,
-            MicroIndex::Zones { .. } => IndexKind::Zones,
             MicroIndex::Grid { .. } => IndexKind::Grid,
         }
     }
@@ -220,21 +227,26 @@ impl ColumnarRows {
         let cols: usize = self.cols.iter().map(|c| c.len() * 8).sum();
         let index = match &self.index {
             MicroIndex::Flat => 0,
-            MicroIndex::Zones { order, lo, hi } => order.len() * 4 + (lo.len() + hi.len()) * 8,
-            MicroIndex::Grid {
-                cells, overflow, ..
-            } => cells.iter().map(|c| c.len() * 4 + 24).sum::<usize>() + overflow.len() * 4,
+            MicroIndex::Grid { cell_start, .. } => cell_start.len() * 4,
         };
-        cols + self.slab.len() + self.spans.len() * 8 + self.header.len() + index
+        cols + self.order.len() * 4
+            + self.slab.len()
+            + self.spans.len() * 8
+            + self.header.len()
+            + index
     }
 
     /// Selects the rows whose coordinate point lies in `region`, pushing
-    /// ascending row ids into `out` (cleared first). `scratch` is the
-    /// reusable point buffer; any capacity is accepted.
+    /// ascending row ids into `out` (cleared first). `scratch` holds the
+    /// column pass's per-row accumulators; any capacity is accepted.
     ///
-    /// The result — ids, order, and all — matches row-major
-    /// `eval_region_over` on the same entry by construction; the
-    /// property test in `tests/columnar_equivalence.rs` pins this.
+    /// The micro-index only picks runs of the scan order; inside a run
+    /// the verdict is computed one dimension at a time over
+    /// contiguous coordinates, with the same floating-point operations
+    /// in the same order as [`Region::contains_coords`], so the result —
+    /// ids, order, and all — matches row-major `eval_region_over` on the
+    /// same entry; the property test in `tests/columnar_equivalence.rs`
+    /// pins this.
     pub fn select_region(
         &self,
         region: &Region,
@@ -242,80 +254,41 @@ impl ColumnarRows {
         scratch: &mut Vec<f64>,
     ) -> SelectStats {
         out.clear();
-        let dims = self.cols.len();
         scratch.clear();
-        scratch.resize(dims, 0.0);
-        let bbox = region.bounding_rect();
-        let (qlo, qhi) = (bbox.lo(), bbox.hi());
-        let mut scanned = 0usize;
-
-        let mut test = |r: u32, out: &mut Vec<u32>, scanned: &mut usize| {
-            *scanned += 1;
-            for (cell, col) in scratch.iter_mut().zip(&self.cols) {
-                *cell = col[r as usize];
-            }
-            if region.contains_coords(scratch) {
-                out.push(r);
-            }
-        };
-
-        match &self.index {
-            MicroIndex::Flat => {
-                for r in 0..self.len() as u32 {
-                    test(r, out, &mut scanned);
+        scratch.resize(BLOCK, 0.0);
+        let cols = &self.cols[..];
+        let scanned = SELECT.with(|select| {
+            let SelectScratch { bbox, hits } = &mut *select.borrow_mut();
+            hits.clear();
+            hits.resize(self.len().div_ceil(BLOCK), 0);
+            let query = region.bounding_rect_in(bbox);
+            let scanned = match region {
+                Region::Sphere(ball) => {
+                    let center = ball.center().coords();
+                    // `approx_le(d², r²)`, the sum hoisted.
+                    let limit = ball.radius() * ball.radius() + EPS;
+                    self.scan_blocks(query, hits, |at, len| {
+                        ball_verdicts(cols, center, limit, at, &mut scratch[..len])
+                    })
+                }
+                Region::Rect(rect) => {
+                    self.scan_blocks(query, hits, |at, len| box_verdicts(cols, rect, at, len))
+                }
+                Region::Polytope(poly) => self.scan_blocks(query, hits, |at, len| {
+                    box_verdicts(cols, poly.bbox(), at, len)
+                        & faces_verdicts(cols, poly.faces(), at, &mut scratch[..len])
+                }),
+            };
+            out.reserve(hits.iter().map(|w| w.count_ones() as usize).sum());
+            for (w, &word) in hits.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    out.push((w * BLOCK) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
                 }
             }
-            MicroIndex::Zones { order, lo, hi } => {
-                for (z, zone) in order.chunks(ZONE_ROWS).enumerate() {
-                    let zlo = &lo[z * dims..(z + 1) * dims];
-                    let zhi = &hi[z * dims..(z + 1) * dims];
-                    // Zones are sorted by dim 0: once a zone starts past
-                    // the query's upper bound, no later zone can match.
-                    if zlo[0] > qhi[0] {
-                        break;
-                    }
-                    if boxes_disjoint(zlo, zhi, qlo, qhi) {
-                        continue;
-                    }
-                    for &r in zone {
-                        test(r, out, &mut scanned);
-                    }
-                }
-                // Zone order is dim-0 order; callers get row order.
-                out.sort_unstable();
-            }
-            MicroIndex::Grid {
-                cells,
-                side,
-                min,
-                inv_step,
-                overflow,
-            } => {
-                let clamp = |v: f64, axis: usize| -> usize {
-                    (((v - min[axis]) * inv_step[axis]) as isize).clamp(0, *side as isize - 1)
-                        as usize
-                };
-                let gdims = if dims >= 2 { 2 } else { 1 };
-                let (x0, x1) = (clamp(qlo[0], 0), clamp(qhi[0], 0));
-                let (y0, y1) = if gdims == 2 {
-                    (clamp(qlo[1], 1), clamp(qhi[1], 1))
-                } else {
-                    (0, 0)
-                };
-                for cy in y0..=y1 {
-                    for cx in x0..=x1 {
-                        for &r in &cells[cy * side + cx] {
-                            test(r, out, &mut scanned);
-                        }
-                    }
-                }
-                for &r in overflow {
-                    test(r, out, &mut scanned);
-                }
-                out.sort_unstable();
-            }
-        }
-
+            scanned
+        });
         SelectStats {
             rows_total: self.len(),
             rows_scanned: scanned,
@@ -323,47 +296,151 @@ impl ColumnarRows {
         }
     }
 
-    /// Assembles the complete XML response document for the selected
-    /// rows by copying byte ranges: header + each row's slab span +
-    /// footer. No `Value` is touched and nothing is re-serialized.
-    pub fn assemble_document(&self, rows: &[u32]) -> Vec<u8> {
-        self.assemble_document_with(&self.slab, rows)
-    }
-
-    /// [`Self::assemble_document`] over an external copy of the row slab
-    /// (e.g. an mmap'd byte slice of a demoted entry whose resident
-    /// skeleton dropped its own slab). The spans were computed for the
-    /// slab this form was built from, so `slab` must be byte-identical
-    /// to it.
-    pub fn assemble_document_with(&self, slab: &[u8], rows: &[u32]) -> Vec<u8> {
-        let body: usize = rows
-            .iter()
-            .map(|&r| self.spans[r as usize].1 as usize)
-            .sum();
-        let mut out = Vec::with_capacity(self.header.len() + body + FOOTER.len());
-        out.extend_from_slice(&self.header);
-        for &r in rows {
-            let (off, len) = self.spans[r as usize];
-            out.extend_from_slice(&slab[off as usize..(off + len) as usize]);
+    /// Walks the runs of the scan order that can hold a point of the
+    /// `query` box a block at a time, asks `verdicts(at, len)`
+    /// (`len <= BLOCK`) for each block's bit mask, and sets the bit of
+    /// every accepted row in `hits`. Returns how many rows the visited
+    /// runs hold.
+    fn scan_blocks(
+        &self,
+        query: &HyperRect,
+        hits: &mut [u64],
+        mut verdicts: impl FnMut(usize, usize) -> u64,
+    ) -> usize {
+        let rows = self.len();
+        let (qlo, qhi) = (query.lo(), query.hi());
+        let mut scanned = 0;
+        let mut visit = |from: usize, to: usize| {
+            scanned += to - from;
+            let mut at = from;
+            while at < to {
+                let len = (to - at).min(BLOCK);
+                let mut mask = verdicts(at, len);
+                if self.order.is_empty() {
+                    // Row order, and every block starts on a word.
+                    hits[at / BLOCK] = mask;
+                } else {
+                    let ids = &self.order[at..at + len];
+                    while mask != 0 {
+                        let row = ids[mask.trailing_zeros() as usize] as usize;
+                        hits[row / BLOCK] |= 1 << (row % BLOCK);
+                        mask &= mask - 1;
+                    }
+                }
+                at += len;
+            }
+        };
+        match &self.index {
+            MicroIndex::Flat => visit(0, rows),
+            MicroIndex::Grid {
+                cell_start,
+                side,
+                min,
+                inv_step,
+            } => {
+                let clamp = |v: f64, axis: usize| -> usize {
+                    (((v - min[axis]) * inv_step[axis]) as isize).clamp(0, *side as isize - 1)
+                        as usize
+                };
+                // Membership is ε-tolerant and the box is not: a row up
+                // to EPS outside it can pass the exact test, so the cell
+                // range covers that fringe (twice over, for rounding).
+                let fringe = 2.0 * EPS;
+                let (x0, x1) = (clamp(qlo[0] - fringe, 0), clamp(qhi[0] + fringe, 0));
+                let (y0, y1) = if self.cols.len() >= 2 {
+                    (clamp(qlo[1] - fringe, 1), clamp(qhi[1] + fringe, 1))
+                } else {
+                    (0, 0)
+                };
+                for cy in y0..=y1 {
+                    let row = cy * side;
+                    visit(
+                        cell_start[row + x0] as usize,
+                        cell_start[row + x1 + 1] as usize,
+                    );
+                }
+                let cells = cell_start.len() - 1;
+                visit(cell_start[cells] as usize, rows);
+            }
         }
-        out.extend_from_slice(FOOTER);
-        out
+        scanned
     }
 
-    /// Assembles the whole entry's document (exact-match hits): one
-    /// straight copy of the slab between header and footer.
+    /// The complete XML response document for the selected rows
+    /// (ascending ids), as contiguous bytes: [`Self::doc_of`] for callers
+    /// that hold no `Arc` and want a `Vec`.
+    pub fn assemble_document(&self, rows: &[u32]) -> Vec<u8> {
+        let (ranges, len) = self.coalesce(rows);
+        flatten(&self.header, &self.slab, &ranges, len)
+    }
+
+    /// The whole entry's document as contiguous bytes.
     pub fn full_document(&self) -> Vec<u8> {
-        self.full_document_with(&self.slab)
+        let len = self.header.len() + self.slab.len() + FOOTER.len();
+        flatten(
+            &self.header,
+            &self.slab,
+            &[(0, self.slab.len() as u32)],
+            len,
+        )
     }
 
-    /// [`Self::full_document`] over an external copy of the row slab
-    /// (see [`Self::assemble_document_with`]).
-    pub fn full_document_with(&self, slab: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.header.len() + slab.len() + FOOTER.len());
-        out.extend_from_slice(&self.header);
-        out.extend_from_slice(slab);
-        out.extend_from_slice(FOOTER);
-        out
+    /// The whole entry's document (exact-match hits): the single range
+    /// `0..slab.len()` between header and footer.
+    pub fn doc(self: &Arc<Self>) -> SlabDoc {
+        let slab_len = self.slab_len();
+        SlabDoc {
+            form: Arc::clone(self),
+            lent: None,
+            ranges: match slab_len {
+                0 => Vec::new(),
+                n => vec![(0, n as u32)],
+            },
+            len: self.header.len() + slab_len + FOOTER.len(),
+        }
+    }
+
+    /// The document of the selected rows (ascending ids): their spans,
+    /// adjacent ones merged, between header and footer. Nothing is
+    /// copied; the document keeps this form alive.
+    pub fn doc_of(self: &Arc<Self>, rows: &[u32]) -> SlabDoc {
+        let (ranges, len) = self.coalesce(rows);
+        SlabDoc {
+            form: Arc::clone(self),
+            lent: None,
+            ranges,
+            len,
+        }
+    }
+
+    /// The slab byte ranges of `rows` (ascending ids) in row order, the
+    /// spans of consecutive rows merged into one, and the length of the
+    /// document they make.
+    fn coalesce(&self, rows: &[u32]) -> (Vec<(u32, u32)>, usize) {
+        // Rows lie back to back in the slab, so spans touch exactly
+        // where ids are consecutive: count the runs, allocate once, and
+        // look spans up only where a run starts and ends.
+        let breaks = rows.windows(2).filter(|w| w[1] != w[0] + 1).count();
+        let mut ranges = Vec::with_capacity(breaks + usize::from(!rows.is_empty()));
+        let mut body = 0;
+        let mut run = rows;
+        while let Some(&first) = run.first() {
+            let len = 1 + run.windows(2).take_while(|w| w[1] == w[0] + 1).count();
+            let start = self.spans[first as usize].0;
+            let (last_off, last_len) = self.spans[run[len - 1] as usize];
+            ranges.push((start, last_off + last_len));
+            body += (last_off + last_len - start) as usize;
+            run = &run[len..];
+        }
+        (ranges, self.header.len() + body + FOOTER.len())
+    }
+
+    /// Length of the slab the spans index — of this form's own, or of
+    /// the one a skeleton left behind.
+    fn slab_len(&self) -> usize {
+        self.spans
+            .last()
+            .map_or(0, |&(off, len)| (off + len) as usize)
     }
 
     /// The pre-serialized row slab: every row's `<Row>…</Row>` fragment,
@@ -375,13 +452,14 @@ impl ColumnarRows {
 
     /// A copy of this form without the row slab: coordinate columns,
     /// spans, header, and micro-index stay resident (classification and
-    /// region selection keep working), while response assembly needs an
-    /// external slab ([`Self::assemble_document_with`]). This is the
-    /// RAM-resident part of a disk-demoted cache entry.
+    /// region selection keep working), while a document needs the slab
+    /// lent from outside ([`SlabDoc::over`]). This is the RAM-resident
+    /// part of a disk-demoted cache entry.
     pub fn skeleton(&self) -> ColumnarRows {
         ColumnarRows {
             coord_idx: self.coord_idx.clone(),
             cols: self.cols.clone(),
+            order: self.order.clone(),
             slab: Vec::new(),
             spans: self.spans.clone(),
             header: self.header.clone(),
@@ -391,7 +469,7 @@ impl ColumnarRows {
 
     /// Materializes the selected rows as a row-major result (for callers
     /// that need `Value`s — the simulation replay path; the HTTP path
-    /// uses [`Self::assemble_document`] instead).
+    /// uses [`Self::doc_of`] instead).
     pub fn materialize(&self, base: &ResultSet, rows: &[u32]) -> ResultSet {
         ResultSet {
             columns: base.columns.clone(),
@@ -403,38 +481,198 @@ impl ColumnarRows {
     }
 }
 
-/// Whether two axis-aligned boxes (closed, slice form) do not intersect.
-/// NaN bounds (empty zones) compare false everywhere, reporting disjoint.
-fn boxes_disjoint(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bool {
-    alo.iter()
-        .zip(ahi)
-        .zip(blo.iter().zip(bhi))
-        .any(|((al, ah), (bl, bh))| !(al <= bh && bl <= ah))
+/// A form lends its own slab to the documents made from it.
+impl AsRef<[u8]> for ColumnarRows {
+    fn as_ref(&self) -> &[u8] {
+        &self.slab
+    }
 }
 
-fn build_zones(cols: &[Vec<f64>], rows: usize) -> MicroIndex {
-    let dims = cols.len();
-    let mut order: Vec<u32> = (0..rows as u32).collect();
-    // NaN sorts last under total_cmp; those rows fail every containment
-    // test, so their zone placement is irrelevant.
-    order.sort_unstable_by(|&a, &b| cols[0][a as usize].total_cmp(&cols[0][b as usize]));
-    let zones = order.len().div_ceil(ZONE_ROWS);
-    let mut lo = vec![f64::INFINITY; zones * dims];
-    let mut hi = vec![f64::NEG_INFINITY; zones * dims];
-    for (z, zone) in order.chunks(ZONE_ROWS).enumerate() {
-        for &r in zone {
-            for d in 0..dims {
-                let v = cols[d][r as usize];
-                // f64::min/max drop NaN, keeping the bbox finite.
-                lo[z * dims + d] = lo[z * dims + d].min(v);
-                hi[z * dims + d] = hi[z * dims + d].max(v);
-            }
+/// Whoever keeps a document's row bytes alive and in place: a resident
+/// entry's [`ColumnarRows`], or — for a demoted entry — the pinned view
+/// of its slab-file segment.
+pub type SlabOwner = Arc<dyn AsRef<[u8]> + Send + Sync>;
+
+/// A served document: header, ranges of a shared row slab, footer. It is
+/// built once by selection, its length is known before any byte moves,
+/// and the rows it names are copied only by [`SlabDoc::to_vec`] — a
+/// socket sends them from where they lie ([`SlabDoc::into_parts`]).
+/// Holding the document pins the slab, not the cache entry: it stays
+/// valid after the entry is evicted, promoted or compacted away.
+#[derive(Clone)]
+pub struct SlabDoc {
+    /// Header and spans; the slab too unless one is `lent`.
+    form: Arc<ColumnarRows>,
+    /// The slab of a form that is a skeleton.
+    lent: Option<SlabOwner>,
+    /// `(start, end)` byte ranges of the slab, in row order.
+    ranges: Vec<(u32, u32)>,
+    /// Header + ranges + footer.
+    len: usize,
+}
+
+#[allow(clippy::len_without_is_empty)] // header and footer: never empty
+impl SlabDoc {
+    /// The same document over `slab`, a byte-identical copy of the slab
+    /// its form was built from (a demoted entry's mapped segment; the
+    /// form is then the resident skeleton). `None` when `slab` is not of
+    /// that length, whatever it holds.
+    pub fn over(mut self, slab: SlabOwner) -> Option<SlabDoc> {
+        if (*slab).as_ref().len() != self.form.slab_len() {
+            return None;
+        }
+        self.lent = Some(slab);
+        Some(self)
+    }
+
+    /// The document of `rows` (ascending ids) of the same entry, over
+    /// the same slab — a contained hit on an entry whose whole document
+    /// is this one.
+    pub fn of_rows(&self, rows: &[u32]) -> SlabDoc {
+        let (ranges, len) = self.form.coalesce(rows);
+        SlabDoc {
+            form: Arc::clone(&self.form),
+            lent: self.lent.clone(),
+            ranges,
+            len,
         }
     }
-    MicroIndex::Zones { order, lo, hi }
+
+    /// The form whose header and spans this document uses (its micro-
+    /// index selects the rows for [`Self::of_rows`]).
+    pub fn form(&self) -> &ColumnarRows {
+        &self.form
+    }
+
+    /// Length of the whole document in bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The `<ResultSet><Columns>…</Columns>` prefix.
+    pub fn header(&self) -> &[u8] {
+        &self.form.header
+    }
+
+    /// How many slab ranges lie between header and footer.
+    pub fn range_count(&self) -> usize {
+        self.ranges.len()
+    }
+
+    fn slab(&self) -> &[u8] {
+        match &self.lent {
+            Some(slab) => (**slab).as_ref(),
+            None => &self.form.slab,
+        }
+    }
+
+    /// The document as contiguous bytes — the one place row bytes are
+    /// copied, for the APIs that promise a `Vec`.
+    pub fn to_vec(&self) -> Vec<u8> {
+        flatten(self.header(), self.slab(), &self.ranges, self.len)
+    }
+
+    /// What follows [`Self::header`]: the slab's owner, the
+    /// `(start, end)` ranges of it, and the footer.
+    pub fn into_parts(self) -> (SlabOwner, Vec<(u32, u32)>, &'static [u8]) {
+        let owner = match self.lent {
+            Some(slab) => slab,
+            None => self.form,
+        };
+        (owner, self.ranges, FOOTER)
+    }
 }
 
-fn build_grid(cols: &[Vec<f64>], rows: usize) -> MicroIndex {
+impl fmt::Debug for SlabDoc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SlabDoc")
+            .field("len", &self.len)
+            .field("ranges", &self.ranges.len())
+            .field("lent", &self.lent.is_some())
+            .finish()
+    }
+}
+
+/// `header`, the `ranges` of `slab`, [`FOOTER`]: `len` bytes in all.
+fn flatten(header: &[u8], slab: &[u8], ranges: &[(u32, u32)], len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(header);
+    for &(start, end) in ranges {
+        out.extend_from_slice(&slab[start as usize..end as usize]);
+    }
+    out.extend_from_slice(FOOTER);
+    debug_assert_eq!(out.len(), len);
+    out
+}
+
+/// One bit per element of `values`: whether it passes `test`.
+#[inline]
+fn verdict_mask(values: &[f64], test: impl Fn(f64) -> bool) -> u64 {
+    debug_assert!(values.len() <= BLOCK);
+    values
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &v)| mask | (u64::from(test(v)) << i))
+}
+
+/// Ball membership of the `acc.len()` rows at scan position `at`:
+/// squared distances accumulated in dimension order, as
+/// `dist2_slices(center, point)` does, then `d² <= limit`. A NaN
+/// coordinate makes the sum NaN, which fails.
+#[inline]
+fn ball_verdicts(cols: &[Vec<f64>], center: &[f64], limit: f64, at: usize, acc: &mut [f64]) -> u64 {
+    acc.fill(0.0);
+    for (col, &c) in cols.iter().zip(center) {
+        for (sum, &x) in acc.iter_mut().zip(&col[at..]) {
+            let diff = c - x;
+            *sum += diff * diff;
+        }
+    }
+    verdict_mask(acc, |d2| d2 <= limit)
+}
+
+/// Box membership of the `len` rows at scan position `at`: per
+/// dimension `approx_le(lo, x) & approx_le(x, hi)`, and-ed. NaN fails
+/// both comparisons.
+#[inline]
+fn box_verdicts(cols: &[Vec<f64>], rect: &HyperRect, at: usize, len: usize) -> u64 {
+    let mut mask = u64::MAX;
+    for ((col, &lo), &hi) in cols.iter().zip(rect.lo()).zip(rect.hi()) {
+        let hi = hi + EPS;
+        mask &= verdict_mask(&col[at..at + len], |x| (lo <= x + EPS) & (x <= hi));
+    }
+    mask
+}
+
+/// Half-space membership of the `acc.len()` rows at scan position `at`,
+/// all `faces` and-ed: per face the dot product accumulated in dimension
+/// order, as `dot_slices(normal, point)` does, then
+/// `approx_le(dot, offset)`.
+#[inline]
+fn faces_verdicts(cols: &[Vec<f64>], faces: &[HalfSpace], at: usize, acc: &mut [f64]) -> u64 {
+    let mut mask = u64::MAX;
+    for face in faces {
+        acc.fill(0.0);
+        for (col, &n) in cols.iter().zip(face.normal()) {
+            for (sum, &x) in acc.iter_mut().zip(&col[at..]) {
+                *sum += n * x;
+            }
+        }
+        let limit = face.offset() + EPS;
+        mask &= verdict_mask(acc, |dot| dot <= limit);
+    }
+    mask
+}
+
+/// Rewrites every column from row order into `order`'s.
+fn permute(cols: &mut [Vec<f64>], order: &[u32]) {
+    for col in cols {
+        *col = order.iter().map(|&r| col[r as usize]).collect();
+    }
+}
+
+fn build_grid(cols: &mut [Vec<f64>]) -> (Vec<u32>, MicroIndex) {
+    let rows = cols[0].len();
     let gdims = if cols.len() >= 2 { 2 } else { 1 };
     // Aim for ~8 rows per cell on a square grid.
     let target_cells = (rows / 8).max(1);
@@ -448,7 +686,8 @@ fn build_grid(cols: &[Vec<f64>], rows: usize) -> MicroIndex {
     let mut min = [f64::INFINITY; 2];
     let mut max = [f64::NEG_INFINITY; 2];
     for axis in 0..gdims {
-        for &v in &cols[axis] {
+        // Of the finite coordinates: the others take no cell.
+        for &v in cols[axis].iter().filter(|v| v.is_finite()) {
             min[axis] = min[axis].min(v);
             max[axis] = max[axis].max(v);
         }
@@ -463,35 +702,51 @@ fn build_grid(cols: &[Vec<f64>], rows: usize) -> MicroIndex {
         };
     }
 
+    // Counting sort by cell; `side` doubles as the row stride, and a 1-D
+    // entry is a single grid row. Non-finite rows take the cell past the
+    // last.
     let cell_count = if gdims == 2 { side * side } else { side };
-    let mut cells: Vec<Vec<u32>> = vec![Vec::new(); cell_count];
-    let mut overflow = Vec::new();
-    for r in 0..rows as u32 {
-        let coord = |axis: usize| cols[axis][r as usize];
+    let cell_of = |r: usize| -> usize {
+        let coord = |axis: usize| cols[axis][r];
         if (0..gdims).any(|axis| !coord(axis).is_finite()) {
-            overflow.push(r);
-            continue;
+            return cell_count;
         }
-        let cell_of = |axis: usize| {
+        let along = |axis: usize| {
             (((coord(axis) - min[axis]) * inv_step[axis]) as isize).clamp(0, side as isize - 1)
                 as usize
         };
-        let idx = if gdims == 2 {
-            cell_of(1) * side + cell_of(0)
+        if gdims == 2 {
+            along(1) * side + along(0)
         } else {
-            cell_of(0)
-        };
-        cells[idx].push(r);
+            along(0)
+        }
+    };
+    let mut cell_start = vec![0u32; cell_count + 1];
+    for r in 0..rows {
+        if let Some(count) = cell_start.get_mut(cell_of(r) + 1) {
+            *count += 1;
+        }
     }
-    // `side` doubles as the row stride for 2-D lookup; for the 1-D case
-    // a single "row" of cells with stride `side` behaves identically.
-    MicroIndex::Grid {
-        cells,
-        side,
-        min,
-        inv_step,
-        overflow,
+    for c in 0..cell_count {
+        cell_start[c + 1] += cell_start[c];
     }
+    let mut next = cell_start.clone();
+    let mut order = vec![0u32; rows];
+    for r in 0..rows {
+        let slot = &mut next[cell_of(r)];
+        order[*slot as usize] = r as u32;
+        *slot += 1;
+    }
+    permute(cols, &order);
+    (
+        order,
+        MicroIndex::Grid {
+            cell_start,
+            side,
+            min,
+            inv_step,
+        },
+    )
 }
 
 /// Where the serializer's output goes. `Vec<u8>` keeps the document;
@@ -668,6 +923,37 @@ mod tests {
         assert_eq!(c.cols[0][3], 0.3);
         assert_eq!(c.cols[1][3], 0.7);
         assert_eq!(c.index_kind(), IndexKind::Flat);
+        assert!(c.order.is_empty(), "a flat entry keeps row order");
+    }
+
+    /// `cols[d][p]` is row `order[p]`'s coordinate, `order` is a
+    /// permutation, and the grid's cells partition it.
+    #[test]
+    fn grid_columns_are_stored_in_scan_order() {
+        let mut base = rs(5000);
+        base.rows[17][1] = Value::Float(f64::NAN);
+        base.rows[4000][2] = Value::Float(f64::INFINITY);
+        let c = ColumnarRows::build(&base, &[1, 2]).unwrap();
+        let mut seen = c.order.clone();
+        seen.sort_unstable();
+        assert!(seen.iter().copied().eq(0..5000), "a permutation");
+        for (p, &r) in c.order.iter().enumerate() {
+            for (d, ci) in [1, 2].into_iter().enumerate() {
+                let want = base.rows[r as usize][ci].as_f64().unwrap();
+                assert_eq!(c.cols[d][p].to_bits(), want.to_bits(), "p={p}");
+            }
+        }
+        let MicroIndex::Grid {
+            cell_start, side, ..
+        } = &c.index
+        else {
+            panic!("5000 rows are gridded");
+        };
+        assert_eq!(cell_start.len(), side * side + 1);
+        assert!(cell_start.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(cell_start[0], 0);
+        let overflow = &c.order[*cell_start.last().unwrap() as usize..];
+        assert_eq!(overflow, &[17, 4000], "non-finite rows sit past the cells");
     }
 
     #[test]
@@ -695,7 +981,7 @@ mod tests {
         let (mut out, mut scratch) = (Vec::new(), Vec::new());
         for region in &regions {
             let mut reference: Option<Vec<u32>> = None;
-            for kind in [IndexKind::Flat, IndexKind::Zones, IndexKind::Grid] {
+            for kind in [IndexKind::Flat, IndexKind::Grid] {
                 let c = ColumnarRows::build_with_index(&base, &[1, 2], kind).unwrap();
                 assert_eq!(c.index_kind(), kind);
                 let stats = c.select_region(region, &mut out, &mut scratch);
@@ -711,21 +997,52 @@ mod tests {
     }
 
     #[test]
-    fn zones_and_grid_prune() {
+    fn the_grid_prunes() {
         let base = rs(2000);
-        let region = rect(0.1, 0.15);
+        let c = ColumnarRows::build(&base, &[1, 2]).unwrap();
+        assert_eq!(c.index_kind(), IndexKind::Grid);
         let (mut out, mut scratch) = (Vec::new(), Vec::new());
-        for kind in [IndexKind::Zones, IndexKind::Grid] {
-            let c = ColumnarRows::build_with_index(&base, &[1, 2], kind).unwrap();
-            let stats = c.select_region(&region, &mut out, &mut scratch);
-            assert!(
-                stats.rows_scanned < stats.rows_total / 2,
-                "{kind:?} scanned {} of {}",
-                stats.rows_scanned,
-                stats.rows_total
-            );
-            assert!(stats.rows_pruned() > 0);
-        }
+        let stats = c.select_region(&rect(0.1, 0.15), &mut out, &mut scratch);
+        assert!(
+            stats.rows_scanned < stats.rows_total / 2,
+            "scanned {} of {}",
+            stats.rows_scanned,
+            stats.rows_total
+        );
+        assert!(stats.rows_pruned() > 0);
+    }
+
+    /// Membership is ε-tolerant: a row within EPS outside the query box
+    /// is selected even when the box ends exactly on a cell boundary
+    /// and the row lies in the cell beyond it.
+    #[test]
+    fn the_grid_keeps_rows_on_the_epsilon_fringe_of_a_cell_boundary() {
+        // 512 rows over x ∈ [0, 64]: 64 cells, one per unit.
+        let mut xs = vec![30.5; 512];
+        (xs[0], xs[1]) = (0.0, 64.0);
+        (xs[2], xs[3]) = (10.0 - 0.5 * EPS, 20.0);
+        let base = ResultSet {
+            columns: vec!["objID".into(), "x".into()],
+            rows: xs
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| vec![Value::Int(i as i64), Value::Float(x)])
+                .collect(),
+        };
+        let c = ColumnarRows::build(&base, &[1]).unwrap();
+        let MicroIndex::Grid { side, inv_step, .. } = &c.index else {
+            panic!("512 rows are gridded");
+        };
+        assert_eq!(
+            (*side, inv_step[0]),
+            (64, 1.0),
+            "cell boundaries on integers"
+        );
+        let query = Region::Rect(HyperRect::new(vec![10.0], vec![20.0 - 1e-10]).unwrap());
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        let stats = c.select_region(&query, &mut out, &mut scratch);
+        assert_eq!(out, [2, 3], "cells 9 and 20 hold the fringe rows");
+        assert!(stats.rows_scanned < 16, "and the grid still prunes");
     }
 
     #[test]
@@ -734,7 +1051,7 @@ mod tests {
         base.rows[5][1] = Value::Float(f64::NAN);
         base.rows[300][2] = Value::Float(f64::NAN);
         let (mut out, mut scratch) = (Vec::new(), Vec::new());
-        for kind in [IndexKind::Flat, IndexKind::Zones, IndexKind::Grid] {
+        for kind in [IndexKind::Flat, IndexKind::Grid] {
             let c = ColumnarRows::build_with_index(&base, &[1, 2], kind).unwrap();
             c.select_region(&rect(-10.0, 10.0), &mut out, &mut scratch);
             assert!(!out.contains(&5));
@@ -789,19 +1106,74 @@ mod tests {
         );
     }
 
+    /// Adjacent selected rows share a range; a gap starts a new one.
     #[test]
-    fn skeleton_assembles_with_external_slab() {
-        let base = rs(50);
-        let c = ColumnarRows::build(&base, &[1, 2]).unwrap();
-        let slab = c.slab().to_vec();
-        let sk = c.skeleton();
-        assert!(sk.slab().is_empty());
-        assert_eq!(sk.full_document_with(&slab), c.full_document());
-        let picked = [0u32, 7, 33];
+    fn ranges_coalesce_where_rows_are_consecutive() {
+        let base = rs(40);
+        let c = Arc::new(ColumnarRows::build(&base, &[1, 2]).unwrap());
+        let bytes = |rows: &[u32]| base_bytes(&c, &base, rows);
+
+        let alternate: Vec<u32> = (0..40).step_by(2).collect();
+        let doc = c.doc_of(&alternate);
+        assert_eq!(doc.range_count(), 20, "one range per isolated row");
+        assert_eq!(doc.to_vec(), bytes(&alternate));
+
+        let all: Vec<u32> = (0..40).collect();
+        let doc = c.doc_of(&all);
+        assert_eq!(doc.range_count(), 1);
         assert_eq!(
-            sk.assemble_document_with(&slab, &picked),
-            c.assemble_document(&picked)
+            doc.ranges,
+            c.doc().ranges,
+            "every row = the exact hit's range"
         );
+        assert_eq!(doc.to_vec(), c.full_document());
+        assert_eq!(doc.len(), c.full_document().len());
+
+        // Runs 3..=9 and 20..=29; `TOP 12` cuts inside the second.
+        let mut runs: Vec<u32> = (3..10).chain(20..30).collect();
+        runs.truncate(12);
+        let doc = c.doc_of(&runs);
+        assert_eq!(doc.range_count(), 2);
+        let (first, second) = (doc.ranges[0], doc.ranges[1]);
+        assert_eq!(first, (c.spans[3].0, c.spans[9].0 + c.spans[9].1));
+        assert_eq!(second, (c.spans[20].0, c.spans[24].0 + c.spans[24].1));
+        assert_eq!(doc.to_vec(), bytes(&runs));
+        assert_eq!(doc.len(), doc.to_vec().len());
+
+        let none = c.doc_of(&[]);
+        assert_eq!(none.range_count(), 0);
+        assert_eq!(none.to_vec(), bytes(&[]));
+        let empty = Arc::new(ColumnarRows::build(&rs(0), &[1, 2]).unwrap());
+        assert_eq!(empty.doc().range_count(), 0, "no empty range is queued");
+        assert_eq!(empty.doc().to_vec(), empty.full_document());
+    }
+
+    /// The tree serialization of `rows` of `base`.
+    fn base_bytes(c: &ColumnarRows, base: &ResultSet, rows: &[u32]) -> Vec<u8> {
+        c.materialize(base, rows).to_xml().to_xml().into_bytes()
+    }
+
+    #[test]
+    fn skeleton_documents_borrow_an_external_slab() {
+        let base = rs(50);
+        let c = Arc::new(ColumnarRows::build(&base, &[1, 2]).unwrap());
+        let slab: SlabOwner = Arc::new(c.slab().to_vec());
+        let sk = Arc::new(c.skeleton());
+        assert!(sk.slab().is_empty());
+        assert_eq!(
+            sk.doc().over(Arc::clone(&slab)).unwrap().to_vec(),
+            c.full_document()
+        );
+        let picked = [0u32, 7, 33];
+        let lent = sk.doc_of(&picked).over(Arc::clone(&slab)).unwrap();
+        assert_eq!(lent.to_vec(), c.assemble_document(&picked));
+        let (owner, ranges, footer) = lent.into_parts();
+        assert_eq!(footer, FOOTER);
+        assert!(Arc::ptr_eq(&owner, &slab), "the lender owns the bytes");
+        assert_eq!(ranges.len(), 3);
+        // A slab of any other length is not this form's.
+        let short: SlabOwner = Arc::new(c.slab()[1..].to_vec());
+        assert!(sk.doc().over(short).is_none());
         // The skeleton still selects (columns + index are resident) and
         // charges less heap than the full form.
         let (mut out, mut scratch) = (Vec::new(), Vec::new());

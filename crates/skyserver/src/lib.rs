@@ -33,7 +33,9 @@ pub mod site;
 pub mod tvf;
 
 pub use catalog::Catalog;
-pub use columnar::{accounted_xml_bytes, ColumnarRows, IndexKind, SelectStats};
+pub use columnar::{
+    accounted_xml_bytes, ColumnarRows, IndexKind, SelectStats, SlabDoc, SlabOwner, FOOTER,
+};
 pub use generate::{CatalogSpec, SkyWindow};
 pub use result::{ExecStats, ResultSet};
 pub use site::{SiteError, SkySite};

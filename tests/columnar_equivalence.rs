@@ -3,14 +3,20 @@
 //! and non-numeric cells) and arbitrary regions (rect / sphere /
 //! polytope), columnar selection must produce the identical row set in
 //! the identical order, and the zero-copy byte assembly must reproduce
-//! the tree serializer byte for byte.
+//! the tree serializer byte for byte. A seeded sweep does the same at
+//! every entry size where the index or the block geometry changes, in
+//! one to four dimensions, with rows placed on the region's ε fringe.
 
+use fp_suite::geometry::EPS;
 use fp_suite::geometry::{HalfSpace, HyperRect, HyperSphere, Point, Polytope, Region};
 use fp_suite::proxy::query::{eval_entry_region, eval_region_over, EvalScratch};
 use fp_suite::skyserver::columnar::result_to_xml_bytes;
-use fp_suite::skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet};
+use fp_suite::skyserver::{accounted_xml_bytes, ColumnarRows, IndexKind, ResultSet};
 use fp_suite::sqlmini::Value;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Coordinate cells: mostly finite floats in the interesting window,
 /// some integers, some NaN (numeric, never selected), and — rarely —
@@ -220,4 +226,149 @@ proptest! {
         let reference = eval_region_over(&rs, &COORD_IDX, &region).expect("NaN rows evaluate");
         prop_assert!(reference.is_empty());
     }
+}
+
+/// Entry sizes on both sides of every boundary the selection has: no
+/// rows, one row, a block (64) less / exactly / plus one, the flat→grid
+/// switch (256) likewise, the former grid threshold, and a size whose
+/// last block is ragged.
+const MODEL_SIZES: [usize; 11] = [0, 1, 63, 64, 65, 255, 256, 257, 4_095, 4_096, 6_000];
+
+/// Distances beyond a region's boundary at which rows are planted, on
+/// both sides of the ε the tolerant membership allows: whatever it
+/// accepts out there, the index must not lose.
+const FRINGE: [f64; 6] = [
+    0.0,
+    0.5 * EPS,
+    -0.5 * EPS,
+    2.0 * EPS,
+    -2.0 * EPS,
+    0.999 * EPS,
+];
+
+/// A ball, a box or a cross-polytope (`Σ|xᵢ − cᵢ| ≤ r`, all `2^dims`
+/// faces, bounding box declared) around `center`.
+fn model_region(shape: usize, center: &[f64], r: f64) -> Region {
+    let dims = center.len();
+    let lo: Vec<f64> = center.iter().map(|c| c - r).collect();
+    let hi: Vec<f64> = center.iter().map(|c| c + r).collect();
+    match shape {
+        0 => Region::Sphere(HyperSphere::new(Point::from_slice(center), r).unwrap()),
+        1 => Region::Rect(HyperRect::new(lo, hi).unwrap()),
+        _ => {
+            let faces = (0..1u32 << dims)
+                .map(|signs| {
+                    let normal: Vec<f64> = (0..dims)
+                        .map(|d| if signs >> d & 1 == 1 { -1.0 } else { 1.0 })
+                        .collect();
+                    let offset = r + normal.iter().zip(center).map(|(n, c)| n * c).sum::<f64>();
+                    HalfSpace::new(normal, offset).unwrap()
+                })
+                .collect();
+            Region::Polytope(Polytope::new(faces, HyperRect::new(lo, hi).unwrap()).unwrap())
+        }
+    }
+}
+
+/// `rows` rows of `objID, c0..c{dims-1}, tag`: uniform points around the
+/// region, NaN and ±∞ coordinates, repeats of the row before, and
+/// points pushed along one axis to the region's boundary ± [`FRINGE`].
+fn model_entry(rng: &mut StdRng, rows: usize, center: &[f64], r: f64) -> ResultSet {
+    let dims = center.len();
+    let mut columns = vec!["objID".to_string()];
+    columns.extend((0..dims).map(|d| format!("c{d}")));
+    columns.push("tag".into());
+    let mut coords: Vec<Vec<f64>> = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let mut point: Vec<f64> = (0..dims).map(|_| rng.gen_range(-1.5..1.5)).collect();
+        match rng.gen_range(0..20) {
+            0 => point[rng.gen_range(0..dims)] = f64::NAN,
+            1 => point[rng.gen_range(0..dims)] = f64::INFINITY,
+            2 => point[rng.gen_range(0..dims)] = f64::NEG_INFINITY,
+            3 | 4 => {
+                if let Some(previous) = coords.last() {
+                    point = previous.clone();
+                }
+            }
+            5..=8 => {
+                // On an axis through the centre the distance to it, the
+                // box's face and the polytope's face all are `r` away.
+                point = center.to_vec();
+                let axis = rng.gen_range(0..dims);
+                let off = r + FRINGE[rng.gen_range(0..FRINGE.len())];
+                point[axis] += if rng.gen_bool(0.5) { off } else { -off };
+            }
+            _ => {}
+        }
+        coords.push(point);
+    }
+    ResultSet {
+        columns,
+        rows: coords
+            .into_iter()
+            .enumerate()
+            .map(|(i, point)| {
+                let mut row = vec![Value::Int(i as i64)];
+                row.extend(point.into_iter().map(Value::Float));
+                row.push(Value::Str(format!("t<{i}>")));
+                row
+            })
+            .collect(),
+    }
+}
+
+/// Selection ≡ the row-major model, id for id, and the document of the
+/// selection ≡ the serialized model result, byte for byte.
+#[test]
+fn selection_and_document_match_the_model_at_every_size_and_shape() {
+    let mut rng = StdRng::seed_from_u64(0x5E1EC7);
+    let (mut selected, mut acc) = (Vec::new(), Vec::new());
+    let mut fringe_rows_kept = 0;
+    for dims in 1..=4usize {
+        let coord_idx: Vec<usize> = (1..=dims).collect();
+        for shape in 0..3 {
+            for &rows in &MODEL_SIZES {
+                // From a query nothing lies in to one everything finite
+                // lies in.
+                let r = [1e-7, 0.4, 0.9, 40.0][rng.gen_range(0..4)];
+                let center: Vec<f64> = (0..dims).map(|_| rng.gen_range(-0.5..0.5)).collect();
+                let region = model_region(shape, &center, r);
+                let rs = model_entry(&mut rng, rows, &center, r);
+                let model = eval_region_over(&rs, &coord_idx, &region).expect("numeric");
+                let model_ids: Vec<u32> = model
+                    .rows
+                    .iter()
+                    .map(|row| row[0].as_i64().unwrap() as u32)
+                    .collect();
+                let model_bytes = model.to_xml_string().into_bytes();
+                fringe_rows_kept += model_ids.len();
+
+                let built = ColumnarRows::build(&rs, &coord_idx).expect("numeric");
+                assert_eq!(
+                    built.index_kind(),
+                    if rows < 256 {
+                        IndexKind::Flat
+                    } else {
+                        IndexKind::Grid
+                    }
+                );
+                for kind in [IndexKind::Flat, IndexKind::Grid] {
+                    let what = format!("{dims}-D shape {shape}, {rows} rows, r={r}, {kind:?}");
+                    let col = Arc::new(
+                        ColumnarRows::build_with_index(&rs, &coord_idx, kind).expect("numeric"),
+                    );
+                    let stats = col.select_region(&region, &mut selected, &mut acc);
+                    assert_eq!(selected, model_ids, "{what}");
+                    assert_eq!(stats.rows_total, rows, "{what}");
+                    assert_eq!(stats.rows_selected, model_ids.len(), "{what}");
+                    assert!(stats.rows_selected <= stats.rows_scanned, "{what}");
+                    assert!(stats.rows_scanned <= stats.rows_total, "{what}");
+                    let doc = col.doc_of(&selected);
+                    assert_eq!(doc.len(), model_bytes.len(), "{what}");
+                    assert_eq!(doc.to_vec(), model_bytes, "{what}");
+                }
+            }
+        }
+    }
+    assert!(fringe_rows_kept > 10_000, "the sweep must select something");
 }

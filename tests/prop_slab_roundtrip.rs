@@ -19,6 +19,7 @@ use fp_suite::proxy::cache::{encode_payload, SlabFile};
 use fp_suite::skyserver::{ColumnarRows, ResultSet};
 use fp_suite::sqlmini::Value;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn temp_slab(tag: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -139,16 +140,23 @@ proptest! {
         let seg = slab.append(&payload).unwrap();
         let view = slab.slice(seg).expect("segment is readable");
 
-        let skeleton = columnar.skeleton();
+        let skeleton = Arc::new(columnar.skeleton());
+        let lent = skeleton
+            .doc()
+            .over(Arc::new(view))
+            .expect("the mapped slab is the length the skeleton indexes");
         prop_assert_eq!(
-            skeleton.full_document_with(view.row_slab()),
+            lent.to_vec(),
             result.to_xml_string().into_bytes(),
             "mmap-served document differs from the original result"
         );
-        // The skeleton serves the same bytes the live columnar form does.
+        // The skeleton serves the same bytes the live columnar form does,
+        // for a row subset as for the whole entry.
+        prop_assert_eq!(lent.to_vec(), columnar.full_document());
+        let every_other: Vec<u32> = (0..columnar.len() as u32).step_by(2).collect();
         prop_assert_eq!(
-            skeleton.full_document_with(view.row_slab()),
-            columnar.full_document()
+            lent.of_rows(&every_other).to_vec(),
+            columnar.assemble_document(&every_other)
         );
         drop(slab);
         std::fs::remove_file(&path).unwrap();

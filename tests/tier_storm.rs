@@ -5,12 +5,23 @@
 //! byte-identity: every response must equal the origin's answer for that
 //! query no matter which tier served it or what churn was in flight —
 //! demote/promote moves bytes, never changes them.
+//!
+//! A second test holds the same invariant for a reply that is still
+//! queued when the churn hits: a disk hit leaves the edge as ranges of
+//! the mapped slab file, and the mapping it pins must outlive the
+//! entry, a compaction of the file, and the file's name.
 
+use fp_suite::edge::{EdgeConfig, EdgeServer, ProxyEdgeService};
+use fp_suite::httpd::parse::read_response;
+use fp_suite::proxy::cache::TierConfig;
 use fp_suite::proxy::template::TemplateManager;
 use fp_suite::proxy::{CostModel, Origin, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 6;
@@ -133,4 +144,110 @@ fn eight_thread_storm_stays_byte_identical_under_tier_churn() {
         "every storm request must be accounted for"
     );
     std::fs::remove_dir_all(&tier_dir).ok();
+}
+
+fn radial(ra: f64, dec: f64, radius: f64) -> Vec<(String, String)> {
+    vec![
+        ("ra".to_string(), ra.to_string()),
+        ("dec".to_string(), dec.to_string()),
+        ("radius".to_string(), radius.to_string()),
+    ]
+}
+
+/// Disk hits — exact and contained — answered inline by the edge and
+/// parked behind a reader that reads nothing; then the entry is retired,
+/// its slab compacted (staged copy renamed over the file, so the mapped
+/// inode loses its name) and the whole tier directory removed. The
+/// queued replies lend ranges of that mapping; what the reader finally
+/// drains must be the bytes a RAM-only proxy serves.
+#[test]
+fn parked_disk_hits_outlive_compaction_and_the_slab_file() {
+    let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+    // A 170′ cone (≈ 2.4 MB) asked for whole, and as 95′ sub-cones far
+    // enough off-centre that the answer is hundreds of slab ranges.
+    let big = radial(185.0, 0.0, 170.0);
+    let mut requests = vec![big.clone(), big.clone()];
+    requests.extend((1..=6).map(|k| radial(185.0 + f64::from(k) / 6.0, 0.0, 95.0)));
+
+    let oracle = make_handle(&site, None, None);
+    oracle
+        .handle_form_xml("/search/radial", &big)
+        .expect("warm");
+    let big_footprint = oracle.cache_stats().bytes;
+    let truth: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|q| oracle.handle_form_xml("/search/radial", q).unwrap().body)
+        .collect();
+    assert!(truth.iter().map(Vec::len).sum::<usize>() > 8 << 20);
+    drop(oracle);
+
+    // RAM for the big entry and little else: the next insert demotes it.
+    // Any dead byte triggers a compaction.
+    let tier_dir = fresh_dir("fp_tier_pin");
+    let handle = ProxyHandle::with_shards(
+        TemplateManager::with_sky_defaults(),
+        Arc::new(SiteOrigin::new(site.clone())) as Arc<dyn Origin>,
+        ProxyConfig::default()
+            .with_scheme(Scheme::FullSemantic)
+            .with_cost(CostModel::free())
+            .with_capacity(Some(big_footprint + 4096))
+            .with_tier_config(TierConfig::new(&tier_dir).with_compact_ratio(0.01)),
+        1,
+    );
+    handle
+        .handle_form_xml("/search/radial", &big)
+        .expect("warm");
+    handle
+        .handle_form_xml("/search/radial", &radial(181.0, -2.0, 20.0))
+        .expect("the insert that pushes the big entry out");
+    let cache = handle.cache_stats();
+    assert_eq!((cache.entries, cache.disk_entries), (1, 1), "demoted");
+
+    let server = EdgeServer::bind(
+        "127.0.0.1:0",
+        Arc::new(ProxyEdgeService::new(handle.clone())),
+        EdgeConfig::default().with_workers(0),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let wire: String = requests
+        .iter()
+        .map(|q| {
+            format!(
+                "GET /search/radial?ra={}&dec={}&radius={} HTTP/1.1\r\nHost: t\r\n\r\n",
+                q[0].1, q[1].1, q[2].1
+            )
+        })
+        .collect();
+    stream.write_all(wire.as_bytes()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.stats().fast_path < requests.len() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Inline (no workers, so nothing promoted it) and all from the slab;
+    // > 8 MB queued against a socket that holds about half of that.
+    assert_eq!(server.stats().fast_path, requests.len());
+    assert_eq!(handle.runtime_stats().disk_hits, requests.len());
+
+    assert_eq!(handle.set_epoch(handle.current_epoch() + 1), 2);
+    let cache = handle.cache_stats();
+    assert_eq!((cache.entries, cache.disk_entries), (0, 0), "retired");
+    assert!(cache.slab_compactions >= 1, "the slab was rewritten");
+    std::fs::remove_dir_all(&tier_dir).expect("tier directory");
+    assert!(!tier_dir.exists());
+
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    for (k, want) in truth.iter().enumerate() {
+        let reply = read_response(&mut reader).expect("a whole reply");
+        let outcome = if k < 2 { "exact" } else { "contained" };
+        assert_eq!(reply.headers.get("X-Cache-Outcome"), Some(outcome));
+        assert!(
+            reply.body == *want,
+            "reply {k}: a parked disk hit differs from the RAM-served answer"
+        );
+    }
+    server.shutdown();
 }
