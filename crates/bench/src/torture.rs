@@ -608,8 +608,9 @@ impl Experiment {
     }
 
     /// One torture fleet node: 1/6-size RAM cache, disk tier carrying
-    /// the injectable [`SlabIo`], short TTLs with both staleness
-    /// windows, and snapshot-on-demand persistence.
+    /// the injectable [`SlabIo`] (and, with no metadata interval, only
+    /// `snapshot_now` persistence — deterministic), short TTLs with both
+    /// staleness windows.
     fn torture_node(
         &self,
         dir: &Path,
@@ -619,17 +620,12 @@ impl Experiment {
         origin: &Arc<ChaosOrigin>,
     ) -> ProxyHandle {
         let tier_dir = dir.join("tier");
-        let snap_dir = dir.join("snap");
         let _ = std::fs::create_dir_all(&tier_dir);
-        let _ = std::fs::create_dir_all(&snap_dir);
         let lifecycle = LifecycleConfig::default()
             .with_default_ttl(TTL)
             .with_stale_while_revalidate(SWR)
             .with_stale_if_error(SIE)
-            .with_epoch(1)
-            // Interval far beyond the run: snapshots happen through
-            // `snapshot_now` only, deterministically.
-            .with_snapshot(snap_dir, Duration::from_secs(3600));
+            .with_epoch(1);
         ProxyHandle::with_shards_clocked(
             TemplateManager::with_sky_defaults(),
             Arc::clone(origin) as Arc<dyn Origin>,

@@ -1,7 +1,9 @@
-//! The proxy cache: result store, replacement, and cache descriptions.
+//! The proxy cache: result store, replacement, cache descriptions, and
+//! the disk tier that is also its only persistence.
 
 mod description;
 mod entry;
+mod frame;
 mod persist;
 mod profit;
 mod replace;
@@ -10,8 +12,7 @@ mod tier;
 
 pub use description::{ArrayDescription, CacheDescription, DescriptionKind, RTreeDescription};
 pub use entry::CacheEntry;
-pub(crate) use persist::{entry_from_xml, entry_to_xml};
-pub use persist::{region_from_xml, region_to_xml, SnapshotLoad};
+pub(crate) use persist::entry_from_xml;
 pub use profit::{ProfitEstimate, ProfitModel, ProfitParams};
 pub use replace::Replacement;
 pub use store::{CacheStats, CacheStore, ClassifyView};

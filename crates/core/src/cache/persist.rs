@@ -1,136 +1,31 @@
-//! Cache persistence: the paper's proxy keeps its cached results as XML
-//! files on disk ("Query Result Files" in its Figure 4 architecture) so
-//! the cache survives servlet restarts. This module provides the same
-//! durability: a snapshot writes every entry as one self-describing XML
-//! document, and a load rebuilds the store — including the cache
-//! descriptions — from those files.
+//! The entry codec: one cache entry as a self-describing `<CacheEntry>`
+//! XML document — the paper's "Query Result Files" (its Figure 4). The
+//! document is the header of every slab segment (`cache/tier.rs`), so a
+//! segment alone rebuilds the full entry, including its lifecycle stamp,
+//! on promotion or warm restart.
 //!
 //! Floating-point fidelity matters here (regions are compared with tight
 //! tolerances), so numbers are written with Rust's shortest-roundtrip
 //! formatting and parsed back exactly.
 
 use crate::cache::entry::CacheEntry;
-use crate::cache::store::CacheStore;
 use crate::lifecycle::LifecycleStamp;
 use fp_geometry::{HalfSpace, HyperRect, HyperSphere, Point, Polytope, Region};
 use fp_skyserver::ResultSet;
 use fp_xmlite::Element;
-use std::io;
-use std::path::Path;
 use std::time::Instant;
-
-impl CacheStore {
-    /// Writes every cached entry to `dir` (created if absent) as
-    /// `entry_<id>.xml`. Pre-existing entry files in the directory are
-    /// removed first so the snapshot is exact.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn save_snapshot(&self, dir: &Path) -> io::Result<usize> {
-        std::fs::create_dir_all(dir)?;
-        for existing in std::fs::read_dir(dir)? {
-            let path = existing?.path();
-            let is_entry = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("entry_") && n.ends_with(".xml"));
-            if is_entry {
-                std::fs::remove_file(path)?;
-            }
-        }
-        let now = self.now();
-        let mut written = 0;
-        for entry in self.iter_entries() {
-            let doc = entry_to_xml(entry, now);
-            std::fs::write(
-                dir.join(format!("entry_{}.xml", entry.id)),
-                doc.to_xml_pretty(),
-            )?;
-            written += 1;
-        }
-        Ok(written)
-    }
-
-    /// Loads every `entry_*.xml` in `dir` into this store (on top of its
-    /// current contents; typically called on an empty store). Unreadable
-    /// or malformed files are skipped and reported in the error count —
-    /// a proxy should come up with a partial cache rather than not at all.
-    ///
-    /// # Errors
-    /// Propagates the directory-listing error only.
-    pub fn load_snapshot(&mut self, dir: &Path) -> io::Result<SnapshotLoad> {
-        let mut load = SnapshotLoad::default();
-        for file in std::fs::read_dir(dir)? {
-            let path = file?.path();
-            let is_entry = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("entry_") && n.ends_with(".xml"));
-            if !is_entry {
-                continue;
-            }
-            let parsed = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| Element::parse(&text).ok())
-                .and_then(|doc| entry_from_xml(&doc));
-            match parsed {
-                Some(((residual_key, region, result, truncated, sql, coord_idx), stamp)) => {
-                    let restored = self.insert_restored(
-                        &residual_key,
-                        region,
-                        result,
-                        truncated,
-                        &sql,
-                        &coord_idx,
-                        &stamp,
-                    );
-                    if restored.is_some() {
-                        load.loaded += 1;
-                    }
-                }
-                None => load.skipped += 1,
-            }
-        }
-        Ok(load)
-    }
-}
-
-/// Outcome of a snapshot load.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotLoad {
-    /// Entries restored.
-    pub loaded: usize,
-    /// Files present but unreadable/malformed (skipped).
-    pub skipped: usize,
-}
 
 /// Serializes one entry as a self-describing XML document. When `now`
 /// is given (a clocked store), the entry's lifecycle stamp rides along
-/// as *relative* times: its age and the signed milliseconds left until
-/// its TTL deadline — `Instant`s don't survive a restart, offsets do.
+/// as *relative* times (see [`with_stamp`]).
 pub(crate) fn entry_to_xml(entry: &CacheEntry, now: Option<Instant>) -> Element {
-    let mut doc = Element::new("CacheEntry")
+    let doc = Element::new("CacheEntry")
         .with_attr("truncated", if entry.truncated { "1" } else { "0" })
         .with_child(Element::new("ResidualKey").with_text(&*entry.residual_key))
         .with_child(Element::new("Sql").with_text(&*entry.exact_sql))
         .with_child(region_to_xml(&entry.region));
-    if entry.epoch > 0 {
-        doc = doc.with_attr("epoch", entry.epoch.to_string());
-    }
-    if let (Some(now), Some(at)) = (now, entry.inserted_at) {
-        doc = doc.with_attr(
-            "age_ms",
-            now.saturating_duration_since(at).as_millis().to_string(),
-        );
-    }
-    if let (Some(now), Some(deadline)) = (now, entry.expires_at) {
-        let remaining_ms = if deadline >= now {
-            i128::from(u64::try_from(deadline.duration_since(now).as_millis()).unwrap_or(u64::MAX))
-        } else {
-            -i128::from(u64::try_from(now.duration_since(deadline).as_millis()).unwrap_or(u64::MAX))
-        };
-        doc = doc.with_attr("remaining_ms", remaining_ms.to_string());
-    }
+    let epoch = (entry.epoch > 0).then_some(entry.epoch);
+    let mut doc = with_stamp(doc, epoch, entry.inserted_at, entry.expires_at, now);
     // Persist the coordinate column indexes so a reload rebuilds the
     // columnar hot-path form without knowing the template registry.
     if let Some(col) = &entry.columnar {
@@ -144,6 +39,48 @@ pub(crate) fn entry_to_xml(entry: &CacheEntry, now: Option<Instant>) -> Element 
     doc
 }
 
+/// Adds an entry's lifecycle stamp to `el` as attributes: `epoch` when
+/// given, and — on a clocked store — its age and the signed
+/// milliseconds left until its TTL deadline. `Instant`s don't survive a
+/// restart, offsets do.
+pub(crate) fn with_stamp(
+    mut el: Element,
+    epoch: Option<u64>,
+    inserted_at: Option<Instant>,
+    expires_at: Option<Instant>,
+    now: Option<Instant>,
+) -> Element {
+    if let Some(epoch) = epoch {
+        el = el.with_attr("epoch", epoch.to_string());
+    }
+    if let (Some(now), Some(at)) = (now, inserted_at) {
+        el = el.with_attr(
+            "age_ms",
+            now.saturating_duration_since(at).as_millis().to_string(),
+        );
+    }
+    if let (Some(now), Some(deadline)) = (now, expires_at) {
+        let remaining_ms = if deadline >= now {
+            i128::from(u64::try_from(deadline.duration_since(now).as_millis()).unwrap_or(u64::MAX))
+        } else {
+            -i128::from(u64::try_from(now.duration_since(deadline).as_millis()).unwrap_or(u64::MAX))
+        };
+        el = el.with_attr("remaining_ms", remaining_ms.to_string());
+    }
+    el
+}
+
+/// Reads back what [`with_stamp`] wrote. Absent attributes restore as
+/// epoch 0, ageless, never expiring — exactly how such entries were
+/// cached.
+pub(crate) fn stamp_of(el: &Element) -> LifecycleStamp {
+    LifecycleStamp {
+        epoch: el.attr("epoch").and_then(|v| v.parse().ok()).unwrap_or(0),
+        age_ms: el.attr("age_ms").and_then(|v| v.parse().ok()),
+        remaining_ms: el.attr("remaining_ms").and_then(|v| v.parse().ok()),
+    }
+}
+
 type ParsedEntry = (String, Region, ResultSet, bool, String, Vec<usize>);
 
 pub(crate) fn entry_from_xml(doc: &Element) -> Option<(ParsedEntry, LifecycleStamp)> {
@@ -155,8 +92,7 @@ pub(crate) fn entry_from_xml(doc: &Element) -> Option<(ParsedEntry, LifecycleSta
     let truncated = doc.attr("truncated") == Some("1");
     let region = region_from_xml(doc.child("Region")?)?;
     let result = ResultSet::from_xml(doc.child("ResultSet")?)?;
-    // Absent in pre-columnar snapshots: entries load without the
-    // columnar form, exactly as a non-coordinate entry would.
+    // Absent for entries without a columnar form.
     let coord_idx: Vec<usize> = match doc.child("CoordIdx") {
         Some(ci) => ci
             .children_named("I")
@@ -164,16 +100,9 @@ pub(crate) fn entry_from_xml(doc: &Element) -> Option<(ParsedEntry, LifecycleSta
             .collect::<Option<Vec<usize>>>()?,
         None => Vec::new(),
     };
-    // Absent lifecycle attributes (pre-lifecycle snapshots) restore as
-    // epoch 0, ageless, never expiring — exactly how they were cached.
-    let stamp = LifecycleStamp {
-        epoch: doc.attr("epoch").and_then(|v| v.parse().ok()).unwrap_or(0),
-        age_ms: doc.attr("age_ms").and_then(|v| v.parse().ok()),
-        remaining_ms: doc.attr("remaining_ms").and_then(|v| v.parse().ok()),
-    };
     Some((
         (residual_key, region, result, truncated, sql, coord_idx),
-        stamp,
+        stamp_of(doc),
     ))
 }
 
@@ -198,7 +127,7 @@ fn parse_nums(el: &Element) -> Option<Vec<f64>> {
 
 /// Serializes a region as XML (concrete numbers, unlike the parameterized
 /// function-template form).
-pub fn region_to_xml(region: &Region) -> Element {
+pub(crate) fn region_to_xml(region: &Region) -> Element {
     let mut el = Element::new("Region");
     match region {
         Region::Sphere(s) => {
@@ -233,7 +162,7 @@ pub fn region_to_xml(region: &Region) -> Element {
 }
 
 /// Parses the XML region form.
-pub fn region_from_xml(el: &Element) -> Option<Region> {
+pub(crate) fn region_from_xml(el: &Element) -> Option<Region> {
     if el.name() != "Region" {
         return None;
     }
@@ -267,7 +196,7 @@ pub fn region_from_xml(el: &Element) -> Option<Region> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::DescriptionKind;
+    use crate::cache::{CacheStore, DescriptionKind, TierConfig};
     use fp_sqlmini::Value;
 
     fn sample_regions() -> Vec<Region> {
@@ -293,65 +222,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_roundtrips_a_store() {
-        let dir = std::env::temp_dir().join(format!("fp_snap_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let mut store = CacheStore::new(DescriptionKind::Array, None);
-        let rs = ResultSet {
-            columns: vec!["objID".into(), "cx".into()],
-            rows: vec![
-                vec![Value::Int(7), Value::Float(0.125)],
-                vec![Value::Int(9), Value::Null],
-            ],
-        };
-        // One group per region: groups are per-template in real use, so
-        // dimensionalities never mix within one cache description.
-        for (i, region) in sample_regions().into_iter().enumerate() {
-            store.insert(
-                &format!("group{i}"),
-                region,
-                rs.clone(),
-                i == 1,
-                &format!("SELECT {i}"),
-                &[],
-            );
-        }
-        let written = store.save_snapshot(&dir).unwrap();
-        assert_eq!(written, 3);
-
-        let mut restored = CacheStore::new(DescriptionKind::RTree, None);
-        let load = restored.load_snapshot(&dir).unwrap();
-        assert_eq!(load.loaded, 3);
-        assert_eq!(load.skipped, 0);
-        assert_eq!(restored.stats().entries, 3);
-
-        // Exact-match map, regions, truncation flags, and results survive.
-        let id = restored.lookup_exact("SELECT 1").unwrap();
-        let entry = restored.peek(id).unwrap();
-        assert!(entry.truncated);
-        assert_eq!(*entry.result, rs);
-        assert_eq!(&*entry.residual_key, "group1");
-        // Candidates work after reload (descriptions rebuilt).
-        let probe = sample_regions()[1].clone();
-        assert_eq!(restored.candidates("group1", &probe).len(), 1);
-
-        // Malformed files are skipped, not fatal.
-        std::fs::write(dir.join("entry_999.xml"), "<wat>").unwrap();
-        let mut again = CacheStore::new(DescriptionKind::Array, None);
-        let load = again.load_snapshot(&dir).unwrap();
-        assert_eq!(load.loaded, 3);
-        assert_eq!(load.skipped, 1);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
+    /// A restored entry comes back demoted; promoted, it has the same
+    /// columnar form (coordinate indexes) and the same charged size.
     #[test]
     fn columnar_form_survives_reload() {
-        let dir = std::env::temp_dir().join(format!("fp_snap3_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("fp_persist_col_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut store = CacheStore::new(DescriptionKind::Array, None);
+        let config = TierConfig::new(dir);
+        let tiered_store = |config: &TierConfig| {
+            let mut store = CacheStore::new(DescriptionKind::Array, None);
+            store.attach_tier(config, 0).unwrap();
+            store
+        };
         let rs = ResultSet {
             columns: vec!["objID".into(), "cx".into(), "cy".into()],
             rows: (0..6)
@@ -365,51 +247,29 @@ mod tests {
                 .collect(),
         };
         let coords = ["cx".to_string(), "cy".to_string()];
-        let id = store
-            .insert("g", sample_regions()[1].clone(), rs, false, "Q", &coords)
-            .unwrap();
-        let before = store.peek(id).unwrap();
-        assert!(before.columnar.is_some());
-        let footprint = before.footprint();
-        store.save_snapshot(&dir).unwrap();
+        let footprint = {
+            let mut store = tiered_store(&config);
+            let id = store
+                .insert("g", sample_regions()[1].clone(), rs, false, "Q", &coords)
+                .unwrap();
+            assert!(store.peek(id).unwrap().columnar.is_some());
+            assert_eq!(store.tier_meta().unwrap().write().unwrap(), 1);
+            store.peek(id).unwrap().footprint()
+        };
 
-        let mut restored = CacheStore::new(DescriptionKind::Array, None);
-        assert_eq!(restored.load_snapshot(&dir).unwrap().loaded, 1);
+        let mut restored = tiered_store(&config);
+        assert_eq!(restored.recover_tier().recovered, 1);
         let rid = restored.lookup_exact("Q").unwrap();
+        let slice = restored.disk_slice(rid).expect("restored demoted");
+        let doc = Element::parse(std::str::from_utf8(slice.xml()).unwrap()).unwrap();
+        let ((_, _, result, _, _, coord_idx), _) = entry_from_xml(&doc).unwrap();
+        assert_eq!(coord_idx, [1, 2]);
+        let columnar = fp_skyserver::ColumnarRows::build(&result, &coord_idx).map(Into::into);
+        assert!(restored.promote(rid, result.into(), columnar));
         let entry = restored.peek(rid).unwrap();
         let col = entry.columnar.as_ref().expect("columnar rebuilt on load");
         assert_eq!(col.coord_idx(), &[1, 2]);
         assert_eq!(entry.footprint(), footprint);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn save_replaces_stale_entry_files() {
-        let dir = std::env::temp_dir().join(format!("fp_snap2_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = CacheStore::new(DescriptionKind::Array, None);
-        let rs = ResultSet {
-            columns: vec!["objID".into()],
-            rows: vec![vec![Value::Int(1)]],
-        };
-        store.insert(
-            "g",
-            sample_regions()[0].clone(),
-            rs.clone(),
-            false,
-            "A",
-            &[],
-        );
-        store.save_snapshot(&dir).unwrap();
-        // Second snapshot with different contents must not leak the first.
-        let mut store2 = CacheStore::new(DescriptionKind::Array, None);
-        store2.insert("g", sample_regions()[1].clone(), rs, false, "B", &[]);
-        let written = store2.save_snapshot(&dir).unwrap();
-        assert_eq!(written, 1);
-        let mut restored = CacheStore::new(DescriptionKind::Array, None);
-        assert_eq!(restored.load_snapshot(&dir).unwrap().loaded, 1);
-        assert!(restored.lookup_exact("B").is_some());
-        assert!(restored.lookup_exact("A").is_none());
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&config.dir).unwrap();
     }
 }

@@ -2,21 +2,23 @@
 
 use crate::cache::description::{CacheDescription, DescriptionKind};
 use crate::cache::entry::CacheEntry;
-use crate::cache::persist::{entry_from_xml, entry_to_xml};
+use crate::cache::frame;
+use crate::cache::persist::{entry_from_xml, entry_to_xml, stamp_of, with_stamp};
 use crate::cache::replace::{policy_key, select_victim, EntryCost, Replacement};
 use crate::cache::tier::{
-    encode_payload, DemotedEntry, EvictionManager, SegRef, SlabSlice, TierConfig,
+    encode_payload, split_payload, DemotedEntry, EvictionManager, IoOp, SegRef, SlabIo, SlabSlice,
+    TierConfig, META_MAGIC, SLAB_VERSION,
 };
-use crate::lifecycle::snapshot::{read_snapshot_file, write_snapshot_file};
 use crate::lifecycle::{freshness_at, Freshness, LifecycleConfig, LifecycleStamp};
 use crate::resilience::Clock;
 use fp_geometry::{HyperRect, Region};
 use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet};
 use fp_xmlite::Element;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Aggregate statistics of the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,8 +93,39 @@ pub struct TierRecovery {
     /// Entries restored (demoted or, when they have no columnar form,
     /// resident).
     pub recovered: usize,
-    /// Damaged slab/metadata segments skipped along the way.
+    /// Damaged slab/metadata segments skipped along the way (an
+    /// unrecognisable `.fpmeta` file counts as one).
     pub corrupt: usize,
+    /// The data-release epoch the `.fpmeta` file recorded (0 when there
+    /// was none); the store has already advanced to it.
+    pub epoch: u64,
+}
+
+/// One shard's encoded `.fpmeta`: built under the shard lock by
+/// [`CacheStore::tier_meta`], written by [`TierMeta::write`] after the
+/// lock is released, so the fsync never stalls serving.
+pub(crate) struct TierMeta {
+    path: PathBuf,
+    io: SlabIo,
+    /// `<Shard epoch/>` first, then one `<SlabEntry/>` per live entry.
+    records: Vec<Vec<u8>>,
+}
+
+impl TierMeta {
+    /// Frames the records and replaces the shard's `.fpmeta` through
+    /// the staged writer (tmp → fsync → rename; faults on `MetaWrite`
+    /// and `Fsync`). Returns the number of entry records.
+    ///
+    /// # Errors
+    /// Injected faults and filesystem errors; the previous file stays.
+    pub(crate) fn write(&self) -> std::io::Result<usize> {
+        let mut bytes = frame::header(META_MAGIC, SLAB_VERSION).to_vec();
+        for record in &self.records {
+            frame::push_frame(&mut bytes, record)?;
+        }
+        frame::write_staged(&self.path, &bytes, &self.io, IoOp::MetaWrite, None)?;
+        Ok(self.records.len() - 1)
+    }
 }
 
 /// The proxy's cache: entries, the exact-match map, and one cache
@@ -287,12 +320,15 @@ impl CacheStore {
 
     /// Advances the store to a new data-release epoch, eagerly retiring
     /// every entry stamped with an older one. Returns how many were
-    /// retired; a non-advancing epoch is a no-op.
+    /// retired; a non-advancing epoch is a no-op. An advance marks the
+    /// shard dirty even when nothing was retired, so the next `.fpmeta`
+    /// pass records the new epoch.
     pub fn bump_epoch(&mut self, epoch: u64) -> usize {
         if epoch <= self.epoch {
             return 0;
         }
         self.epoch = epoch;
+        self.generation += 1;
         let mut outdated: Vec<u64> = self
             .entries
             .values()
@@ -489,11 +525,11 @@ impl CacheStore {
         Some(id)
     }
 
-    /// Inserts an entry recovered from a snapshot, re-anchoring its
-    /// persisted lifecycle stamp (epoch, age, remaining TTL) onto the
-    /// store's clock. Returns `None` — without counting a recovery —
-    /// when the entry belongs to an older epoch or has already aged past
-    /// every serve window.
+    /// Inserts a RAM-resident entry recovered from the slab with its
+    /// persisted lifecycle stamp re-anchored (see
+    /// [`Self::admit_restored`]). Returns `None` — without counting a
+    /// recovery — when the entry belongs to an older epoch or has
+    /// already aged past every serve window.
     #[allow(clippy::too_many_arguments)] // mirrors insert_indexed + the stamp
     pub(crate) fn insert_restored(
         &mut self,
@@ -505,10 +541,7 @@ impl CacheStore {
         coord_idx: &[usize],
         stamp: &LifecycleStamp,
     ) -> Option<u64> {
-        if stamp.epoch < self.epoch {
-            self.epoch_invalidations += 1;
-            return None;
-        }
+        let (inserted_at, expires_at) = self.admit_restored(residual_key, stamp)?;
         let id = self.insert_indexed(
             residual_key,
             region,
@@ -519,27 +552,48 @@ impl CacheStore {
         )?;
         let entry = self.entries.get_mut(&id).expect("just inserted");
         entry.epoch = stamp.epoch;
-        if let Some(clock) = &self.time {
-            let now = clock.now();
-            if let Some(age) = stamp.age_ms {
-                entry.inserted_at = now
-                    .checked_sub(Duration::from_millis(age))
-                    .or(entry.inserted_at);
-            }
-            if let Some(remaining) = stamp.remaining_ms {
-                entry.expires_at = if remaining >= 0 {
-                    Some(now + Duration::from_millis(remaining.unsigned_abs()))
-                } else {
-                    now.checked_sub(Duration::from_millis(remaining.unsigned_abs()))
-                };
-            }
-            if self.freshness(id) == Some(Freshness::Dead) {
-                self.remove(id);
-                self.expired += 1;
-                return None;
-            }
-        }
+        entry.inserted_at = inserted_at;
+        entry.expires_at = expires_at;
         Some(id)
+    }
+
+    /// Re-anchors a persisted stamp (relative age and remaining TTL) on
+    /// this store's clock as `(inserted_at, expires_at)`. `None` — and
+    /// counted — when the entry belongs to an older epoch
+    /// (`epoch_invalidations`) or is already past every serve window
+    /// (`expired`).
+    fn admit_restored(
+        &mut self,
+        residual_key: &str,
+        stamp: &LifecycleStamp,
+    ) -> Option<(Option<Instant>, Option<Instant>)> {
+        if stamp.epoch < self.epoch {
+            self.epoch_invalidations += 1;
+            return None;
+        }
+        let Some(clock) = &self.time else {
+            return Some((None, None));
+        };
+        let now = clock.now();
+        let inserted_at = stamp
+            .age_ms
+            .and_then(|age| now.checked_sub(Duration::from_millis(age)))
+            .or(Some(now));
+        let expires_at = match stamp.remaining_ms {
+            Some(left) if left >= 0 => Some(now + Duration::from_millis(left.unsigned_abs())),
+            Some(over) => now.checked_sub(Duration::from_millis(over.unsigned_abs())),
+            None => self.lifecycle.ttl_for(residual_key).map(|ttl| now + ttl),
+        };
+        let lc = &self.lifecycle;
+        let dead = expires_at.is_some_and(|deadline| {
+            freshness_at(deadline, now, lc.stale_while_revalidate, lc.stale_if_error)
+                == Freshness::Dead
+        });
+        if dead {
+            self.expired += 1;
+            return None;
+        }
+        Some((inserted_at, expires_at))
     }
 
     fn entry_key(&self, cost: &EntryCost, footprint: usize) -> u64 {
@@ -952,15 +1006,14 @@ impl CacheStore {
         }
     }
 
-    /// Writes this shard's warm-restart metadata snapshot: one tiny
-    /// record per live entry (slab segment location + lifecycle stamp)
-    /// instead of re-serializing payloads — snapshot cost becomes
+    /// Encodes this shard's warm-restart metadata: the store's epoch,
+    /// then one tiny record per live entry (slab segment location +
+    /// lifecycle stamp) instead of re-serializing payloads — the cost is
     /// proportional to entry *count*, not cached *bytes*. RAM-resident
     /// entries get a slab segment appended first if they never spilled.
-    pub(crate) fn write_tier_meta(&mut self) -> std::io::Result<usize> {
-        if self.tier.is_none() {
-            return Ok(0);
-        }
+    /// `None` without a tier.
+    pub(crate) fn tier_meta(&mut self) -> Option<TierMeta> {
+        self.tier.as_ref()?;
         // Spill in id (= insertion) order, not map order, so the slab's
         // later-segments-win replay semantics line up with recency.
         let mut resident: Vec<u64> = self.entries.keys().copied().collect();
@@ -969,69 +1022,66 @@ impl CacheStore {
             self.ensure_segment(id);
         }
         let now = self.now();
-        let tier = self.tier.as_ref().expect("checked above");
-        let mut segments = Vec::new();
+        let tier = self.tier.as_ref()?;
+        let shard = Element::new("Shard").with_attr("epoch", self.epoch.to_string());
+        let mut records = vec![shard.to_xml().into_bytes()];
         for (&id, &seg) in &tier.refs {
-            let stamp = if let Some(e) = self.entries.get(&id) {
+            let (epoch, inserted_at, expires_at) = if let Some(e) = self.entries.get(&id) {
                 (e.epoch, e.inserted_at, e.expires_at)
             } else if let Some(d) = tier.demoted.get(&id) {
                 (d.epoch, d.inserted_at, d.expires_at)
             } else {
                 continue; // ref without a live entry: dead weight
             };
-            let (epoch, inserted_at, expires_at) = stamp;
-            let mut rec = Element::new("SlabEntry")
+            let rec = Element::new("SlabEntry")
                 .with_attr("off", seg.off.to_string())
-                .with_attr("len", seg.len.to_string())
-                .with_attr("epoch", epoch.to_string());
-            if let (Some(now), Some(at)) = (now, inserted_at) {
-                rec = rec.with_attr(
-                    "age_ms",
-                    now.saturating_duration_since(at).as_millis().to_string(),
-                );
-            }
-            if let (Some(now), Some(deadline)) = (now, expires_at) {
-                let remaining_ms = if deadline >= now {
-                    i128::from(
-                        u64::try_from(deadline.duration_since(now).as_millis()).unwrap_or(u64::MAX),
-                    )
-                } else {
-                    -i128::from(
-                        u64::try_from(now.duration_since(deadline).as_millis()).unwrap_or(u64::MAX),
-                    )
-                };
-                rec = rec.with_attr("remaining_ms", remaining_ms.to_string());
-            }
-            segments.push(rec.to_xml().into_bytes());
+                .with_attr("len", seg.len.to_string());
+            let rec = with_stamp(rec, Some(epoch), inserted_at, expires_at, now);
+            records.push(rec.to_xml().into_bytes());
         }
-        let count = segments.len();
-        tier.io.meta_write_check()?;
-        write_snapshot_file(&tier.meta_path, self.epoch, &segments)?;
-        Ok(count)
+        Some(TierMeta {
+            path: tier.meta_path.clone(),
+            io: tier.io.clone(),
+            records,
+        })
     }
 
     /// Warm-restarts this shard from its slab: one sequential
-    /// CRC-verifying scan of the file, then either the metadata
-    /// snapshot (precise lifecycle stamps, dead entries pre-filtered)
-    /// or — when no snapshot survived — a front-recoverable replay
-    /// where later segments win SQL collisions. Restored entries come
-    /// up *demoted* (RAM fills back up on access), except entries with
-    /// no columnar form, which restore resident.
+    /// CRC-verifying scan of the file, then either the `.fpmeta` records
+    /// (precise lifecycle stamps, dead entries pre-filtered, the store
+    /// advanced to the recorded epoch) or — when there is no usable
+    /// `.fpmeta` — a front-recoverable replay where later segments win
+    /// SQL collisions. Restored entries come up *demoted* (RAM fills
+    /// back up on access), except entries with no columnar form, which
+    /// restore resident.
     pub(crate) fn recover_tier(&mut self) -> TierRecovery {
         let mut outcome = TierRecovery::default();
         let Some(tier) = self.tier.as_mut() else {
             return outcome;
         };
         let corrupt_before = tier.slab.corrupt_segments();
-        let meta_path = tier.meta_path.clone();
+        let meta = std::fs::read(&tier.meta_path).ok();
         let kept = tier.slab.replay();
-        let mut restored_offs: Vec<u64> = Vec::new();
-        match read_snapshot_file(&meta_path) {
-            Ok(meta) => {
-                outcome.corrupt += meta.corrupt_segments;
+        let records = match meta.as_deref() {
+            Some(data) if frame::has_header(data, META_MAGIC, SLAB_VERSION) => {
+                let scan = frame::scan(data, frame::HEADER_LEN);
+                outcome.corrupt += scan.corrupt;
+                Some(scan.frames)
+            }
+            // Not ours (an older layout, or garbage): counted, and the
+            // slab alone recovers.
+            Some(_) => {
+                outcome.corrupt += 1;
+                None
+            }
+            None => None,
+        };
+        let mut restored = HashSet::new();
+        match records {
+            Some(records) => {
                 let by_off: HashMap<u64, &(SegRef, Vec<u8>)> =
                     kept.iter().map(|pair| (pair.0.off, pair)).collect();
-                for record in &meta.segments {
+                for (_, record) in records {
                     let parsed = std::str::from_utf8(record)
                         .ok()
                         .and_then(|text| Element::parse(text).ok());
@@ -1039,6 +1089,13 @@ impl CacheStore {
                         outcome.corrupt += 1;
                         continue;
                     };
+                    if el.name() == "Shard" {
+                        // Written first, so entries below are judged
+                        // against the recorded epoch.
+                        outcome.epoch = el.attr("epoch").and_then(|v| v.parse().ok()).unwrap_or(0);
+                        self.bump_epoch(outcome.epoch);
+                        continue;
+                    }
                     let loc = (
                         el.attr("off").and_then(|v| v.parse::<u64>().ok()),
                         el.attr("len").and_then(|v| v.parse::<u32>().ok()),
@@ -1054,30 +1111,24 @@ impl CacheStore {
                         outcome.corrupt += 1;
                         continue;
                     };
-                    let stamp = LifecycleStamp {
-                        epoch: el.attr("epoch").and_then(|v| v.parse().ok()).unwrap_or(0),
-                        age_ms: el.attr("age_ms").and_then(|v| v.parse().ok()),
-                        remaining_ms: el.attr("remaining_ms").and_then(|v| v.parse().ok()),
-                    };
-                    if self.restore_segment(*seg, payload, Some(&stamp)) {
+                    if self.restore_segment(*seg, payload, Some(&stamp_of(&el))) {
                         outcome.recovered += 1;
                     }
-                    restored_offs.push(off);
+                    restored.insert(off);
                 }
             }
-            Err(_) => {
-                // No metadata snapshot (first tier boot, or it was
-                // lost): replay everything, later segments winning.
+            None => {
+                // No usable metadata (first tier boot, or it was lost):
+                // replay everything, later segments winning.
                 for (seg, payload) in &kept {
                     if self.restore_segment(*seg, payload, None) {
                         outcome.recovered += 1;
                     }
-                    restored_offs.push(seg.off);
+                    restored.insert(seg.off);
                 }
             }
         }
         // Segments nothing restored from are dead bytes now.
-        let restored: std::collections::HashSet<u64> = restored_offs.into_iter().collect();
         for (seg, _) in &kept {
             if !restored.contains(&seg.off) {
                 self.seg_dead(*seg, false);
@@ -1102,18 +1153,8 @@ impl CacheStore {
         payload: &[u8],
         stamp_override: Option<&LifecycleStamp>,
     ) -> bool {
-        // Payload framing: xml_len u32 LE · entry XML · row slab.
-        if payload.len() < 4 {
-            self.seg_dead(seg, true);
-            return false;
-        }
-        let xml_len = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
-        if 4 + xml_len > payload.len() {
-            self.seg_dead(seg, true);
-            return false;
-        }
-        let parsed = std::str::from_utf8(&payload[4..4 + xml_len])
-            .ok()
+        let parsed = split_payload(payload)
+            .and_then(|(xml, _)| std::str::from_utf8(xml).ok())
             .and_then(|text| Element::parse(text).ok())
             .and_then(|doc| entry_from_xml(&doc));
         let Some(((residual_key, region, result, truncated, sql, coord_idx), embedded)) = parsed
@@ -1122,16 +1163,11 @@ impl CacheStore {
             return false;
         };
         let stamp = stamp_override.unwrap_or(&embedded);
-        if stamp.epoch < self.epoch {
-            self.epoch_invalidations += 1;
-            self.seg_dead(seg, false);
-            return false;
-        }
         let result: Arc<ResultSet> = Arc::new(result);
         let Some(col) = ColumnarRows::build(&result, &coord_idx) else {
             // No skeleton to serve rows from disk with: restore the
             // entry RAM-resident through the stamped insert path.
-            match self.insert_restored(
+            let restored = self.insert_restored(
                 &residual_key,
                 region,
                 result,
@@ -1139,54 +1175,22 @@ impl CacheStore {
                 &sql,
                 &coord_idx,
                 stamp,
-            ) {
-                Some(id) => {
-                    if let Some(tier) = self.tier.as_mut() {
-                        tier.refs.insert(id, seg);
-                    }
+            );
+            match (restored, self.tier.as_mut()) {
+                (Some(id), Some(tier)) => {
+                    tier.refs.insert(id, seg);
                     return true;
                 }
-                None => {
+                _ => {
                     self.seg_dead(seg, false);
                     return false;
                 }
             }
         };
-        // Re-anchor the persisted stamp on the store's clock, exactly
-        // like `insert_restored` does for resident entries.
-        let (inserted_at, expires_at) = match &self.time {
-            Some(clock) => {
-                let now = clock.now();
-                let inserted_at = match stamp.age_ms {
-                    Some(age) => now.checked_sub(Duration::from_millis(age)).or(Some(now)),
-                    None => Some(now),
-                };
-                let expires_at = match stamp.remaining_ms {
-                    Some(remaining) if remaining >= 0 => {
-                        Some(now + Duration::from_millis(remaining.unsigned_abs()))
-                    }
-                    Some(remaining) => {
-                        now.checked_sub(Duration::from_millis(remaining.unsigned_abs()))
-                    }
-                    None => self.lifecycle.ttl_for(&residual_key).map(|ttl| now + ttl),
-                };
-                (inserted_at, expires_at)
-            }
-            None => (None, None),
+        let Some((inserted_at, expires_at)) = self.admit_restored(&residual_key, stamp) else {
+            self.seg_dead(seg, false);
+            return false;
         };
-        if let (Some(deadline), Some(clock)) = (expires_at, &self.time) {
-            let state = freshness_at(
-                deadline,
-                clock.now(),
-                self.lifecycle.stale_while_revalidate,
-                self.lifecycle.stale_if_error,
-            );
-            if state == Freshness::Dead {
-                self.expired += 1;
-                self.seg_dead(seg, false);
-                return false;
-            }
-        }
         if let Some(&old) = self.exact.get(sql.as_str()) {
             self.remove(old); // later segments win SQL collisions
         }
@@ -1698,7 +1702,7 @@ mod tests {
     }
 
     #[test]
-    fn tier_recovers_from_meta_snapshot_and_from_bare_replay() {
+    fn tier_recovers_from_meta_and_from_bare_replay() {
         let dir = tier_dir("recover");
         let config = TierConfig::new(&dir);
         {
@@ -1709,12 +1713,12 @@ mod tests {
             s.insert("k", region(20.0, 30.0), rs_coords(7), false, "B", &coords())
                 .unwrap();
             // No coordinate columns: no columnar form, restores resident.
-            s.insert("k", region(40.0, 50.0), rs(3), false, "C", NO_COORDS)
+            s.insert("k", region(40.0, 50.0), rs(3), true, "C", NO_COORDS)
                 .unwrap();
-            assert_eq!(s.write_tier_meta().unwrap(), 3);
+            assert_eq!(s.tier_meta().unwrap().write().unwrap(), 3);
         }
 
-        // Meta-snapshot mode: precise recovery, entries come up demoted
+        // Meta mode: precise recovery, entries come up demoted
         // (except C, which has no skeleton to serve from disk).
         let mut s = CacheStore::new(DescriptionKind::Array, None);
         s.attach_tier(&config, 0).unwrap();
@@ -1723,7 +1727,8 @@ mod tests {
             outcome,
             TierRecovery {
                 recovered: 3,
-                corrupt: 0
+                corrupt: 0,
+                epoch: 0,
             }
         );
         let st = s.stats();
@@ -1732,6 +1737,11 @@ mod tests {
         for sql in ["A", "B", "C"] {
             assert!(s.lookup_exact(sql).is_some(), "{sql} survived restart");
         }
+        // Descriptions are rebuilt, and C kept its truncation flag and rows.
+        let c = s.lookup_exact("C").unwrap();
+        assert_eq!(s.candidates("k", &region(41.0, 42.0)), vec![c]);
+        assert!(s.peek(c).unwrap().truncated);
+        assert_eq!(*s.peek(c).unwrap().result, rs(3));
         let a = s.lookup_exact("A").unwrap();
         let slice = s.disk_slice(a).expect("recovered demoted entry readable");
         let (result, columnar) = parse_slice(&slice);
@@ -1739,7 +1749,7 @@ mod tests {
         assert!(s.promote(a, result, columnar));
         drop(s);
 
-        // Replay mode: lose the metadata snapshot, scan the slab alone.
+        // Replay mode: lose the metadata, scan the slab alone.
         std::fs::remove_file(config.meta_path(0)).unwrap();
         let mut s = CacheStore::new(DescriptionKind::Array, None);
         s.attach_tier(&config, 0).unwrap();
@@ -1762,7 +1772,7 @@ mod tests {
                 .unwrap();
             s.insert("k", region(20.0, 30.0), rs_coords(7), false, "B", &coords())
                 .unwrap();
-            assert_eq!(s.write_tier_meta().unwrap(), 2);
+            assert_eq!(s.tier_meta().unwrap().write().unwrap(), 2);
         }
         // Tear the last segment: truncate mid-payload, as a crash would.
         let slab_path = config.slab_path(0);

@@ -23,27 +23,33 @@
 //! served by splicing row bytes straight out of an `mmap` of the slab —
 //! zero copies until the response buffer is assembled.
 //!
-//! # Segment format
+//! # The cache's only on-disk form
+//!
+//! Persisting means attaching a tier: the paper's "Query Result Files"
+//! (its Figure 4) are slab segments. Both files a shard owns are framed
+//! by the one codec in `cache/frame.rs`:
 //!
 //! ```text
-//! file   := magic "FPSLAB01" · version u32 LE · segment*
-//! segment:= len u32 LE · crc32 u32 LE · payload      (snapshot framing)
-//! payload:= xml_len u32 LE · entry XML · row slab bytes
+//! slab_<i>.fpslab  := "FPSLAB01" · version · frame(segment payload)*
+//! segment payload  := xml_len u32 LE · entry XML · row slab bytes
+//! shard_<i>.fpmeta := "FPMETA01" · version · frame(<Shard epoch/>) · frame(<SlabEntry/>)*
 //! ```
 //!
-//! The entry XML is the same `<CacheEntry>` document the lifecycle
-//! snapshots use (`cache/persist.rs`), so a segment alone is enough to
-//! rebuild the full entry on promotion or warm restart; the row slab
-//! sits at a known offset behind it so the serve path can slice rows
-//! without parsing anything.
+//! The entry XML is the self-describing `<CacheEntry>` document
+//! (`cache/persist.rs`), so a segment alone rebuilds the full entry on
+//! promotion or warm restart; the row slab sits at a known offset behind
+//! it so the serve path slices rows without parsing anything. The
+//! `.fpmeta` index (epoch, then each live entry's segment and lifecycle
+//! stamp) refines a restart; without a usable one, bare slab replay
+//! (later segments win) still recovers.
 //!
 //! # Crash safety
 //!
 //! Appends are only ever at the tail, so a crash mid-spill leaves at
 //! most one torn segment, which the front-recoverable [`SlabFile::replay`]
 //! detects by CRC and counts (`slab_corrupt_segments`) instead of
-//! failing. Compaction writes the surviving segments to a `.tmp` file,
-//! fsyncs, and renames over the slab — a crash at any point leaves
+//! failing. Compaction and the `.fpmeta` writer both stage to a `.tmp`
+//! file, fsync, and rename over the target — a crash at any point leaves
 //! either the old file or the new one, never a mix. In-flight readers
 //! keep serving from their `Arc`'d mapping of the pre-compaction inode.
 
@@ -52,21 +58,23 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fp_geometry::{HyperRect, Region};
 use fp_mmap::Mmap;
 use fp_skyserver::ColumnarRows;
 
-use crate::lifecycle::snapshot::crc32;
+use crate::cache::frame::{self, crc32};
 
 /// Leading magic bytes of every slab file.
 pub const SLAB_MAGIC: &[u8; 8] = b"FPSLAB01";
 /// Current slab format version; bumped on layout changes.
 pub const SLAB_VERSION: u32 = 1;
+/// Leading magic bytes of every `.fpmeta` file (same version).
+pub(crate) const META_MAGIC: &[u8; 8] = b"FPMETA01";
 
-const HEADER_LEN: u64 = 8 + 4;
-const FRAME_LEN: u64 = 4 + 4;
+const HEADER_LEN: u64 = frame::HEADER_LEN as u64;
+const FRAME_LEN: u64 = frame::FRAME_LEN as u64;
 
 /// Which tier file operation a fault applies to. The classes mirror the
 /// distinct failure surfaces a real filesystem exposes: tail appends,
@@ -76,7 +84,8 @@ const FRAME_LEN: u64 = 4 + 4;
 pub enum IoOp {
     /// Slab segment appends (demotion spills and meta-pass spills).
     Append,
-    /// `.fpmeta` warm-restart metadata snapshot writes.
+    /// `.fpmeta` warm-restart metadata writes (creating and filling the
+    /// staged `.tmp`).
     MetaWrite,
     /// Compaction staging: creating and filling the `.tmp` file.
     CompactWrite,
@@ -84,7 +93,8 @@ pub enum IoOp {
     /// fault here models a crash after the staging write completed but
     /// before the commit — the classic torn-rename crash point.
     CompactRename,
-    /// Durability barriers (`sync_all` during compaction staging).
+    /// Durability barriers: the `sync_all` of every staged write
+    /// (compaction and `.fpmeta` alike).
     Fsync,
 }
 
@@ -220,32 +230,31 @@ impl SlabIo {
         fault
     }
 
-    /// Fails `op` if a fault is armed for it (non-write operations:
-    /// renames, fsyncs, whole-file meta writes).
-    fn check(&self, op: IoOp) -> io::Result<()> {
+    /// Fails `op` if a fault is armed for it (whole-step operations:
+    /// staging, renames, fsyncs).
+    pub(crate) fn check(&self, op: IoOp) -> io::Result<()> {
         match self.write_fault(op) {
             Some(fault) => Err(fault.to_error()),
             None => Ok(()),
         }
     }
-
-    /// Fails if a `MetaWrite` fault is armed — consulted by the store's
-    /// `.fpmeta` snapshot writer, which goes through the lifecycle
-    /// snapshot helper rather than the slab file.
-    pub(crate) fn meta_write_check(&self) -> io::Result<()> {
-        self.check(IoOp::MetaWrite)
-    }
 }
 
-/// Configuration for the disk tier.
+/// Configuration for the disk tier — and so for persistence: the tier
+/// is the only thing the cache writes to disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierConfig {
     /// Directory holding the per-shard `slab_<i>.fpslab` files and the
-    /// `shard_<i>.fpmeta` warm-restart metadata snapshots.
+    /// `shard_<i>.fpmeta` warm-restart metadata.
     pub dir: PathBuf,
     /// Compact a shard's slab when at least this fraction of its
     /// payload bytes belong to removed entries (dead ÷ (live + dead)).
     pub compact_ratio: f64,
+    /// Minimum virtual time between scheduled `.fpmeta` passes, checked
+    /// opportunistically at the end of each served request (no timer
+    /// thread, so the schedule is deterministic under a mock clock).
+    /// `None` = only `ProxyHandle::snapshot_now` writes it.
+    pub meta_interval: Option<Duration>,
     /// The storage fault-injection seam every file operation of this
     /// tier consults; pass-through unless a harness armed it.
     pub io: SlabIo,
@@ -253,11 +262,12 @@ pub struct TierConfig {
 
 impl TierConfig {
     /// A tier rooted at `dir` with the default compaction trigger
-    /// (half the file dead).
+    /// (half the file dead) and no metadata schedule.
     pub fn new(dir: impl Into<PathBuf>) -> TierConfig {
         TierConfig {
             dir: dir.into(),
             compact_ratio: 0.5,
+            meta_interval: None,
             io: SlabIo::healthy(),
         }
     }
@@ -265,6 +275,13 @@ impl TierConfig {
     /// Overrides the dead-byte fraction that triggers compaction.
     pub fn with_compact_ratio(mut self, ratio: f64) -> TierConfig {
         self.compact_ratio = ratio.clamp(0.01, 1.0);
+        self
+    }
+
+    /// Writes the `.fpmeta` files every `interval` as well as on
+    /// demand.
+    pub fn with_meta_interval(mut self, interval: Duration) -> TierConfig {
+        self.meta_interval = Some(interval);
         self
     }
 
@@ -280,7 +297,7 @@ impl TierConfig {
         self.dir.join(format!("slab_{shard}.fpslab"))
     }
 
-    /// Path of shard `i`'s metadata snapshot.
+    /// Path of shard `i`'s warm-restart metadata.
     pub fn meta_path(&self, shard: usize) -> PathBuf {
         self.dir.join(format!("shard_{shard}.fpmeta"))
     }
@@ -303,6 +320,14 @@ pub fn encode_payload(xml: &[u8], row_slab: &[u8]) -> Vec<u8> {
     payload.extend_from_slice(xml);
     payload.extend_from_slice(row_slab);
     payload
+}
+
+/// Splits a segment payload back into (entry XML, row slab); `None`
+/// when the XML length runs past the payload.
+pub(crate) fn split_payload(payload: &[u8]) -> Option<(&[u8], &[u8])> {
+    let xml_len = u32::from_le_bytes(payload.get(..4)?.try_into().expect("4 bytes")) as usize;
+    let rest = &payload[4..];
+    (xml_len <= rest.len()).then(|| rest.split_at(xml_len))
 }
 
 #[derive(Debug, Clone)]
@@ -338,13 +363,7 @@ impl SlabSlice {
             SliceSrc::Mapped { map, off, len } => &map.as_slice()[*off..*off + *len],
             SliceSrc::Owned(buf) => &buf[..],
         };
-        if bytes.len() < 4 {
-            return None;
-        }
-        let xml_len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-        if 4 + xml_len > bytes.len() {
-            return None;
-        }
+        let xml_len = split_payload(bytes)?.0.len();
         Some(SlabSlice { src, xml_len })
     }
 
@@ -405,7 +424,7 @@ impl SlabFile {
     /// and recovers by bare replay.
     pub fn open_with(path: impl Into<PathBuf>, io: SlabIo) -> io::Result<SlabFile> {
         let path = path.into();
-        let _ = std::fs::remove_file(path.with_extension("fpslab.tmp"));
+        let _ = std::fs::remove_file(frame::staging_path(&path));
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
@@ -418,16 +437,14 @@ impl SlabFile {
                 corrupt_segments += 1; // torn header from a mid-create crash
                 file.set_len(0)?;
             }
-            file.write_all(SLAB_MAGIC)?;
-            file.write_all(&SLAB_VERSION.to_le_bytes())?;
+            file.write_all(&frame::header(SLAB_MAGIC, SLAB_VERSION))?;
             file.sync_data()?;
             len = HEADER_LEN;
         } else {
-            let mut head = [0u8; HEADER_LEN as usize];
+            let mut head = [0u8; frame::HEADER_LEN];
             file.seek(SeekFrom::Start(0))?;
             file.read_exact(&mut head)?;
-            let version = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
-            if &head[..8] != SLAB_MAGIC || version != SLAB_VERSION {
+            if !frame::has_header(&head, SLAB_MAGIC, SLAB_VERSION) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "not a slab file (bad magic or version)",
@@ -453,13 +470,9 @@ impl SlabFile {
     /// tail stays on a valid frame boundary and later appends (or the
     /// next replay) see a clean stream.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<SegRef> {
-        let len = u32::try_from(payload.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "segment too large"))?;
-        let mut frame = Vec::with_capacity(FRAME_LEN as usize + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        if let Err(e) = self.write_frame(&frame) {
+        let mut buf = Vec::with_capacity(frame::FRAME_LEN + payload.len());
+        let len = frame::push_frame(&mut buf, payload)?;
+        if let Err(e) = self.write_frame(&buf) {
             let _ = self.file.set_len(self.len);
             return Err(e);
         }
@@ -467,7 +480,7 @@ impl SlabFile {
             off: self.len + FRAME_LEN,
             len,
         };
-        self.len += frame.len() as u64;
+        self.len += buf.len() as u64;
         self.live_bytes += u64::from(len);
         Ok(seg)
     }
@@ -523,10 +536,9 @@ impl SlabFile {
     /// Reads and CRC-verifies one segment's payload (used by recovery
     /// and compaction, where trusting the page cache isn't enough).
     pub fn read_segment(&self, seg: SegRef) -> io::Result<Vec<u8>> {
-        let mut head = [0u8; FRAME_LEN as usize];
+        let mut head = [0u8; frame::FRAME_LEN];
         self.read_exact_at(&mut head, seg.off - FRAME_LEN)?;
-        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
-        let want_crc = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
+        let (len, want_crc) = frame::frame_head(&head);
         if len != seg.len {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -561,47 +573,26 @@ impl SlabFile {
             Ok(data) => data,
             Err(_) => return Vec::new(),
         };
-        let mut out = Vec::new();
+        let scan = frame::scan(&data, frame::HEADER_LEN);
+        self.corrupt_segments += scan.corrupt;
         let mut live = 0u64;
-        let mut pos = HEADER_LEN as usize;
-        let mut torn_at = None;
-        while pos < data.len() {
-            if pos + FRAME_LEN as usize > data.len() {
-                // Truncated frame header: the crash cut the length/CRC
-                // fields themselves.
-                self.corrupt_segments += 1;
-                torn_at = Some(pos);
-                break;
-            }
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-            let want_crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            let start = pos + FRAME_LEN as usize;
-            let Some(end) = start.checked_add(len as usize) else {
-                self.corrupt_segments += 1;
-                torn_at = Some(pos);
-                break;
-            };
-            if end > data.len() {
-                self.corrupt_segments += 1; // torn payload (crash mid-spill)
-                torn_at = Some(pos);
-                break;
-            }
-            let payload = &data[start..end];
-            if crc32(payload) == want_crc {
+        let out: Vec<(SegRef, Vec<u8>)> = scan
+            .frames
+            .iter()
+            .map(|&(off, payload)| {
+                // A frame's length came out of a u32 field.
+                let len = payload.len() as u32;
                 live += u64::from(len);
-                out.push((
+                (
                     SegRef {
-                        off: start as u64,
+                        off: off as u64,
                         len,
                     },
                     payload.to_vec(),
-                ));
-            } else {
-                self.corrupt_segments += 1; // damaged payload; stream stays aligned
-            }
-            pos = end;
-        }
-        if let Some(tear) = torn_at {
+                )
+            })
+            .collect();
+        if let Some(tear) = scan.torn_at {
             // Heal: drop the torn bytes so future appends extend a
             // valid stream. Best-effort — if the truncate fails the
             // file is no worse than before. The mapping is dropped
@@ -637,39 +628,32 @@ impl SlabFile {
     /// I/O error the old file is left untouched and the old refs remain
     /// valid.
     pub fn compact(&mut self, live: &[(u64, SegRef)]) -> io::Result<(Vec<(u64, SegRef)>, usize)> {
-        let mut out = Vec::with_capacity(HEADER_LEN as usize);
-        out.extend_from_slice(SLAB_MAGIC);
-        out.extend_from_slice(&SLAB_VERSION.to_le_bytes());
+        let mut out = frame::header(SLAB_MAGIC, SLAB_VERSION).to_vec();
         let mut new_refs = Vec::with_capacity(live.len());
         let mut dropped = 0;
         let mut live_bytes = 0u64;
         for &(id, seg) in live {
             match self.read_segment(seg) {
                 Ok(payload) => {
-                    let off = (out.len() + FRAME_LEN as usize) as u64;
-                    out.extend_from_slice(&seg.len.to_le_bytes());
-                    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-                    out.extend_from_slice(&payload);
-                    live_bytes += u64::from(seg.len);
-                    new_refs.push((id, SegRef { off, len: seg.len }));
+                    let off = (out.len() + frame::FRAME_LEN) as u64;
+                    let len = frame::push_frame(&mut out, &payload)?;
+                    live_bytes += u64::from(len);
+                    new_refs.push((id, SegRef { off, len }));
                 }
                 Err(_) => dropped += 1, // unreadable live segment: entry is lost
             }
-        }
-        let tmp = self.path.with_extension("fpslab.tmp");
-        {
-            self.io.check(IoOp::CompactWrite)?;
-            let mut file = File::create(&tmp)?;
-            file.write_all(&out)?;
-            self.io.check(IoOp::Fsync)?;
-            file.sync_all()?;
         }
         // The torn-rename crash point: with a `CompactRename` fault the
         // staged `.tmp` is complete on disk but the commit never
         // happens — the old slab stays authoritative, exactly like a
         // crash here would leave things.
-        self.io.check(IoOp::CompactRename)?;
-        std::fs::rename(&tmp, &self.path)?;
+        frame::write_staged(
+            &self.path,
+            &out,
+            &self.io,
+            IoOp::CompactWrite,
+            Some(IoOp::CompactRename),
+        )?;
         self.file = OpenOptions::new()
             .read(true)
             .append(true)
@@ -768,8 +752,8 @@ pub struct EvictionManager {
     pub(crate) demotions: usize,
     pub(crate) promotions: usize,
     pub(crate) compactions: usize,
-    /// The fault seam, shared with the slab (consulted directly for
-    /// `.fpmeta` writes, which bypass the slab file).
+    /// The fault seam, shared with the slab (and handed to the `.fpmeta`
+    /// writer, which stages its own file).
     pub(crate) io: SlabIo,
     /// `true` while the tier is in eviction-only degraded mode: slab
     /// appends have been failing (EIO/ENOSPC), so demotion is skipped —
@@ -936,76 +920,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Replay is the codec's scan over the file (what counts as a bad
+    /// CRC or a torn tail is pinned in `frame`): intact segments come
+    /// back with their refs, damage is counted, and a tail torn inside a
+    /// frame header is healed, so the next append lands on a frame
+    /// boundary and the next replay reaches it instead of stopping at
+    /// the (formerly orphaning) tear.
     #[test]
-    fn replay_skips_bad_crc_and_stops_at_torn_tail() {
+    fn replay_counts_damage_and_heals_a_torn_tail() {
         let dir = temp_dir("replay");
         let path = dir.join("slab_0.fpslab");
-        // Three good segments plus one that will be torn; then flip a
-        // byte in the middle one and truncate the tail.
         let mut slab = SlabFile::open(&path).unwrap();
         let p1 = payload(1, 64);
         let a = slab.append(&p1).unwrap();
         let mid = slab.append(&payload(2, 64)).unwrap();
         let p3 = payload(3, 64);
         let c = slab.append(&p3).unwrap();
-        slab.append(&payload(4, 64)).unwrap(); // will be torn
-        let file_len = slab.bytes();
+        let torn = slab.append(&payload(4, 64)).unwrap();
         drop(slab);
 
+        let tear = torn.off - FRAME_LEN;
         let mut raw = std::fs::read(&path).unwrap();
         raw[mid.off as usize + 2] ^= 0xFF; // damage segment 2's payload
-        raw.truncate(file_len as usize - 10); // tear the last segment
+        raw.truncate(tear as usize + 3); // 3 bytes of segment 4's header survive
         std::fs::write(&path, &raw).unwrap();
 
         let mut slab = SlabFile::open(&path).unwrap();
-        let kept = slab.replay();
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0].0, a);
-        assert_eq!(kept[0].1, p1);
-        assert_eq!(kept[1].0, c);
-        assert_eq!(kept[1].1, p3);
+        assert_eq!(slab.replay(), vec![(a, p1.clone()), (c, p3.clone())]);
         assert_eq!(slab.corrupt_segments(), 2); // bad crc + torn tail
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn replay_heals_a_tail_torn_inside_the_frame_header() {
-        let dir = temp_dir("torn_header");
-        let path = dir.join("slab_0.fpslab");
-        let mut slab = SlabFile::open(&path).unwrap();
-        let p1 = payload(1, 64);
-        let a = slab.append(&p1).unwrap();
-        slab.append(&payload(2, 64)).unwrap();
+        assert_eq!(slab.bytes(), tear, "healed back to the last frame");
+        let p5 = payload(5, 64);
+        let e = slab.append(&p5).unwrap();
+        assert_eq!(slab.read_segment(e).unwrap(), p5);
         drop(slab);
 
-        // Tear *inside the 8-byte length/CRC frame header* of segment 2
-        // (not its payload): only 3 header bytes survive the crash.
-        let second_frame = a.off + u64::from(a.len);
-        let mut raw = std::fs::read(&path).unwrap();
-        raw.truncate(second_frame as usize + 3);
-        std::fs::write(&path, &raw).unwrap();
-
         let mut slab = SlabFile::open(&path).unwrap();
-        let kept = slab.replay();
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].1, p1);
-        assert_eq!(slab.corrupt_segments(), 1); // counted, not an error
-                                                // Healed: the partial header is gone, so a post-recovery append
-                                                // starts on a valid frame boundary...
-        assert_eq!(slab.bytes(), second_frame);
-        let p3 = payload(3, 64);
-        let s3 = slab.append(&p3).unwrap();
-        assert_eq!(slab.read_segment(s3).unwrap(), p3);
-        drop(slab);
-
-        // ...and the *next* replay recovers it instead of stopping at
-        // the (formerly orphaning) tear.
-        let mut slab = SlabFile::open(&path).unwrap();
-        let kept = slab.replay();
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0].1, p1);
-        assert_eq!(kept[1].1, p3);
-        assert_eq!(slab.corrupt_segments(), 0);
+        assert_eq!(slab.replay(), vec![(a, p1), (c, p3), (e, p5)]);
+        assert_eq!(slab.corrupt_segments(), 1, "only the bad CRC remains");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -67,16 +67,17 @@ pub struct ProxyConfig {
     /// (default) keeps the pre-resilience behaviour: no deadlines, no
     /// retries, no breaker, failures surface directly.
     pub resilience: Option<ResilienceConfig>,
-    /// Cache lifecycle policy: TTLs, staleness windows, epoch, and
-    /// crash-safe snapshots. The default is inert (entries never age,
-    /// nothing is persisted).
+    /// Cache lifecycle policy: TTLs, staleness windows, and epoch. The
+    /// default is inert (entries never age).
     pub lifecycle: LifecycleConfig,
     /// Observability tuning: trace sampling rate and span retention.
     /// Latency histograms are always on regardless.
     pub observe: ObserveConfig,
     /// Disk tier beneath the RAM cache: per-shard append-only slab
     /// files that cold entries demote to (and serve from, via mmap)
-    /// when the RAM budget is exceeded. `None` (default) = RAM-only.
+    /// when the RAM budget is exceeded. It is also the cache's only
+    /// persistence: a proxy built over an existing tier directory warm
+    /// restarts from it. `None` (default) = RAM-only, nothing persisted.
     pub tier: Option<TierConfig>,
 }
 

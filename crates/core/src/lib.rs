@@ -26,8 +26,10 @@
 //! ## Crate layout
 //!
 //! * [`template`] — function templates, query templates, info files.
-//! * [`cache`] — the result store with size-bounded LRU replacement and
-//!   the two cache-description implementations (ACNR array / ACR R-tree).
+//! * [`cache`] — the result store with size-bounded LRU replacement, the
+//!   two cache-description implementations (ACNR array / ACR R-tree), and
+//!   the disk tier — the cache's only on-disk form, and so its
+//!   persistence across restarts.
 //! * [`query`] — relationship classification, local evaluation of subsumed
 //!   queries, remainder-query synthesis, result merging.
 //! * [`schemes`] — the five caching schemes of the paper's evaluation
@@ -43,9 +45,8 @@
 //! * [`resilience`] — the fault-tolerant fetch path: deadlines,
 //!   retry/backoff, the per-origin circuit breaker, and the chaos
 //!   injection harness behind degraded serving.
-//! * [`lifecycle`] — cache freshness and durability: per-template TTLs,
-//!   data-release epochs, stale-while-revalidate / stale-if-error
-//!   serving windows, and crash-safe cache snapshots.
+//! * [`lifecycle`] — cache freshness: per-template TTLs, data-release
+//!   epochs, and stale-while-revalidate / stale-if-error serving windows.
 //! * [`observe`] — per-phase latency histograms, outcome-class latency
 //!   distributions, and sampled trace spans behind the `/metrics` and
 //!   `/debug/trace` endpoints.
@@ -76,7 +77,7 @@ pub mod template;
 pub use cache::{ProfitEstimate, ProfitModel, ProfitParams};
 pub use cluster::{ClusterConfig, ClusterResponse, ClusterRouter, NodeId, ServedBy};
 pub use config::{ProxyConfig, SchemeChoice};
-pub use lifecycle::{Freshness, LifecycleConfig, SnapshotPolicy};
+pub use lifecycle::{Freshness, LifecycleConfig};
 pub use observe::{LatencySummary, ObserveConfig, Observer};
 pub use origin::{CountingOrigin, Origin, OriginError, SiteOrigin};
 pub use proxy::FunctionProxy;

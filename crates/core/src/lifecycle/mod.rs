@@ -1,5 +1,4 @@
-//! Cache lifecycle: TTLs, data-release epochs, staleness windows, and
-//! crash-safe snapshots.
+//! Cache lifecycle: TTLs, data-release epochs, and staleness windows.
 //!
 //! The paper's proxy assumes cached TVF results stay valid forever; a
 //! deployed SkyServer proxy cannot. Survey catalogs change per **data
@@ -25,18 +24,16 @@
 //! * **Dead** — past every window; retired lazily on the next probe.
 //!
 //! All timing runs on the injectable [`crate::resilience::Clock`], so
-//! every TTL, refresh, and snapshot decision is deterministic under a
-//! `MockClock`. The [`snapshot`] submodule provides the versioned,
-//! checksummed on-disk segment format behind crash-safe warm restarts.
+//! every TTL, refresh, and metadata-pass decision is deterministic under
+//! a `MockClock`. Surviving a restart is the disk tier's job
+//! ([`crate::cache::TierConfig`]): entries carry their [`LifecycleStamp`]
+//! into the slab, and the shard's `.fpmeta` carries the epoch.
 
-pub mod snapshot;
-
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Lifecycle policy carried by [`crate::config::ProxyConfig`]. The
-/// default is fully inert: no TTLs, epoch 0, no snapshots — exactly the
-/// pre-lifecycle behaviour.
+/// default is fully inert: no TTLs, epoch 0 — exactly the pre-lifecycle
+/// behaviour.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LifecycleConfig {
     /// TTL applied to entries whose template has no specific TTL.
@@ -52,33 +49,18 @@ pub struct LifecycleConfig {
     /// origin is unreachable (breaker open, outage). Typically ≥ the
     /// revalidate window.
     pub stale_if_error: Duration,
-    /// The data-release epoch new entries are stamped with at startup.
-    /// The origin may advertise a newer one at any time
+    /// The data-release epoch new entries are stamped with at startup
+    /// (a warm restart adopts a higher one recorded on disk). The origin
+    /// may advertise a newer one at any time
     /// ([`crate::origin::Origin::advertised_epoch`]).
     pub epoch: u64,
-    /// Crash-safe snapshot schedule; `None` disables persistence.
-    pub snapshot: Option<SnapshotPolicy>,
-}
-
-/// Where and how often the runtime writes cache snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotPolicy {
-    /// Directory holding one `shard_<i>.fpsnap` file per cache shard.
-    pub dir: PathBuf,
-    /// Minimum virtual time between snapshot passes. Checked
-    /// opportunistically at the end of each served request — no timer
-    /// thread, so the schedule is deterministic under a mock clock.
-    pub interval: Duration,
 }
 
 impl LifecycleConfig {
     /// Whether any lifecycle feature is configured. Inactive lifecycle
     /// keeps the store clock-free and every serve path unchanged.
     pub fn is_active(&self) -> bool {
-        self.default_ttl.is_some()
-            || !self.template_ttls.is_empty()
-            || self.epoch > 0
-            || self.snapshot.is_some()
+        self.default_ttl.is_some() || !self.template_ttls.is_empty() || self.epoch > 0
     }
 
     /// The TTL for an entry under `residual_key` (template name is the
@@ -126,15 +108,6 @@ impl LifecycleConfig {
     /// Builder: the startup epoch.
     pub fn with_epoch(mut self, epoch: u64) -> Self {
         self.epoch = epoch;
-        self
-    }
-
-    /// Builder: the snapshot schedule.
-    pub fn with_snapshot(mut self, dir: impl Into<PathBuf>, interval: Duration) -> Self {
-        self.snapshot = Some(SnapshotPolicy {
-            dir: dir.into(),
-            interval,
-        });
         self
     }
 }
@@ -187,16 +160,16 @@ pub fn freshness_at(
     }
 }
 
-/// Lifecycle metadata persisted with (and restored from) a snapshot
+/// Lifecycle metadata persisted with (and restored from) a slab
 /// entry. Times are stored *relative* (age, remaining TTL) because
 /// `Instant` does not survive a process restart.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LifecycleStamp {
     /// The epoch the entry was fetched under.
     pub epoch: u64,
-    /// How old the entry was when the snapshot was written.
+    /// How old the entry was when it was written.
     pub age_ms: Option<u64>,
-    /// TTL remaining at snapshot time; negative = already expired by
+    /// TTL remaining at write time; negative = already expired by
     /// that many milliseconds (still restorable into Stale/Grace).
     pub remaining_ms: Option<i64>,
 }

@@ -75,27 +75,6 @@ impl FunctionProxy {
         self.store.stats()
     }
 
-    /// Persists the cache to `dir` as XML result files (the paper's
-    /// on-disk "Query Result Files"); returns the number written.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn save_cache(&self, dir: &std::path::Path) -> std::io::Result<usize> {
-        self.store.save_snapshot(dir)
-    }
-
-    /// Restores a cache snapshot from `dir` on top of the current
-    /// contents (malformed files are skipped).
-    ///
-    /// # Errors
-    /// Propagates the directory-listing error.
-    pub fn load_cache(
-        &mut self,
-        dir: &std::path::Path,
-    ) -> std::io::Result<crate::cache::SnapshotLoad> {
-        self.store.load_snapshot(dir)
-    }
-
     /// Serves an HTML-form request: resolve against the registered info
     /// files and templates, then answer per the configured scheme.
     ///

@@ -36,10 +36,9 @@
 //! rejections and true disjoint misses surface the error.
 
 use crate::cache::{
-    entry_from_xml, entry_to_xml, CacheStats, CacheStore, ProfitEstimate, ProfitModel, SlabSlice,
+    entry_from_xml, CacheStats, CacheStore, ProfitEstimate, ProfitModel, SlabSlice,
 };
 use crate::config::{ProxyConfig, SchemeChoice};
-use crate::lifecycle::snapshot::{read_snapshot_file, write_snapshot_file};
 use crate::lifecycle::Freshness;
 use crate::metrics::{Outcome, QueryMetrics};
 use crate::observe::{Observer, OutcomeClass, PathClass, Phase as ObsPhase};
@@ -63,7 +62,6 @@ use fp_xmlite::Element;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -111,7 +109,7 @@ struct Runtime {
     /// Set iff `config.resilience` is set; `origin` then points at this
     /// same decorator. Kept separately for snapshot access.
     resilient: Option<Arc<ResilientOrigin>>,
-    /// The clock lifecycle timing and the snapshot schedule run on.
+    /// The clock lifecycle timing and the `.fpmeta` schedule run on.
     clock: Arc<dyn Clock>,
     /// `config.lifecycle.is_active()`, hoisted off the hot path.
     lifecycle_active: bool,
@@ -127,7 +125,7 @@ struct Runtime {
     /// Live background threads (revalidations and promotions), joined
     /// by [`ProxyHandle::quiesce_revalidations`].
     reval_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Snapshot schedule state; `None` when persistence is off.
+    /// `.fpmeta` pass state; `None` without a tier (nothing persists).
     snap: Option<Mutex<SnapSched>>,
     /// The adaptive scheme selector; `Some` iff the config's
     /// `scheme_choice` is [`SchemeChoice::Adaptive`]. Consulted once
@@ -138,12 +136,13 @@ struct Runtime {
     observe: Arc<Observer>,
 }
 
-/// Mutable snapshot-scheduler state (behind a `try_lock` so the serve
-/// path never blocks on a concurrent snapshot pass).
+/// Mutable `.fpmeta` scheduler state (behind a `try_lock` so the serve
+/// path never blocks on a concurrent pass).
 struct SnapSched {
-    /// Next virtual-clock instant a snapshot pass is due.
+    /// Next virtual-clock instant a scheduled pass is due (consulted
+    /// only when the tier has a `meta_interval`).
     next_due: Instant,
-    /// Per-shard store generation at its last written snapshot; a shard
+    /// Per-shard store generation at its last written `.fpmeta`; a shard
     /// whose generation is unchanged is skipped (incremental writes).
     written_gens: Vec<u64>,
 }
@@ -414,13 +413,12 @@ impl ProxyHandle {
             }
             None => (origin, None),
         };
-        let snap = config.lifecycle.snapshot.as_ref().map(|policy| {
+        let snap = config.tier.as_ref().map(|tier| {
             Mutex::new(SnapSched {
-                next_due: clock.now() + policy.interval,
+                next_due: clock.now() + tier.meta_interval.unwrap_or_default(),
                 written_gens: vec![0; store.shard_count()],
             })
         });
-        let snapshot_dir = config.lifecycle.snapshot.as_ref().map(|p| p.dir.clone());
         let profit = match config.scheme_choice {
             SchemeChoice::Adaptive(params) => Some(ProfitModel::new(params)),
             SchemeChoice::Fixed(_) => None,
@@ -445,31 +443,30 @@ impl ProxyHandle {
                 config,
             }),
         };
-        // Tier recovery first: the slab already holds full payloads, so
-        // a legacy `.fpsnap` pass afterwards can only refine (same-SQL
-        // replacement keeps the later insert).
         if handle.inner.config.tier.is_some() {
             handle.recover_tier();
-        }
-        if let Some(dir) = snapshot_dir {
-            handle.recover_from(&dir);
         }
         handle
     }
 
     /// Startup recovery of the disk tier: every shard replays its slab
-    /// (CRC-verified, front-recoverable) and applies its warm-restart
-    /// metadata snapshot when one exists. Corrupt segments are counted,
-    /// never fatal.
+    /// (CRC-verified, front-recoverable) and applies its `.fpmeta` when
+    /// one exists. Corrupt segments are counted, never fatal. Finishes
+    /// by adopting the highest data-release epoch on disk when it is
+    /// ahead of the configured one.
     fn recover_tier(&self) {
+        // Recovery runs at build time, before any request: give it its
+        // own sampled trace so the startup cost is visible.
         let _trace = self.inner.observe.begin_trace();
         let recover_start = Instant::now();
         let mut recovered = 0usize;
         let mut corrupt = 0usize;
+        let mut epoch = self.inner.config.lifecycle.epoch;
         for i in 0..self.inner.store.shard_count() {
             let outcome = self.inner.store.lock_shard(i).recover_tier();
             recovered += outcome.recovered;
             corrupt += outcome.corrupt;
+            epoch = epoch.max(outcome.epoch);
         }
         if recovered > 0 {
             self.inner.stats.note_recovered_entries(recovered);
@@ -477,6 +474,7 @@ impl ProxyHandle {
         if corrupt > 0 {
             self.inner.stats.note_snapshot_corrupt(corrupt);
         }
+        self.set_epoch(epoch);
         let obs = &self.inner.observe;
         obs.record_phase(
             ObsPhase::SnapshotRecover,
@@ -2488,91 +2486,73 @@ impl ProxyHandle {
         }
     }
 
-    /// End-of-request snapshot check: when persistence is configured and
-    /// the virtual-clock schedule is due, write the shards that changed.
-    /// `try_lock` keeps concurrent requests from queueing behind one
-    /// writer; write errors are swallowed (a failed snapshot must never
-    /// fail a query — the previous snapshot generation stays on disk).
+    /// End-of-request `.fpmeta` check: when the tier has a metadata
+    /// interval and the virtual-clock schedule is due, write the shards
+    /// that changed. `try_lock` keeps concurrent requests from queueing
+    /// behind one writer; write errors are swallowed (a failed pass must
+    /// never fail a query — the previous `.fpmeta` stays on disk).
     fn maybe_snapshot(&self) {
-        let (Some(sched), Some(policy)) = (&self.inner.snap, &self.inner.config.lifecycle.snapshot)
+        let Some(interval) = self
+            .inner
+            .config
+            .tier
+            .as_ref()
+            .and_then(|t| t.meta_interval)
         else {
             return;
         };
-        let Ok(mut s) = sched.try_lock() else { return };
+        let Some(Ok(mut s)) = self.inner.snap.as_ref().map(Mutex::try_lock) else {
+            return;
+        };
         let now = self.inner.clock.now();
         if now < s.next_due {
             return;
         }
-        s.next_due = now + policy.interval;
-        let _ = self.write_snapshots(&policy.dir, &mut s.written_gens);
+        s.next_due = now + interval;
+        self.write_tier_metas(&mut s.written_gens);
     }
 
-    /// Forces a snapshot pass now (shutdown hooks, tests). Returns how
-    /// many shard files were written; unchanged shards are skipped.
+    /// Forces a `.fpmeta` pass now (shutdown hooks, tests). Returns how
+    /// many shard files were written; unchanged shards are skipped, and
+    /// a proxy without a tier writes nothing.
     ///
     /// # Errors
-    /// Never fails today: a shard whose snapshot write errors (ENOSPC,
-    /// EIO) is counted (`snapshot_io_errors`), left dirty so the next
-    /// pass retries it, and skipped — a failed snapshot must never
-    /// poison the serving path, which keeps answering from RAM. The
-    /// `Result` stays for callers that match on it. A partially
-    /// completed pass leaves every already-written shard file valid
-    /// (each is written to a temporary file and atomically renamed).
+    /// Never fails today: a shard whose write errors (ENOSPC, EIO, a
+    /// failed fsync) is counted (`snapshot_io_errors`), left dirty so
+    /// the next pass retries it, and skipped — a failed pass must never
+    /// poison the serving path. The `Result` stays for callers that
+    /// match on it. Each file is staged, fsynced and renamed, so a
+    /// partially completed pass leaves every shard's file valid.
     pub fn snapshot_now(&self) -> io::Result<usize> {
-        let (Some(sched), Some(policy)) = (&self.inner.snap, &self.inner.config.lifecycle.snapshot)
-        else {
+        let Some(sched) = &self.inner.snap else {
             return Ok(0);
         };
         let mut s = sched.lock().unwrap_or_else(|e| e.into_inner());
-        Ok(self.write_snapshots(&policy.dir, &mut s.written_gens))
+        Ok(self.write_tier_metas(&mut s.written_gens))
     }
 
-    /// One snapshot pass: serialize each dirty shard's entries (with
-    /// relative lifecycle stamps) into the checksummed segment format.
-    /// Write errors never escape: the shard stays dirty (its previous
-    /// snapshot generation stays on disk, so at worst a restart replays
-    /// older metadata) and the error is counted.
-    fn write_snapshots(&self, dir: &Path, written_gens: &mut [u64]) -> usize {
+    /// One `.fpmeta` pass over the dirty shards. Each shard's records
+    /// are encoded under its lock and written after the lock is
+    /// released. Write errors never escape: the shard stays dirty (its
+    /// previous file stays on disk, so at worst a restart applies older
+    /// metadata) and the error is counted.
+    fn write_tier_metas(&self, written_gens: &mut [u64]) -> usize {
         let pass_start = Instant::now();
-        if std::fs::create_dir_all(dir).is_err() {
-            self.inner.stats.note_snapshot_io_error();
-            return 0;
-        }
-        let epoch = self.current_epoch();
         let mut written = 0;
         for (i, written_gen) in written_gens.iter_mut().enumerate() {
-            let dirty = {
+            let (generation, meta) = {
                 let mut store = self.inner.store.lock_shard(i);
                 let generation = store.generation();
                 if generation == *written_gen {
-                    None
-                } else if store.has_tier() {
-                    // Tier-unified warm restart: payloads already live in
-                    // the slab, so the snapshot is one tiny record per
-                    // entry (segment location + lifecycle stamp) —
-                    // proportional to entry count, not cached bytes.
-                    match store.write_tier_meta() {
-                        Ok(_) => {
-                            *written_gen = generation;
-                            written += 1;
-                        }
-                        Err(_) => self.inner.stats.note_snapshot_io_error(),
-                    }
-                    None
-                } else {
-                    let now = store.now();
-                    let segments: Vec<Vec<u8>> = store
-                        .iter_entries()
-                        .map(|e| entry_to_xml(e, now).to_xml().into_bytes())
-                        .collect();
-                    Some((generation, segments))
+                    continue;
+                }
+                match store.tier_meta() {
+                    Some(meta) => (generation, meta),
+                    None => continue, // this shard's tier failed to open
                 }
             };
-            let Some((generation, segments)) = dirty else {
-                continue;
-            };
-            match write_snapshot_file(&dir.join(format!("shard_{i}.fpsnap")), epoch, &segments) {
-                Ok(()) => {
+            match meta.write() {
+                Ok(_) => {
                     *written_gen = generation;
                     written += 1;
                 }
@@ -2596,91 +2576,6 @@ impl ProxyHandle {
             );
         }
         written
-    }
-
-    /// Startup recovery: load every `*.fpsnap` file in `dir`,
-    /// corruption-tolerantly — an unreadable file or segment is counted
-    /// and skipped, never fatal. Entries are re-anchored onto the live
-    /// clock via their relative stamps; entries from an older epoch (or
-    /// aged past every serve window) are dropped by the store. Finishes
-    /// by advancing to the highest epoch seen on disk.
-    fn recover_from(&self, dir: &Path) {
-        // Recovery runs at build time, before any request: give it its
-        // own sampled trace so the startup cost is visible.
-        let _trace = self.inner.observe.begin_trace();
-        let recover_start = Instant::now();
-        let Ok(listing) = std::fs::read_dir(dir) else {
-            return;
-        };
-        let mut files: Vec<std::path::PathBuf> = listing
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "fpsnap"))
-            .collect();
-        files.sort();
-        let mut max_epoch = self.inner.config.lifecycle.epoch;
-        let mut recovered = 0usize;
-        for path in &files {
-            match read_snapshot_file(path) {
-                // Bad magic/version/header: the whole file is one
-                // corrupt unit.
-                Err(_) => self.inner.stats.note_snapshot_corrupt(1),
-                Ok(file) => {
-                    max_epoch = max_epoch.max(file.epoch);
-                    if file.corrupt_segments > 0 {
-                        self.inner
-                            .stats
-                            .note_snapshot_corrupt(file.corrupt_segments);
-                    }
-                    for segment in &file.segments {
-                        let parsed = std::str::from_utf8(segment)
-                            .ok()
-                            .and_then(|text| Element::parse(text).ok())
-                            .and_then(|doc| entry_from_xml(&doc));
-                        match parsed {
-                            Some((
-                                (residual_key, region, result, truncated, sql, coord_idx),
-                                stamp,
-                            )) => {
-                                let (mut store, _) = self.inner.store.lock(&residual_key);
-                                let restored = store.insert_restored(
-                                    &residual_key,
-                                    region,
-                                    result,
-                                    truncated,
-                                    &sql,
-                                    &coord_idx,
-                                    &stamp,
-                                );
-                                if restored.is_some() {
-                                    recovered += 1;
-                                }
-                            }
-                            // A checksum-valid segment that fails to
-                            // parse still counts as corrupt.
-                            None => self.inner.stats.note_snapshot_corrupt(1),
-                        }
-                    }
-                }
-            }
-        }
-        if recovered > 0 {
-            self.inner.stats.note_recovered_entries(recovered);
-        }
-        self.set_epoch(max_epoch);
-        let obs = &self.inner.observe;
-        obs.record_phase(
-            ObsPhase::SnapshotRecover,
-            PathClass::Background,
-            ms_since(recover_start),
-        );
-        obs.span(
-            "snapshot.recover",
-            "lifecycle",
-            recover_start,
-            recover_start.elapsed(),
-            || Some(format!("entries={recovered}")),
-        );
     }
 }
 

@@ -5,7 +5,7 @@
 //! HTTP stack.
 //!
 //! ```sh
-//! cargo run --example http_proxy [-- --ttl <secs>] [--snapshot-dir <path>] [--epoch <n>]
+//! cargo run --example http_proxy [-- --ttl <secs>] [--epoch <n>]
 //!                                [--serve] [--port <n>] [--trace-sample <n>]
 //!                                [--edge] [--workers <n>] [--max-conns <n>]
 //!                                [--cache-budget <bytes>] [--slab-dir <path>]
@@ -13,17 +13,17 @@
 //! ```
 //!
 //! `--ttl` gives every cached entry a freshness lifetime (expired entries
-//! are served stale while a background refresh runs), `--snapshot-dir`
-//! persists the cache for a warm restart, and `--epoch` declares the
-//! origin's current data-release epoch (entries from older epochs are
-//! invalidated).
+//! are served stale while a background refresh runs), and `--epoch`
+//! declares the origin's current data-release epoch (entries from older
+//! epochs are invalidated).
 //!
 //! `--cache-budget` caps the RAM the cache may hold (bytes; default
-//! unbounded) and `--slab-dir` attaches the disk tier: entries pushed
-//! over the budget demote to per-shard mmap'd slab files instead of
-//! being evicted, still answering exact and contained hits straight
-//! from the page cache. With `--slab-dir`, warm restarts recover from
-//! the slab plus a small metadata snapshot.
+//! unbounded) and `--slab-dir` attaches the disk tier — the cache's only
+//! persistence: entries pushed over the budget demote to per-shard
+//! mmap'd slab files instead of being evicted, still answering exact and
+//! contained hits straight from the page cache, and every 5 s (and at
+//! shutdown) each shard writes a small `.fpmeta` index beside its slab.
+//! A proxy started over the same `--slab-dir` warm restarts from it.
 //!
 //! `--edge` swaps the thread-per-connection front end for the
 //! nonblocking `fp-edge` reactor: one event-loop thread multiplexes
@@ -34,7 +34,7 @@
 //!
 //! Both front ends shut down gracefully: SIGINT/SIGTERM stops
 //! accepting, drains in-flight requests, quiesces background
-//! revalidations, writes a final snapshot when `--snapshot-dir` is set,
+//! revalidations, writes a final `.fpmeta` pass when `--slab-dir` is set,
 //! and prints a closing stats summary.
 //!
 //! Observability: the proxy always exposes `GET /metrics` (Prometheus
@@ -70,6 +70,7 @@
 use fp_suite::edge::sys::install_interrupt_flag;
 use fp_suite::edge::{EdgeConfig, EdgeServer, ProxyEdgeService};
 use fp_suite::httpd::{HttpClient, HttpServer, Request, Response, Router, Status};
+use fp_suite::proxy::cache::TierConfig;
 use fp_suite::proxy::cluster::{
     decode_digest, encode_digest, owner_of_key, routing_key, GossipEntry, Membership,
     MembershipConfig, MembershipEvent, NodeId, PeerError, PeerTransport,
@@ -597,7 +598,6 @@ fn main() {
     // 0. Lifecycle flags (all optional; without them the cache never
     //    expires and nothing is persisted — the pre-lifecycle behaviour).
     let mut ttl_secs: Option<u64> = None;
-    let mut snapshot_dir: Option<std::path::PathBuf> = None;
     let mut epoch: u64 = 0;
     let mut serve = false;
     let mut port: u16 = 0;
@@ -624,7 +624,6 @@ fn main() {
             }
             "--node-id" => node_id = args.next().and_then(|s| s.parse().ok()).unwrap_or(0),
             "--ttl" => ttl_secs = args.next().and_then(|s| s.parse().ok()),
-            "--snapshot-dir" => snapshot_dir = args.next().map(Into::into),
             "--epoch" => epoch = args.next().and_then(|s| s.parse().ok()).unwrap_or(0),
             "--serve" => serve = true,
             "--port" => port = args.next().and_then(|s| s.parse().ok()).unwrap_or(0),
@@ -641,7 +640,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown option `{other}` \
-                     (supported: --ttl <secs>, --snapshot-dir <path>, --epoch <n>, \
+                     (supported: --ttl <secs>, --epoch <n>, \
                      --serve, --port <n>, --trace-sample <n>, \
                      --edge, --workers <n>, --max-conns <n>, \
                      --cache-budget <bytes>, --slab-dir <path>, \
@@ -683,9 +682,6 @@ fn main() {
             .with_stale_while_revalidate(ttl)
             .with_stale_if_error(ttl * 10);
     }
-    if let Some(dir) = &snapshot_dir {
-        lifecycle = lifecycle.with_snapshot(dir.clone(), std::time::Duration::from_secs(5));
-    }
 
     // 1. The origin web site.
     println!("starting the origin site…");
@@ -710,21 +706,19 @@ fn main() {
         config = config.with_capacity(cache_budget);
     }
     if let Some(dir) = &slab_dir {
-        config = config.with_tier(dir.clone());
+        config = config
+            .with_tier_config(TierConfig::new(dir).with_meta_interval(Duration::from_secs(5)));
     }
     let handle = ProxyHandle::new(
         TemplateManager::with_sky_defaults(),
         Arc::new(origin),
         config,
     );
-    if handle.runtime_stats().recovered_entries > 0 {
+    if let Some(dir) = &slab_dir {
         println!(
             "recovered {} cache entries from {}",
             handle.runtime_stats().recovered_entries,
-            snapshot_dir
-                .as_deref()
-                .unwrap_or(std::path::Path::new("?"))
-                .display()
+            dir.display()
         );
     }
     // Fleet mode: one SWIM membership view over the configured peer
@@ -902,10 +896,10 @@ fn main() {
     }
     let edge_summary = proxy_server.shutdown_graceful();
     handle.quiesce_revalidations();
-    if snapshot_dir.is_some() {
+    if slab_dir.is_some() {
         match handle.snapshot_now() {
-            Ok(files) => println!("final snapshot: {files} shard files written"),
-            Err(e) => eprintln!("final snapshot failed: {e}"),
+            Ok(files) => println!("final .fpmeta pass: {files} shard files written"),
+            Err(e) => eprintln!("final .fpmeta pass failed: {e}"),
         }
     }
     origin_server.shutdown();

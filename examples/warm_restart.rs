@@ -1,24 +1,30 @@
 //! Cache persistence across proxy restarts: the paper's proxy keeps its
-//! results as XML files on disk (Figure 4, "Query Result Files"); this
-//! example fills a cache, "restarts" the proxy, reloads the files, and
-//! shows the warm cache answering without touching the origin.
+//! results as XML files on disk (Figure 4, "Query Result Files"). Here
+//! those files are the disk tier's slab segments — each one the entry's
+//! self-describing `<CacheEntry>` XML followed by its row bytes — plus a
+//! small `.fpmeta` index per shard. This example fills a cache, writes
+//! the index, "restarts" the proxy over the same directory, and shows
+//! the warm cache answering without touching the origin.
 //!
 //! ```sh
 //! cargo run --example warm_restart
 //! ```
 
+use fp_suite::proxy::cache::TierConfig;
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
+use std::path::Path;
 use std::sync::Arc;
 
-fn proxy(site: &SkySite) -> FunctionProxy {
-    FunctionProxy::new(
+fn proxy(site: &SkySite, dir: &Path) -> ProxyHandle {
+    ProxyHandle::new(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
-            .with_cost(CostModel::free()),
+            .with_cost(CostModel::free())
+            .with_tier_config(TierConfig::new(dir)),
     )
 }
 
@@ -39,7 +45,7 @@ fn main() {
     // Session 1: a proxy warms up on live traffic, then shuts down.
     println!("— session 1: populating the cache —");
     {
-        let mut p = proxy(&site);
+        let p = proxy(&site, &dir);
         for (ra, dec, radius) in [(185.0, 0.5, 25.0), (186.2, -0.8, 15.0), (183.5, 1.2, 10.0)] {
             let r = p
                 .handle_form("/search/radial", &radial(ra, dec, radius))
@@ -50,13 +56,17 @@ fn main() {
                 r.metrics.outcome.label()
             );
         }
-        let written = p.save_cache(&dir).expect("snapshot saves");
+        let written = p.snapshot_now().expect("meta pass");
         println!(
-            "  persisted {written} XML result files to {}",
+            "  persisted to {} ({written} shard index files written):",
             dir.display()
         );
-        for file in std::fs::read_dir(&dir).unwrap() {
-            let path = file.unwrap().path();
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .collect();
+        files.sort();
+        for path in files {
             let size = std::fs::metadata(&path).unwrap().len();
             println!(
                 "    {} ({size} bytes)",
@@ -65,14 +75,14 @@ fn main() {
         }
     } // proxy dropped: "the servlet restarts"
 
-    // Session 2: a fresh proxy loads the files and serves from them.
+    // Session 2: a fresh proxy over the same directory serves from it.
     println!("\n— session 2: fresh proxy, warm cache —");
     site.reset_load();
-    let mut p = proxy(&site);
-    let load = p.load_cache(&dir).expect("snapshot loads");
+    let p = proxy(&site, &dir);
+    let stats = p.runtime_stats();
     println!(
-        "  restored {} entries ({} skipped)",
-        load.loaded, load.skipped
+        "  restored {} entries ({} damaged segments skipped)",
+        stats.recovered_entries, stats.snapshot_corrupt_segments
     );
 
     for (label, ra, dec, radius) in [
@@ -89,8 +99,9 @@ fn main() {
             r.metrics.outcome.label()
         );
     }
+    p.quiesce_revalidations();
     println!(
-        "  origin queries in session 2: {} (everything served from the restored files)",
+        "  origin queries in session 2: {} (everything served from the restored segments)",
         site.load().queries
     );
 

@@ -1,9 +1,10 @@
-//! Kill-restart recovery: snapshot a warmed proxy mid-trace, drop it,
-//! rebuild from disk, and finish the trace — the warm restart must
-//! recover the fresh entries (serving byte-identical answers) and land
-//! within five hit-rate points of a proxy that never restarted. A
-//! corrupted snapshot loses exactly the damaged segments, never the
-//! startup.
+//! Kill-restart recovery through the disk tier, the cache's only
+//! on-disk form: write the `.fpmeta` of a warmed proxy mid-trace, drop
+//! it, rebuild over the same tier directory, and finish the trace — the
+//! warm restart must recover the fresh entries (serving byte-identical
+//! answers), keep the data-release epoch, and land within five hit-rate
+//! points of a proxy that never restarted. A corrupted `.fpmeta` loses
+//! exactly the damaged records, never the startup.
 
 use fp_suite::proxy::metrics::Outcome;
 use fp_suite::proxy::resilience::{Clock, MockClock};
@@ -11,7 +12,7 @@ use fp_suite::proxy::template::TemplateManager;
 use fp_suite::proxy::{
     CostModel, LifecycleConfig, Origin, ProxyConfig, ProxyHandle, Scheme, SiteOrigin,
 };
-use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
+use fp_suite::skyserver::{Catalog, CatalogSpec, ResultSet, SkySite};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -69,34 +70,23 @@ fn trace() -> (Vec<Vec<(String, String)>>, usize) {
     (all, first_half)
 }
 
-fn make_handle(clock: &Arc<MockClock>, snapshot_dir: Option<&Path>, shards: usize) -> ProxyHandle {
-    make_handle_with(clock, snapshot_dir, None, None, shards)
-}
-
-/// Like [`make_handle`], optionally bounding RAM (`budget`) and
-/// attaching the disk tier (`tier_dir`).
-fn make_handle_with(
+/// A proxy at configured epoch 1, optionally bounding RAM (`budget`)
+/// and persisting to `tier_dir` (no metadata interval: `.fpmeta` is
+/// written by `snapshot_now` only, deterministically).
+fn make_handle(
     clock: &Arc<MockClock>,
-    snapshot_dir: Option<&Path>,
     tier_dir: Option<&Path>,
     budget: Option<usize>,
     shards: usize,
 ) -> ProxyHandle {
-    let mut lifecycle = LifecycleConfig::default()
+    let lifecycle = LifecycleConfig::default()
         .with_default_ttl(Duration::from_secs(3600))
         .with_epoch(1);
-    if let Some(dir) = snapshot_dir {
-        // Interval far beyond the test: snapshots happen via
-        // `snapshot_now` only, deterministically.
-        lifecycle = lifecycle.with_snapshot(dir.to_path_buf(), Duration::from_secs(3600));
-    }
     let mut config = ProxyConfig::default()
         .with_scheme(Scheme::FullSemantic)
         .with_cost(CostModel::free())
+        .with_capacity(budget)
         .with_lifecycle(lifecycle);
-    if budget.is_some() {
-        config = config.with_capacity(budget);
-    }
     if let Some(dir) = tier_dir {
         config = config.with_tier(dir.to_path_buf());
     }
@@ -136,20 +126,20 @@ fn warm_restart_recovers_the_cache_and_its_hit_rate() {
     let clock = MockClock::shared();
 
     // Baseline: one proxy lives through the whole trace.
-    let baseline = make_handle(&clock, None, 4);
+    let baseline = make_handle(&clock, None, None, 4);
     replay(&baseline, &all[..half]);
     let (baseline_hits, baseline_bodies) = replay(&baseline, &all[half..]);
     assert!(baseline_hits >= 12, "the repeated queries must hit");
 
-    // Restarted: snapshot after the first half, drop, recover, finish.
+    // Restarted: persist after the first half, drop, recover, finish.
     let dir = fresh_dir("fp_lifecycle_restart_clean");
-    let before = make_handle(&clock, Some(&dir), 4);
+    let before = make_handle(&clock, Some(&dir), None, 4);
     let (_, warm_bodies) = replay(&before, &all[..half]);
-    let files = before.snapshot_now().expect("snapshot writes");
-    assert!(files >= 1, "warmed shards must produce snapshot files");
+    let files = before.snapshot_now().expect("meta writes");
+    assert!(files >= 1, "warmed shards must write their .fpmeta");
     drop(before);
 
-    let after = make_handle(&clock, Some(&dir), 4);
+    let after = make_handle(&clock, Some(&dir), None, 4);
     let stats = after.runtime_stats();
     assert_eq!(
         stats.recovered_entries, half,
@@ -175,20 +165,20 @@ fn warm_restart_recovers_the_cache_and_its_hit_rate() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Kill-restart with the disk tier attached: under a RAM budget tight
-/// enough to demote most entries to the slab, a restart must recover
-/// *everything* — demoted entries from their slab segments, resident
-/// ones via the tiny metadata snapshot — and keep serving byte-identical
-/// answers, now partly straight off the mmap'd slab. A second kill that
-/// also loses the metadata snapshot still recovers every entry whose
-/// payload reached the slab (bare replay mode).
+/// Kill-restart under a RAM budget tight enough to demote most entries
+/// to the slab: a restart must recover *everything* — demoted entries
+/// from their slab segments, resident ones appended when the `.fpmeta`
+/// was written — and keep serving byte-identical answers, now partly
+/// straight off the mmap'd slab. A second kill that also loses the
+/// `.fpmeta` still recovers every entry whose payload reached the slab
+/// (bare replay mode).
 #[test]
 fn tiered_kill_restart_recovers_slab_and_meta() {
     let (all, half) = trace();
     let clock = MockClock::shared();
 
     // Baseline bodies from a proxy that never restarted (unbounded RAM).
-    let baseline = make_handle(&clock, None, 2);
+    let baseline = make_handle(&clock, None, None, 2);
     replay(&baseline, &all[..half]);
     let (_, baseline_bodies) = replay(&baseline, &all[half..]);
 
@@ -198,9 +188,8 @@ fn tiered_kill_restart_recovers_slab_and_meta() {
     let budget = warmed_bytes / 3;
     drop(baseline);
 
-    let snap_dir = fresh_dir("fp_tier_restart_meta");
     let tier_dir = fresh_dir("fp_tier_restart_slab");
-    let before = make_handle_with(&clock, Some(&snap_dir), Some(&tier_dir), Some(budget), 2);
+    let before = make_handle(&clock, Some(&tier_dir), Some(budget), 2);
     replay(&before, &all[..half]);
     before.quiesce_revalidations();
     let warm_stats = before.cache_stats();
@@ -208,12 +197,12 @@ fn tiered_kill_restart_recovers_slab_and_meta() {
     assert!(warm_stats.disk_entries > 0, "slab must hold entries");
     assert!(
         before.snapshot_now().expect("tier meta writes") >= 1,
-        "tiered shards must write their metadata snapshots"
+        "tiered shards must write their .fpmeta"
     );
     drop(before);
 
-    // Restart #1: slab + metadata snapshot → full recovery.
-    let after = make_handle_with(&clock, Some(&snap_dir), Some(&tier_dir), Some(budget), 2);
+    // Restart #1: slab + .fpmeta → full recovery.
+    let after = make_handle(&clock, Some(&tier_dir), Some(budget), 2);
     let stats = after.runtime_stats();
     assert_eq!(
         stats.recovered_entries, half,
@@ -238,14 +227,15 @@ fn tiered_kill_restart_recovers_slab_and_meta() {
     );
     drop(after);
 
-    // Restart #2: the metadata snapshots are gone (crash before the
-    // final snapshot pass). Bare slab replay still recovers everything
-    // demoted or previously snapshotted — and stays byte-identical.
-    for i in 0..2 {
-        std::fs::remove_file(tier_dir.join(format!("shard_{i}.fpmeta"))).ok();
-    }
-    let replayed = make_handle_with(&clock, Some(&snap_dir), Some(&tier_dir), Some(budget), 2);
+    // Restart #2: no usable .fpmeta — shard 0's is in a layout this
+    // build does not read (counted, never fatal), shard 1's is gone
+    // (crash before the final pass). Bare slab replay still recovers
+    // everything demoted or previously persisted — byte-identically.
+    std::fs::write(tier_dir.join("shard_0.fpmeta"), b"OLDMETA!\x01\0\0\0junk").unwrap();
+    std::fs::remove_file(tier_dir.join("shard_1.fpmeta")).ok();
+    let replayed = make_handle(&clock, Some(&tier_dir), Some(budget), 2);
     let stats = replayed.runtime_stats();
+    assert_eq!(stats.snapshot_corrupt_segments, 1, "the foreign file");
     assert!(
         stats.recovered_entries >= warm_stats.disk_entries,
         "bare replay must recover at least the demoted entries: {} < {}",
@@ -257,7 +247,6 @@ fn tiered_kill_restart_recovers_slab_and_meta() {
         assert_eq!(got, want, "query {i}: bare-replay restart diverged");
     }
     replayed.quiesce_revalidations();
-    std::fs::remove_dir_all(&snap_dir).ok();
     std::fs::remove_dir_all(&tier_dir).ok();
 }
 
@@ -266,23 +255,25 @@ fn corrupted_snapshot_loads_partially_without_panicking() {
     let (all, half) = trace();
     let clock = MockClock::shared();
 
-    // One shard → one snapshot file holding all twelve entries.
+    // One shard → one .fpmeta holding the epoch and all twelve entries.
     let dir = fresh_dir("fp_lifecycle_restart_corrupt");
-    let before = make_handle(&clock, Some(&dir), 1);
+    let before = make_handle(&clock, Some(&dir), None, 1);
     let (_, warm_bodies) = replay(&before, &all[..half]);
-    assert_eq!(before.snapshot_now().expect("snapshot writes"), 1);
+    assert_eq!(before.snapshot_now().expect("meta writes"), 1);
     drop(before);
 
-    // Damage the file: flip a byte inside the first segment's payload
-    // (CRC mismatch) and cut the tail mid-segment (truncation).
-    let path = dir.join("shard_0.fpsnap");
-    let mut data = std::fs::read(&path).expect("snapshot exists");
-    let header_len = 8 + 4 + 8;
-    data[header_len + 8 + 2] ^= 0xFF;
+    // Damage the file: flip a byte inside the first entry record (the
+    // frame after the leading epoch record; CRC mismatch) and cut the
+    // tail mid-record (truncation).
+    let path = dir.join("shard_0.fpmeta");
+    let mut data = std::fs::read(&path).expect(".fpmeta exists");
+    let (header_len, frame_len) = (8 + 4, 4 + 4);
+    let epoch_len = u32::from_le_bytes(data[header_len..header_len + 4].try_into().unwrap());
+    data[header_len + frame_len + epoch_len as usize + frame_len + 2] ^= 0xFF;
     let keep = data.len() - 40;
-    std::fs::write(&path, &data[..keep]).expect("rewrite damaged snapshot");
+    std::fs::write(&path, &data[..keep]).expect("rewrite damaged .fpmeta");
 
-    let after = make_handle(&clock, Some(&dir), 1);
+    let after = make_handle(&clock, Some(&dir), None, 1);
     let stats = after.runtime_stats();
     assert!(
         stats.snapshot_corrupt_segments >= 2,
@@ -295,6 +286,7 @@ fn corrupted_snapshot_loads_partially_without_panicking() {
         "partial recovery expected, got {} of {half}",
         stats.recovered_entries
     );
+    assert_eq!(after.current_epoch(), 1, "the epoch record survived");
 
     // Whatever survived serves byte-identical exact hits; the damaged
     // entries are ordinary misses, not errors.
@@ -307,5 +299,125 @@ fn corrupted_snapshot_loads_partially_without_panicking() {
         }
     }
     assert_eq!(exact, stats.recovered_entries, "survivors all serve exact");
+    after.quiesce_revalidations();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Satellite: the data-release epoch survives a restart. Entries cached
+/// before a bump are gone for good; a proxy rebuilt with its old
+/// configured epoch adopts the higher one from `.fpmeta` instead of
+/// resurrecting the pre-bump release.
+#[test]
+fn tiered_restart_adopts_the_persisted_epoch() {
+    let (all, _) = trace();
+    let clock = MockClock::shared();
+    let dir = fresh_dir("fp_tier_restart_epoch");
+
+    let before = make_handle(&clock, Some(&dir), None, 2);
+    replay(&before, &all[..4]);
+    assert_eq!(before.set_epoch(3), 4, "the bump retires epoch-1 entries");
+    let (_, bodies) = replay(&before, &all[4..8]);
+    assert!(before.snapshot_now().expect("meta writes") >= 1);
+    drop(before);
+
+    // Same configuration, configured epoch still 1.
+    let after = make_handle(&clock, Some(&dir), None, 2);
+    assert_eq!(after.current_epoch(), 3, "restart forgot the epoch");
+    assert_eq!(after.runtime_stats().recovered_entries, 4);
+    assert_eq!(after.set_epoch(2), 0, "an older epoch is a no-op");
+    for (q, want) in all[4..8].iter().zip(&bodies) {
+        let r = after.handle_form_xml("/search/radial", q).expect("serves");
+        assert!(matches!(r.metrics.outcome, Outcome::Exact));
+        assert_eq!(&r.body, want);
+    }
+    for q in &all[..4] {
+        let r = after.handle_form_xml("/search/radial", q).expect("serves");
+        assert!(
+            !matches!(r.metrics.outcome, Outcome::Exact | Outcome::Contained),
+            "a pre-bump entry came back"
+        );
+    }
+    after.quiesce_revalidations();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn radial_fields(ra: f64, dec: f64, radius: f64) -> Vec<(String, String)> {
+    vec![
+        ("ra".to_string(), ra.to_string()),
+        ("dec".to_string(), dec.to_string()),
+        ("radius".to_string(), radius.to_string()),
+    ]
+}
+
+fn object_ids(result: &ResultSet) -> Vec<i64> {
+    let k = result.column_index("objID").unwrap();
+    result.rows.iter().map(|r| r[k].as_i64().unwrap()).collect()
+}
+
+/// Warm restart keeps *active* caching working: the paper's proxy
+/// persists its results as "Query Result Files" (Figure 4) — here slab
+/// segments — and a fresh proxy over the same directory answers exact
+/// repeats and subsumed queries from them with zero origin traffic.
+#[test]
+fn warm_restart_preserves_active_caching() {
+    let dir = fresh_dir("fp_warm_restart_active");
+    let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+    let proxy = || {
+        ProxyHandle::new(
+            TemplateManager::with_sky_defaults(),
+            Arc::new(SiteOrigin::new(site.clone())),
+            ProxyConfig::default()
+                .with_scheme(Scheme::FullSemantic)
+                .with_cost(CostModel::free())
+                .with_tier(dir.clone()),
+        )
+    };
+
+    // Session 1: populate and persist.
+    let big_ids = {
+        let p = proxy();
+        let big = p
+            .handle_form("/search/radial", &radial_fields(185.0, 0.5, 25.0))
+            .expect("first query");
+        // A rect query too, so the tier holds two templates.
+        p.handle_form(
+            "/search/rect",
+            &[
+                ("min_ra", "184.0"),
+                ("max_ra", "186.0"),
+                ("min_dec", "0.0"),
+                ("max_dec", "1.0"),
+            ],
+        )
+        .expect("rect query");
+        assert!(p.snapshot_now().expect("meta writes") >= 1);
+        object_ids(&big.result)
+    };
+
+    // Session 2: fresh proxy, warm cache.
+    site.reset_load();
+    let p2 = proxy();
+    assert_eq!(p2.runtime_stats().recovered_entries, 2);
+    let stats = p2.cache_stats();
+    assert_eq!(stats.entries + stats.disk_entries, 2);
+
+    // Exact repeat: served from the restored entry, identical rows.
+    let repeat = p2
+        .handle_form("/search/radial", &radial_fields(185.0, 0.5, 25.0))
+        .expect("repeat");
+    assert_eq!(repeat.metrics.outcome.label(), "exact");
+    assert_eq!(object_ids(&repeat.result), big_ids);
+
+    // Subsumed query: answered locally from the restored entry.
+    let contained = p2
+        .handle_form("/search/radial", &radial_fields(185.0, 0.5, 10.0))
+        .expect("contained");
+    assert_eq!(contained.metrics.outcome.label(), "contained");
+    p2.quiesce_revalidations();
+    assert_eq!(
+        site.load().queries,
+        0,
+        "warm cache answered everything locally"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

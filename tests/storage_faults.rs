@@ -9,8 +9,9 @@
 //!    re-probe restores demotion. The `tier_degraded` /
 //!    `tier_recoveries` / `slab_io_errors` counters prove the round
 //!    trip.
-//! 2. **Snapshot write errors never poison serving.** A failing
-//!    `.fpmeta` write is logged and counted (`snapshot_io_errors`); the
+//! 2. **`.fpmeta` write errors never poison serving.** A failing
+//!    metadata write — staging or its fsync — is counted
+//!    (`snapshot_io_errors`) and leaves the previous file untouched; the
 //!    proxy keeps answering from RAM and the next healthy pass writes
 //!    the metadata.
 //! 3. **Corrupted slab segments are read-repaired.** A CRC-failing
@@ -19,15 +20,14 @@
 //!    `read_repairs` counts the heal.
 
 use fp_suite::proxy::cache::{IoFault, IoOp, SlabIo, TierConfig};
+use fp_suite::proxy::metrics::Outcome;
 use fp_suite::proxy::template::TemplateManager;
 use fp_suite::proxy::{
-    CostModel, CountingOrigin, LifecycleConfig, Origin, ProxyConfig, ProxyHandle, Scheme,
-    SiteOrigin,
+    CostModel, CountingOrigin, Origin, ProxyConfig, ProxyHandle, Scheme, SiteOrigin,
 };
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
@@ -63,7 +63,6 @@ fn make_handle(
     site: &SkySite,
     budget: Option<usize>,
     tier: Option<(&Path, &SlabIo)>,
-    snap_dir: Option<&Path>,
 ) -> (ProxyHandle, Arc<CountingOrigin>) {
     let origin = Arc::new(CountingOrigin::new(Arc::new(SiteOrigin::new(site.clone()))));
     let mut config = ProxyConfig::default()
@@ -72,15 +71,6 @@ fn make_handle(
         .with_capacity(budget);
     if let Some((dir, io)) = tier {
         config = config.with_tier_config(TierConfig::new(dir).with_io(io.clone()));
-    }
-    if let Some(dir) = snap_dir {
-        config = config.with_lifecycle(
-            LifecycleConfig::default()
-                .with_default_ttl(Duration::from_secs(3600))
-                .with_epoch(1)
-                // Long interval: snapshots happen via snapshot_now only.
-                .with_snapshot(dir, Duration::from_secs(3600)),
-        );
     }
     let handle = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
@@ -93,7 +83,7 @@ fn make_handle(
 
 /// Oracle bodies and the working-set size, from an unbounded RAM proxy.
 fn oracle(site: &SkySite, queries: &[Vec<(String, String)>]) -> (Vec<Vec<u8>>, usize) {
-    let (handle, _) = make_handle(site, None, None, None);
+    let (handle, _) = make_handle(site, None, None);
     let truth: Vec<Vec<u8>> = queries
         .iter()
         .map(|q| {
@@ -120,7 +110,7 @@ fn enospc_degrades_to_eviction_only_with_full_availability() {
     let io = SlabIo::healthy();
     // Disk full from the very first demotion attempt.
     io.inject(IoOp::Append, IoFault::Enospc);
-    let (handle, _) = make_handle(&site, Some(working_set / 4), Some((&tier_dir, &io)), None);
+    let (handle, _) = make_handle(&site, Some(working_set / 4), Some((&tier_dir, &io)));
 
     // Three full passes under ENOSPC: the budget wants to demote on
     // every pass, every attempt fails, and every answer stays right.
@@ -185,9 +175,8 @@ fn snapshot_write_faults_never_poison_serving() {
     let (truth, _) = oracle(&site, &queries);
 
     let tier_dir = fresh_dir("fp_snapfault_tier");
-    let snap_dir = fresh_dir("fp_snapfault_snap");
     let io = SlabIo::healthy();
-    let (handle, _) = make_handle(&site, None, Some((&tier_dir, &io)), Some(&snap_dir));
+    let (handle, _) = make_handle(&site, None, Some((&tier_dir, &io)));
     for q in &queries {
         handle.handle_form_xml("/search/radial", q).expect("serves");
     }
@@ -222,7 +211,61 @@ fn snapshot_write_faults_never_poison_serving() {
         "the failed shards must stay dirty and retry on the next pass"
     );
     std::fs::remove_dir_all(&tier_dir).ok();
-    std::fs::remove_dir_all(&snap_dir).ok();
+}
+
+/// Satellite: the `.fpmeta` writer fsyncs through the seam before its
+/// rename. A failing barrier is a failed write — counted, and the
+/// previous `.fpmeta` stays byte-identical on disk — and a restart
+/// recovers from that previous file.
+#[test]
+fn meta_fsync_failure_keeps_the_previous_meta() {
+    let site = site();
+    let queries = queries(10);
+    let (truth, _) = oracle(&site, &queries);
+
+    let tier_dir = fresh_dir("fp_meta_fsync");
+    let io = SlabIo::healthy();
+    let (handle, _) = make_handle(&site, None, Some((&tier_dir, &io)));
+    for q in &queries[..6] {
+        handle.handle_form_xml("/search/radial", q).expect("serves");
+    }
+    assert!(handle.snapshot_now().expect("healthy pass") >= 1);
+    let read_metas = || -> Vec<Option<Vec<u8>>> {
+        (0..2)
+            .map(|i| std::fs::read(tier_dir.join(format!("shard_{i}.fpmeta"))).ok())
+            .collect()
+    };
+    let metas = read_metas();
+
+    // Dirty the shards, then fail the durability barrier.
+    for q in &queries[6..] {
+        handle.handle_form_xml("/search/radial", q).expect("serves");
+    }
+    io.inject(IoOp::Fsync, IoFault::Eio);
+    let written = handle
+        .snapshot_now()
+        .expect("a failed pass is not an error");
+    assert_eq!(written, 0, "no shard may claim a write whose fsync failed");
+    assert!(handle.runtime_stats().snapshot_io_errors >= 1);
+    assert_eq!(read_metas(), metas, "a failed fsync replaced a .fpmeta");
+    drop(handle);
+
+    // Restart: the previous .fpmeta (six entries) is what recovers.
+    io.heal_all();
+    let (restarted, origin) = make_handle(&site, None, Some((&tier_dir, &io)));
+    let stats = restarted.runtime_stats();
+    assert_eq!(stats.recovered_entries, 6);
+    assert_eq!(stats.snapshot_corrupt_segments, 0);
+    for (k, q) in queries[..6].iter().enumerate() {
+        let r = restarted
+            .handle_form_xml("/search/radial", q)
+            .expect("serves");
+        assert!(matches!(r.metrics.outcome, Outcome::Exact), "query {k}");
+        assert_eq!(r.body, truth[k], "query {k}");
+    }
+    assert_eq!(origin.fetches(), 0, "every recovered entry served locally");
+    restarted.quiesce_revalidations();
+    std::fs::remove_dir_all(&tier_dir).ok();
 }
 
 /// A demoted segment whose bytes rot on disk fails its CRC at serve
@@ -237,7 +280,7 @@ fn corrupted_demoted_segment_is_read_repaired() {
 
     let tier_dir = fresh_dir("fp_readrepair");
     let io = SlabIo::healthy();
-    let (handle, _) = make_handle(&site, Some(working_set / 4), Some((&tier_dir, &io)), None);
+    let (handle, _) = make_handle(&site, Some(working_set / 4), Some((&tier_dir, &io)));
 
     // Two passes so the budget demotes the long tail to the slab.
     for _ in 0..2 {
