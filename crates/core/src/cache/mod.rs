@@ -12,7 +12,7 @@ mod tier;
 
 pub use description::{ArrayDescription, CacheDescription, DescriptionKind, RTreeDescription};
 pub use entry::CacheEntry;
-pub(crate) use persist::entry_from_xml;
+pub use persist::{entry_from_segment, segment_header, SegmentEntry};
 pub use profit::{ProfitEstimate, ProfitModel, ProfitParams};
 pub use replace::Replacement;
 pub use store::{CacheStats, CacheStore, ClassifyView};

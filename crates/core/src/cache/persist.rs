@@ -1,8 +1,19 @@
-//! The entry codec: one cache entry as a self-describing `<CacheEntry>`
-//! XML document — the paper's "Query Result Files" (its Figure 4). The
-//! document is the header of every slab segment (`cache/tier.rs`), so a
-//! segment alone rebuilds the full entry, including its lifecycle stamp,
-//! on promotion or warm restart.
+//! The entry codec: one cache entry as one slab segment — still the
+//! paper's self-describing "Query Result File" (its Figure 4), stored in
+//! two halves (`cache/tier.rs` frames them):
+//!
+//! * a `<CacheEntry>` XML **header**: residual key, SQL, region,
+//!   lifecycle stamp, coordinate indexes and the column names, built
+//!   from the entry's scalars alone, so its size does not depend on the
+//!   row count;
+//! * the **body** of the document an exact hit serves: the entry's row
+//!   slab, every `<Row>…</Row>` exactly as a client receives it.
+//!
+//! Header columns + body + `</ResultSet>` *is* the result document, so
+//! every row reaches the disk once. An entry with no columnar form has
+//! no row slab and keeps its rows inline as a `<ResultSet>` child of the
+//! header — the layout every segment had before rows moved to the slab,
+//! which [`entry_from_segment`] still reads.
 //!
 //! Floating-point fidelity matters here (regions are compared with tight
 //! tolerances), so numbers are written with Rust's shortest-roundtrip
@@ -11,14 +22,15 @@
 use crate::cache::entry::CacheEntry;
 use crate::lifecycle::LifecycleStamp;
 use fp_geometry::{HalfSpace, HyperRect, HyperSphere, Point, Polytope, Region};
-use fp_skyserver::ResultSet;
+use fp_skyserver::{ResultSet, FOOTER};
 use fp_xmlite::Element;
 use std::time::Instant;
 
-/// Serializes one entry as a self-describing XML document. When `now`
-/// is given (a clocked store), the entry's lifecycle stamp rides along
-/// as *relative* times (see [`with_stamp`]).
-pub(crate) fn entry_to_xml(entry: &CacheEntry, now: Option<Instant>) -> Element {
+/// The XML header of `entry`'s slab segment; the entry's row slab (empty
+/// without a columnar form) is the segment's other half. When `now` is
+/// given (a clocked store), the lifecycle stamp rides along as
+/// *relative* times: `Instant`s don't survive a restart, offsets do.
+pub fn segment_header(entry: &CacheEntry, now: Option<Instant>) -> Vec<u8> {
     let doc = Element::new("CacheEntry")
         .with_attr("truncated", if entry.truncated { "1" } else { "0" })
         .with_child(Element::new("ResidualKey").with_text(&*entry.residual_key))
@@ -26,17 +38,26 @@ pub(crate) fn entry_to_xml(entry: &CacheEntry, now: Option<Instant>) -> Element 
         .with_child(region_to_xml(&entry.region));
     let epoch = (entry.epoch > 0).then_some(entry.epoch);
     let mut doc = with_stamp(doc, epoch, entry.inserted_at, entry.expires_at, now);
-    // Persist the coordinate column indexes so a reload rebuilds the
-    // columnar hot-path form without knowing the template registry.
-    if let Some(col) = &entry.columnar {
-        let mut ci = Element::new("CoordIdx");
-        for &i in col.coord_idx() {
-            ci.push_child(Element::new("I").with_text(i.to_string()));
+    match &entry.columnar {
+        Some(col) => {
+            // The coordinate column indexes let a reload rebuild the
+            // columnar form without knowing the template registry.
+            let mut ci = Element::new("CoordIdx");
+            for &i in col.coord_idx() {
+                ci.push_child(Element::new("I").with_text(i.to_string()));
+            }
+            doc.push_child(ci);
+            // The document's head; its rows are the row slab.
+            let mut columns = Element::new("Columns");
+            for c in &entry.result.columns {
+                columns.push_child(Element::new("C").with_text(c.as_str()));
+            }
+            doc.push_child(columns);
         }
-        doc.push_child(ci);
+        // No row slab to carry the rows: they stay inline.
+        None => doc.push_child(entry.result.to_xml()),
     }
-    doc.push_child(entry.result.to_xml());
-    doc
+    doc.to_xml().into_bytes()
 }
 
 /// Adds an entry's lifecycle stamp to `el` as attributes: `epoch` when
@@ -81,17 +102,51 @@ pub(crate) fn stamp_of(el: &Element) -> LifecycleStamp {
     }
 }
 
-type ParsedEntry = (String, Region, ResultSet, bool, String, Vec<usize>);
+/// One slab segment read back: the whole entry, rows included.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SegmentEntry {
+    /// The entry's residual group key.
+    pub residual_key: String,
+    /// The canonical SQL that produced it (its exact-match key).
+    pub sql: String,
+    /// The query region.
+    pub region: Region,
+    /// The cached result.
+    pub result: ResultSet,
+    /// Whether a `TOP` limit may have clipped the result.
+    pub truncated: bool,
+    /// The coordinate column indexes; empty without a columnar form.
+    pub coord_idx: Vec<usize>,
+    /// The lifecycle stamp written with the segment.
+    pub stamp: LifecycleStamp,
+}
 
-pub(crate) fn entry_from_xml(doc: &Element) -> Option<(ParsedEntry, LifecycleStamp)> {
+/// Parses a slab segment — its XML header and its row slab — back into
+/// the entry. Rows inline in the header (an entry without a columnar
+/// form, or a segment written before rows moved to the slab, whose slab
+/// then repeats them and is ignored) parse as they are; otherwise the
+/// document is the header's columns, the row slab and the footer — the
+/// bytes an exact hit serves. `None` when any part is damaged.
+pub fn entry_from_segment(xml: &[u8], row_slab: &[u8]) -> Option<SegmentEntry> {
+    let doc = Element::parse(std::str::from_utf8(xml).ok()?).ok()?;
     if doc.name() != "CacheEntry" {
         return None;
     }
-    let residual_key = doc.child_text("ResidualKey")?.to_string();
-    let sql = doc.child_text("Sql")?.to_string();
-    let truncated = doc.attr("truncated") == Some("1");
-    let region = region_from_xml(doc.child("Region")?)?;
-    let result = ResultSet::from_xml(doc.child("ResultSet")?)?;
+    let result = match doc.child("ResultSet") {
+        Some(inline) => ResultSet::from_xml(inline)?,
+        None => {
+            const HEAD: &[u8] = b"<ResultSet>";
+            let columns = doc.child("Columns")?.to_xml();
+            let mut body =
+                Vec::with_capacity(HEAD.len() + columns.len() + row_slab.len() + FOOTER.len());
+            body.extend_from_slice(HEAD);
+            body.extend_from_slice(columns.as_bytes());
+            body.extend_from_slice(row_slab);
+            body.extend_from_slice(FOOTER);
+            let body = String::from_utf8(body).ok()?;
+            ResultSet::from_xml(&Element::parse(&body).ok()?)?
+        }
+    };
     // Absent for entries without a columnar form.
     let coord_idx: Vec<usize> = match doc.child("CoordIdx") {
         Some(ci) => ci
@@ -100,10 +155,15 @@ pub(crate) fn entry_from_xml(doc: &Element) -> Option<(ParsedEntry, LifecycleSta
             .collect::<Option<Vec<usize>>>()?,
         None => Vec::new(),
     };
-    Some((
-        (residual_key, region, result, truncated, sql, coord_idx),
-        stamp_of(doc),
-    ))
+    Some(SegmentEntry {
+        residual_key: doc.child_text("ResidualKey")?.to_string(),
+        sql: doc.child_text("Sql")?.to_string(),
+        region: region_from_xml(doc.child("Region")?)?,
+        result,
+        truncated: doc.attr("truncated") == Some("1"),
+        coord_idx,
+        stamp: stamp_of(&doc),
+    })
 }
 
 /// Shortest-roundtrip float text.
@@ -196,8 +256,165 @@ pub(crate) fn region_from_xml(el: &Element) -> Option<Region> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheStore, DescriptionKind, TierConfig};
+    use crate::cache::{encode_payload, CacheStore, DescriptionKind, SlabFile, TierConfig};
+    use fp_skyserver::{accounted_xml_bytes, ColumnarRows};
     use fp_sqlmini::Value;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// A columnar entry of `rows` rows whose cells survive the XML round
+    /// trip unchanged (so a parse of its document equals it).
+    fn columnar_entry(rows: usize) -> CacheEntry {
+        let result = ResultSet {
+            columns: vec!["objID".into(), "cx".into(), "cy".into(), "name".into()],
+            rows: (0..rows)
+                .map(|i| {
+                    vec![
+                        Value::Int(i as i64 - 5),
+                        Value::Float(i as f64 * 0.25 - 3.5),
+                        Value::Float(i as f64 * -1.5e-3),
+                        if i % 7 == 3 {
+                            Value::Null
+                        } else {
+                            Value::Str(format!("obj <{i}> & \"x\""))
+                        },
+                    ]
+                })
+                .collect(),
+        };
+        let columnar = ColumnarRows::build(&result, &[1, 2]).expect("numeric coordinates");
+        let region = sample_regions()[1].clone();
+        CacheEntry {
+            id: 1,
+            residual_key: "radial|top=".into(),
+            bbox: region.bounding_rect(),
+            region,
+            bytes: accounted_xml_bytes(&result, Some(&columnar)),
+            result: Arc::new(result),
+            columnar: Some(Arc::new(columnar)),
+            truncated: false,
+            exact_sql: "SELECT * FROM f(1, 2) WHERE a < 3".into(),
+            epoch: 4,
+            inserted_at: None,
+            expires_at: None,
+        }
+    }
+
+    /// The encoder before rows moved to the slab, kept verbatim as the
+    /// test-only source of old-layout segments: rows inline as
+    /// `<ResultSet>`, which the row slab appended after it repeats.
+    fn parent_entry_to_xml(entry: &CacheEntry, now: Option<Instant>) -> Element {
+        let doc = Element::new("CacheEntry")
+            .with_attr("truncated", if entry.truncated { "1" } else { "0" })
+            .with_child(Element::new("ResidualKey").with_text(&*entry.residual_key))
+            .with_child(Element::new("Sql").with_text(&*entry.exact_sql))
+            .with_child(region_to_xml(&entry.region));
+        let epoch = (entry.epoch > 0).then_some(entry.epoch);
+        let mut doc = with_stamp(doc, epoch, entry.inserted_at, entry.expires_at, now);
+        if let Some(col) = &entry.columnar {
+            let mut ci = Element::new("CoordIdx");
+            for &i in col.coord_idx() {
+                ci.push_child(Element::new("I").with_text(i.to_string()));
+            }
+            doc.push_child(ci);
+        }
+        doc.push_child(entry.result.to_xml());
+        doc
+    }
+
+    /// New → old: a columnar entry's header has no `<ResultSet>` child
+    /// (and no row at all). The old parser began with
+    /// `ResultSet::from_xml(doc.child("ResultSet")?)?`, so it returns
+    /// `None` for such a segment: an older binary counts it corrupt and
+    /// serves a miss, never an empty answer.
+    #[test]
+    fn columnar_header_carries_no_rows_so_old_readers_reject_it() {
+        let entry = columnar_entry(40);
+        let header = segment_header(&entry, None);
+        let doc = Element::parse(std::str::from_utf8(&header).unwrap()).unwrap();
+        assert!(doc.child("ResultSet").is_none());
+        assert!(doc.child("Columns").is_some());
+        assert!(!header.windows(5).any(|w| w == b"<Row>"));
+        let slab = entry.columnar.as_ref().unwrap().slab();
+        let parsed = entry_from_segment(&header, slab).unwrap();
+        assert_eq!(parsed.result, *entry.result);
+        assert_eq!(parsed.stamp.epoch, 4);
+    }
+
+    /// The header is built from the entry's scalars and column names: it
+    /// has the same size at 10 rows and at 2,000, under 2 KB. Guards
+    /// against rows being written twice again.
+    #[test]
+    fn segment_header_does_not_grow_with_rows() {
+        let overhead = |rows: usize| {
+            let entry = columnar_entry(rows);
+            let slab = entry.columnar.as_ref().unwrap().slab();
+            let payload = encode_payload(&segment_header(&entry, None), slab);
+            payload.len() - slab.len()
+        };
+        let (small, large) = (overhead(10), overhead(2_000));
+        assert_eq!(small, large);
+        assert!(large < 2_048, "header is {large} bytes");
+        // Inline rows remain only where there is no row slab.
+        let mut entry = columnar_entry(10);
+        entry.columnar = None;
+        let header = segment_header(&entry, None);
+        let parsed = entry_from_segment(&header, &[]).unwrap();
+        assert_eq!(parsed.result, *entry.result);
+        assert!(parsed.coord_idx.is_empty());
+    }
+
+    /// Old → new: a segment in the old layout (rows inline *and* in the
+    /// slab) restores demoted, serves the original document from the
+    /// mapped slab, and promotes to the same resident entry — with no
+    /// migration code.
+    #[test]
+    fn old_layout_segment_restores_serves_and_promotes() {
+        let dir = std::env::temp_dir().join(format!("fp_persist_old_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = TierConfig::new(&dir);
+        let mut entry = columnar_entry(300); // above the grid crossover
+        let now = Instant::now();
+        entry.inserted_at = Some(now);
+        entry.expires_at = Some(now + Duration::from_secs(600));
+        let col = Arc::clone(entry.columnar.as_ref().unwrap());
+        {
+            let xml = parent_entry_to_xml(&entry, Some(now)).to_xml();
+            let mut slab = SlabFile::open(config.slab_path(0)).unwrap();
+            slab.append(&encode_payload(xml.as_bytes(), col.slab()))
+                .unwrap();
+        }
+        let mut store = CacheStore::new(DescriptionKind::Array, None);
+        store.attach_tier(&config, 0).unwrap();
+        assert_eq!(store.recover_tier().recovered, 1);
+        let id = store.lookup_exact(&entry.exact_sql).unwrap();
+        let slice = store.disk_slice(id).expect("restored demoted");
+        let served = store
+            .disk_entry(id)
+            .unwrap()
+            .skeleton
+            .doc()
+            .over(Arc::new(slice.clone()))
+            .expect("the slab fits the skeleton");
+        let document = entry.result.to_xml_string().into_bytes();
+        assert_eq!(served.to_vec(), document);
+
+        let parsed = entry_from_segment(slice.xml(), slice.row_slab()).unwrap();
+        assert_eq!(parsed.result, *entry.result);
+        assert_eq!(parsed.region, entry.region);
+        assert_eq!(parsed.coord_idx, [1, 2]);
+        assert_eq!(parsed.stamp.epoch, 4);
+        assert_eq!(parsed.stamp.remaining_ms, Some(600_000));
+        let rebuilt = ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Arc::new);
+        assert!(store.promote(id, Arc::new(parsed.result), rebuilt));
+        let resident = store.peek(id).expect("promoted");
+        let rebuilt = resident.columnar.as_ref().unwrap();
+        assert_eq!(rebuilt.slab(), col.slab());
+        assert_eq!(rebuilt.full_document(), document);
+        assert_eq!(resident.footprint(), entry.footprint());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     fn sample_regions() -> Vec<Region> {
         vec![
@@ -261,11 +478,11 @@ mod tests {
         assert_eq!(restored.recover_tier().recovered, 1);
         let rid = restored.lookup_exact("Q").unwrap();
         let slice = restored.disk_slice(rid).expect("restored demoted");
-        let doc = Element::parse(std::str::from_utf8(slice.xml()).unwrap()).unwrap();
-        let ((_, _, result, _, _, coord_idx), _) = entry_from_xml(&doc).unwrap();
-        assert_eq!(coord_idx, [1, 2]);
-        let columnar = fp_skyserver::ColumnarRows::build(&result, &coord_idx).map(Into::into);
-        assert!(restored.promote(rid, result.into(), columnar));
+        let parsed = entry_from_segment(slice.xml(), slice.row_slab()).unwrap();
+        assert_eq!(parsed.coord_idx, [1, 2]);
+        let columnar =
+            fp_skyserver::ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Into::into);
+        assert!(restored.promote(rid, parsed.result.into(), columnar));
         let entry = restored.peek(rid).unwrap();
         let col = entry.columnar.as_ref().expect("columnar rebuilt on load");
         assert_eq!(col.coord_idx(), &[1, 2]);

@@ -3,7 +3,9 @@
 use crate::cache::description::{CacheDescription, DescriptionKind};
 use crate::cache::entry::CacheEntry;
 use crate::cache::frame;
-use crate::cache::persist::{entry_from_xml, entry_to_xml, stamp_of, with_stamp};
+use crate::cache::persist::{
+    entry_from_segment, segment_header, stamp_of, with_stamp, SegmentEntry,
+};
 use crate::cache::replace::{policy_key, select_victim, EntryCost, Replacement};
 use crate::cache::tier::{
     encode_payload, split_payload, DemotedEntry, EvictionManager, IoOp, SegRef, SlabIo, SlabSlice,
@@ -716,7 +718,9 @@ impl CacheStore {
         let Some(entry) = self.entries.get(&id) else {
             return false;
         };
-        let xml = entry_to_xml(entry, self.now()).to_xml().into_bytes();
+        // The rows go to disk once: as the row slab when the entry has
+        // one, inline in the header otherwise.
+        let xml = segment_header(entry, self.now());
         let row_slab = entry.columnar.as_ref().map_or(&[][..], |c| c.slab());
         let payload = encode_payload(&xml, row_slab);
         let tier = self.tier.as_mut().expect("checked above");
@@ -1153,11 +1157,16 @@ impl CacheStore {
         payload: &[u8],
         stamp_override: Option<&LifecycleStamp>,
     ) -> bool {
-        let parsed = split_payload(payload)
-            .and_then(|(xml, _)| std::str::from_utf8(xml).ok())
-            .and_then(|text| Element::parse(text).ok())
-            .and_then(|doc| entry_from_xml(&doc));
-        let Some(((residual_key, region, result, truncated, sql, coord_idx), embedded)) = parsed
+        let parsed = split_payload(payload).and_then(|(xml, rows)| entry_from_segment(xml, rows));
+        let Some(SegmentEntry {
+            residual_key,
+            sql,
+            region,
+            result,
+            truncated,
+            coord_idx,
+            stamp: embedded,
+        }) = parsed
         else {
             self.seg_dead(seg, true);
             return false;
@@ -1610,11 +1619,9 @@ mod tests {
     /// Parses a demoted entry's slab payload back into its result and
     /// columnar form, exactly like the promotion worker does off-lock.
     fn parse_slice(slice: &SlabSlice) -> (Arc<ResultSet>, Option<Arc<ColumnarRows>>) {
-        let text = std::str::from_utf8(slice.xml()).unwrap();
-        let doc = Element::parse(text).unwrap();
-        let ((_, _, result, _, _, coord_idx), _) = entry_from_xml(&doc).unwrap();
-        let columnar = ColumnarRows::build(&result, &coord_idx).map(Arc::new);
-        (Arc::new(result), columnar)
+        let parsed = entry_from_segment(slice.xml(), slice.row_slab()).unwrap();
+        let columnar = ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Arc::new);
+        (Arc::new(parsed.result), columnar)
     }
 
     #[test]

@@ -312,7 +312,7 @@ pub struct SegRef {
     pub len: u32,
 }
 
-/// Builds a segment payload from an entry's XML document and its raw
+/// Builds a segment payload from an entry's XML header and its raw
 /// row-slab bytes.
 pub fn encode_payload(xml: &[u8], row_slab: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(4 + xml.len() + row_slab.len());
@@ -375,7 +375,7 @@ impl SlabSlice {
         }
     }
 
-    /// The entry's `<CacheEntry>` XML document.
+    /// The entry's `<CacheEntry>` XML header (see `cache/persist.rs`).
     pub fn xml(&self) -> &[u8] {
         &self.payload()[4..4 + self.xml_len]
     }

@@ -36,7 +36,7 @@
 //! rejections and true disjoint misses surface the error.
 
 use crate::cache::{
-    entry_from_xml, CacheStats, CacheStore, ProfitEstimate, ProfitModel, SlabSlice,
+    entry_from_segment, CacheStats, CacheStore, ProfitEstimate, ProfitModel, SlabSlice,
 };
 use crate::config::{ProxyConfig, SchemeChoice};
 use crate::lifecycle::Freshness;
@@ -58,7 +58,6 @@ use crate::ProxyError;
 use fp_geometry::Region;
 use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet, SlabDoc};
 use fp_sqlmini::Query;
-use fp_xmlite::Element;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::io;
@@ -122,8 +121,8 @@ struct Runtime {
     /// Ids of demoted entries with a background promotion in flight —
     /// exactly one slab parse per entry however many disk hits land.
     promoting: Mutex<HashSet<u64>>,
-    /// Live background threads (revalidations and promotions), joined
-    /// by [`ProxyHandle::quiesce_revalidations`].
+    /// Background threads (revalidations and promotions) not yet seen
+    /// finished, joined by [`ProxyHandle::quiesce_revalidations`].
     reval_threads: Mutex<Vec<JoinHandle<()>>>,
     /// `.fpmeta` pass state; `None` without a tier (nothing persists).
     snap: Option<Mutex<SnapSched>>,
@@ -1558,11 +1557,7 @@ impl ProxyHandle {
         coalesced: bool,
     ) -> Phase {
         let serve_start = Instant::now();
-        let parsed = std::str::from_utf8(plan.slice.xml())
-            .ok()
-            .and_then(|text| Element::parse(text).ok())
-            .and_then(|doc| entry_from_xml(&doc));
-        let Some(((_, _, result, _, _, coord_idx), _stamp)) = parsed else {
+        let Some((result, columnar, coord_idx)) = parse_demoted(&plan.slice) else {
             let (mut store, wait) = self.inner.store.lock(&bound.residual_key);
             self.note_lock_wait(timing, wait);
             // Read-repair: quarantine, then let the forward plan's
@@ -1572,8 +1567,6 @@ impl ProxyHandle {
             }
             return Phase::Origin(OriginPlan::forward(Vec::new()));
         };
-        let result = Arc::new(result);
-        let columnar = ColumnarRows::build(&result, &coord_idx).map(Arc::new);
         timing.local_ms += ms_since(serve_start);
         self.inner
             .observe
@@ -2267,12 +2260,7 @@ impl ProxyHandle {
             .name("fp-promote".into())
             .spawn(move || handle.promote_demoted(id, &residual_key, slice));
         match spawned {
-            Ok(thread) => self
-                .inner
-                .reval_threads
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(thread),
+            Ok(thread) => self.track_background(thread),
             Err(_) => {
                 self.inner
                     .promoting
@@ -2291,14 +2279,8 @@ impl ProxyHandle {
     fn promote_demoted(&self, id: u64, residual_key: &str, slice: Arc<SlabSlice>) {
         let _trace = self.inner.observe.begin_trace();
         let start = Instant::now();
-        let parsed = std::str::from_utf8(slice.xml())
-            .ok()
-            .and_then(|text| Element::parse(text).ok())
-            .and_then(|doc| entry_from_xml(&doc));
-        match parsed {
-            Some(((_, _, result, _, _, coord_idx), _stamp)) => {
-                let result = Arc::new(result);
-                let columnar = ColumnarRows::build(&result, &coord_idx).map(Arc::new);
+        match parse_demoted(&slice) {
+            Some((result, columnar, _)) => {
                 let (mut store, _) = self.inner.store.lock(residual_key);
                 store.promote(id, result, columnar);
             }
@@ -2352,12 +2334,7 @@ impl ProxyHandle {
                 move || handle.revalidate(sql)
             });
         match spawned {
-            Ok(thread) => self
-                .inner
-                .reval_threads
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(thread),
+            Ok(thread) => self.track_background(thread),
             Err(_) => {
                 // Could not spawn: release the reservation so a later
                 // stale hit can retry.
@@ -2368,6 +2345,21 @@ impl ProxyHandle {
                     .remove(&sql);
             }
         }
+    }
+
+    /// Keeps a spawned background thread for
+    /// [`ProxyHandle::quiesce_revalidations`], first dropping the
+    /// handles of threads that already finished, so a long-running
+    /// server holds one handle per *live* task, not one per task ever
+    /// spawned.
+    fn track_background(&self, thread: JoinHandle<()>) {
+        let mut threads = self
+            .inner
+            .reval_threads
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        threads.retain(|t| !t.is_finished());
+        threads.push(thread);
     }
 
     /// The background refresh body: re-resolve the entry's own SQL,
@@ -2615,6 +2607,18 @@ fn prebuild(bound: &BoundKey, result: &ResultSet) -> (usize, Option<Arc<Columnar
     let columnar = ColumnarRows::build(result, coord_idx.as_deref().unwrap_or(&[])).map(Arc::new);
     let bytes = accounted_xml_bytes(result, columnar.as_deref());
     (bytes, columnar)
+}
+
+/// What a promotion swaps into RAM: the rows, their columnar form, and
+/// the coordinate indexes that form was built over.
+type Promoted = (Arc<ResultSet>, Option<Arc<ColumnarRows>>, Vec<usize>);
+
+/// Parses a demoted entry's slab segment back into rows and rebuilds
+/// their columnar form, off-lock; `None` when the segment is damaged.
+fn parse_demoted(slice: &SlabSlice) -> Option<Promoted> {
+    let parsed = entry_from_segment(slice.xml(), slice.row_slab())?;
+    let columnar = ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Arc::new);
+    Some((Arc::new(parsed.result), columnar, parsed.coord_idx))
 }
 
 fn ms_since(start: Instant) -> f64 {
@@ -3021,5 +3025,45 @@ mod tests {
             h.handle_sql(raw).unwrap().metrics.outcome,
             Outcome::Forwarded
         );
+    }
+
+    /// Every promotion runs on its own thread, and the handle keeps a
+    /// handle only to the ones still running. Two cones share a budget
+    /// that fits one, so after the two misses every request is a disk
+    /// hit that promotes its cone and demotes the other.
+    #[test]
+    fn finished_background_threads_are_reaped() {
+        let dir = std::env::temp_dir().join(format!("fp_handle_reap_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cones = [(185.0, 0.0, 10.0), (186.0, 0.5, 10.0)];
+        let footprint = |(ra, dec, radius)| {
+            let h = handle(Scheme::FullSemantic);
+            radial(&h, ra, dec, radius);
+            h.cache_stats().bytes
+        };
+        let (a, b) = (footprint(cones[0]), footprint(cones[1]));
+        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+        let h = ProxyHandle::with_shards(
+            TemplateManager::with_sky_defaults(),
+            Arc::new(SiteOrigin::new(site)),
+            ProxyConfig::default()
+                .with_scheme(Scheme::FullSemantic)
+                .with_cost(CostModel::free())
+                .with_capacity(Some(a.max(b) + a.min(b) / 2))
+                .with_tier(dir.clone()),
+            1,
+        );
+        let mut retained = 0;
+        for (ra, dec, radius) in cones.iter().cycle().take(210) {
+            h.handle_form_xml("/search/radial", &radial_fields(*ra, *dec, *radius))
+                .unwrap();
+            spin_until(5_000, || h.inner.promoting.lock().unwrap().is_empty());
+            retained = retained.max(h.inner.reval_threads.lock().unwrap().len());
+        }
+        let promotions = h.cache_stats().promotions;
+        assert!(promotions >= 200, "only {promotions} promotions");
+        assert!(retained <= 8, "{retained} thread handles retained");
+        h.quiesce_revalidations();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
