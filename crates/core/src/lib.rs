@@ -41,7 +41,7 @@
 //! * [`proxy`] — the proxy itself, plus per-query [`metrics`].
 //! * [`runtime`] — the concurrent front: sharded cache locks,
 //!   single-flight origin coalescing, and the `Arc`-cloneable
-//!   [`runtime::ProxyHandle`] served by the threaded HTTP server.
+//!   [`runtime::ProxyHandle`] served by the `fp-edge` reactor.
 //! * [`resilience`] — the fault-tolerant fetch path: deadlines,
 //!   retry/backoff, the per-origin circuit breaker, and the chaos
 //!   injection harness behind degraded serving.

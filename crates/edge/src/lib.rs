@@ -3,10 +3,10 @@
 //! concurrent client connections with a handful of threads
 //! (DESIGN.md §12).
 //!
-//! The legacy [`fp_httpd::HttpServer`] spawns a thread per connection
-//! and parks it on reads and origin fetches — fine for eight benchmark
-//! clients, fatal for an edge. This crate splits the work the way
-//! event-driven proxies do:
+//! It is the workspace's only HTTP server: `fp-httpd` supplies the
+//! messages, parser and client, and a thread per connection parked on
+//! reads and origin fetches is exactly what an edge cannot afford. This
+//! crate splits the work the way event-driven proxies do:
 //!
 //! * one **reactor** thread ([`reactor::EdgeServer`]) owns the listener
 //!   and every connection; nonblocking accept/read/write driven by

@@ -41,13 +41,16 @@ impl EdgeService for Router {
     }
 }
 
-/// The function proxy behind the nonblocking edge: the same four routes
-/// as the classic threaded deployment (`/search/radial`, `/sql`,
-/// `/metrics`, `/debug/trace`), with fresh cache hits served straight
-/// off the reactor via [`ProxyHandle::try_form_doc_cached`] and misses
-/// offloaded to the worker pool. Either way a document that lies in a
-/// cache entry's row slab leaves as ranges of it, not as a copy. The origin circuit breaker doubles as
-/// the load-shedding signal.
+/// The function proxy behind the nonblocking edge: the paper's two entry
+/// points (`/search/radial`, `/sql`) plus `/metrics` and `/debug/trace`,
+/// with fresh cache hits served straight off the reactor via
+/// [`ProxyHandle::try_form_doc_cached`] and misses offloaded to the
+/// worker pool. Either way a document that lies in a cache entry's row
+/// slab leaves as ranges of it, not as a copy. The origin circuit
+/// breaker doubles as the load-shedding signal. A deployment that adds
+/// routes (health probes, a fleet's peer protocol) wraps this service
+/// and builds its replies with the same `*_response` functions, so every
+/// answer to a query carries one header set.
 pub struct ProxyEdgeService {
     handle: ProxyHandle,
     edge_stats: Arc<EdgeStats>,
@@ -62,7 +65,7 @@ impl ProxyEdgeService {
         }
     }
 
-    /// The wrapped handle (the example prints stats from it).
+    /// The wrapped handle, for a service that adds routes around this one.
     pub fn proxy(&self) -> &ProxyHandle {
         &self.handle
     }
@@ -77,7 +80,7 @@ impl ProxyEdgeService {
     /// The Radial search form's response headers, identical on the fast
     /// and offloaded paths: cache outcome, coalescing and degradation
     /// flags, and the RFC 9111 staleness warning.
-    fn radial_response(r: DocResponse) -> Response {
+    pub fn radial_response(r: DocResponse) -> Response {
         // Every name and value is a static string but the one number.
         let flag = |b: bool| if b { "true" } else { "false" };
         let mut resp = Self::xml_response(r.body);
@@ -96,7 +99,7 @@ impl ProxyEdgeService {
 
     /// A `200` carrying `body`: a slab document's header is the owned
     /// part of the body, its slab ranges and footer the lent tail.
-    fn xml_response(body: XmlBody) -> Response {
+    pub fn xml_response(body: XmlBody) -> Response {
         match body {
             XmlBody::Bytes(bytes) => Response::ok("text/xml", bytes),
             XmlBody::Doc(doc) => {
@@ -110,8 +113,9 @@ impl ProxyEdgeService {
     /// A proxy error as the HTTP status the client should see: a
     /// transient origin failure is `503` with a `Retry-After` hint, a
     /// permanent rejection is `502`, anything else is the client's
-    /// fault (`400`).
-    fn error_response(&self, error: &ProxyError) -> Response {
+    /// fault (`400`). `Retry-After` comes from
+    /// [`ProxyHandle::retry_after_secs`].
+    pub fn error_response(&self, error: &ProxyError) -> Response {
         match error {
             ProxyError::Origin(e) if e.is_transient() => {
                 let mut resp = Response::error(Status::SERVICE_UNAVAILABLE, &error.to_string());

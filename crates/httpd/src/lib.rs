@@ -1,12 +1,13 @@
-//! A minimal HTTP/1.1 server and client.
+//! Minimal HTTP/1.1 messages, parser and client.
 //!
 //! The paper implements its proxy as a Java servlet behind Tomcat; the
 //! transport is incidental to the caching contribution, but a proxy that
 //! cannot actually sit between a browser and a web site would not be a
 //! faithful reproduction. This crate provides just enough HTTP/1.1 to run
-//! the function proxy over real sockets: request/response parsing with
-//! `Content-Length` bodies, URL and query-string codecs, a threaded TCP
-//! server with a router, and a blocking client.
+//! the function proxy over real sockets: request/response messages and
+//! parsing with `Content-Length` bodies, URL and query-string codecs, a
+//! path router, and a blocking client. The one server that puts them on
+//! a socket is `fp-edge`'s reactor.
 //!
 //! The *benchmarks* deliberately do not use this crate — they run the proxy
 //! in-process against a simulated WAN cost model so results are
@@ -20,13 +21,11 @@ pub mod client;
 pub mod message;
 pub mod parse;
 pub mod router;
-pub mod server;
 pub mod urlenc;
 
 pub use client::HttpClient;
 pub use message::{Headers, Method, Request, Response, SharedBytes, SharedTail, Status};
 pub use router::Router;
-pub use server::HttpServer;
 
 /// Errors across the HTTP stack.
 #[derive(Debug)]

@@ -1,13 +1,13 @@
 //! The full deployment picture over real sockets: browser-like clients →
-//! the function proxy (a threaded HTTP server sharing one [`ProxyHandle`])
-//! → the origin web site (another HTTP server exposing its search form and
-//! the free-form SQL page), all on loopback TCP using the workspace's own
-//! HTTP stack.
+//! the function proxy (an `fp-edge` reactor serving one shared
+//! [`ProxyHandle`]) → the origin web site (another reactor exposing its
+//! search form and the free-form SQL page), all on loopback TCP using the
+//! workspace's own HTTP stack.
 //!
 //! ```sh
 //! cargo run --example http_proxy [-- --ttl <secs>] [--epoch <n>]
 //!                                [--serve] [--port <n>] [--trace-sample <n>]
-//!                                [--edge] [--workers <n>] [--max-conns <n>]
+//!                                [--workers <n>] [--max-conns <n>]
 //!                                [--cache-budget <bytes>] [--slab-dir <path>]
 //!                                [--peers ip:port,ip:port,…] [--node-id <n>]
 //! ```
@@ -25,26 +25,27 @@
 //! shutdown) each shard writes a small `.fpmeta` index beside its slab.
 //! A proxy started over the same `--slab-dir` warm restarts from it.
 //!
-//! `--edge` swaps the thread-per-connection front end for the
-//! nonblocking `fp-edge` reactor: one event-loop thread multiplexes
-//! every connection, fresh cache hits are answered inline, misses go to
-//! a fixed worker pool (`--workers`, default 4), and admission control
-//! sheds overload with fast `503 + Retry-After` instead of queueing
-//! unboundedly (`--max-conns` caps open connections, default 1024).
+//! The front end is the nonblocking `fp-edge` reactor: one event-loop
+//! thread multiplexes every connection, fresh cache hits and every
+//! operational route that cannot block are answered inline, misses go
+//! to a fixed worker pool (`--workers`, default 4), and admission
+//! control sheds overload with fast `503 + Retry-After` instead of
+//! queueing unboundedly (`--max-conns` caps open connections, default
+//! 1024).
 //!
-//! Both front ends shut down gracefully: SIGINT/SIGTERM stops
-//! accepting, drains in-flight requests, quiesces background
-//! revalidations, writes a final `.fpmeta` pass when `--slab-dir` is set,
-//! and prints a closing stats summary.
+//! Shutdown is graceful: SIGINT/SIGTERM stops accepting, drains
+//! in-flight requests, quiesces background revalidations, writes a
+//! final `.fpmeta` pass when `--slab-dir` is set, and prints a closing
+//! stats summary.
 //!
 //! Observability: the proxy always exposes `GET /metrics` (Prometheus
-//! text format: runtime counters plus per-phase and per-outcome latency
-//! histograms) and `GET /debug/trace` (sampled spans as a
-//! chrome://tracing JSON document; `?format=jsonl` for JSON Lines).
-//! `--trace-sample N` traces one request in `N` (default 16, `0`
-//! disables tracing). `--serve` keeps the proxy running after the
-//! scripted demo so the endpoints can be scraped; `--port N` pins the
-//! proxy's listen port (default: an ephemeral port).
+//! text format: runtime counters, per-phase and per-outcome latency
+//! histograms, and the edge's own counters) and `GET /debug/trace`
+//! (sampled spans as a chrome://tracing JSON document; `?format=jsonl`
+//! for JSON Lines). `--trace-sample N` traces one request in `N`
+//! (default 16, `0` disables tracing). `--serve` keeps the proxy running
+//! after the scripted demo so the endpoints can be scraped; `--port N`
+//! pins the proxy's listen port (default: an ephemeral port).
 //!
 //! Health: `GET /healthz` answers 200 while the process lives (a
 //! liveness probe), `GET /readyz` answers 503 once a drain began
@@ -64,12 +65,12 @@
 //! deadline, one retry) before paying for an origin fetch; probe
 //! failures suspect the peer — failing its slots over to the next node
 //! in each slot's preference chain — and fall through to the local
-//! origin path, so peer trouble is never a client error. Fleet mode
-//! uses the threaded front end (`--edge` is rejected).
+//! origin path, so peer trouble is never a client error.
 
 use fp_suite::edge::sys::install_interrupt_flag;
-use fp_suite::edge::{EdgeConfig, EdgeServer, ProxyEdgeService};
-use fp_suite::httpd::{HttpClient, HttpServer, Request, Response, Router, Status};
+use fp_suite::edge::{EdgeConfig, EdgeServer, EdgeService, ProxyEdgeService};
+use fp_suite::httpd::urlenc::{encode_component, parse_query_borrowed};
+use fp_suite::httpd::{HttpClient, Request, Response, Router, Status};
 use fp_suite::proxy::cache::TierConfig;
 use fp_suite::proxy::cluster::{
     decode_digest, encode_digest, owner_of_key, routing_key, GossipEntry, Membership,
@@ -79,8 +80,8 @@ use fp_suite::proxy::metrics::{Outcome, QueryMetrics};
 use fp_suite::proxy::resilience::SystemClock;
 use fp_suite::proxy::template::TemplateManager;
 use fp_suite::proxy::{
-    CostModel, LifecycleConfig, ObserveConfig, Origin, OriginError, ProxyConfig, ProxyError,
-    ProxyHandle, ResilienceConfig, Scheme, XmlResponse,
+    CostModel, DocResponse, LifecycleConfig, ObserveConfig, Origin, OriginError, ProxyConfig,
+    ProxyHandle, ResilienceConfig, Scheme, XmlBody, XmlResponse,
 };
 use fp_suite::skyserver::result::QueryOutcome;
 use fp_suite::skyserver::{Catalog, CatalogSpec, ExecStats, ResultSet, SkySite};
@@ -122,10 +123,7 @@ struct HttpOrigin {
 
 impl Origin for HttpOrigin {
     fn execute(&self, query: &Query) -> Result<QueryOutcome, OriginError> {
-        let url = format!(
-            "/sql?cmd={}",
-            fp_suite::httpd::urlenc::encode_component(&query.to_sql())
-        );
+        let url = format!("/sql?cmd={}", encode_component(&query.to_sql()));
         let response = self
             .client
             .get(&url)
@@ -212,6 +210,57 @@ impl FleetState {
         }
         None
     }
+
+    /// The two `/peer` exchanges of the failure detector: a peer's
+    /// gossip ping and an indirect ping on a third node's behalf.
+    fn exchange(&self, request: &Request) -> Response {
+        let params = request.query_params();
+        let param = |name: &str| {
+            params
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| v.as_str())
+        };
+        if let Some(digest) = param("gossip") {
+            // Merge the peer's digest into our view and answer with ours
+            // (refreshed with our own epoch/breaker facts first).
+            // `try_lock`, not `lock`: our own gossip thread holds this
+            // mutex *across its outbound ping*, so two nodes pinging
+            // each other in the same round would deadlock until both
+            // timeouts fire — and mutual ping timeouts every round mean
+            // perpetual mutual suspicion. An empty 200 breaks the cycle:
+            // it still proves liveness (all the ping needs), it just
+            // skips rumor exchange for this round.
+            let Ok(mut m) = self.membership.try_lock() else {
+                return Response::ok("text/plain", Vec::new());
+            };
+            let events = m.merge(&decode_digest(digest));
+            m.set_self_state(
+                self.handle.current_epoch(),
+                self.handle.breaker_shed_hint().is_some(),
+            );
+            let answer = encode_digest(&m.digest());
+            drop(m);
+            self.apply(&events);
+            return Response::ok("text/plain", answer);
+        }
+        let Some(target) = param("pingreq") else {
+            return Response::error(Status::BAD_REQUEST, "expected cmd=, gossip= or pingreq=");
+        };
+        // Can *we* reach the target the asking node failed to ping?
+        let Some(id) = target.parse::<u16>().ok().map(NodeId) else {
+            return Response::error(Status::BAD_REQUEST, "bad pingreq target");
+        };
+        let reached = self
+            .client(id)
+            .and_then(|client| client.get("/healthz").ok())
+            .is_some_and(|r| r.status.is_success());
+        if reached {
+            Response::ok("text/plain", "reached")
+        } else {
+            Response::error(Status::BAD_GATEWAY, "target unreachable")
+        }
+    }
 }
 
 /// [`PeerTransport`] over plain HTTP: every exchange is a GET against
@@ -239,7 +288,7 @@ impl PeerTransport for HttpPeerTransport {
         let url = format!(
             "/peer?from={}&gossip={}",
             from.0,
-            fp_suite::httpd::urlenc::encode_component(&encode_digest(digest))
+            encode_component(&encode_digest(digest))
         );
         let response = self
             .client(to)?
@@ -274,10 +323,7 @@ impl PeerTransport for HttpPeerTransport {
         to: NodeId,
         sql: &str,
     ) -> Result<Option<XmlResponse>, PeerError> {
-        let url = format!(
-            "/peer?cmd={}",
-            fp_suite::httpd::urlenc::encode_component(sql)
-        );
+        let url = format!("/peer?cmd={}", encode_component(sql));
         let response = self.client(to)?.get(&url).map_err(|_| PeerError::Timeout)?;
         if response.status == Status::NOT_FOUND {
             return Ok(None); // clean cache miss on the peer
@@ -335,262 +381,126 @@ fn peer_hit_metrics(response: &Response) -> QueryMetrics {
     }
 }
 
-/// Maps a proxy error onto the HTTP status the browser should see: a
-/// transient origin failure (outage, deadline, open breaker) becomes
-/// `503 Service Unavailable` with a `Retry-After` hint, a permanent
-/// origin rejection becomes `502 Bad Gateway`, and anything else is the
-/// client's fault (`400`).
-///
-/// `Retry-After` comes from [`ProxyHandle::retry_after_secs`]: the
-/// breaker's actual remaining-open time when the breaker is what is
-/// rejecting requests, else the error's own hint, else the resilience
-/// layer's next backoff delay — so a transient 503 carries an honest
-/// nonzero hint even while the breaker is still closed (previously that
-/// window produced a bare one-second guess).
-fn error_response(handle: &ProxyHandle, error: &ProxyError) -> Response {
-    match error {
-        ProxyError::Origin(e) if e.is_transient() => {
-            let mut resp = Response::error(Status::SERVICE_UNAVAILABLE, &error.to_string());
-            if let Some(secs) = handle.retry_after_secs(error) {
-                resp.headers.set("Retry-After", secs.to_string());
-            }
-            resp
-        }
-        ProxyError::Origin(_) => Response::error(Status::BAD_GATEWAY, &error.to_string()),
-        _ => Response::error(Status::BAD_REQUEST, &error.to_string()),
-    }
-}
-
-/// The client-facing response for a Radial answer, wherever it came
-/// from: the XML body plus the cache-outcome headers, `X-Served-By`
-/// naming the peer when a fleet probe answered, and the RFC 9111
-/// staleness warning when applicable.
-fn radial_response(r: XmlResponse, peer: Option<NodeId>) -> Response {
-    let mut resp = Response::ok("text/xml", r.body);
-    resp.headers
-        .set("X-Cache-Outcome", r.metrics.outcome.label());
-    resp.headers
-        .set("X-Sim-Response-Ms", format!("{:.0}", r.metrics.response_ms));
-    resp.headers
-        .set("X-Coalesced", r.metrics.coalesced.to_string());
-    resp.headers
-        .set("X-Degraded", r.metrics.degraded.to_string());
-    resp.headers.set("X-Stale", r.metrics.stale.to_string());
-    if let Some(owner) = peer {
-        resp.headers.set("X-Served-By", owner.to_string());
-    }
-    if r.metrics.stale || r.metrics.degraded {
-        // RFC 9111 §5.5: 110 = "Response is Stale". Covers both an
-        // expired entry being revalidated and a degraded (partial,
-        // origin-down) answer.
-        resp.headers
-            .set("Warning", "110 funcproxy \"Response is stale\"");
-    }
-    resp
-}
-
-/// The proxy's HTTP face: the Radial search form plus a pass-through SQL
-/// page, exactly the two entry points the paper's SkyServer deployment
-/// had — plus the operational endpoints: `/healthz` and `/readyz` for
-/// the load balancer, `/peer` for the fleet (cache probes, gossip
-/// exchanges, indirect pings). Each connection thread serves through its
-/// own clone of the shared [`ProxyHandle`] — no global lock around the
-/// proxy. Bodies come from the byte-serving entry points: cache hits
-/// ship pre-assembled XML copied out of the entry's columnar slab,
-/// never re-serialized.
-fn proxy_router(
-    handle: ProxyHandle,
+/// The proxy's HTTP face: [`ProxyEdgeService`]'s routes (the Radial
+/// search form and the SQL page — the two entry points the paper's
+/// SkyServer deployment had — plus `/metrics` and `/debug/trace`) and
+/// what a deployment adds to them: `/healthz` and `/readyz` for the
+/// load balancer, `/peer` for the fleet, and the owner-cache probe on a
+/// fleet node's Radial misses. Every reply to a query is built by
+/// [`ProxyEdgeService`], so a peer-served answer carries the same
+/// headers as a local one.
+struct ProxyService {
+    edge: ProxyEdgeService,
     draining: &'static AtomicBool,
     fleet: Option<Arc<FleetState>>,
-) -> Router {
-    let form_handle = handle.clone();
-    let form_fleet = fleet.clone();
-    let metrics_handle = handle.clone();
-    let trace_handle = handle.clone();
-    let ready_handle = handle.clone();
-    let peer_handle = handle.clone();
-    let peer_fleet = fleet;
-    Router::new()
-        .route("/metrics", move |_req: &Request| {
-            Response::ok(
-                "text/plain; version=0.0.4; charset=utf-8",
-                metrics_handle.metrics_text(),
-            )
-        })
-        .route("/debug/trace", move |req: &Request| {
-            let jsonl = req
-                .query_params()
-                .iter()
-                .any(|(k, v)| k == "format" && v == "jsonl");
-            if jsonl {
-                Response::ok("application/x-ndjson", trace_handle.trace_jsonl())
-            } else {
-                Response::ok("application/json", trace_handle.trace_chrome_json())
-            }
-        })
-        .route("/healthz", move |_req: &Request| {
-            Response::ok("text/plain", "ok")
-        })
-        .route("/readyz", move |_req: &Request| {
-            if draining.load(Ordering::Relaxed) {
-                return Response::error(Status::SERVICE_UNAVAILABLE, "draining");
-            }
-            if let Some(secs) = ready_handle.breaker_shed_hint() {
-                let mut resp =
-                    Response::error(Status::SERVICE_UNAVAILABLE, "origin circuit breaker open");
-                resp.headers.set("Retry-After", secs.to_string());
-                return resp;
-            }
-            Response::ok("text/plain", "ready")
-        })
-        .route("/peer", move |req: &Request| {
-            let params = req.query_params();
-            let param = |name: &str| {
-                params
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, v)| v.clone())
-            };
-            if let Some(sql) = param("cmd") {
-                // Cache-only probe from a peer: answer from fresh local
-                // entries alone, never touching the origin; a miss is a
-                // clean 404 the prober falls through on.
-                return match peer_handle.try_sql_xml_cached(&sql) {
-                    Some(r) => {
-                        let mut resp = Response::ok("text/xml", r.body);
-                        resp.headers.set("X-Peer-Hit", "true");
-                        resp.headers
-                            .set("X-Cache-Outcome", r.metrics.outcome.label());
-                        resp.headers.set("X-Rows", r.metrics.rows_total.to_string());
-                        resp.headers
-                            .set("X-Degraded", r.metrics.degraded.to_string());
-                        resp.headers.set("X-Stale", r.metrics.stale.to_string());
-                        resp
-                    }
-                    None => {
-                        let mut resp = Response::error(Status::NOT_FOUND, "cache miss");
-                        resp.headers.set("X-Peer-Hit", "false");
-                        resp
-                    }
-                };
-            }
-            let Some(fleet) = &peer_fleet else {
-                return Response::error(
-                    Status::NOT_FOUND,
-                    "not running as a fleet (start with --peers)",
-                );
-            };
-            if let Some(digest) = param("gossip") {
-                // A peer's failure-detector ping: merge its digest into
-                // our view and answer with ours (refreshed with our own
-                // epoch/breaker facts first). `try_lock`, not `lock`:
-                // our own gossip thread holds this mutex *across its
-                // outbound ping*, so two nodes pinging each other in
-                // the same round would deadlock until both timeouts
-                // fire — and mutual ping timeouts every round mean
-                // perpetual mutual suspicion. An empty 200 breaks the
-                // cycle: it still proves liveness (all the ping needs),
-                // it just skips rumor exchange for this round.
-                let Ok(mut m) = fleet.membership.try_lock() else {
-                    return Response::ok("text/plain", Vec::new());
-                };
-                let events = m.merge(&decode_digest(&digest));
-                m.set_self_state(
-                    peer_handle.current_epoch(),
-                    peer_handle.breaker_shed_hint().is_some(),
-                );
-                let answer = encode_digest(&m.digest());
-                drop(m);
-                fleet.apply(&events);
-                return Response::ok("text/plain", answer);
-            }
-            if let Some(target) = param("pingreq") {
-                // Indirect probe on a third node's behalf: can *we*
-                // reach the target it failed to ping directly?
-                let Some(id) = target.parse::<u16>().ok().map(NodeId) else {
-                    return Response::error(Status::BAD_REQUEST, "bad pingreq target");
-                };
-                let reached = fleet
-                    .client(id)
-                    .and_then(|client| client.get("/healthz").ok())
-                    .is_some_and(|r| r.status.is_success());
-                return if reached {
-                    Response::ok("text/plain", "reached")
-                } else {
-                    Response::error(Status::BAD_GATEWAY, "target unreachable")
-                };
-            }
-            Response::error(Status::BAD_REQUEST, "expected cmd=, gossip= or pingreq=")
-        })
-        .route("/search/radial", move |req: &Request| {
-            let fields = req.query_params();
-            // 1. Local fresh cache — the common case once the fleet is
-            //    warm, since the edge routes keys to their owners.
-            if let Some(r) = form_handle.try_form_xml_cached("/search/radial", &fields) {
-                return radial_response(r, None);
-            }
-            // 2. Owner-cache probe: hash the routing key to its owning
-            //    peer and ask its cache (fresh-only, zero origin
-            //    traffic) before paying for an origin fetch.
-            if let Some(fleet) = &form_fleet {
-                if let Ok(bound) = form_handle.manager().bind_form("/search/radial", &fields) {
-                    let live = fleet.lock_membership().live_nodes();
-                    let key = routing_key(&bound.residual_key, &bound.region);
-                    if let Some(owner) = owner_of_key(&key, &live).filter(|&o| o != fleet.self_id) {
-                        if let Some(r) = fleet.probe_owner(owner, &bound.sql) {
-                            return radial_response(r, Some(owner));
-                        }
-                    }
+}
+
+impl ProxyService {
+    /// The operational routes, none of which blocks: liveness,
+    /// readiness (a flag load and the breaker's shed hint) and a peer's
+    /// cache-only probe. `None` for every other request, and for the
+    /// gossip and indirect-ping exchanges, which take the membership
+    /// lock or make an outbound request and so run on a worker. An
+    /// owner probe must never wait for a worker on the owner: on a
+    /// loaded fleet every node's workers could otherwise all block on
+    /// probes of one another until the probe deadline fires.
+    fn inline(&self, request: &Request) -> Option<Response> {
+        match request.path.as_str() {
+            "/healthz" => Some(Response::ok("text/plain", "ok")),
+            "/readyz" => Some(self.readiness()),
+            "/peer" => {
+                let params = request.query_params();
+                if let Some((_, sql)) = params.iter().find(|(k, _)| k == "cmd") {
+                    return Some(self.cache_probe(sql));
                 }
+                self.fleet.is_none().then(|| {
+                    Response::error(
+                        Status::NOT_FOUND,
+                        "not running as a fleet (start with --peers)",
+                    )
+                })
             }
-            // 3. The full local pipeline: origin fetch with deadlines,
-            //    retries and the breaker, degraded serving on outages.
-            match form_handle.handle_form_xml("/search/radial", &fields) {
-                Ok(r) => radial_response(r, None),
-                Err(e) => error_response(&form_handle, &e),
-            }
-        })
-        .route("/sql", move |req: &Request| {
-            let Some((_, sql)) = req.query_params().into_iter().find(|(k, _)| k == "cmd") else {
-                return Response::error(Status::BAD_REQUEST, "missing cmd parameter");
-            };
-            match handle.handle_sql_xml(&sql) {
-                Ok(r) => Response::ok("text/xml", r.body),
-                Err(e) => error_response(&handle, &e),
-            }
-        })
-}
-
-/// Either front end behind one address: the classic
-/// thread-per-connection server or the nonblocking reactor.
-enum FrontEnd {
-    Threaded(HttpServer),
-    Edge(EdgeServer),
-}
-
-impl FrontEnd {
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            FrontEnd::Threaded(s) => s.addr(),
-            FrontEnd::Edge(s) => s.addr(),
+            _ => None,
         }
     }
 
-    /// Stops accepting, drains in-flight requests, and joins every
-    /// server thread. Returns the edge counters for the closing summary
-    /// when the reactor was the front end.
-    fn shutdown_graceful(self) -> Option<fp_suite::edge::EdgeSnapshot> {
-        match self {
-            FrontEnd::Threaded(s) => {
-                s.shutdown();
-                None
-            }
-            FrontEnd::Edge(s) => {
-                let snapshot = s.stats();
-                s.shutdown_graceful(std::time::Duration::from_secs(5));
-                Some(snapshot)
-            }
+    fn readiness(&self) -> Response {
+        if self.draining.load(Ordering::Relaxed) {
+            return Response::error(Status::SERVICE_UNAVAILABLE, "draining");
         }
+        if let Some(secs) = self.edge.shed_hint() {
+            let mut resp =
+                Response::error(Status::SERVICE_UNAVAILABLE, "origin circuit breaker open");
+            resp.headers.set("Retry-After", secs.to_string());
+            return resp;
+        }
+        Response::ok("text/plain", "ready")
+    }
+
+    /// A peer's cache-only probe: fresh local entries alone, never the
+    /// origin. A hit is the Radial reply plus the row count the prober
+    /// rebuilds its metrics from; a miss is a clean `404` the prober
+    /// falls through on.
+    fn cache_probe(&self, sql: &str) -> Response {
+        match self.edge.proxy().try_sql_doc_cached(sql) {
+            Some(hit) => {
+                let rows = hit.metrics.rows_total;
+                let mut resp = ProxyEdgeService::radial_response(hit);
+                resp.headers.set("X-Rows", rows.to_string());
+                resp
+            }
+            None => Response::error(Status::NOT_FOUND, "cache miss"),
+        }
+    }
+
+    /// The owner-probe leg of a fleet node's Radial miss: hash the
+    /// routing key to its owning peer and ask that peer's cache
+    /// (fresh-only, zero origin traffic) before paying for an origin
+    /// fetch. `None` when this node owns the key or the owner has no
+    /// fresh answer.
+    fn peer_answer(&self, fleet: &Arc<FleetState>, request: &Request) -> Option<Response> {
+        let fields = parse_query_borrowed(&request.query);
+        let bound = self
+            .edge
+            .proxy()
+            .manager()
+            .bind_form("/search/radial", &fields)
+            .ok()?;
+        let live = fleet.lock_membership().live_nodes();
+        let key = routing_key(&bound.residual_key, &bound.region);
+        let owner = owner_of_key(&key, &live).filter(|&o| o != fleet.self_id)?;
+        let hit = fleet.probe_owner(owner, &bound.sql)?;
+        let mut resp = ProxyEdgeService::radial_response(DocResponse {
+            body: XmlBody::Bytes(hit.body),
+            metrics: hit.metrics,
+        });
+        resp.headers.set("X-Served-By", owner.to_string());
+        Some(resp)
+    }
+}
+
+impl EdgeService for ProxyService {
+    /// Serves what `try_fast` declined, which the reactor hands over.
+    fn handle(&self, request: &Request) -> Response {
+        match (request.path.as_str(), &self.fleet) {
+            ("/peer", Some(fleet)) => fleet.exchange(request),
+            // The local fresh cache already declined on the reactor;
+            // the owner's cache comes next, then the full local
+            // pipeline (origin fetch with deadlines, retries and the
+            // breaker, degraded serving on outages).
+            ("/search/radial", Some(fleet)) => self
+                .peer_answer(fleet, request)
+                .unwrap_or_else(|| self.edge.handle(request)),
+            _ => self.edge.handle(request),
+        }
+    }
+
+    fn try_fast(&self, request: &Request) -> Option<Response> {
+        self.inline(request).or_else(|| self.edge.try_fast(request))
+    }
+
+    fn shed_hint(&self) -> Option<u64> {
+        self.edge.shed_hint()
     }
 }
 
@@ -602,7 +512,6 @@ fn main() {
     let mut serve = false;
     let mut port: u16 = 0;
     let mut trace_sample: u64 = 16;
-    let mut edge = false;
     let mut workers: usize = 4;
     let mut max_conns: usize = 1024;
     let mut cache_budget: Option<usize> = None;
@@ -630,7 +539,6 @@ fn main() {
             "--trace-sample" => {
                 trace_sample = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
             }
-            "--edge" => edge = true,
             "--workers" => workers = args.next().and_then(|s| s.parse().ok()).unwrap_or(4),
             "--max-conns" => {
                 max_conns = args.next().and_then(|s| s.parse().ok()).unwrap_or(1024);
@@ -642,7 +550,7 @@ fn main() {
                     "unknown option `{other}` \
                      (supported: --ttl <secs>, --epoch <n>, \
                      --serve, --port <n>, --trace-sample <n>, \
-                     --edge, --workers <n>, --max-conns <n>, \
+                     --workers <n>, --max-conns <n>, \
                      --cache-budget <bytes>, --slab-dir <path>, \
                      --peers ip:port,ip:port,…, --node-id <n>)"
                 );
@@ -651,10 +559,6 @@ fn main() {
         }
     }
     if !peers.is_empty() {
-        if edge {
-            eprintln!("--peers requires the threaded front end; drop --edge");
-            std::process::exit(2);
-        }
         if usize::from(node_id) >= peers.len() {
             eprintln!(
                 "--node-id {node_id} is out of range for a {}-entry --peers list",
@@ -683,14 +587,19 @@ fn main() {
             .with_stale_if_error(ttl * 10);
     }
 
-    // 1. The origin web site.
+    // 1. The origin web site: its router runs on the worker pool.
     println!("starting the origin site…");
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let origin_server = HttpServer::bind("127.0.0.1:0", origin_router(site)).expect("origin binds");
+    let origin_server = EdgeServer::bind(
+        "127.0.0.1:0",
+        Arc::new(origin_router(site)),
+        EdgeConfig::default(),
+    )
+    .expect("origin binds");
     println!("origin listening on http://{}", origin_server.addr());
 
     // 2. The function proxy, talking to the origin over HTTP and serving
-    //    all connection threads through one shared handle.
+    //    the reactor and every worker through one shared handle.
     let origin = HttpOrigin {
         client: HttpClient::new(origin_server.addr()),
     };
@@ -751,40 +660,27 @@ fn main() {
         }))
     };
 
-    let bind_addr = format!("127.0.0.1:{port}");
-    let proxy_server = if edge {
-        // The nonblocking front end: every connection multiplexed on one
-        // reactor thread, misses offloaded to the fixed worker pool,
-        // fresh cache hits answered inline. The reactor, the proxy
-        // runtime, and `/metrics` share one stats/observer instance.
-        let service = Arc::new(ProxyEdgeService::new(handle.clone()));
-        let config = EdgeConfig::default()
-            .with_workers(workers)
-            .with_max_connections(max_conns)
-            .with_stats(service.edge_stats())
-            .with_observer(handle.observer_shared());
-        let server = EdgeServer::bind(&bind_addr, service, config).expect("proxy binds");
-        println!(
-            "proxy  listening on http://{} (edge reactor: {} threads total, \
-             {max_conns} connection cap, {} cache shards)\n",
-            server.addr(),
-            server.thread_count(),
-            handle.shard_count()
-        );
-        FrontEnd::Edge(server)
-    } else {
-        let server = HttpServer::bind(
-            &bind_addr,
-            proxy_router(handle.clone(), interrupted, fleet.clone()),
-        )
-        .expect("proxy binds");
-        println!(
-            "proxy  listening on http://{} ({} cache shards)\n",
-            server.addr(),
-            handle.shard_count()
-        );
-        FrontEnd::Threaded(server)
-    };
+    // The reactor, the proxy runtime, and `/metrics` share one
+    // stats/observer instance.
+    let service = Arc::new(ProxyService {
+        edge: ProxyEdgeService::new(handle.clone()),
+        draining: interrupted,
+        fleet: fleet.clone(),
+    });
+    let edge_config = EdgeConfig::default()
+        .with_workers(workers)
+        .with_max_connections(max_conns)
+        .with_stats(service.edge.edge_stats())
+        .with_observer(handle.observer_shared());
+    let proxy_server =
+        EdgeServer::bind(&format!("127.0.0.1:{port}"), service, edge_config).expect("proxy binds");
+    println!(
+        "proxy  listening on http://{} (edge reactor: {} threads total, \
+         {max_conns} connection cap, {} cache shards)\n",
+        proxy_server.addr(),
+        proxy_server.thread_count(),
+        handle.shard_count()
+    );
 
     // The failure detector's heartbeat: one protocol round every 250 ms
     // on the system clock (pings fire at the membership's own
@@ -879,22 +775,23 @@ fn main() {
              curl http://{0}/debug/trace?format=jsonl",
             proxy_server.addr()
         );
-        while !interrupted.load(std::sync::atomic::Ordering::Relaxed) {
-            std::thread::sleep(std::time::Duration::from_millis(100));
+        while !interrupted.load(Ordering::Relaxed) {
+            std::thread::sleep(Duration::from_millis(100));
         }
         println!("\ninterrupt received; draining…");
     }
 
-    // Graceful shutdown, identical for both front ends: stop accepting,
-    // let in-flight requests finish, then quiesce background
-    // revalidations so no origin fetch is abandoned mid-flight. The
-    // gossip thread stops first — peers will suspect this node and fail
-    // its slots over, which is exactly what a drain means fleet-wide.
+    // Graceful shutdown: stop accepting, let in-flight requests finish,
+    // then quiesce background revalidations so no origin fetch is
+    // abandoned mid-flight. The gossip thread stops first — peers will
+    // suspect this node and fail its slots over, which is exactly what
+    // a drain means fleet-wide.
     gossip_stop.store(true, Ordering::Relaxed);
     if let Some(thread) = gossip_thread {
         let _ = thread.join();
     }
-    let edge_summary = proxy_server.shutdown_graceful();
+    let snap = proxy_server.stats();
+    proxy_server.shutdown_graceful(Duration::from_secs(5));
     handle.quiesce_revalidations();
     if slab_dir.is_some() {
         match handle.snapshot_now() {
@@ -903,19 +800,17 @@ fn main() {
         }
     }
     origin_server.shutdown();
-    if let Some(snap) = edge_summary {
-        println!(
-            "edge summary: {} requests ({} fast-path, {} offloaded, {} pipelined), \
-             {} shed, {} connections ({} rejected at cap)",
-            snap.requests,
-            snap.fast_path,
-            snap.offloaded,
-            snap.pipelined,
-            snap.shed_total(),
-            snap.conns_accepted,
-            snap.conns_rejected,
-        );
-    }
+    println!(
+        "edge summary: {} requests ({} fast-path, {} offloaded, {} pipelined), \
+         {} shed, {} connections ({} rejected at cap)",
+        snap.requests,
+        snap.fast_path,
+        snap.offloaded,
+        snap.pipelined,
+        snap.shed_total(),
+        snap.conns_accepted,
+        snap.conns_rejected,
+    );
     let runtime = handle.runtime_stats();
     println!(
         "servers stopped ({} requests served, {} cache entries retained).",

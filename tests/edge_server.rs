@@ -1,11 +1,11 @@
 //! The nonblocking edge over real sockets: HTTP/1.1 keep-alive and
 //! pipelining, the slowloris read deadline, every admission-control
-//! gate, and graceful drain — all against a live `EdgeServer` on
-//! loopback TCP.
+//! gate, graceful drain and the plain-`Router` adapter — all against a
+//! live `EdgeServer` on loopback TCP.
 
 use fp_suite::edge::{EdgeConfig, EdgeServer, EdgeService, ProxyEdgeService};
 use fp_suite::httpd::parse::read_response;
-use fp_suite::httpd::{HttpClient, Request, Response, Status};
+use fp_suite::httpd::{HttpClient, Request, Response, Router, Status};
 use fp_suite::proxy::template::TemplateManager;
 use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin, XmlBody};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
@@ -410,6 +410,58 @@ fn parked_slab_ranges_outlive_the_entry_they_came_from() {
             "a parked reply changed under the reader"
         );
     }
+    server.shutdown();
+}
+
+/// A plain [`Router`] behind the edge — how the origin stand-in is
+/// served: every route runs on a worker, and an unknown path is a 404.
+#[test]
+fn router_serves_requests_over_loopback() {
+    let router = Router::new()
+        .route("/ping", |_| Response::ok("text/plain", "pong"))
+        .route("/echo", |r: &Request| {
+            Response::ok("text/plain", r.query.clone().into_bytes())
+        });
+    let server = EdgeServer::bind("127.0.0.1:0", Arc::new(router), EdgeConfig::default()).unwrap();
+    let client = HttpClient::new(server.addr());
+
+    let r = client.send(&Request::get("/ping")).unwrap();
+    assert_eq!(r.status, Status::OK);
+    assert_eq!(r.body_text(), "pong");
+
+    let r = client.send(&Request::get("/echo?a=1&b=2")).unwrap();
+    assert_eq!(r.body_text(), "a=1&b=2");
+
+    let r = client.send(&Request::get("/missing")).unwrap();
+    assert_eq!(r.status, Status::NOT_FOUND);
+
+    let snap = server.stats();
+    assert_eq!((snap.fast_path, snap.offloaded), (0, 3));
+    server.shutdown();
+}
+
+#[test]
+fn router_serves_concurrent_clients() {
+    let router = Router::new().route("/work", |r: &Request| {
+        let n: u64 = r.query.parse().unwrap_or(0);
+        Response::ok("text/plain", format!("{}", n * 2))
+    });
+    let server = EdgeServer::bind("127.0.0.1:0", Arc::new(router), EdgeConfig::default()).unwrap();
+    let addr = server.addr();
+
+    let handles: Vec<_> = (0..8u64)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let client = HttpClient::new(addr);
+                let r = client.send(&Request::get(&format!("/work?{i}"))).unwrap();
+                assert_eq!(r.body_text(), format!("{}", i * 2));
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(server.stats().requests, 8);
     server.shutdown();
 }
 

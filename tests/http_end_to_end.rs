@@ -1,12 +1,11 @@
-//! End-to-end over real sockets: origin site behind the workspace HTTP
-//! server, proxy reaching it through an HTTP-backed `Origin`, assertions
-//! on both the answers and which hops each query took.
+//! End-to-end over real sockets: origin site behind the edge server,
+//! proxy reaching it through an HTTP-backed `Origin`, assertions on both
+//! the answers and which hops each query took.
 
-use fp_suite::httpd::{HttpClient, HttpServer, Request, Response, Router, Status};
+use fp_suite::edge::{EdgeConfig, EdgeServer};
+use fp_suite::httpd::{HttpClient, Request, Response, Router, Status};
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{
-    CostModel, FunctionProxy, Origin, OriginError, ProxyConfig, ProxyHandle, Scheme,
-};
+use fp_suite::proxy::{CostModel, Origin, OriginError, ProxyConfig, ProxyHandle, Scheme};
 use fp_suite::skyserver::result::QueryOutcome;
 use fp_suite::skyserver::{Catalog, CatalogSpec, ExecStats, ResultSet, SkySite};
 use fp_suite::sqlmini::Query;
@@ -31,6 +30,16 @@ fn origin_router(site: SkySite, hits: Arc<AtomicUsize>) -> Router {
             Err(e) => Response::error(Status::BAD_REQUEST, &e.to_string()),
         }
     })
+}
+
+/// The origin router on an ephemeral port; a router runs on the workers.
+fn serve_origin(site: SkySite, hits: &Arc<AtomicUsize>) -> EdgeServer {
+    EdgeServer::bind(
+        "127.0.0.1:0",
+        Arc::new(origin_router(site, Arc::clone(hits))),
+        EdgeConfig::default().with_workers(2),
+    )
+    .expect("origin binds")
 }
 
 struct HttpOrigin {
@@ -74,13 +83,9 @@ impl Origin for HttpOrigin {
 fn proxy_over_http_origin_caches_and_answers_identically() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
     let origin_hits = Arc::new(AtomicUsize::new(0));
-    let server = HttpServer::bind(
-        "127.0.0.1:0",
-        origin_router(site.clone(), Arc::clone(&origin_hits)),
-    )
-    .expect("origin binds");
+    let server = serve_origin(site.clone(), &origin_hits);
 
-    let mut proxy = FunctionProxy::new(
+    let proxy = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(HttpOrigin {
             client: HttpClient::new(server.addr()),
@@ -88,6 +93,7 @@ fn proxy_over_http_origin_caches_and_answers_identically() {
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
             .with_cost(CostModel::free()),
+        1,
     );
 
     let fields = |radius: &str| {
@@ -154,8 +160,7 @@ fn proxy_over_http_origin_caches_and_answers_identically() {
 fn byte_serving_matches_row_serving_over_http() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
     let origin_hits = Arc::new(AtomicUsize::new(0));
-    let server = HttpServer::bind("127.0.0.1:0", origin_router(site, Arc::clone(&origin_hits)))
-        .expect("origin binds");
+    let server = serve_origin(site, &origin_hits);
 
     let handle = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
@@ -215,7 +220,7 @@ fn byte_serving_matches_row_serving_over_http() {
 
 #[test]
 fn dead_origin_surfaces_as_unavailable() {
-    let mut proxy = FunctionProxy::new(
+    let proxy = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(HttpOrigin {
             // Nothing listens on port 1.
@@ -223,6 +228,7 @@ fn dead_origin_surfaces_as_unavailable() {
                 .with_timeout(std::time::Duration::from_millis(200)),
         }),
         ProxyConfig::default().with_scheme(Scheme::FullSemantic),
+        1,
     );
     let err = proxy
         .handle_form(

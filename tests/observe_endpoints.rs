@@ -1,10 +1,11 @@
 //! End-to-end checks of the observability surface: the Prometheus
-//! `/metrics` text a proxy serves over real HTTP, the chrome://tracing
-//! and JSONL trace exports, and the `Retry-After` fallback chain
-//! ([`ProxyHandle::retry_after_secs`]) that the HTTP example maps onto
-//! 503 responses.
+//! `/metrics` text the edge's proxy service serves over real HTTP, the
+//! chrome://tracing and JSONL trace exports, and the `Retry-After`
+//! fallback chain ([`ProxyHandle::retry_after_secs`]) that the service
+//! maps onto 503 responses.
 
-use fp_suite::httpd::{HttpClient, HttpServer, Response, Router};
+use fp_suite::edge::{EdgeConfig, EdgeServer, ProxyEdgeService};
+use fp_suite::httpd::HttpClient;
 use fp_suite::proxy::resilience::{Clock, MockClock};
 use fp_suite::proxy::template::TemplateManager;
 use fp_suite::proxy::{
@@ -17,13 +18,13 @@ use std::sync::Arc;
 /// A proxy over a healthy synthetic site with tracing at 1-in-1
 /// sampling, warmed with a miss, an exact hit and a contained hit so
 /// every serving path has latency samples.
-fn warmed_handle() -> Arc<ProxyHandle> {
+fn warmed_handle() -> ProxyHandle {
     let site = SkySite::new(Catalog::generate(&CatalogSpec {
         seed: 5,
         objects: 8_000,
         ..CatalogSpec::default()
     }));
-    let handle = Arc::new(ProxyHandle::with_shards(
+    let handle = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site)),
         ProxyConfig::default()
@@ -31,7 +32,7 @@ fn warmed_handle() -> Arc<ProxyHandle> {
             .with_cost(CostModel::free())
             .with_observe(ObserveConfig::default().with_sample_every(1)),
         2,
-    ));
+    );
     for radius in [30.0, 30.0, 10.0] {
         handle
             .handle_form_xml("/search/radial", &radial(185.0, 0.0, radius))
@@ -48,28 +49,14 @@ fn radial(ra: f64, dec: f64, radius: f64) -> Vec<(String, String)> {
     ]
 }
 
-/// The same observability routes the `http_proxy` example mounts.
-fn observe_router(handle: Arc<ProxyHandle>) -> Router {
-    let metrics_handle = Arc::clone(&handle);
-    let trace_handle = Arc::clone(&handle);
-    Router::new()
-        .route("/metrics", move |_req| {
-            Response::ok(
-                "text/plain; version=0.0.4; charset=utf-8",
-                metrics_handle.metrics_text(),
-            )
-        })
-        .route("/debug/trace", move |req| {
-            let jsonl = req
-                .query_params()
-                .iter()
-                .any(|(k, v)| k == "format" && v == "jsonl");
-            if jsonl {
-                Response::ok("application/x-ndjson", trace_handle.trace_jsonl())
-            } else {
-                Response::ok("application/json", trace_handle.trace_chrome_json())
-            }
-        })
+/// The routes the proxy ships, on an ephemeral port.
+fn serve(handle: ProxyHandle) -> EdgeServer {
+    EdgeServer::bind(
+        "127.0.0.1:0",
+        Arc::new(ProxyEdgeService::new(handle)),
+        EdgeConfig::default().with_workers(1),
+    )
+    .expect("bind ephemeral port")
 }
 
 /// One metrics line is either a comment (`# HELP`/`# TYPE`) or a
@@ -113,8 +100,7 @@ fn assert_sample_line_well_formed(line: &str) {
 #[test]
 fn metrics_endpoint_serves_well_formed_prometheus_text() {
     let handle = warmed_handle();
-    let server =
-        HttpServer::bind("127.0.0.1:0", observe_router(handle)).expect("bind ephemeral port");
+    let server = serve(handle);
     let client = HttpClient::new(server.addr());
 
     let response = client.get("/metrics").expect("scrape /metrics");
@@ -286,8 +272,7 @@ fn assert_valid_json(text: &str) {
 #[test]
 fn trace_endpoints_export_chrome_json_and_jsonl() {
     let handle = warmed_handle();
-    let server =
-        HttpServer::bind("127.0.0.1:0", observe_router(handle)).expect("bind ephemeral port");
+    let server = serve(handle);
     let client = HttpClient::new(server.addr());
 
     // Default export: a chrome://tracing document of complete events.
