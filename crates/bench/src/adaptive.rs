@@ -15,12 +15,10 @@
 
 use crate::Experiment;
 use fp_trace::{Rbe, Trace, TraceSpec};
-use funcproxy::cache::Replacement;
+use funcproxy::cache::{DescriptionKind, Replacement};
 use funcproxy::metrics::{Outcome, QueryMetrics, TraceReport};
 use funcproxy::template::TemplateManager;
-use funcproxy::{
-    CostModel, CountingOrigin, FunctionProxy, ProxyConfig, ProxyHandle, Scheme, SiteOrigin,
-};
+use funcproxy::{CostModel, CountingOrigin, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -182,15 +180,15 @@ impl Experiment {
 
     /// Per-query oracle row counts (no cache, free cost model).
     fn oracle_rows(&self, trace: &Trace) -> Vec<usize> {
-        let mut proxy = FunctionProxy::new(
-            TemplateManager::with_sky_defaults(),
-            Arc::new(SiteOrigin::new(self.site.clone())),
-            ProxyConfig::default()
-                .with_scheme(Scheme::NoCache)
-                .with_cost(CostModel::free()),
+        let proxy = crate::make_proxy(
+            &self.site,
+            Scheme::NoCache,
+            DescriptionKind::Array,
+            None,
+            CostModel::free(),
         );
         Rbe::default()
-            .replay(&mut proxy, trace)
+            .replay(&proxy, trace)
             .expect("oracle replays")
             .iter()
             .map(|m| m.rows_total)
@@ -225,7 +223,7 @@ impl Experiment {
             4,
         );
         let metrics = Rbe::default()
-            .replay_shared(&handle, trace, 1)
+            .replay(&handle, trace)
             .expect("trace replays");
         let report = TraceReport::from_metrics(&metrics);
         let snapshot = handle.runtime_stats();

@@ -24,7 +24,6 @@
 
 use crate::Experiment;
 use fp_trace::Rbe;
-use funcproxy::cache::DescriptionKind;
 use funcproxy::metrics::Outcome;
 use funcproxy::resilience::{Clock, MockClock};
 use funcproxy::template::TemplateManager;
@@ -32,7 +31,6 @@ use funcproxy::{
     ChaosOrigin, CostModel, Fault, ProxyConfig, ProxyHandle, ResilienceConfig, Scheme, SiteOrigin,
 };
 use serde::Serialize;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -222,32 +220,7 @@ impl Experiment {
         // Oracle pass: what every query answers when nothing ever fails
         // and nothing is cached. Keyed by query string, since the trace
         // repeats queries.
-        let mut oracle = crate::make_proxy(
-            &self.site,
-            Scheme::NoCache,
-            DescriptionKind::Array,
-            None,
-            CostModel::free(),
-        );
-        let mut oracle_rows: HashMap<String, Vec<fp_sqlmini::Value>> = HashMap::new();
-        for q in &self.trace.queries {
-            oracle_rows.entry(q.query_string()).or_insert_with(|| {
-                let response = oracle
-                    .handle_form(&rbe.form_path, &q.form_fields())
-                    .expect("oracle executes");
-                let key_col = response
-                    .result
-                    .column_index("objID")
-                    .expect("radial results carry objID");
-                response
-                    .result
-                    .rows
-                    .iter()
-                    .map(|r| r[key_col].clone())
-                    .collect()
-            });
-        }
-        self.site.reset_load();
+        let oracle_rows = self.oracle_object_ids();
 
         // The chaos replay: outage over the middle third of the virtual
         // timeline, latency spikes on the first origin calls.

@@ -211,7 +211,7 @@ impl Experiment {
     /// repeats queries). Shared with the torture harness.
     pub(crate) fn oracle_object_ids(&self) -> HashMap<String, Vec<fp_sqlmini::Value>> {
         let rbe = Rbe::default();
-        let mut oracle = crate::make_proxy(
+        let oracle = crate::make_proxy(
             &self.site,
             Scheme::NoCache,
             DescriptionKind::Array,

@@ -60,7 +60,7 @@ use fp_trace::{classify_trace, Rbe, Trace, TraceMix, TraceSpec};
 use funcproxy::cache::{DescriptionKind, Replacement};
 use funcproxy::metrics::TraceReport;
 use funcproxy::template::TemplateManager;
-use funcproxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use funcproxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -138,7 +138,7 @@ impl Experiment {
         // cached file, mirroring "nearly 300MB XML files" for 11k queries.
         let mut seen = std::collections::HashSet::new();
         let mut total = 0usize;
-        let mut proxy = make_proxy(
+        let proxy = make_proxy(
             &site,
             Scheme::NoCache,
             DescriptionKind::Array,
@@ -176,9 +176,9 @@ impl Experiment {
         description: DescriptionKind,
         capacity: Option<usize>,
     ) -> TraceReport {
-        let mut proxy = make_proxy(&self.site, scheme, description, capacity, self.cost);
+        let proxy = make_proxy(&self.site, scheme, description, capacity, self.cost);
         Rbe::default()
-            .run(&mut proxy, &self.trace)
+            .run(&proxy, &self.trace)
             .expect("trace replays")
     }
 
@@ -260,9 +260,8 @@ impl Experiment {
         let rows = Replacement::all()
             .iter()
             .map(|&policy| {
-                let mut proxy = FunctionProxy::new(
-                    TemplateManager::with_sky_defaults(),
-                    Arc::new(SiteOrigin::new(self.site.clone())),
+                let proxy = one_shard(
+                    &self.site,
                     ProxyConfig::default()
                         .with_scheme(Scheme::FullSemantic)
                         .with_capacity(cap)
@@ -270,7 +269,7 @@ impl Experiment {
                         .with_replacement(policy),
                 );
                 let report = Rbe::default()
-                    .run(&mut proxy, &self.trace)
+                    .run(&proxy, &self.trace)
                     .expect("trace replays");
                 let stats = proxy.cache_stats();
                 ReplacementRow {
@@ -301,16 +300,15 @@ impl Experiment {
     pub fn coverage(&self) -> CoverageAblation {
         let rows = [0.0, 0.25, 0.5, 0.75, 1.01]
             .map(|threshold| {
-                let mut proxy = FunctionProxy::new(
-                    TemplateManager::with_sky_defaults(),
-                    Arc::new(SiteOrigin::new(self.site.clone())),
+                let proxy = one_shard(
+                    &self.site,
                     ProxyConfig::default()
                         .with_scheme(Scheme::FullSemantic)
                         .with_cost(self.cost)
                         .with_min_overlap_coverage(threshold),
                 );
                 let report = Rbe::default()
-                    .run(&mut proxy, &self.trace)
+                    .run(&proxy, &self.trace)
                     .expect("trace replays");
                 CoverageRow {
                     threshold,
@@ -328,9 +326,9 @@ impl Experiment {
     /// that region containment "reduces the number of cached queries".
     pub fn compaction(&self) -> Compaction {
         let run = |scheme| {
-            let mut proxy = make_proxy(&self.site, scheme, DescriptionKind::Array, None, self.cost);
+            let proxy = make_proxy(&self.site, scheme, DescriptionKind::Array, None, self.cost);
             Rbe::default()
-                .run(&mut proxy, &self.trace)
+                .run(&proxy, &self.trace)
                 .expect("trace replays");
             proxy.cache_stats()
         };
@@ -351,15 +349,26 @@ pub fn make_proxy(
     description: DescriptionKind,
     capacity: Option<usize>,
     cost: CostModel,
-) -> FunctionProxy {
-    FunctionProxy::new(
-        TemplateManager::with_sky_defaults(),
-        Arc::new(SiteOrigin::new(site.clone())),
+) -> ProxyHandle {
+    one_shard(
+        site,
         ProxyConfig::default()
             .with_scheme(scheme)
             .with_description(description)
             .with_capacity(capacity)
             .with_cost(cost),
+    )
+}
+
+/// A proxy with its whole cache in one shard. The paper's proxy has one
+/// cache: a sharded store splits the capacity evenly across shards, which
+/// would change every capacity-bounded row.
+fn one_shard(site: &SkySite, config: ProxyConfig) -> ProxyHandle {
+    ProxyHandle::with_shards(
+        TemplateManager::with_sky_defaults(),
+        Arc::new(SiteOrigin::new(site.clone())),
+        config,
+        1,
     )
 }
 
@@ -660,5 +669,47 @@ mod tests {
         // Compaction reduces entry counts.
         let comp = exp.compaction();
         assert!(comp.entries_with <= comp.entries_without);
+    }
+
+    /// The deterministic paper rows at small scale, bit for bit. Any
+    /// change to the caching logic that moves one of them moves a
+    /// published number, so it must update this pin on purpose.
+    #[test]
+    fn paper_rows_are_pinned_at_small_scale() {
+        let exp = Experiment::prepare(Scale::small());
+
+        let t1: Vec<(f64, f64)> = exp.table1().rows.iter().map(|r| (r.ac, r.pc)).collect();
+        assert_eq!(
+            t1,
+            [
+                (0.15898163031594403, 0.04666666666666667),
+                (0.25234712593143965, 0.08),
+                (0.31118742615409273, 0.09666666666666666),
+                (0.4443055580222246, 0.16),
+            ]
+        );
+
+        let f6: Vec<f64> = exp.figure6().rows.iter().map(|r| r.efficiency).collect();
+        assert_eq!(
+            f6,
+            [0.5022029939196605, 0.4524979649979649, 0.44666666666666666]
+        );
+
+        let comp = exp.compaction();
+        assert_eq!(
+            (comp.entries_with, comp.compactions, comp.entries_without),
+            (160, 6, 166)
+        );
+
+        let evictions: Vec<usize> = exp.replacement().rows.iter().map(|r| r.evictions).collect();
+        assert_eq!(evictions, [229, 231, 125, 278, 133]);
+
+        let overlap: Vec<usize> = exp
+            .coverage()
+            .rows
+            .iter()
+            .map(|r| r.overlap_answers)
+            .collect();
+        assert_eq!(overlap, [25, 21, 14, 7, 0]);
     }
 }

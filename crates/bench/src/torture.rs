@@ -48,6 +48,7 @@ use funcproxy::{CostModel, LifecycleConfig, Origin, ProxyConfig, ProxyHandle, Sc
 use serde::Serialize;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -268,9 +269,14 @@ impl Experiment {
         let (schedule, mut rng) = Schedule::derive(seed, queries);
         let mut events: Vec<String> = Vec::new();
 
-        // Deterministic workspace: the path never enters the event log,
-        // so two runs (different pids) still log identically.
-        let root = std::env::temp_dir().join(format!("fp_torture_{}_{seed}", std::process::id()));
+        // A workspace of this run's own: concurrent runs of one seed in
+        // one process (parallel tests) must not share a tier directory.
+        // The path never enters the event log, so runs still log
+        // identically.
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let run = RUNS.fetch_add(1, Ordering::Relaxed);
+        let root =
+            std::env::temp_dir().join(format!("fp_torture_{}_{seed}_{run}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
 
         let oracle = self.oracle_object_ids();

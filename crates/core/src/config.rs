@@ -38,12 +38,10 @@ pub struct ProxyConfig {
     /// Whether `scheme` is served as-is or overridden per template by
     /// the runtime profit model. [`SchemeChoice::Fixed`] of `scheme`
     /// by default; [`ProxyConfig::with_adaptive_scheme`] switches to
-    /// runtime selection. (Only the concurrent [`ProxyHandle`] runtime
-    /// consults this; the single-threaded [`FunctionProxy`] always
-    /// serves its fixed `scheme`.)
+    /// runtime selection, which [`ProxyHandle`] resolves once per
+    /// request.
     ///
     /// [`ProxyHandle`]: crate::runtime::ProxyHandle
-    /// [`FunctionProxy`]: crate::proxy::FunctionProxy
     pub scheme_choice: SchemeChoice,
     /// Array ("ACNR") or R-tree ("ACR") cache description.
     pub description: DescriptionKind,

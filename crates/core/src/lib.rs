@@ -14,7 +14,7 @@
 //!    form's **function-embedded query template**, and uses the embedded
 //!    function's **function template** (an XML description of its spatial
 //!    semantics, paper Fig. 3) to build the query's [`fp_geometry::Region`].
-//! 2. The [`proxy::FunctionProxy`] classifies the new query against the
+//! 2. The [`runtime::ProxyHandle`] classifies the new query against the
 //!    **cache description** (array or R-tree over cached query regions):
 //!    exact match / contained / region containment / overlapping /
 //!    disjoint.
@@ -38,10 +38,11 @@
 //!   SkyServer, or any callback).
 //! * [`sim`] — the WAN/server cost model that converts execution
 //!   statistics into simulated milliseconds.
-//! * [`proxy`] — the proxy itself, plus per-query [`metrics`].
-//! * [`runtime`] — the concurrent front: sharded cache locks,
-//!   single-flight origin coalescing, and the `Arc`-cloneable
-//!   [`runtime::ProxyHandle`] served by the `fp-edge` reactor.
+//! * [`metrics`] — the per-query record and trace aggregates.
+//! * [`runtime`] — the proxy itself: sharded cache locks, single-flight
+//!   origin coalescing, and the `Arc`-cloneable
+//!   [`runtime::ProxyHandle`] that the `fp-edge` reactor serves and the
+//!   paper's experiments replay through.
 //! * [`resilience`] — the fault-tolerant fetch path: deadlines,
 //!   retry/backoff, the per-origin circuit breaker, and the chaos
 //!   injection harness behind degraded serving.
@@ -66,7 +67,6 @@ pub mod lifecycle;
 pub mod metrics;
 pub mod observe;
 pub mod origin;
-pub mod proxy;
 pub mod query;
 pub mod resilience;
 pub mod runtime;
@@ -74,15 +74,22 @@ pub mod schemes;
 pub mod sim;
 pub mod template;
 
+/// The paper's caching schemes end to end: each test drives a one-shard
+/// [`runtime::ProxyHandle`] through one scheme and checks its outcomes,
+/// and its rows against the origin under [`Scheme::NoCache`].
+#[cfg(test)]
+mod proxy {
+    mod tests;
+}
+
 pub use cache::{ProfitEstimate, ProfitModel, ProfitParams};
 pub use cluster::{ClusterConfig, ClusterResponse, ClusterRouter, NodeId, ServedBy};
 pub use config::{ProxyConfig, SchemeChoice};
 pub use lifecycle::{Freshness, LifecycleConfig};
 pub use observe::{LatencySummary, ObserveConfig, Observer};
 pub use origin::{CountingOrigin, Origin, OriginError, SiteOrigin};
-pub use proxy::FunctionProxy;
 pub use resilience::{ChaosOrigin, Fault, ResilienceConfig, ResilientOrigin};
-pub use runtime::{DocResponse, ProxyHandle, XmlBody, XmlResponse};
+pub use runtime::{DocResponse, ProxyHandle, ProxyResponse, XmlBody, XmlResponse};
 pub use schemes::Scheme;
 pub use sim::CostModel;
 

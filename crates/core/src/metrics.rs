@@ -59,10 +59,10 @@ pub struct QueryMetrics {
     /// Of those, tuples served from the proxy cache.
     pub rows_from_cache: usize,
     /// Whether this response piggybacked on another request's in-flight
-    /// origin fetch (always `false` on the single-threaded proxy).
+    /// origin fetch (always `false` on a one-client replay).
     pub coalesced: bool,
-    /// Time spent waiting to acquire cache-shard locks, ms (always `0.0`
-    /// on the single-threaded proxy).
+    /// Time spent waiting to acquire cache-shard locks, ms (near zero
+    /// without contention).
     pub lock_wait_ms: f64,
     /// Cached rows the local evaluator tested against the query region
     /// (after micro-index pruning; zero for non-hit outcomes).

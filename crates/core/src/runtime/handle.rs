@@ -1,8 +1,9 @@
 //! [`ProxyHandle`]: the shared, thread-safe proxy front.
 //!
-//! The handle serves the same decision procedure as
-//! [`crate::proxy::FunctionProxy`], restructured into phases so no lock
-//! is ever held across an origin fetch:
+//! The handle is the proxy's one decision procedure — exact match,
+//! containment, region containment and overlap, each answered as the
+//! configured [`Scheme`] allows — run in phases so no lock is ever held
+//! across an origin fetch:
 //!
 //! 1. **Cache phase** (one shard lock): exact lookup, relationship
 //!    classification, and — when possible — the complete answer (exact
@@ -43,7 +44,6 @@ use crate::lifecycle::Freshness;
 use crate::metrics::{Outcome, QueryMetrics};
 use crate::observe::{Observer, OutcomeClass, PathClass, Phase as ObsPhase};
 use crate::origin::Origin;
-use crate::proxy::ProxyResponse;
 use crate::query::{
     classify, classify_graded, eval_entry_region, merge_results, remainder_query, EvalScratch,
     QueryStatus,
@@ -184,6 +184,24 @@ impl Timing {
             lock_wait_ms: 0.0,
         }
     }
+}
+
+/// A served request: the result plus its metrics record.
+///
+/// The result is `Arc`-shared with the cache entry that holds (or was
+/// served from) it, so responding never deep-copies tuples.
+#[derive(Debug, Clone)]
+pub struct ProxyResponse {
+    /// Rows returned to the client.
+    pub result: Arc<ResultSet>,
+    /// The columnar form of exactly `result`, when the serving path
+    /// built or held one (a miss under a caching scheme builds it for
+    /// the insert, an exact hit shares the entry's; `None` otherwise):
+    /// its `doc()` is the response body, byte-identical to serializing
+    /// `result` again.
+    pub columnar: Option<Arc<ColumnarRows>>,
+    /// The per-query metrics the proxy servlet logs.
+    pub metrics: QueryMetrics,
 }
 
 /// A response served as contiguous XML bytes: a [`DocResponse`] with its
@@ -706,8 +724,8 @@ impl ProxyHandle {
         }
     }
 
-    /// Serves an HTML-form request; see
-    /// [`crate::proxy::FunctionProxy::handle_form`].
+    /// Serves an HTML-form request: resolve against the registered info
+    /// files and templates, then answer per the configured scheme.
     ///
     /// # Errors
     /// Propagates resolution failures and origin errors.
@@ -720,8 +738,10 @@ impl ProxyHandle {
         self.handle_bound(bound)
     }
 
-    /// Serves a raw SQL request; see
-    /// [`crate::proxy::FunctionProxy::handle_sql`].
+    /// Serves a raw SQL request (the power-user path). Queries that match
+    /// a registered template get full active caching; anything else is
+    /// forwarded to the origin uncached (the proxy has no semantics to
+    /// cache it by — exactly the paper's motivation for templates).
     ///
     /// # Errors
     /// Propagates resolution failures and origin errors.
@@ -1857,10 +1877,12 @@ impl ProxyHandle {
         Some(response)
     }
 
-    /// Plans the merge paths (region containment / overlap): snapshots
-    /// the probed entries under the held lock so both the fetch *and*
-    /// the probe filtering can run lock-free. Mirrors
-    /// [`crate::proxy::FunctionProxy`]'s merge procedure.
+    /// Plans the merge paths (region containment / overlap): probe the
+    /// involved entries, fetch a remainder for the uncovered part, merge,
+    /// cache the complete merged result and, under region containment,
+    /// compact away the subsumed entries. The probed entries are
+    /// snapshotted under the held lock so both the fetch *and* the probe
+    /// filtering run lock-free, in [`ProxyHandle::execute_plan`].
     fn merge_plan(
         &self,
         store: &mut CacheStore,
@@ -2571,8 +2593,10 @@ impl ProxyHandle {
     }
 }
 
-/// The §3.2 tradeoff gate against a single shard (see
-/// [`crate::proxy::FunctionProxy`]).
+/// The §3.2 tradeoff gate, against the query's shard: is enough of the
+/// new region cached to make probe + remainder cheaper than forwarding?
+/// Estimated by quasi-Monte-Carlo coverage sampling; always `true` at
+/// the default threshold of zero.
 fn coverage_worthwhile(
     config: &ProxyConfig,
     store: &CacheStore,
@@ -2636,7 +2660,7 @@ mod tests {
     use std::sync::Condvar;
 
     fn handle(scheme: Scheme) -> ProxyHandle {
-        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+        let site = small_site();
         ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
             Arc::new(SiteOrigin::new(site)),
@@ -2645,6 +2669,25 @@ mod tests {
                 .with_cost(CostModel::free()),
             4,
         )
+    }
+
+    /// A full-semantic handle with its whole cache in one shard, over
+    /// `origin`, with the free cost model and `tune` applied.
+    fn one_shard(origin: SiteOrigin, tune: impl FnOnce(ProxyConfig) -> ProxyConfig) -> ProxyHandle {
+        ProxyHandle::with_shards(
+            TemplateManager::with_sky_defaults(),
+            Arc::new(origin),
+            tune(
+                ProxyConfig::default()
+                    .with_scheme(Scheme::FullSemantic)
+                    .with_cost(CostModel::free()),
+            ),
+            1,
+        )
+    }
+
+    fn small_site() -> SkySite {
+        SkySite::new(Catalog::generate(&CatalogSpec::small_test()))
     }
 
     fn radial_fields(ra: f64, dec: f64, radius: f64) -> [(String, String); 3] {
@@ -2711,6 +2754,77 @@ mod tests {
     }
 
     #[test]
+    fn containment_only_ignores_overlap_and_region_containment() {
+        let h = handle(Scheme::ContainmentOnly);
+        radial(&h, 185.0, 0.0, 15.0);
+        // Overlapping query → forwarded, cached.
+        let o = radial(&h, 185.0 + 20.0 / 60.0, 0.0, 15.0);
+        assert_eq!(o.metrics.outcome, Outcome::Forwarded);
+        // Covering query → forwarded too (no region containment in Third).
+        let big = radial(&h, 185.0, 0.0, 60.0);
+        assert_eq!(big.metrics.outcome, Outcome::Forwarded);
+        assert_eq!(h.cache_stats().compactions, 0);
+    }
+
+    #[test]
+    fn region_containment_scheme_skips_general_overlap() {
+        let h = handle(Scheme::RegionContainment);
+        radial(&h, 185.0, 0.0, 20.0);
+        let o = radial(&h, 185.0 + 25.0 / 60.0, 0.0, 15.0);
+        assert_eq!(o.metrics.outcome, Outcome::Forwarded);
+    }
+
+    #[test]
+    fn origin_without_remainder_forces_original_queries() {
+        let h = one_shard(SiteOrigin::without_remainder(small_site()), |c| c);
+        radial(&h, 185.0, 0.0, 20.0);
+        let o = radial(&h, 185.0 + 25.0 / 60.0, 0.0, 15.0);
+        // Overlap still answered correctly, but by forwarding the original.
+        assert_eq!(o.metrics.outcome, Outcome::Forwarded);
+        let truth = radial(&handle(Scheme::NoCache), 185.0 + 25.0 / 60.0, 0.0, 15.0);
+        assert_eq!(ids_of(&o), ids_of(&truth));
+    }
+
+    #[test]
+    fn capacity_bound_is_respected() {
+        let h = one_shard(SiteOrigin::new(small_site()), |c| {
+            c.with_capacity(Some(64 * 1024))
+        });
+        for i in 0..12 {
+            radial(&h, 183.0 + i as f64 * 0.5, 0.0, 12.0);
+        }
+        assert!(h.cache_stats().bytes <= 64 * 1024);
+    }
+
+    #[test]
+    fn coverage_threshold_gates_the_overlap_path() {
+        let site = small_site();
+        let strict = |threshold: f64| {
+            one_shard(SiteOrigin::new(site.clone()), |c| {
+                c.with_min_overlap_coverage(threshold)
+            })
+        };
+
+        // A sliver of overlap: centers 28' apart, radii 20' and 10'.
+        let h = strict(0.9);
+        radial(&h, 185.0, 0.0, 20.0);
+        let slim = radial(&h, 185.0 + 28.0 / 60.0, 0.0, 10.0);
+        assert_eq!(
+            slim.metrics.outcome,
+            Outcome::Forwarded,
+            "thin overlap must not clear a 0.9 coverage threshold"
+        );
+
+        // Near-total coverage: same center, slightly shifted, must pass a
+        // modest threshold.
+        let h = strict(0.5);
+        radial(&h, 185.0, 0.0, 20.0);
+        let broad = radial(&h, 185.0 + 2.0 / 60.0, 0.0, 19.0);
+        assert_eq!(broad.metrics.outcome, Outcome::Overlap);
+        assert!(broad.metrics.cache_efficiency() > 0.5);
+    }
+
+    #[test]
     fn passive_handle_hits_only_exact_text() {
         let h = handle(Scheme::Passive);
         assert_eq!(
@@ -2756,7 +2870,7 @@ mod tests {
 
     impl GateOrigin {
         fn new() -> Self {
-            let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+            let site = small_site();
             GateOrigin {
                 site: SiteOrigin::new(site),
                 open: Mutex::new(true),
@@ -2922,7 +3036,7 @@ mod tests {
         // Remainder trips cost a fortune, plain forwards are cheap:
         // the paper's "First loses" regime. The adaptive runtime must
         // discover this and stop taking the overlap path.
-        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+        let site = small_site();
         let cost = CostModel {
             rtt_ms: 100.0,
             remainder_overhead_ms: 10_000.0,
@@ -2987,7 +3101,7 @@ mod tests {
         // With a real (non-free) cost model, the inserted entry's
         // refetch estimate must come from the measured fetch, not the
         // size-proportional default.
-        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+        let site = small_site();
         let h = ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
             Arc::new(SiteOrigin::new(site)),
@@ -3042,7 +3156,7 @@ mod tests {
             h.cache_stats().bytes
         };
         let (a, b) = (footprint(cones[0]), footprint(cones[1]));
-        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+        let site = small_site();
         let h = ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
             Arc::new(SiteOrigin::new(site)),

@@ -1,10 +1,9 @@
-//! The concurrent proxy runtime: a shared, thread-safe front over the
-//! single-threaded pipeline.
+//! The proxy runtime: one shared, thread-safe proxy that every front
+//! drives — the edge reactor, the fleet, the experiment harness that
+//! regenerates the paper's tables, and the examples.
 //!
-//! [`crate::proxy::FunctionProxy`] takes `&mut self` everywhere, which
-//! makes the whole cache one critical section — fine for replaying the
-//! paper's trace one query at a time, useless behind a threaded HTTP
-//! server. This module adds the concurrency layer:
+//! A cache behind `&mut self` would be one critical section, useless
+//! behind a threaded HTTP server. This module splits it:
 //!
 //! * [`shard`] — the cache split into `N` independently locked
 //!   [`crate::cache::CacheStore`] shards, keyed by the bound query's
@@ -32,7 +31,7 @@ pub mod handle;
 pub mod shard;
 pub mod singleflight;
 
-pub use handle::{DocResponse, ProxyHandle, XmlBody, XmlResponse};
+pub use handle::{DocResponse, ProxyHandle, ProxyResponse, XmlBody, XmlResponse};
 pub use shard::ShardedStore;
 pub use singleflight::SingleFlight;
 

@@ -40,7 +40,7 @@
 //! callback invocation, or an origin fetch.
 
 use crate::origin::OriginError;
-use crate::proxy::ProxyResponse;
+use crate::runtime::ProxyResponse;
 use crate::ProxyError;
 use fp_geometry::{Region, Relation};
 use std::collections::HashMap;

@@ -1,14 +1,13 @@
-//! Concurrency stress tests for the runtime: correctness against the
-//! single-threaded proxy, single-flight coalescing, and absence of
-//! deadlock under contention (the test harness timeout is the watchdog).
+//! Concurrency stress tests for the runtime: correctness against a
+//! no-cache oracle, single-flight coalescing, and absence of deadlock
+//! under contention (the test harness timeout is the watchdog).
 
 use fp_skyserver::{Catalog, CatalogSpec, SkySite};
 use funcproxy::origin::CountingOrigin;
-use funcproxy::proxy::ProxyResponse;
 use funcproxy::template::TemplateManager;
 use funcproxy::{
-    ChaosOrigin, CostModel, Fault, FunctionProxy, OriginError, ProxyConfig, ProxyError,
-    ProxyHandle, Scheme, SiteOrigin,
+    ChaosOrigin, CostModel, Fault, OriginError, ProxyConfig, ProxyError, ProxyHandle,
+    ProxyResponse, Scheme, SiteOrigin,
 };
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -61,13 +60,13 @@ fn ids_of(r: &ProxyResponse) -> Vec<i64> {
     ids
 }
 
-/// Ground truth from a single-threaded no-cache proxy on the same
-/// catalog.
+/// Ground truth from a no-cache proxy on the same catalog.
 fn oracle_ids(site: SkySite, ra: f64, dec: f64, radius: f64) -> Vec<i64> {
-    let mut oracle = FunctionProxy::new(
+    let oracle = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site)),
         config().with_scheme(Scheme::NoCache),
+        1,
     );
     let response = oracle
         .handle_form("/search/radial", &radial_fields(ra, dec, radius))

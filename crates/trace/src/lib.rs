@@ -10,8 +10,9 @@
 //! against an unbounded cache ([`stats::classify_trace`]).
 //!
 //! [`rbe::Rbe`] is the paper's "Remote Browser Emulator": it replays a
-//! trace through a [`funcproxy::FunctionProxy`] and aggregates the
-//! response-time and cache-efficiency metrics the figures report.
+//! trace through a [`funcproxy::ProxyHandle`] — in order from one
+//! client, or dealt across many — and aggregates the response-time and
+//! cache-efficiency metrics the figures report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

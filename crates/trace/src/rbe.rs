@@ -2,7 +2,10 @@
 
 use crate::trace::Trace;
 use funcproxy::metrics::{QueryMetrics, TraceReport};
-use funcproxy::{FunctionProxy, ProxyError, ProxyHandle};
+use funcproxy::{ProxyError, ProxyHandle};
+
+/// How one emulated client gets a form request answered.
+type Serve = fn(&ProxyHandle, &str, &[(String, String)]) -> Result<QueryMetrics, ProxyError>;
 
 /// The paper's RBE ("the program we write for emulating a web browser
 /// client"): issues each trace query as a Radial form request and records
@@ -21,29 +24,33 @@ impl Default for Rbe {
 }
 
 impl Rbe {
-    /// Replays `trace` through `proxy`, returning per-query metrics.
+    /// Replays `trace` through `proxy` in order from the calling thread,
+    /// returning per-query metrics.
     ///
     /// # Errors
     /// Stops at the first proxy error (misconfigured templates or a dead
     /// origin make the whole run meaningless).
     pub fn replay(
         &self,
-        proxy: &mut FunctionProxy,
+        proxy: &ProxyHandle,
         trace: &Trace,
     ) -> Result<Vec<QueryMetrics>, ProxyError> {
-        let mut out = Vec::with_capacity(trace.len());
-        for q in &trace.queries {
-            let response = proxy.handle_form(&self.form_path, &q.form_fields())?;
-            out.push(response.metrics);
-        }
-        Ok(out)
+        trace
+            .queries
+            .iter()
+            .map(|q| {
+                Ok(proxy
+                    .handle_form(&self.form_path, &q.form_fields())?
+                    .metrics)
+            })
+            .collect()
     }
 
     /// Replays and aggregates in one step.
     ///
     /// # Errors
     /// See [`Rbe::replay`].
-    pub fn run(&self, proxy: &mut FunctionProxy, trace: &Trace) -> Result<TraceReport, ProxyError> {
+    pub fn run(&self, proxy: &ProxyHandle, trace: &Trace) -> Result<TraceReport, ProxyError> {
         Ok(TraceReport::from_metrics(&self.replay(proxy, trace)?))
     }
 
@@ -62,40 +69,9 @@ impl Rbe {
         trace: &Trace,
         threads: usize,
     ) -> Result<Vec<QueryMetrics>, ProxyError> {
-        let threads = threads.clamp(1, trace.len().max(1));
-        let form_path = &self.form_path;
-        let per_thread: Vec<Result<Vec<(usize, QueryMetrics)>, ProxyError>> =
-            std::thread::scope(|scope| {
-                let clients: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let handle = handle.clone();
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            for (i, q) in trace.queries.iter().enumerate().skip(t).step_by(threads)
-                            {
-                                let response = handle.handle_form(form_path, &q.form_fields())?;
-                                out.push((i, response.metrics));
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                clients
-                    .into_iter()
-                    .map(|c| c.join().expect("client thread panicked"))
-                    .collect()
-            });
-
-        let mut metrics: Vec<Option<QueryMetrics>> = vec![None; trace.len()];
-        for client in per_thread {
-            for (i, m) in client? {
-                metrics[i] = Some(m);
-            }
-        }
-        Ok(metrics
-            .into_iter()
-            .map(|m| m.expect("round-robin deal covers every query"))
-            .collect())
+        self.deal(handle, trace, threads, |h, path, fields| {
+            Ok(h.handle_form(path, fields)?.metrics)
+        })
     }
 
     /// [`Rbe::replay_shared`] over the bytes path: every client calls
@@ -103,8 +79,7 @@ impl Rbe {
     /// are served as pre-serialized XML without materializing tuples.
     /// This is the path the HTTP front ends use; replaying through it
     /// measures the zero-copy serve latencies rather than the
-    /// tuple-materializing ones. Deal and ordering are identical to
-    /// [`Rbe::replay_shared`].
+    /// tuple-materializing ones.
     ///
     /// # Errors
     /// Returns the first proxy error any client hit.
@@ -114,20 +89,31 @@ impl Rbe {
         trace: &Trace,
         threads: usize,
     ) -> Result<Vec<QueryMetrics>, ProxyError> {
+        self.deal(handle, trace, threads, |h, path, fields| {
+            Ok(h.handle_form_xml(path, fields)?.metrics)
+        })
+    }
+
+    /// The round-robin deal behind both shared replays; `serve` is the
+    /// handle entry point each client calls.
+    fn deal(
+        &self,
+        handle: &ProxyHandle,
+        trace: &Trace,
+        threads: usize,
+        serve: Serve,
+    ) -> Result<Vec<QueryMetrics>, ProxyError> {
         let threads = threads.clamp(1, trace.len().max(1));
         let form_path = &self.form_path;
         let per_thread: Vec<Result<Vec<(usize, QueryMetrics)>, ProxyError>> =
             std::thread::scope(|scope| {
                 let clients: Vec<_> = (0..threads)
                     .map(|t| {
-                        let handle = handle.clone();
                         scope.spawn(move || {
                             let mut out = Vec::new();
                             for (i, q) in trace.queries.iter().enumerate().skip(t).step_by(threads)
                             {
-                                let response =
-                                    handle.handle_form_xml(form_path, &q.form_fields())?;
-                                out.push((i, response.metrics));
+                                out.push((i, serve(handle, form_path, &q.form_fields())?));
                             }
                             Ok(out)
                         })
@@ -149,21 +135,6 @@ impl Rbe {
             .into_iter()
             .map(|m| m.expect("round-robin deal covers every query"))
             .collect())
-    }
-
-    /// [`Rbe::replay_shared`] plus aggregation.
-    ///
-    /// # Errors
-    /// See [`Rbe::replay_shared`].
-    pub fn run_shared(
-        &self,
-        handle: &ProxyHandle,
-        trace: &Trace,
-        threads: usize,
-    ) -> Result<TraceReport, ProxyError> {
-        Ok(TraceReport::from_metrics(
-            &self.replay_shared(handle, trace, threads)?,
-        ))
     }
 }
 
@@ -177,13 +148,27 @@ mod tests {
     use funcproxy::{CostModel, ProxyConfig, Scheme, SiteOrigin};
     use std::sync::Arc;
 
-    fn proxy(scheme: Scheme) -> FunctionProxy {
-        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-        FunctionProxy::new(
+    fn site() -> SkySite {
+        SkySite::new(Catalog::generate(&CatalogSpec::small_test()))
+    }
+
+    fn handle(site: &SkySite, config: ProxyConfig, shards: usize) -> ProxyHandle {
+        ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
-            Arc::new(SiteOrigin::new(site)),
-            ProxyConfig::default().with_scheme(scheme),
+            Arc::new(SiteOrigin::new(site.clone())),
+            config,
+            shards,
         )
+    }
+
+    fn proxy(scheme: Scheme) -> ProxyHandle {
+        handle(&site(), ProxyConfig::default().with_scheme(scheme), 1)
+    }
+
+    fn free(scheme: Scheme) -> ProxyConfig {
+        ProxyConfig::default()
+            .with_scheme(scheme)
+            .with_cost(CostModel::free())
     }
 
     #[test]
@@ -193,8 +178,9 @@ mod tests {
             ..TraceSpec::small_test()
         }
         .generate();
-        let mut p = proxy(Scheme::FullSemantic);
-        let metrics = Rbe::default().replay(&mut p, &trace).unwrap();
+        let metrics = Rbe::default()
+            .replay(&proxy(Scheme::FullSemantic), &trace)
+            .unwrap();
         assert_eq!(metrics.len(), trace.len());
         let report = TraceReport::from_metrics(&metrics);
         assert_eq!(report.queries, 60);
@@ -211,12 +197,9 @@ mod tests {
         .generate();
         let rbe = Rbe::default();
 
-        let mut nc = proxy(Scheme::NoCache);
-        let mut pc = proxy(Scheme::Passive);
-        let mut ac = proxy(Scheme::FullSemantic);
-        let r_nc = rbe.run(&mut nc, &trace).unwrap();
-        let r_pc = rbe.run(&mut pc, &trace).unwrap();
-        let r_ac = rbe.run(&mut ac, &trace).unwrap();
+        let r_nc = rbe.run(&proxy(Scheme::NoCache), &trace).unwrap();
+        let r_pc = rbe.run(&proxy(Scheme::Passive), &trace).unwrap();
+        let r_ac = rbe.run(&proxy(Scheme::FullSemantic), &trace).unwrap();
 
         assert_eq!(r_nc.avg_cache_efficiency, 0.0);
         assert!(
@@ -243,27 +226,14 @@ mod tests {
         .generate();
         let rbe = Rbe::default();
 
-        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-        let handle = funcproxy::ProxyHandle::with_shards(
-            TemplateManager::with_sky_defaults(),
-            Arc::new(SiteOrigin::new(site.clone())),
-            ProxyConfig::default()
-                .with_scheme(Scheme::FullSemantic)
-                .with_cost(CostModel::free()),
-            4,
-        );
-        let metrics = rbe.replay_shared(&handle, &trace, 8).unwrap();
+        let site = site();
+        let shared = handle(&site, free(Scheme::FullSemantic), 4);
+        let metrics = rbe.replay_shared(&shared, &trace, 8).unwrap();
         assert_eq!(metrics.len(), trace.len());
 
         // Row counts per query must match a no-cache oracle replay.
-        let mut oracle = FunctionProxy::new(
-            TemplateManager::with_sky_defaults(),
-            Arc::new(SiteOrigin::new(site)),
-            ProxyConfig::default()
-                .with_scheme(Scheme::NoCache)
-                .with_cost(CostModel::free()),
-        );
-        let truth = rbe.replay(&mut oracle, &trace).unwrap();
+        let oracle = handle(&site, free(Scheme::NoCache), 1);
+        let truth = rbe.replay(&oracle, &trace).unwrap();
         for (i, (m, t)) in metrics.iter().zip(&truth).enumerate() {
             assert_eq!(m.rows_total, t.rows_total, "query {i} row count");
         }
@@ -279,25 +249,10 @@ mod tests {
         .generate();
         let rbe = Rbe::default();
 
-        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-        let mut with_array = FunctionProxy::new(
-            TemplateManager::with_sky_defaults(),
-            Arc::new(SiteOrigin::new(site.clone())),
-            ProxyConfig::default()
-                .with_scheme(Scheme::FullSemantic)
-                .with_description(DescriptionKind::Array)
-                .with_cost(CostModel::free()),
-        );
-        let mut with_rtree = FunctionProxy::new(
-            TemplateManager::with_sky_defaults(),
-            Arc::new(SiteOrigin::new(site)),
-            ProxyConfig::default()
-                .with_scheme(Scheme::FullSemantic)
-                .with_description(DescriptionKind::RTree)
-                .with_cost(CostModel::free()),
-        );
-        let a = rbe.replay(&mut with_array, &trace).unwrap();
-        let b = rbe.replay(&mut with_rtree, &trace).unwrap();
+        let site = site();
+        let with = |desc| handle(&site, free(Scheme::FullSemantic).with_description(desc), 1);
+        let a = rbe.replay(&with(DescriptionKind::Array), &trace).unwrap();
+        let b = rbe.replay(&with(DescriptionKind::RTree), &trace).unwrap();
         // Identical outcomes and identical tuple counts, query by query.
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.outcome, y.outcome);

@@ -6,7 +6,7 @@
 //! ```
 
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ fn main() {
 
     // 2. The function proxy, with the paper's full semantic caching and
     //    the built-in SkyServer templates (Radial + Rectangular forms).
-    let mut proxy = FunctionProxy::new(
+    let proxy = ProxyHandle::new(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default().with_scheme(Scheme::FullSemantic),

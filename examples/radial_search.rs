@@ -8,7 +8,7 @@
 //! ```
 
 use fp_suite::proxy::template::{FunctionTemplate, TemplateManager};
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ fn main() {
 
     // Now run the five cases through a live proxy.
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut proxy = FunctionProxy::new(
+    let proxy = ProxyHandle::new(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()
@@ -49,7 +49,7 @@ fn main() {
     );
 
     println!("=== the five relationship cases (paper §3.2) ===");
-    let run = |proxy: &mut FunctionProxy, label: &str, ra: f64, dec: f64, radius: f64| {
+    let run = |label: &str, ra: f64, dec: f64, radius: f64| {
         let before = site.load().queries;
         let r = proxy
             .handle_form("/search/radial", &fields(ra, dec, radius))
@@ -64,48 +64,22 @@ fn main() {
         );
     };
 
+    run("(d) disjoint: first query of the region", 185.0, 0.5, 25.0);
+    run("(a) exact match: the same query again", 185.0, 0.5, 25.0);
+    run("(b) containment: concentric, radius 10'", 185.0, 0.5, 10.0);
     run(
-        &mut proxy,
-        "(d) disjoint: first query of the region",
-        185.0,
-        0.5,
-        25.0,
-    );
-    run(
-        &mut proxy,
-        "(a) exact match: the same query again",
-        185.0,
-        0.5,
-        25.0,
-    );
-    run(
-        &mut proxy,
-        "(b) containment: concentric, radius 10'",
-        185.0,
-        0.5,
-        10.0,
-    );
-    run(
-        &mut proxy,
         "(c) overlap: shifted 20', radius 15'",
         185.0 + 20.0 / 60.0,
         0.5,
         15.0,
     );
     run(
-        &mut proxy,
         "(c') region containment: radius 80' cover",
         185.0,
         0.5,
         80.0,
     );
-    run(
-        &mut proxy,
-        "    …which now answers this sub-query",
-        185.1,
-        0.45,
-        18.0,
-    );
+    run("    …which now answers this sub-query", 185.1, 0.45, 18.0);
 
     let s = proxy.cache_stats();
     println!(

@@ -9,7 +9,7 @@
 //! ```
 
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ fn rect_fields(min_ra: f64, max_ra: f64, min_dec: f64, max_dec: f64) -> Vec<(Str
 
 fn main() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut proxy = FunctionProxy::new(
+    let proxy = ProxyHandle::new(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()

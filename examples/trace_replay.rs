@@ -9,7 +9,7 @@
 
 use fp_suite::proxy::cache::DescriptionKind;
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use fp_suite::trace::{classify_trace, Rbe, TraceSpec};
 use std::sync::Arc;
@@ -41,14 +41,14 @@ fn main() {
     );
     let rbe = Rbe::default();
     for scheme in Scheme::all() {
-        let mut proxy = FunctionProxy::new(
+        let proxy = ProxyHandle::new(
             TemplateManager::with_sky_defaults(),
             Arc::new(SiteOrigin::new(site.clone())),
             ProxyConfig::default()
                 .with_scheme(scheme)
                 .with_description(DescriptionKind::Array),
         );
-        let report = rbe.run(&mut proxy, &trace).expect("trace replays");
+        let report = rbe.run(&proxy, &trace).expect("trace replays");
         let stats = proxy.cache_stats();
         println!(
             "{:<22} {:>12.0} {:>12.3} {:>7.1}% {:>8} {:>10}",

@@ -25,14 +25,14 @@
 //!
 //! ```
 //! use fp_suite::proxy::template::TemplateManager;
-//! use fp_suite::proxy::{FunctionProxy, ProxyConfig, Scheme, SiteOrigin, CostModel};
+//! use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 //! use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 //! use std::sync::Arc;
 //!
 //! // An origin web site over a synthetic sky catalog…
 //! let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
 //! // …and a function proxy in front of it.
-//! let mut proxy = FunctionProxy::new(
+//! let proxy = ProxyHandle::new(
 //!     TemplateManager::with_sky_defaults(),
 //!     Arc::new(SiteOrigin::new(site)),
 //!     ProxyConfig::default().with_scheme(Scheme::FullSemantic).with_cost(CostModel::free()),

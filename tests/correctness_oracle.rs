@@ -6,7 +6,7 @@
 
 use fp_suite::proxy::cache::DescriptionKind;
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, Origin, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use fp_suite::trace::{Trace, TraceSpec};
 use std::sync::Arc;
@@ -24,9 +24,8 @@ fn make_proxy(
     scheme: Scheme,
     desc: DescriptionKind,
     capacity: Option<usize>,
-) -> FunctionProxy {
-    FunctionProxy::new(
-        TemplateManager::with_sky_defaults(),
+) -> ProxyHandle {
+    one_shard(
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()
             .with_scheme(scheme)
@@ -36,8 +35,13 @@ fn make_proxy(
     )
 }
 
+/// One shard, so a capacity bounds the whole cache as in the paper.
+fn one_shard(origin: Arc<dyn Origin>, config: ProxyConfig) -> ProxyHandle {
+    ProxyHandle::with_shards(TemplateManager::with_sky_defaults(), origin, config, 1)
+}
+
 /// Sorted objID list for each query of the trace, as served by `proxy`.
-fn answers(proxy: &mut FunctionProxy, trace: &Trace) -> Vec<Vec<i64>> {
+fn answers(proxy: &ProxyHandle, trace: &Trace) -> Vec<Vec<i64>> {
     trace
         .queries
         .iter()
@@ -80,8 +84,8 @@ fn every_scheme_matches_the_no_cache_oracle() {
     let site = site();
     let trace = oracle_trace(424242, 120);
 
-    let mut oracle_proxy = make_proxy(&site, Scheme::NoCache, DescriptionKind::Array, None);
-    let oracle = answers(&mut oracle_proxy, &trace);
+    let oracle_proxy = make_proxy(&site, Scheme::NoCache, DescriptionKind::Array, None);
+    let oracle = answers(&oracle_proxy, &trace);
 
     for scheme in [
         Scheme::Passive,
@@ -90,8 +94,8 @@ fn every_scheme_matches_the_no_cache_oracle() {
         Scheme::FullSemantic,
     ] {
         for desc in [DescriptionKind::Array, DescriptionKind::RTree] {
-            let mut proxy = make_proxy(&site, scheme, desc, None);
-            let got = answers(&mut proxy, &trace);
+            let proxy = make_proxy(&site, scheme, desc, None);
+            let got = answers(&proxy, &trace);
             for (i, (g, want)) in got.iter().zip(&oracle).enumerate() {
                 assert_eq!(
                     g, want,
@@ -108,18 +112,18 @@ fn correctness_survives_tight_caches_and_eviction() {
     let site = site();
     let trace = oracle_trace(777, 100);
 
-    let mut oracle_proxy = make_proxy(&site, Scheme::NoCache, DescriptionKind::Array, None);
-    let oracle = answers(&mut oracle_proxy, &trace);
+    let oracle_proxy = make_proxy(&site, Scheme::NoCache, DescriptionKind::Array, None);
+    let oracle = answers(&oracle_proxy, &trace);
 
     // Capacities from "almost nothing" to "a few entries".
     for capacity in [512, 8 * 1024, 64 * 1024] {
-        let mut proxy = make_proxy(
+        let proxy = make_proxy(
             &site,
             Scheme::FullSemantic,
             DescriptionKind::RTree,
             Some(capacity),
         );
-        let got = answers(&mut proxy, &trace);
+        let got = answers(&proxy, &trace);
         assert_eq!(got, oracle, "capacity {capacity} changed answers");
         assert!(
             proxy.cache_stats().bytes <= capacity,
@@ -134,17 +138,16 @@ fn correctness_holds_without_remainder_support() {
     let site = site();
     let trace = oracle_trace(31337, 80);
 
-    let mut oracle_proxy = make_proxy(&site, Scheme::NoCache, DescriptionKind::Array, None);
-    let oracle = answers(&mut oracle_proxy, &trace);
+    let oracle_proxy = make_proxy(&site, Scheme::NoCache, DescriptionKind::Array, None);
+    let oracle = answers(&oracle_proxy, &trace);
 
-    let mut proxy = FunctionProxy::new(
-        TemplateManager::with_sky_defaults(),
+    let proxy = one_shard(
         Arc::new(SiteOrigin::without_remainder(site.clone())),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
             .with_cost(CostModel::free()),
     );
-    let got = answers(&mut proxy, &trace);
+    let got = answers(&proxy, &trace);
     assert_eq!(got, oracle, "no-remainder origin changed answers");
 }
 
@@ -153,18 +156,14 @@ fn merge_fan_in_limit_does_not_change_answers() {
     let site = site();
     let trace = oracle_trace(5150, 80);
 
-    let mut oracle_proxy = make_proxy(&site, Scheme::NoCache, DescriptionKind::Array, None);
-    let oracle = answers(&mut oracle_proxy, &trace);
+    let oracle_proxy = make_proxy(&site, Scheme::NoCache, DescriptionKind::Array, None);
+    let oracle = answers(&oracle_proxy, &trace);
 
     let mut config = ProxyConfig::default()
         .with_scheme(Scheme::FullSemantic)
         .with_cost(CostModel::free());
     config.max_merge_entries = 1; // pathological fan-in bound
-    let mut proxy = FunctionProxy::new(
-        TemplateManager::with_sky_defaults(),
-        Arc::new(SiteOrigin::new(site.clone())),
-        config,
-    );
-    let got = answers(&mut proxy, &trace);
+    let proxy = one_shard(Arc::new(SiteOrigin::new(site.clone())), config);
+    let got = answers(&proxy, &trace);
     assert_eq!(got, oracle, "fan-in bound changed answers");
 }

@@ -6,7 +6,7 @@
 //! evaluation of subsumed queries stays exact).
 
 use fp_suite::proxy::template::{InfoFile, RegisteredQueryTemplate, TemplateManager};
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use fp_suite::sqlmini::QueryTemplate;
 use std::sync::Arc;
@@ -39,6 +39,17 @@ fn manager() -> TemplateManager {
     m
 }
 
+fn proxy(site: &SkySite, scheme: Scheme) -> ProxyHandle {
+    ProxyHandle::with_shards(
+        manager(),
+        Arc::new(SiteOrigin::new(site.clone())),
+        ProxyConfig::default()
+            .with_scheme(scheme)
+            .with_cost(CostModel::free()),
+        1,
+    )
+}
+
 fn fields(ra: f64, dec: f64, radius: f64) -> Vec<(String, String)> {
     vec![
         ("ra".to_string(), ra.to_string()),
@@ -57,20 +68,8 @@ fn ids(result: &fp_suite::skyserver::ResultSet) -> Vec<i64> {
 #[test]
 fn spectro_template_caches_through_all_relationship_cases() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut p = FunctionProxy::new(
-        manager(),
-        Arc::new(SiteOrigin::new(site.clone())),
-        ProxyConfig::default()
-            .with_scheme(Scheme::FullSemantic)
-            .with_cost(CostModel::free()),
-    );
-    let mut oracle = FunctionProxy::new(
-        manager(),
-        Arc::new(SiteOrigin::new(site.clone())),
-        ProxyConfig::default()
-            .with_scheme(Scheme::NoCache)
-            .with_cost(CostModel::free()),
-    );
+    let p = proxy(&site, Scheme::FullSemantic);
+    let oracle = proxy(&site, Scheme::NoCache);
 
     // Wide cone: miss, cached. (Spectra are ~15% of objects, so go wide.)
     let big = p
@@ -113,13 +112,7 @@ fn spectro_and_radial_templates_do_not_cross_answer() {
     // result must not answer a radial query (different join → different
     // row set), and vice versa.
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut p = FunctionProxy::new(
-        manager(),
-        Arc::new(SiteOrigin::new(site)),
-        ProxyConfig::default()
-            .with_scheme(Scheme::FullSemantic)
-            .with_cost(CostModel::free()),
-    );
+    let p = proxy(&site, Scheme::FullSemantic);
     let spectro = p
         .handle_form("/search/spectro", &fields(185.0, 0.0, 40.0))
         .unwrap();

@@ -8,8 +8,8 @@
 use fp_suite::proxy::resilience::{Clock, MockClock};
 use fp_suite::proxy::template::TemplateManager;
 use fp_suite::proxy::{
-    ChaosOrigin, CostModel, Fault, FunctionProxy, Origin, ProxyConfig, ProxyHandle,
-    ResilienceConfig, Scheme, SiteOrigin,
+    ChaosOrigin, CostModel, Fault, Origin, ProxyConfig, ProxyHandle, ResilienceConfig, Scheme,
+    SiteOrigin,
 };
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use proptest::prelude::*;
@@ -55,12 +55,13 @@ fn arb_query() -> impl Strategy<Value = RadialForm> {
 
 /// objID key set of one oracle (no-cache) answer.
 fn oracle_ids(queries: &[RadialForm]) -> Vec<BTreeSet<i64>> {
-    let mut oracle = FunctionProxy::new(
+    let oracle = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site().clone())),
         ProxyConfig::default()
             .with_scheme(Scheme::NoCache)
             .with_cost(CostModel::free()),
+        1,
     );
     queries
         .iter()

@@ -4,7 +4,7 @@
 
 use fp_suite::proxy::cache::DescriptionKind;
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -60,8 +60,8 @@ fn arb_query() -> impl Strategy<Value = FormQuery> {
     ]
 }
 
-fn proxy(scheme: Scheme, desc: DescriptionKind, capacity: Option<usize>) -> FunctionProxy {
-    FunctionProxy::new(
+fn proxy(scheme: Scheme, desc: DescriptionKind, capacity: Option<usize>) -> ProxyHandle {
+    ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         std::sync::Arc::new(SiteOrigin::new(site().clone())),
         ProxyConfig::default()
@@ -69,10 +69,11 @@ fn proxy(scheme: Scheme, desc: DescriptionKind, capacity: Option<usize>) -> Func
             .with_description(desc)
             .with_capacity(capacity)
             .with_cost(CostModel::free()),
+        1,
     )
 }
 
-fn run(proxy: &mut FunctionProxy, queries: &[FormQuery]) -> Vec<Vec<i64>> {
+fn run(proxy: &ProxyHandle, queries: &[FormQuery]) -> Vec<Vec<i64>> {
     queries
         .iter()
         .map(|q| {
@@ -107,7 +108,7 @@ proptest! {
     ) {
         let queries = with_repeats(queries);
         let oracle = run(
-            &mut proxy(Scheme::NoCache, DescriptionKind::Array, None),
+            &proxy(Scheme::NoCache, DescriptionKind::Array, None),
             &queries,
         );
         for scheme in [
@@ -116,12 +117,12 @@ proptest! {
             Scheme::RegionContainment,
             Scheme::FullSemantic,
         ] {
-            let got = run(&mut proxy(scheme, DescriptionKind::RTree, None), &queries);
+            let got = run(&proxy(scheme, DescriptionKind::RTree, None), &queries);
             prop_assert_eq!(&got, &oracle, "scheme {} diverged", scheme);
         }
         // And once more under eviction pressure.
         let got = run(
-            &mut proxy(Scheme::FullSemantic, DescriptionKind::Array, Some(32 * 1024)),
+            &proxy(Scheme::FullSemantic, DescriptionKind::Array, Some(32 * 1024)),
             &queries,
         );
         prop_assert_eq!(&got, &oracle, "tight cache diverged");

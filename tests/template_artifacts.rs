@@ -7,7 +7,7 @@
 use fp_suite::proxy::template::{
     FunctionTemplate, InfoFile, RegisteredQueryTemplate, TemplateManager,
 };
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use fp_suite::sqlmini::QueryTemplate;
 use fp_suite::xmlite::Element;
@@ -86,12 +86,13 @@ fn artifact_registration_resolves_and_serves() {
 
     // And the proxy built on these artifacts serves with active caching.
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut proxy = FunctionProxy::new(
+    let proxy = ProxyHandle::with_shards(
         manager,
         Arc::new(SiteOrigin::new(site)),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
             .with_cost(CostModel::free()),
+        1,
     );
     let fields = |sr: &str| {
         vec![
@@ -142,12 +143,13 @@ fn different_maxmag_values_live_in_separate_residual_groups() {
     manager.register_info(info).expect("second info registers");
 
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut proxy = FunctionProxy::new(
+    let proxy = ProxyHandle::with_shards(
         manager,
         Arc::new(SiteOrigin::new(site)),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
             .with_cost(CostModel::free()),
+        1,
     );
     let fields = vec![
         ("ra".to_string(), "185.0".to_string()),

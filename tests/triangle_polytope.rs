@@ -4,17 +4,18 @@
 //! function template at the proxy, caching included.
 
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use std::sync::Arc;
 
-fn proxy(site: &SkySite) -> FunctionProxy {
-    FunctionProxy::new(
+fn proxy(site: &SkySite, scheme: Scheme) -> ProxyHandle {
+    ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()
-            .with_scheme(Scheme::FullSemantic)
+            .with_scheme(scheme)
             .with_cost(CostModel::free()),
+        1,
     )
 }
 
@@ -39,7 +40,7 @@ fn ids(result: &fp_suite::skyserver::ResultSet) -> Vec<i64> {
 #[test]
 fn triangle_queries_cache_and_answer_correctly() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut p = proxy(&site);
+    let p = proxy(&site, Scheme::FullSemantic);
 
     // A CCW triangle over the dense stripe.
     let big = [(184.0, -0.5), (186.5, -0.5), (185.2, 1.0)];
@@ -78,13 +79,7 @@ fn triangle_queries_cache_and_answer_correctly() {
         "small triangle's bbox lies inside the big triangle, so the \
          conservative polytope check must prove containment"
     );
-    let mut oracle = FunctionProxy::new(
-        TemplateManager::with_sky_defaults(),
-        Arc::new(SiteOrigin::new(site.clone())),
-        ProxyConfig::default()
-            .with_scheme(Scheme::NoCache)
-            .with_cost(CostModel::free()),
-    );
+    let oracle = proxy(&site, Scheme::NoCache);
     let truth = oracle
         .handle_form("/search/triangle", &tri_fields(small))
         .expect("oracle");
@@ -95,7 +90,7 @@ fn triangle_queries_cache_and_answer_correctly() {
 #[test]
 fn clockwise_triangles_are_rejected_consistently() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut p = proxy(&site);
+    let p = proxy(&site, Scheme::FullSemantic);
     // Clockwise winding: the origin rejects it; the proxy surfaces that.
     let cw = [(184.0, -0.5), (185.2, 1.0), (186.5, -0.5)];
     let r = p.handle_form("/search/triangle", &tri_fields(cw));
@@ -105,7 +100,7 @@ fn clockwise_triangles_are_rejected_consistently() {
 #[test]
 fn disjoint_triangles_do_not_interfere() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut p = proxy(&site);
+    let p = proxy(&site, Scheme::FullSemantic);
     let left = [(181.0, -1.0), (182.5, -1.0), (181.7, 0.5)];
     let right = [(187.0, -1.0), (188.5, -1.0), (187.7, 0.5)];
     let a = p
