@@ -38,10 +38,11 @@ use fp_skyserver::ResultSet;
 use fp_trace::Rbe;
 use fp_xmlite::Element;
 use funcproxy::cache::DescriptionKind;
-use funcproxy::cluster::{routing_key, ClusterConfig, ClusterRouter, NodeId, NodeStatus};
+use funcproxy::cluster::{routing_key, ClusterRouter, MembershipConfig, NodeId, NodeStatus};
 use funcproxy::metrics::Outcome;
 use funcproxy::origin::CountingOrigin;
 use funcproxy::resilience::{Clock, MockClock};
+use funcproxy::runtime::RuntimeSnapshot;
 use funcproxy::template::TemplateManager;
 use funcproxy::{CostModel, Origin, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use serde::Serialize;
@@ -266,7 +267,7 @@ impl Experiment {
             .collect();
         ClusterRouter::in_process(
             handles,
-            ClusterConfig::fast_test(),
+            MembershipConfig::fast_test(),
             Arc::clone(clock) as Arc<dyn Clock>,
         )
     }
@@ -287,8 +288,8 @@ impl Experiment {
             availability: tally.answered as f64 / self.trace.len().max(1) as f64,
             hit_rate: tally.zero_origin as f64 / self.trace.len().max(1) as f64,
             origin_fetches: counting.fetches(),
-            peer_probes: router.stats().peer_probes(),
-            peer_hits: router.stats().peer_hits(),
+            peer_probes: fleet_sum(&router, |s| s.peer_probes),
+            peer_hits: fleet_sum(&router, |s| s.peer_hits),
             all_answers_sound: tally.all_sound,
         }
     }
@@ -338,7 +339,7 @@ impl Experiment {
             availability: tally.answered as f64 / self.trace.len().max(1) as f64,
             failover_ms: failover.map(|d| d.as_secs_f64() * 1000.0),
             origin_fetches: counting.fetches(),
-            peer_probe_failures: router.stats().peer_probe_failures(),
+            peer_probe_failures: fleet_sum(&router, |s| s.peer_probe_failures),
             failovers: router.stats().failovers(),
             all_answers_sound: tally.all_sound,
         }
@@ -398,19 +399,20 @@ impl Experiment {
                 owner_entry
             };
             let before = counting.fetches();
-            if let Ok(served) = router.handle_form(entry, &rbe.form_path, &fields) {
+            if let Ok((response, _)) = router.handle_form(entry, &rbe.form_path, &fields) {
                 tally.answered += 1;
                 if counting.fetches() == before {
                     tally.zero_origin += 1;
                 }
                 let oracle_ids = &oracle[&q.query_string()];
-                match parse_result(&served.response.body) {
+                let m = response.metrics;
+                match parse_result(&response.body.into_vec()) {
                     Some(result) => {
                         if !is_subset(&result, oracle_ids) {
                             tally.all_sound = false;
                         }
-                        if !served.response.metrics.degraded
-                            && !matches!(served.response.metrics.outcome, Outcome::Forwarded)
+                        if !m.degraded
+                            && !matches!(m.outcome, Outcome::Forwarded)
                             && result.len() != oracle_ids.len()
                         {
                             // A non-degraded cache answer must be complete.
@@ -425,6 +427,13 @@ impl Experiment {
         }
         tally
     }
+}
+
+/// One per-node runtime counter, summed over the fleet.
+fn fleet_sum(router: &ClusterRouter, counter: fn(&RuntimeSnapshot) -> usize) -> u64 {
+    (0..router.len())
+        .map(|i| counter(&router.node(i).runtime_stats()) as u64)
+        .sum()
 }
 
 /// Parses a served XML body back into rows (the client's view of the

@@ -38,7 +38,7 @@ use crate::Experiment;
 use fp_trace::Rbe;
 use funcproxy::cache::{IoFault, IoOp, SlabIo, TierConfig};
 use funcproxy::cluster::{
-    routing_key, ClusterConfig, ClusterRouter, LossyTransport, NodeId, NodeStatus,
+    routing_key, ClusterRouter, LossyTransport, MembershipConfig, NodeId, NodeStatus,
 };
 use funcproxy::metrics::Outcome;
 use funcproxy::origin::CountingOrigin;
@@ -299,7 +299,7 @@ impl Experiment {
             .collect();
         let (router, lossy) = ClusterRouter::in_process(
             handles,
-            ClusterConfig::fast_test(),
+            MembershipConfig::fast_test(),
             Arc::clone(&clock) as Arc<dyn Clock>,
         )
         .with_faulty_transport(|inner| {
@@ -427,9 +427,9 @@ impl Experiment {
             };
 
             match router.handle_form(entry, &rbe.form_path, &fields) {
-                Ok(served) => {
+                Ok((response, _)) => {
                     answered += 1;
-                    let m = &served.response.metrics;
+                    let m = &response.metrics;
                     if m.degraded {
                         degraded_answers += 1;
                     }
@@ -446,7 +446,7 @@ impl Experiment {
                         ));
                     }
                     let oracle_ids = &oracle[&q.query_string()];
-                    let sound = match parse_result(&served.response.body) {
+                    let sound = match parse_result(&response.body.into_vec()) {
                         Some(result) => {
                             is_subset(&result, oracle_ids)
                                 && (m.degraded

@@ -18,24 +18,29 @@
 //!   the injectable [`crate::resilience::Clock`].
 //! * [`peer`] — the transport seam ([`PeerTransport`]) plus a seeded
 //!   lossy wrapper for chaos tests.
-//! * [`router`] — the serving front: local cache → owner-cache probe
-//!   (deadline + one retry, failures feed the detector and fall
-//!   through) → local origin path. Peer trouble is never a client
-//!   error.
+//! * [`node`] — one fleet member ([`Node`]) and the only copy of the
+//!   fleet's rules: the serving path (epoch adoption → local cache →
+//!   owner-cache probe with [`PROBE_RETRIES`] retry, failures feed the
+//!   detector and fall through → local origin path), the answers to a
+//!   peer's gossip and probe, and the detector tick. Peer trouble is
+//!   never a client error.
+//! * [`router`] — N nodes in one process over a direct-call transport,
+//!   for the deterministic tests, the cluster bench and the torture
+//!   harness. A real fleet runs the same [`Node`] over HTTP
+//!   (`fp_edge::fleet`).
 
 pub mod gossip;
 pub mod membership;
+pub mod node;
 pub mod peer;
 pub mod router;
 pub mod slots;
 
 pub use gossip::{decode_digest, encode_digest, GossipEntry, NodeStatus};
 pub use membership::{Membership, MembershipConfig, MembershipEvent};
+pub use node::{Node, ServedBy, PROBE_RETRIES};
 pub use peer::{LossyTransport, PeerError, PeerTransport};
-pub use router::{
-    ClusterConfig, ClusterNode, ClusterResponse, ClusterRouter, ClusterStats, InProcessTransport,
-    ServedBy,
-};
+pub use router::{ClusterRouter, ClusterStats, InProcessTransport};
 pub use slots::{
     owner, owner_of_key, preference, routing_key, slot_of, NodeId, ROUTE_CELL, SLOT_COUNT,
 };

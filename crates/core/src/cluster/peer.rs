@@ -2,14 +2,14 @@
 //!
 //! All inter-node traffic — failure-detector pings, indirect probe
 //! requests, and cache probes on the serving path — goes through the
-//! [`PeerTransport`] trait, so the same membership and routing code
-//! runs over an in-process node table in tests (`InProcessTransport`
-//! in `router.rs`), over HTTP in the example proxy, and under injected
-//! packet loss via [`LossyTransport`] in chaos runs.
+//! [`PeerTransport`] trait, so the same [`super::Node`] runs over an
+//! in-process node table in tests ([`super::InProcessTransport`]), over
+//! HTTP in a real fleet (`fp_edge::fleet::HttpPeerTransport`), and
+//! under injected packet loss via [`LossyTransport`] in chaos runs.
 //!
 //! Transport errors are *evidence*, not failures: a [`PeerError`] from
 //! a ping feeds the failure detector, and one from a serving-path probe
-//! makes the router fall through to its local origin path. Neither ever
+//! makes the node fall through to its local origin path. Neither ever
 //! reaches a client.
 
 use std::collections::HashSet;
@@ -20,7 +20,7 @@ use std::time::Duration;
 use super::gossip::GossipEntry;
 use super::slots::NodeId;
 use crate::resilience::Clock;
-use crate::runtime::XmlResponse;
+use crate::runtime::DocResponse;
 
 /// Why a peer exchange failed. Coarse on purpose: the caller's response
 /// is the same (count it, route around it) regardless of the cause.
@@ -50,7 +50,7 @@ impl std::error::Error for PeerError {}
 
 /// How one node talks to another. Implementations must be cheap to call
 /// from the serving path and must enforce their own deadlines — a
-/// `probe` that can block unboundedly would defeat the router's
+/// `probe` that can block unboundedly would defeat the serving path's
 /// never-hang guarantee.
 pub trait PeerTransport: Send + Sync {
     /// Failure-detector ping from `from` to `to`, piggybacking `from`'s
@@ -71,7 +71,7 @@ pub trait PeerTransport: Send + Sync {
     /// origin traffic, fresh entries only) can answer `sql`.
     /// `Ok(None)` is a clean miss; `Err` is transport trouble and feeds
     /// the failure detector.
-    fn probe(&self, from: NodeId, to: NodeId, sql: &str) -> Result<Option<XmlResponse>, PeerError>;
+    fn probe(&self, from: NodeId, to: NodeId, sql: &str) -> Result<Option<DocResponse>, PeerError>;
 }
 
 /// A transport wrapper that injects network faults for chaos and
@@ -208,7 +208,7 @@ impl PeerTransport for LossyTransport {
         self.inner.ping_req(from, via, target)
     }
 
-    fn probe(&self, from: NodeId, to: NodeId, sql: &str) -> Result<Option<XmlResponse>, PeerError> {
+    fn probe(&self, from: NodeId, to: NodeId, sql: &str) -> Result<Option<DocResponse>, PeerError> {
         if self.is_blocked(from, to) {
             return Err(PeerError::Timeout);
         }
@@ -242,7 +242,7 @@ mod tests {
             _from: NodeId,
             _to: NodeId,
             _sql: &str,
-        ) -> Result<Option<XmlResponse>, PeerError> {
+        ) -> Result<Option<DocResponse>, PeerError> {
             Ok(None)
         }
     }

@@ -83,7 +83,7 @@ mod proxy {
 }
 
 pub use cache::{ProfitEstimate, ProfitModel, ProfitParams};
-pub use cluster::{ClusterConfig, ClusterResponse, ClusterRouter, NodeId, ServedBy};
+pub use cluster::{ClusterRouter, NodeId, ServedBy};
 pub use config::{ProxyConfig, SchemeChoice};
 pub use lifecycle::{Freshness, LifecycleConfig};
 pub use observe::{LatencySummary, ObserveConfig, Observer};

@@ -632,15 +632,15 @@ impl ProxyHandle {
 
     /// Counts a cluster peer-cache probe issued by this node's serving
     /// path (`hit` when the remote cache answered it). Called by the
-    /// cluster router, which owns the probe; the handle only keeps the
+    /// fleet node, which owns the probe; the handle only keeps the
     /// per-node books.
-    pub fn note_peer_probe(&self, hit: bool) {
+    pub(crate) fn note_peer_probe(&self, hit: bool) {
         self.inner.stats.note_peer_probe(hit);
     }
 
     /// Counts a peer probe that failed transport after its retries and
     /// fell through to the local origin path.
-    pub fn note_peer_probe_failure(&self) {
+    pub(crate) fn note_peer_probe_failure(&self) {
         self.inner.stats.note_peer_probe_failure();
     }
 
@@ -890,14 +890,6 @@ impl ProxyHandle {
         self.serve_xml(key)
     }
 
-    /// [`ProxyHandle::handle_sql`], served straight to response bytes.
-    ///
-    /// # Errors
-    /// Propagates resolution failures and origin errors.
-    pub fn handle_sql_xml(&self, sql: &str) -> Result<XmlResponse, ProxyError> {
-        self.handle_sql_doc(sql).map(DocResponse::flatten)
-    }
-
     /// [`ProxyHandle::handle_sql`], served to a response document.
     ///
     /// # Errors
@@ -1070,16 +1062,6 @@ impl ProxyHandle {
         self.try_cached_xml(&key)
     }
 
-    /// [`ProxyHandle::try_form_doc_cached`], flattened.
-    pub fn try_form_xml_cached<K: AsRef<str>, V: AsRef<str>>(
-        &self,
-        path: &str,
-        fields: &[(K, V)],
-    ) -> Option<XmlResponse> {
-        self.try_form_doc_cached(path, fields)
-            .map(DocResponse::flatten)
-    }
-
     /// [`ProxyHandle::try_form_doc_cached`] for raw SQL requests.
     /// Unregistered SQL always declines (it always needs the origin).
     pub fn try_sql_doc_cached(&self, sql: &str) -> Option<DocResponse> {
@@ -1087,11 +1069,6 @@ impl ProxyHandle {
             Ok(key) => self.try_cached_xml(&key),
             Err(_) => None,
         }
-    }
-
-    /// [`ProxyHandle::try_sql_doc_cached`], flattened.
-    pub fn try_sql_xml_cached(&self, sql: &str) -> Option<XmlResponse> {
-        self.try_sql_doc_cached(sql).map(DocResponse::flatten)
     }
 
     fn try_cached_xml(&self, bound: &BoundKey) -> Option<DocResponse> {

@@ -19,7 +19,9 @@
 //! * **admission control** keeps saturation cheap: a connection cap at
 //!   accept, a bounded pending-request queue in front of the pool, and
 //!   breaker-aware load shedding — all answered with an immediate
-//!   `503` + `Retry-After` instead of an unbounded thread or queue.
+//!   `503` + `Retry-After` instead of an unbounded thread or queue;
+//! * a **fleet member** ([`fleet`]) is the same service plus a
+//!   [`funcproxy::cluster::Node`] talking to its peers over HTTP.
 //!
 //! The only `unsafe` in the crate is the [`sys`] module's hand-declared
 //! epoll/eventfd/signal bindings (the build environment has no `libc`
@@ -29,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod conn;
+pub mod fleet;
 mod outq;
 pub mod pool;
 pub mod reactor;

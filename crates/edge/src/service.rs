@@ -2,6 +2,7 @@
 //! reactor and application logic, plus [`ProxyEdgeService`] — the
 //! function proxy's HTTP face wired for the reactor/worker split.
 
+use crate::fleet::Fleet;
 use crate::stats::EdgeStats;
 use fp_httpd::urlenc::parse_query_borrowed;
 use fp_httpd::{Request, Response, Router, SharedTail, Status};
@@ -42,18 +43,24 @@ impl EdgeService for Router {
 }
 
 /// The function proxy behind the nonblocking edge: the paper's two entry
-/// points (`/search/radial`, `/sql`) plus `/metrics` and `/debug/trace`,
-/// with fresh cache hits served straight off the reactor via
+/// points (`/search/radial`, `/sql`) plus `/metrics`, `/debug/trace`
+/// and the load balancer's `/healthz` and `/readyz`, with fresh cache
+/// hits served straight off the reactor via
 /// [`ProxyHandle::try_form_doc_cached`] and misses offloaded to the
 /// worker pool. Either way a document that lies in a cache entry's row
 /// slab leaves as ranges of it, not as a copy. The origin circuit
-/// breaker doubles as the load-shedding signal. A deployment that adds
-/// routes (health probes, a fleet's peer protocol) wraps this service
-/// and builds its replies with the same `*_response` functions, so every
-/// answer to a query carries one header set.
+/// breaker doubles as the load-shedding signal.
+///
+/// Built for a [`Fleet`] ([`ProxyEdgeService::fleet_member`]), the
+/// service is a fleet member: it serves the `/peer` route and sends
+/// Radial misses through [`funcproxy::cluster::Node::serve_form`] (the
+/// owner's cache before the origin). Every answer to a query, a
+/// peer-served one included, is built by the same `*_response`
+/// functions, so it carries one header set.
 pub struct ProxyEdgeService {
     handle: ProxyHandle,
     edge_stats: Arc<EdgeStats>,
+    fleet: Option<Arc<Fleet>>,
 }
 
 impl ProxyEdgeService {
@@ -62,12 +69,17 @@ impl ProxyEdgeService {
         ProxyEdgeService {
             handle,
             edge_stats: Arc::new(EdgeStats::default()),
+            fleet: None,
         }
     }
 
-    /// The wrapped handle, for a service that adds routes around this one.
-    pub fn proxy(&self) -> &ProxyHandle {
-        &self.handle
+    /// The HTTP face of a fleet member: [`Self::new`] over the member
+    /// node's handle, plus the fleet's routes.
+    pub fn fleet_member(fleet: Arc<Fleet>) -> Self {
+        ProxyEdgeService {
+            fleet: Some(Arc::clone(&fleet)),
+            ..Self::new(fleet.node().handle().clone())
+        }
     }
 
     /// The edge counter block this service appends to `/metrics`. Hand
@@ -80,7 +92,7 @@ impl ProxyEdgeService {
     /// The Radial search form's response headers, identical on the fast
     /// and offloaded paths: cache outcome, coalescing and degradation
     /// flags, and the RFC 9111 staleness warning.
-    pub fn radial_response(r: DocResponse) -> Response {
+    pub(crate) fn radial_response(r: DocResponse) -> Response {
         // Every name and value is a static string but the one number.
         let flag = |b: bool| if b { "true" } else { "false" };
         let mut resp = Self::xml_response(r.body);
@@ -99,7 +111,7 @@ impl ProxyEdgeService {
 
     /// A `200` carrying `body`: a slab document's header is the owned
     /// part of the body, its slab ranges and footer the lent tail.
-    pub fn xml_response(body: XmlBody) -> Response {
+    pub(crate) fn xml_response(body: XmlBody) -> Response {
         match body {
             XmlBody::Bytes(bytes) => Response::ok("text/xml", bytes),
             XmlBody::Doc(doc) => {
@@ -115,7 +127,7 @@ impl ProxyEdgeService {
     /// permanent rejection is `502`, anything else is the client's
     /// fault (`400`). `Retry-After` comes from
     /// [`ProxyHandle::retry_after_secs`].
-    pub fn error_response(&self, error: &ProxyError) -> Response {
+    pub(crate) fn error_response(&self, error: &ProxyError) -> Response {
         match error {
             ProxyError::Origin(e) if e.is_transient() => {
                 let mut resp = Response::error(Status::SERVICE_UNAVAILABLE, &error.to_string());
@@ -135,6 +147,41 @@ impl ProxyEdgeService {
             .into_iter()
             .find(|(k, _)| k == "cmd")
             .map(|(_, v)| v)
+    }
+
+    /// The operational routes, none of which blocks: liveness,
+    /// readiness (a flag load and the breaker's shed hint) and a peer's
+    /// cache-only owner probe. `None` for every other request, and for
+    /// the fleet's gossip and indirect-ping exchanges, which run on a
+    /// worker.
+    fn operational(&self, request: &Request) -> Option<Response> {
+        match request.path.as_str() {
+            "/healthz" => Some(Response::ok("text/plain", "ok")),
+            "/readyz" => Some(self.readiness()),
+            "/peer" => {
+                let fleet = self.fleet.as_ref()?;
+                Self::sql_command(request).map(|sql| fleet.answer_probe(&sql))
+            }
+            _ => None,
+        }
+    }
+
+    /// `503` once a drain began (SIGINT/SIGTERM, see
+    /// [`crate::sys::install_interrupt_flag`]) or while the origin
+    /// circuit breaker is open (with a `Retry-After` hint): the signal a
+    /// load balancer uses to eject a node without dropping in-flight
+    /// requests.
+    fn readiness(&self) -> Response {
+        if crate::sys::interrupted() {
+            return Response::error(Status::SERVICE_UNAVAILABLE, "draining");
+        }
+        if let Some(secs) = self.shed_hint() {
+            let mut resp =
+                Response::error(Status::SERVICE_UNAVAILABLE, "origin circuit breaker open");
+            resp.headers.set("Retry-After", secs.to_string());
+            return resp;
+        }
+        Response::ok("text/plain", "ready")
     }
 }
 
@@ -159,6 +206,9 @@ impl EdgeService for ProxyEdgeService {
             }
             "/search/radial" => {
                 let fields = parse_query_borrowed(&request.query);
+                if let Some(fleet) = &self.fleet {
+                    return fleet.serve_radial(self, &fields);
+                }
                 match self.handle.handle_form_doc("/search/radial", &fields) {
                     Ok(r) => Self::radial_response(r),
                     Err(e) => self.error_response(&e),
@@ -173,7 +223,13 @@ impl EdgeService for ProxyEdgeService {
                     Err(e) => self.error_response(&e),
                 }
             }
-            _ => Response::error(Status::NOT_FOUND, "no such route"),
+            "/peer" => match &self.fleet {
+                Some(fleet) => fleet.exchange(request),
+                None => Response::error(Status::NOT_FOUND, "not a fleet member"),
+            },
+            _ => self
+                .operational(request)
+                .unwrap_or_else(|| Response::error(Status::NOT_FOUND, "no such route")),
         }
     }
 
@@ -193,7 +249,7 @@ impl EdgeService for ProxyEdgeService {
             }
             // /metrics and /debug/trace render whole documents; keep
             // that allocation churn off the reactor.
-            _ => None,
+            _ => self.operational(request),
         }
     }
 

@@ -227,6 +227,12 @@ pub fn install_interrupt_flag() -> &'static AtomicBool {
     &INTERRUPTED
 }
 
+/// Whether a SIGINT/SIGTERM arrived since [`install_interrupt_flag`]:
+/// the process is draining.
+pub fn interrupted() -> bool {
+    INTERRUPTED.load(Ordering::Relaxed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

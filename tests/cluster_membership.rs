@@ -12,13 +12,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fp_suite::proxy::cluster::{
-    routing_key, ClusterConfig, ClusterRouter, GossipEntry, Membership, MembershipConfig,
-    MembershipEvent, NodeId, NodeStatus, PeerError, PeerTransport, ServedBy,
+    routing_key, ClusterRouter, GossipEntry, Membership, MembershipConfig, MembershipEvent, NodeId,
+    NodeStatus, PeerError, PeerTransport, ServedBy,
 };
 use fp_suite::proxy::metrics::Outcome;
 use fp_suite::proxy::resilience::MockClock;
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, SiteOrigin, XmlResponse};
+use fp_suite::proxy::{CostModel, DocResponse, ProxyConfig, ProxyHandle, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 
 const TICK: Duration = Duration::from_millis(20);
@@ -36,7 +36,7 @@ fn fleet(n: usize, clock: &Arc<MockClock>) -> ClusterRouter {
             )
         })
         .collect();
-    ClusterRouter::in_process(handles, ClusterConfig::fast_test(), clock.clone())
+    ClusterRouter::in_process(handles, MembershipConfig::fast_test(), clock.clone())
 }
 
 fn radial(ra: f64, radius: f64) -> Vec<(String, String)> {
@@ -111,8 +111,8 @@ fn partition_suspect_dead_failover_then_rejoin_reclaims_slots() {
 
     // The cluster keeps answering the victim's keys during the outage,
     // and never via the dead node.
-    let served = router.handle_form(0, "/search/radial", &fields).unwrap();
-    match served.served_by {
+    let (_, served_by) = router.handle_form(0, "/search/radial", &fields).unwrap();
+    match served_by {
         ServedBy::Local(node) | ServedBy::Peer(node) => assert_ne!(node, victim),
     }
 
@@ -158,10 +158,10 @@ fn stale_epoch_rejoiner_retires_entries_before_serving() {
 
     // Warm node 2's local cache (probe misses, local origin path
     // caches), then verify the warm hit.
-    let first = router.handle_form(2, "/search/radial", &fields).unwrap();
-    assert_eq!(first.response.metrics.outcome, Outcome::Forwarded);
-    let warm = router.handle_form(2, "/search/radial", &fields).unwrap();
-    assert_eq!(warm.response.metrics.outcome, Outcome::Exact);
+    let (first, _) = router.handle_form(2, "/search/radial", &fields).unwrap();
+    assert_eq!(first.metrics.outcome, Outcome::Forwarded);
+    let (warm, _) = router.handle_form(2, "/search/radial", &fields).unwrap();
+    assert_eq!(warm.metrics.outcome, Outcome::Exact);
 
     // Node 2 crashes; while it is gone, the fleet advances to data
     // release 5 and gossips it around.
@@ -180,9 +180,9 @@ fn stale_epoch_rejoiner_retires_entries_before_serving() {
     router.revive(2);
     run_rounds(&router, &clock, 20, |r| r.node(2).current_epoch() == 5);
     assert_eq!(router.node(2).current_epoch(), 5);
-    let after = router.handle_form(2, "/search/radial", &fields).unwrap();
+    let (after, _) = router.handle_form(2, "/search/radial", &fields).unwrap();
     assert_ne!(
-        after.response.metrics.outcome,
+        after.metrics.outcome,
         Outcome::Exact,
         "stale-epoch entry must not serve after rejoin"
     );
@@ -211,7 +211,7 @@ impl PeerTransport for DarkTransport {
         _from: NodeId,
         _to: NodeId,
         _sql: &str,
-    ) -> Result<Option<XmlResponse>, PeerError> {
+    ) -> Result<Option<DocResponse>, PeerError> {
         Err(PeerError::Timeout)
     }
 }

@@ -19,7 +19,7 @@ use fp_suite::proxy::cluster::{
     PeerTransport,
 };
 use fp_suite::proxy::resilience::{Clock, MockClock};
-use fp_suite::proxy::XmlResponse;
+use fp_suite::proxy::DocResponse;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ impl PeerTransport for AlwaysOk {
         _from: NodeId,
         _to: NodeId,
         _sql: &str,
-    ) -> Result<Option<XmlResponse>, PeerError> {
+    ) -> Result<Option<DocResponse>, PeerError> {
         Ok(None)
     }
 }
