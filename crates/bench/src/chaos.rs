@@ -308,7 +308,9 @@ impl Experiment {
             // the outage window (virtual time, so deterministic).
             if reclosed_at.is_none() {
                 let elapsed = clock.now().duration_since(t0);
-                if elapsed > outage_end && handle.runtime_stats().breaker_state == "closed" {
+                if elapsed > outage_end
+                    && handle.runtime_stats().resilience.breaker_state == "closed"
+                {
                     reclosed_at = Some(elapsed);
                 }
             }
@@ -326,12 +328,12 @@ impl Experiment {
         let _ = handle.handle_form(&rbe.form_path, &probe_fields);
 
         let snapshot = handle.runtime_stats();
-        report.origin_timeouts = snapshot.origin_timeouts;
-        report.origin_retries = snapshot.origin_retries;
-        report.origin_fast_fails = snapshot.origin_fast_fails;
-        report.breaker_opens = snapshot.breaker_opens;
-        report.final_breaker_state = snapshot.breaker_state;
-        if reclosed_at.is_none() && snapshot.breaker_state == "closed" {
+        report.origin_timeouts = snapshot.resilience.timeouts;
+        report.origin_retries = snapshot.resilience.retries;
+        report.origin_fast_fails = snapshot.resilience.fast_fails;
+        report.breaker_opens = snapshot.resilience.breaker_opens;
+        report.final_breaker_state = snapshot.resilience.breaker_state;
+        if reclosed_at.is_none() && snapshot.resilience.breaker_state == "closed" {
             // Closed by the healing probe, after the trace loop ended.
             reclosed_at = Some(clock.now().duration_since(t0));
         }

@@ -361,7 +361,7 @@ fn run_once(
         rows_scanned: metrics.iter().map(|m| m.rows_scanned).sum(),
         rows_pruned: metrics.iter().map(|m| m.rows_pruned).sum(),
         degraded_hits: snapshot.degraded_hits,
-        origin_timeouts: snapshot.origin_timeouts,
+        origin_timeouts: snapshot.resilience.timeouts,
         stale_hits: snapshot.stale_hits,
         revalidations: snapshot.revalidations,
     };

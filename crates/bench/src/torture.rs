@@ -560,9 +560,9 @@ impl Experiment {
         let mut snapshot_io_errors = 0usize;
         for n in 0..NODES {
             let s = router.node(n).runtime_stats();
-            tier_degrade_events += s.tier_degraded;
-            tier_recoveries += s.tier_recoveries;
-            slab_io_errors += s.slab_io_errors;
+            tier_degrade_events += s.cache.tier_degraded;
+            tier_recoveries += s.cache.tier_recoveries;
+            slab_io_errors += s.cache.slab_io_errors;
             read_repairs += s.read_repairs;
             snapshot_io_errors += s.snapshot_io_errors;
         }

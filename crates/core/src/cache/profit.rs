@@ -378,24 +378,13 @@ mod tests {
             outcome,
             response_ms,
             sim_ms: response_ms,
-            proxy_ms: 0.0,
-            check_ms: 0.0,
-            local_ms: 0.0,
             rows_total: 100,
             rows_from_cache: if outcome == Outcome::Forwarded {
                 0
             } else {
                 100
             },
-            coalesced: false,
-            lock_wait_ms: 0.0,
-            rows_scanned: 0,
-            rows_pruned: 0,
-            local_fallback: false,
-            degraded: false,
-            stale: false,
-            entry_age_ms: 0.0,
-            disk_hit: false,
+            ..QueryMetrics::default()
         }
     }
 

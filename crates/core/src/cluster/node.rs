@@ -14,7 +14,10 @@
 //!    edge routes keys to their owners).
 //! 3. **Owner probe** — on a miss, hash the routing key (residual key
 //!    plus coarse spatial cell) to its slot and probe the owning peer's
-//!    cache (fresh-only, zero origin traffic). The probe gets
+//!    cache (fresh-only, zero origin traffic). The probe carries this
+//!    node's epoch, which the owner adopts before it looks (so a probe
+//!    never serves an answer from before a release the entry node
+//!    knows about, and a release spreads faster than gossip). It gets
 //!    [`PROBE_RETRIES`] retries, then the failure feeds the failure
 //!    detector and the request *falls through* — peers can make a
 //!    request cheaper, never make it fail.
@@ -156,7 +159,9 @@ impl Node {
         sql: &str,
     ) -> Option<DocResponse> {
         let started = Instant::now();
-        let outcome = (0..=PROBE_RETRIES).find_map(|_| transport.probe(self.id, owner, sql).ok());
+        let epoch = self.handle.current_epoch();
+        let outcome =
+            (0..=PROBE_RETRIES).find_map(|_| transport.probe(self.id, owner, sql, epoch).ok());
         let ms = started.elapsed().as_secs_f64() * 1000.0;
         self.handle
             .observer()
@@ -203,8 +208,11 @@ impl Node {
     }
 
     /// Answers a peer's owner probe from fresh local entries alone,
-    /// never the origin. `None` is a clean miss.
-    pub fn answer_probe(&self, sql: &str) -> Option<DocResponse> {
+    /// never the origin, after adopting the prober's data-release
+    /// `epoch` when it is ahead of ours (retiring our older entries).
+    /// `None` is a clean miss.
+    pub fn answer_probe(&self, sql: &str, epoch: u64) -> Option<DocResponse> {
+        self.handle.set_epoch(epoch);
         self.handle.try_sql_doc_cached(sql)
     }
 
@@ -289,14 +297,53 @@ mod tests {
             Err(PeerError::Timeout)
         }
 
-        fn probe(&self, _: NodeId, _: NodeId, _: &str) -> Result<Option<DocResponse>, PeerError> {
+        fn probe(
+            &self,
+            _: NodeId,
+            _: NodeId,
+            _: &str,
+            _: u64,
+        ) -> Result<Option<DocResponse>, PeerError> {
             self.probes.fetch_add(1, Ordering::Relaxed);
             Err(PeerError::Timeout)
         }
     }
 
+    /// Delivers every probe to one owner's [`Node::answer_probe`].
+    struct ProbeTo<'a>(&'a Node);
+
+    impl PeerTransport for ProbeTo<'_> {
+        fn ping(
+            &self,
+            _: NodeId,
+            _: NodeId,
+            _: &[GossipEntry],
+        ) -> Result<Vec<GossipEntry>, PeerError> {
+            Err(PeerError::Timeout)
+        }
+
+        fn ping_req(&self, _: NodeId, _: NodeId, _: NodeId) -> Result<(), PeerError> {
+            Err(PeerError::Timeout)
+        }
+
+        fn probe(
+            &self,
+            _: NodeId,
+            _: NodeId,
+            sql: &str,
+            epoch: u64,
+        ) -> Result<Option<DocResponse>, PeerError> {
+            Ok(self.0.answer_probe(sql, epoch))
+        }
+    }
+
     /// Node 0 of an `n`-node fleet, on a virtual clock.
     fn node(n: u16) -> Node {
+        node_of(0, n)
+    }
+
+    /// Node `id` of an `n`-node fleet, on a virtual clock.
+    fn node_of(id: u16, n: u16) -> Node {
         let clock = MockClock::shared();
         let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
         let handle = ProxyHandle::with_shards_clocked(
@@ -308,7 +355,7 @@ mod tests {
         );
         let peers: Vec<NodeId> = (0..n).map(NodeId).collect();
         Node::new(
-            NodeId(0),
+            NodeId(id),
             handle,
             &peers,
             MembershipConfig::fast_test(),
@@ -389,6 +436,35 @@ mod tests {
             .unwrap();
         assert_eq!(node.handle().current_epoch(), 4);
         assert_ne!(after.metrics.outcome, Outcome::Exact, "stale entry served");
+    }
+
+    #[test]
+    fn an_owner_probe_never_serves_from_before_the_entry_nodes_epoch() {
+        let (a, b) = (node_of(0, 2), node_of(1, 2));
+        let fields = (0..200)
+            .map(|step| radial(120.0 + f64::from(step)))
+            .find(|fields| {
+                let bound = a.handle().manager().bind_form("/search/radial", fields);
+                let key = bound.map(|b| routing_key(&b.residual_key, &b.region));
+                key.ok().and_then(|k| owner_of_key(&k, &a.live_nodes())) == Some(NodeId(1))
+            })
+            .expect("some key is owned by node 1");
+        b.handle()
+            .handle_form_doc("/search/radial", &fields)
+            .unwrap();
+
+        // The entry node learned of release 4; the owner is still at 0.
+        a.handle().set_epoch(4);
+        let (response, served_by) = a
+            .serve_form(&ProbeTo(&b), "/search/radial", &fields)
+            .unwrap();
+        assert_eq!(
+            served_by,
+            ServedBy::Local(NodeId(0)),
+            "no pre-release answer"
+        );
+        assert_eq!(response.metrics.outcome, Outcome::Forwarded);
+        assert_eq!(b.handle().current_epoch(), 4, "the probe carried the epoch");
     }
 
     #[test]

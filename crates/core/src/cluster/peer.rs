@@ -68,10 +68,17 @@ pub trait PeerTransport: Send + Sync {
     fn ping_req(&self, from: NodeId, via: NodeId, target: NodeId) -> Result<(), PeerError>;
 
     /// Serving-path cache probe: ask `to` whether its cache alone (no
-    /// origin traffic, fresh entries only) can answer `sql`.
+    /// origin traffic, fresh entries only) can answer `sql`, once it has
+    /// adopted `from`'s data-release `epoch`.
     /// `Ok(None)` is a clean miss; `Err` is transport trouble and feeds
     /// the failure detector.
-    fn probe(&self, from: NodeId, to: NodeId, sql: &str) -> Result<Option<DocResponse>, PeerError>;
+    fn probe(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        sql: &str,
+        epoch: u64,
+    ) -> Result<Option<DocResponse>, PeerError>;
 }
 
 /// A transport wrapper that injects network faults for chaos and
@@ -208,12 +215,18 @@ impl PeerTransport for LossyTransport {
         self.inner.ping_req(from, via, target)
     }
 
-    fn probe(&self, from: NodeId, to: NodeId, sql: &str) -> Result<Option<DocResponse>, PeerError> {
+    fn probe(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        sql: &str,
+        epoch: u64,
+    ) -> Result<Option<DocResponse>, PeerError> {
         if self.is_blocked(from, to) {
             return Err(PeerError::Timeout);
         }
         self.deliver()?;
-        self.inner.probe(from, to, sql)
+        self.inner.probe(from, to, sql, epoch)
     }
 }
 
@@ -242,6 +255,7 @@ mod tests {
             _from: NodeId,
             _to: NodeId,
             _sql: &str,
+            _epoch: u64,
         ) -> Result<Option<DocResponse>, PeerError> {
             Ok(None)
         }
@@ -268,7 +282,7 @@ mod tests {
         for _ in 0..100 {
             assert!(clean.ping_req(NodeId(0), NodeId(1), NodeId(2)).is_ok());
             assert!(matches!(
-                dead.probe(NodeId(0), NodeId(1), "SELECT 1"),
+                dead.probe(NodeId(0), NodeId(1), "SELECT 1", 0),
                 Err(PeerError::Timeout)
             ));
         }

@@ -128,14 +128,20 @@ impl PeerTransport for InProcessTransport {
         Ok(())
     }
 
-    fn probe(&self, from: NodeId, to: NodeId, sql: &str) -> Result<Option<DocResponse>, PeerError> {
+    fn probe(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        sql: &str,
+        epoch: u64,
+    ) -> Result<Option<DocResponse>, PeerError> {
         if self.is_down(from) || self.is_down(to) {
             return Err(PeerError::Timeout);
         }
         let target = self
             .node(to)
             .ok_or_else(|| PeerError::Unreachable(format!("{to} unknown")))?;
-        Ok(target.answer_probe(sql))
+        Ok(target.answer_probe(sql, epoch))
     }
 }
 

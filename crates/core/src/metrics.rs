@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 /// How one query was ultimately answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Outcome {
     /// Served whole from one cached entry (exact match).
     Exact,
@@ -22,6 +22,7 @@ pub enum Outcome {
     /// General overlap: probe + remainder merge.
     Overlap,
     /// Forwarded to the origin (disjoint, inactive scheme, or fallback).
+    #[default]
     Forwarded,
 }
 
@@ -39,7 +40,7 @@ impl Outcome {
 }
 
 /// Everything recorded about one query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueryMetrics {
     /// How the query was answered.
     pub outcome: Outcome,
@@ -233,20 +234,10 @@ mod tests {
             outcome,
             response_ms: response,
             sim_ms: response,
-            proxy_ms: 0.0,
             check_ms: 1.0,
-            local_ms: 0.0,
             rows_total: total,
             rows_from_cache: cached,
-            coalesced: false,
-            lock_wait_ms: 0.0,
-            rows_scanned: 0,
-            rows_pruned: 0,
-            local_fallback: false,
-            degraded: false,
-            stale: false,
-            entry_age_ms: 0.0,
-            disk_hit: false,
+            ..QueryMetrics::default()
         }
     }
 

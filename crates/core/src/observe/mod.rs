@@ -9,12 +9,16 @@
 //! ([`span::SpanRecorder`]). Everything is exported three ways: merged
 //! quantiles in [`crate::runtime::RuntimeSnapshot`], Prometheus text
 //! via [`Observer::render_prometheus`], and chrome://tracing / JSONL
-//! span dumps.
+//! span dumps. Counters and gauges are declared once each in a
+//! [`registry`] counter set, which derives their snapshot fields,
+//! shard sums and Prometheus families.
 
 pub mod hist;
+pub mod registry;
 pub mod span;
 
 pub use hist::{HistogramSnapshot, LatencyHistogram};
+pub use registry::Registry;
 pub use span::{trace_active, SpanRecord, SpanRecorder, TraceGuard};
 
 use crate::metrics::Outcome;
@@ -419,8 +423,8 @@ impl Observer {
     /// Renders every histogram family in the Prometheus text
     /// exposition format (version 0.0.4):
     /// `funcproxy_phase_latency_seconds{phase,path}` and
-    /// `funcproxy_request_latency_seconds{class}`. Counter families
-    /// come from [`crate::runtime::RuntimeSnapshot::render_prometheus`];
+    /// `funcproxy_request_latency_seconds{class}`. Counter and gauge
+    /// families come from [`registry::render_prometheus`];
     /// `ProxyHandle::metrics_text` concatenates both.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(64 * 1024);

@@ -29,41 +29,46 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Cumulative counters of the resilience layer, updated lock-free.
-#[derive(Debug, Default)]
-struct Stats {
-    attempts: AtomicU64,
-    retries: AtomicU64,
-    timeouts: AtomicU64,
-    fast_fails: AtomicU64,
-}
+crate::counters! {
+    /// A point-in-time copy of the resilience counters plus the breaker's
+    /// state, for reports and runtime snapshots.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+    pub struct ResilienceSnapshot {
+        /// Origin `execute` calls actually attempted.
+        attempts: u64 [AtomicU64] => counter("funcproxy_origin_attempts_total",
+            "Origin fetch attempts made by the resilience layer.");
+        /// Attempts beyond the first for a request (backoff retries).
+        retries: u64 [AtomicU64] => counter("funcproxy_origin_retries_total",
+            "Origin retries issued by the resilience layer.");
+        /// Requests whose deadline expired (attempt answered too late or
+        /// not at all).
+        timeouts: u64 [AtomicU64] => counter("funcproxy_origin_timeouts_total",
+            "Origin fetches whose deadline expired.");
+        /// Fetches rejected without a network attempt because the circuit
+        /// was open.
+        fast_fails: u64 [AtomicU64] => counter("funcproxy_origin_fast_fails_total",
+            "Origin fetches failed fast because the circuit was open.");
+        /// Times the circuit opened.
+        breaker_opens: u64 => counter("funcproxy_breaker_opens_total",
+            "Times the circuit breaker opened.");
+        /// The breaker's state at snapshot time; exported by
+        /// [`ResilienceSnapshot::render_breaker_open`].
+        breaker_state: &'static str;
+        /// Milliseconds until an open breaker admits its next probe; `0`
+        /// unless the breaker is open. The live `Retry-After` hint.
+        breaker_retry_after_ms: u64 => gauge("funcproxy_breaker_retry_after_ms",
+            "Milliseconds until an open circuit breaker admits its next probe.");
+        /// The backoff delay this layer would prescribe before the next
+        /// retry, in milliseconds: the most recent delay actually slept,
+        /// or the configured base before any retry has happened. The
+        /// `Retry-After` fallback when the breaker is *not* open.
+        backoff_hint_ms: u64 => gauge("funcproxy_origin_backoff_hint_ms",
+            "Next origin retry backoff delay.");
+    }
 
-/// A point-in-time copy of the resilience counters plus the breaker's
-/// state, for reports and runtime snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct ResilienceSnapshot {
-    /// Origin `execute` calls actually attempted.
-    pub attempts: u64,
-    /// Attempts beyond the first for a request (backoff retries).
-    pub retries: u64,
-    /// Requests whose deadline expired (attempt answered too late or
-    /// not at all).
-    pub timeouts: u64,
-    /// Fetches rejected without a network attempt because the circuit
-    /// was open.
-    pub fast_fails: u64,
-    /// Times the circuit opened.
-    pub breaker_opens: u64,
-    /// The breaker's state at snapshot time.
-    pub breaker_state: &'static str,
-    /// Milliseconds until an open breaker admits its next probe; `0`
-    /// unless the breaker is open. The live `Retry-After` hint.
-    pub breaker_retry_after_ms: u64,
-    /// The backoff delay this layer would prescribe before the next
-    /// retry, in milliseconds: the most recent delay actually slept,
-    /// or the configured base before any retry has happened. The
-    /// `Retry-After` fallback when the breaker is *not* open.
-    pub backoff_hint_ms: u64,
+    /// Cumulative counters of the resilience layer, updated lock-free.
+    #[derive(Debug, Default)]
+    pub struct ResilienceStats loads Relaxed;
 }
 
 impl Default for ResilienceSnapshot {
@@ -81,6 +86,22 @@ impl Default for ResilienceSnapshot {
     }
 }
 
+impl ResilienceSnapshot {
+    /// Appends `funcproxy_breaker_open{state}`, the one family whose
+    /// label value is a runtime string, in Prometheus text format.
+    pub fn render_breaker_open(&self, out: &mut String) {
+        use std::fmt::Write;
+        let _ = writeln!(
+            out,
+            "# HELP funcproxy_breaker_open Whether the circuit breaker is open.\n\
+             # TYPE funcproxy_breaker_open gauge\n\
+             funcproxy_breaker_open{{state=\"{}\"}} {}",
+            self.breaker_state,
+            u8::from(self.breaker_state == "open"),
+        );
+    }
+}
+
 /// The fault-tolerant origin decorator. Cheap to share (`Arc`), safe
 /// from any thread.
 pub struct ResilientOrigin {
@@ -89,7 +110,7 @@ pub struct ResilientOrigin {
     clock: Arc<dyn Clock>,
     breaker: CircuitBreaker,
     backoff: Mutex<Backoff>,
-    stats: Stats,
+    stats: ResilienceStats,
     /// Most recent backoff delay slept, ms (0 = no retry yet).
     last_backoff_ms: AtomicU64,
     /// Optional observe hook: backoff-wait histogram + attempt spans.
@@ -124,7 +145,7 @@ impl ResilientOrigin {
             clock,
             breaker,
             backoff,
-            stats: Stats::default(),
+            stats: ResilienceStats::default(),
             last_backoff_ms: AtomicU64::new(0),
             observer: None,
         }
@@ -147,10 +168,6 @@ impl ResilientOrigin {
     pub fn snapshot(&self) -> ResilienceSnapshot {
         let last_backoff = self.last_backoff_ms.load(Ordering::Relaxed);
         ResilienceSnapshot {
-            attempts: self.stats.attempts.load(Ordering::Relaxed),
-            retries: self.stats.retries.load(Ordering::Relaxed),
-            timeouts: self.stats.timeouts.load(Ordering::Relaxed),
-            fast_fails: self.stats.fast_fails.load(Ordering::Relaxed),
             breaker_opens: self.breaker.opens(),
             breaker_state: self.breaker.state().label(),
             breaker_retry_after_ms: self
@@ -166,6 +183,7 @@ impl ResilientOrigin {
                     .try_into()
                     .unwrap_or(u64::MAX)
             },
+            ..self.stats.snapshot()
         }
     }
 

@@ -325,20 +325,8 @@ mod tests {
                 outcome: Outcome::Forwarded,
                 response_ms: 1.0,
                 sim_ms: 1.0,
-                proxy_ms: 0.0,
-                check_ms: 0.0,
-                local_ms: 0.0,
                 rows_total: rows,
-                rows_from_cache: 0,
-                coalesced: false,
-                lock_wait_ms: 0.0,
-                rows_scanned: 0,
-                rows_pruned: 0,
-                local_fallback: false,
-                degraded: false,
-                stale: false,
-                entry_age_ms: 0.0,
-                disk_hit: false,
+                ..QueryMetrics::default()
             },
         }
     }

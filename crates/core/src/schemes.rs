@@ -71,6 +71,16 @@ impl Scheme {
         }
     }
 
+    /// Each scheme's stable name (its `Display` form and its
+    /// `scheme` metric label), indexed by [`Scheme::index`].
+    pub const LABELS: [&'static str; 5] = [
+        "no-cache",
+        "passive",
+        "full-semantic",
+        "region-containment",
+        "containment-only",
+    ];
+
     /// All five schemes, in the paper's presentation order.
     pub fn all() -> [Scheme; 5] {
         [
@@ -85,13 +95,7 @@ impl Scheme {
 
 impl std::fmt::Display for Scheme {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Scheme::NoCache => "no-cache",
-            Scheme::Passive => "passive",
-            Scheme::FullSemantic => "full-semantic",
-            Scheme::RegionContainment => "region-containment",
-            Scheme::ContainmentOnly => "containment-only",
-        })
+        f.write_str(Scheme::LABELS[self.index()])
     }
 }
 

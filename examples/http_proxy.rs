@@ -62,9 +62,9 @@
 //! `ClusterRouter` runs, talking to its peers over HTTP. A
 //! background thread runs its SWIM failure detector, pinging one peer
 //! per second through `GET /peer?gossip=…`. On a local cache miss the
-//! node probes the owning peer's cache (`GET /peer?cmd=…`, cache-only,
-//! tight deadline, one retry) before paying for an origin fetch; a
-//! peer-served reply carries `X-Served-By: node<k>`. Probe failures
+//! node probes the owning peer's cache (`GET /peer?cmd=…&epoch=…`,
+//! cache-only, tight deadline, one retry) before paying for an origin
+//! fetch; a peer-served reply carries `X-Served-By: node<k>`. Probe failures
 //! suspect the peer — failing its slots over to the next node in each
 //! slot's preference chain — and fall through to the local origin
 //! path, so peer trouble is never a client error.

@@ -211,6 +211,7 @@ impl PeerTransport for DarkTransport {
         _from: NodeId,
         _to: NodeId,
         _sql: &str,
+        _epoch: u64,
     ) -> Result<Option<DocResponse>, PeerError> {
         Err(PeerError::Timeout)
     }

@@ -96,7 +96,7 @@ fn unavailability_on_a_cold_cache_retries_then_fails() {
         "got {err:?}"
     );
     assert_eq!(chaos.calls(), 2, "one attempt + one retry");
-    assert_eq!(handle.runtime_stats().origin_retries, 1);
+    assert_eq!(handle.runtime_stats().resilience.retries, 1);
 }
 
 #[test]
@@ -118,7 +118,7 @@ fn latency_spike_past_the_deadline_is_a_timeout() {
         1,
         "an overdue fetch must not be retried — the budget is spent"
     );
-    assert_eq!(handle.runtime_stats().origin_timeouts, 1);
+    assert_eq!(handle.runtime_stats().resilience.timeouts, 1);
     assert_eq!(clock.elapsed(), Duration::from_millis(150));
 }
 
@@ -132,7 +132,7 @@ fn breaker_opens_sheds_load_and_recloses_after_the_cooldown() {
     for dec in [10.0, 20.0] {
         let _ = handle.handle_form_xml("/search/radial", &radial(200.0, dec, 2.0));
     }
-    assert_eq!(handle.runtime_stats().breaker_state, "open");
+    assert_eq!(handle.runtime_stats().resilience.breaker_state, "open");
     let calls_when_open = chaos.calls();
 
     // While open: fast-fail with a Retry-After hint, no origin traffic.
@@ -147,7 +147,7 @@ fn breaker_opens_sheds_load_and_recloses_after_the_cooldown() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
     assert_eq!(chaos.calls(), calls_when_open, "open breaker sheds load");
-    assert!(handle.runtime_stats().origin_fast_fails >= 1);
+    assert!(handle.runtime_stats().resilience.fast_fails >= 1);
 
     // Heal the origin, let the cooldown lapse: the half-open probe
     // succeeds and the circuit recloses.
@@ -156,8 +156,8 @@ fn breaker_opens_sheds_load_and_recloses_after_the_cooldown() {
     assert!(handle
         .handle_form_xml("/search/radial", &radial(200.0, 40.0, 2.0))
         .is_ok());
-    assert_eq!(handle.runtime_stats().breaker_state, "closed");
-    assert!(handle.runtime_stats().breaker_opens >= 1);
+    assert_eq!(handle.runtime_stats().resilience.breaker_state, "closed");
+    assert!(handle.runtime_stats().resilience.breaker_opens >= 1);
 }
 
 #[test]

@@ -179,3 +179,28 @@ fn a_dead_owner_is_suspected_and_the_request_still_succeeds() {
     );
     assert_eq!(members[entry].origin.fetches(), 1);
 }
+
+#[test]
+fn an_owner_behind_the_entry_nodes_epoch_adopts_it_before_answering_a_probe() {
+    let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+    let members = boot(&site);
+    let (fields, owner) = owned_request();
+    let entry = (owner + 1) % NODES;
+
+    assert!(members[owner].get(&url(&fields)).status.is_success());
+    // The entry node learned of release 4; the owner is still at 0.
+    members[entry].fleet.node().handle().set_epoch(4);
+    let reply = members[entry].get(&url(&fields));
+    assert_eq!(reply.status.0, 200);
+    assert_eq!(
+        reply.headers.get("X-Served-By"),
+        None,
+        "the owner's pre-release entry must not answer"
+    );
+    assert_eq!(members[owner].fleet.node().handle().current_epoch(), 4);
+    assert_eq!(
+        members[entry].origin.fetches(),
+        1,
+        "served by the entry node"
+    );
+}

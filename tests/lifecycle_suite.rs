@@ -139,7 +139,7 @@ fn epoch_bump_invalidates_every_pre_bump_entry() {
     assert_eq!(retired, 2, "every pre-bump entry is retired");
     assert_eq!(handle.cache_stats().entries, 0);
     assert_eq!(handle.current_epoch(), 2);
-    assert_eq!(handle.runtime_stats().epoch_invalidations, 2);
+    assert_eq!(handle.runtime_stats().cache.epoch_invalidations, 2);
     // A stale epoch is refused: bumping backwards is a no-op.
     assert_eq!(handle.set_epoch(1), 0);
     assert_eq!(handle.current_epoch(), 2);
@@ -225,7 +225,10 @@ fn stale_if_error_extends_expired_entries_through_an_outage() {
         assert_eq!(r.body, warm.body);
     }
     let stats = handle.runtime_stats();
-    assert!(stats.breaker_opens >= 1, "the outage must trip the breaker");
+    assert!(
+        stats.resilience.breaker_opens >= 1,
+        "the outage must trip the breaker"
+    );
     assert!(stats.stale_hits >= 1);
     let open = handle
         .handle_form_xml("/search/radial", &q)

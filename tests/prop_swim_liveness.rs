@@ -46,6 +46,7 @@ impl PeerTransport for AlwaysOk {
         _from: NodeId,
         _to: NodeId,
         _sql: &str,
+        _epoch: u64,
     ) -> Result<Option<DocResponse>, PeerError> {
         Ok(None)
     }

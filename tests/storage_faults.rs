@@ -128,15 +128,15 @@ fn enospc_degrades_to_eviction_only_with_full_availability() {
     handle.quiesce_revalidations();
     let mid = handle.runtime_stats();
     assert!(
-        mid.tier_degraded >= 1,
+        mid.cache.tier_degraded >= 1,
         "persistent ENOSPC must trip eviction-only mode"
     );
     assert!(
-        mid.slab_io_errors >= 1,
+        mid.cache.slab_io_errors >= 1,
         "failed appends must be counted, got {}",
-        mid.slab_io_errors
+        mid.cache.slab_io_errors
     );
-    assert_eq!(mid.tier_recoveries, 0, "disk has not healed yet");
+    assert_eq!(mid.cache.tier_recoveries, 0, "disk has not healed yet");
 
     // The disk heals. Demotion pressure continues; within a few passes
     // a re-probe append lands and the tier recovers.
@@ -152,10 +152,10 @@ fn enospc_degrades_to_eviction_only_with_full_availability() {
     handle.quiesce_revalidations();
     let end = handle.runtime_stats();
     assert!(
-        end.tier_recoveries >= 1,
+        end.cache.tier_recoveries >= 1,
         "the re-probe must detect the healed disk (degraded={}, io_errors={})",
-        end.tier_degraded,
-        end.slab_io_errors
+        end.cache.tier_degraded,
+        end.cache.slab_io_errors
     );
     assert!(
         handle.cache_stats().demotions > 0,
