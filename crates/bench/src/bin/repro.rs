@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--objects N] [--queries N] [--seed S] [--threads K] [--json] <experiment>...
+//! repro [--objects N] [--queries N] [--seed S] [--json] <experiment>...
 //!
 //! experiments:
 //!   trace-stats   §4.1 relationship census of the Radial trace
@@ -12,27 +12,16 @@
 //!   replacement   extension: replacement-policy ablation at 1/6 cache size
 //!   coverage      extension: overlap coverage-threshold ablation
 //!   checktime     §4.2 cache-checking time, array vs R-tree
-//!   throughput    extension: multi-client qps/latency over the concurrent
-//!                 runtime, sweeping client counts up to --threads (default 8),
-//!                 then the tiered and edge sweeps below
-//!   tiered        extension: hit rate vs RAM budget — RAM-only vs the
-//!                 disk-backed tier at equal RAM, with disk-tier hit latency
-//!   edge          extension: qps and tail latency of the nonblocking edge
-//!                 server over real sockets, sweeping keep-alive connection
-//!                 counts 64, 128, … up to --edge-conns (default 256)
-//!   chaos         extension: availability under a mid-trace origin outage
-//!                 with deadlines, retries and the circuit breaker engaged
-//!                 (`--chaos` is an alias)
-//!   cluster       extension: proxy-fleet sweep over 1, 2, 4, … up to
-//!                 --nodes (default 8) slot-sharded peers with gossip
-//!                 membership, plus a mid-trace peer kill on a 3-node fleet
 //!   torture       extension: seeded whole-stack torture runs — origin
 //!                 outage, packet loss/delay, an asymmetric partition,
 //!                 slab I/O faults and corruption, and a mid-trace
 //!                 kill/revive, with soundness/staleness/availability/
 //!                 durability oracles. Replays the committed seed corpus;
 //!                 with an explicit --seed N, replays exactly that seed
-//!                 (byte-deterministically) and prints its event log
+//!                 (byte-deterministically) and prints its event log.
+//!                 Exits 1, naming the seed, if any run breaks soundness
+//!                 or the staleness bound, answers below the
+//!                 availability floor, or restarts cold
 //!   adaptive      extension: adaptive scheme selection vs every static
 //!                 scheme under cost-aware replacement, on the standard
 //!                 and a Zipf-skewed trace, every answer checked against
@@ -40,16 +29,27 @@
 //!   all           everything above
 //! ```
 
-use fp_bench::{conn_sweep, fleet_sweep, thread_sweep, Experiment, Scale, SEED_CORPUS};
-use std::time::Duration;
+use fp_bench::{Experiment, Scale, AVAILABILITY_FLOOR, SEED_CORPUS};
+
+/// Every experiment name `repro` accepts.
+const EXPERIMENTS: [&str; 11] = [
+    "trace-stats",
+    "table1",
+    "figure5",
+    "figure6",
+    "compaction",
+    "replacement",
+    "coverage",
+    "checktime",
+    "torture",
+    "adaptive",
+    "all",
+];
 
 fn main() {
     let mut scale = Scale::default();
     let mut seed_set = false;
     let mut json = false;
-    let mut threads = 8usize;
-    let mut edge_conns = 256usize;
-    let mut nodes = 8usize;
     let mut experiments: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -61,11 +61,7 @@ fn main() {
                 scale.seed = parse_num(args.next(), "--seed") as u64;
                 seed_set = true;
             }
-            "--threads" => threads = parse_num(args.next(), "--threads"),
-            "--edge-conns" => edge_conns = parse_num(args.next(), "--edge-conns"),
-            "--nodes" => nodes = parse_num(args.next(), "--nodes"),
             "--json" => json = true,
-            "--chaos" => experiments.push("chaos".to_string()),
             "--adaptive" => experiments.push("adaptive".to_string()),
             "--help" | "-h" => {
                 print_usage();
@@ -76,7 +72,12 @@ fn main() {
                 print_usage();
                 std::process::exit(2);
             }
-            exp => experiments.push(exp.to_string()),
+            exp if EXPERIMENTS.contains(&exp) => experiments.push(exp.to_string()),
+            unknown => {
+                eprintln!("unknown experiment `{unknown}`");
+                print_usage();
+                std::process::exit(2);
+            }
         }
     }
     if experiments.is_empty() {
@@ -138,64 +139,6 @@ fn main() {
         let t = exp.checktime();
         print_block(json, &t, &serde_json::to_string(&t).expect("serializes"));
     }
-    // The budget sweep rides along with `throughput` (its rows are a
-    // section of the hit-latency artifact) and runs alone as `tiered`.
-    if want("throughput") || want("tiered") {
-        let sweep = exp.budget_sweep(threads);
-        print_block(
-            json,
-            &sweep,
-            &serde_json::to_string(&sweep).expect("serializes"),
-        );
-        let t = exp.throughput(&thread_sweep(threads), Duration::from_millis(5));
-        print_block(json, &t, &serde_json::to_string(&t).expect("serializes"));
-        // Persist the hit-path trajectory (plus the budget sweep) so
-        // successive changes to the columnar and disk-tier serve paths
-        // can be compared on fixed axes.
-        let report = t.hit_latency(&sweep);
-        let path = "BENCH_hit_latency.json";
-        match std::fs::write(path, serde_json::to_string(&report).expect("serializes")) {
-            Ok(()) => eprintln!("# wrote {path}"),
-            Err(e) => eprintln!("# could not write {path}: {e}"),
-        }
-        // Persist the per-phase/per-outcome latency quantiles from the
-        // runtime's histograms — the same distributions `/metrics`
-        // exposes, on fixed axes for run-over-run comparison.
-        let percentiles = t.latency_percentiles();
-        let path = "BENCH_latency_percentiles.json";
-        match std::fs::write(
-            path,
-            serde_json::to_string(&percentiles).expect("serializes"),
-        ) {
-            Ok(()) => eprintln!("# wrote {path}"),
-            Err(e) => eprintln!("# could not write {path}: {e}"),
-        }
-    }
-    // The edge sweep rides along with `throughput` (both answer "what
-    // does concurrency cost"), and runs alone as `edge`.
-    if want("edge") || want("throughput") {
-        let t = exp.edge_concurrency(&conn_sweep(edge_conns), Duration::from_millis(5));
-        print_block(json, &t, &serde_json::to_string(&t).expect("serializes"));
-        // Persist qps + tail latency vs connection count so edge changes
-        // can be compared run over run.
-        let path = "BENCH_edge_concurrency.json";
-        match std::fs::write(path, serde_json::to_string(&t).expect("serializes")) {
-            Ok(()) => eprintln!("# wrote {path}"),
-            Err(e) => eprintln!("# could not write {path}: {e}"),
-        }
-    }
-    if want("chaos") {
-        let t = exp.chaos();
-        print_block(json, &t, &serde_json::to_string(&t).expect("serializes"));
-        // Persist the availability axes so lifecycle/resilience changes
-        // can be compared run over run.
-        let bench = t.availability_bench();
-        let path = "BENCH_availability.json";
-        match std::fs::write(path, serde_json::to_string(&bench).expect("serializes")) {
-            Ok(()) => eprintln!("# wrote {path}"),
-            Err(e) => eprintln!("# could not write {path}: {e}"),
-        }
-    }
     if want("torture") {
         // An explicit --seed narrows the run to exactly that seed (the
         // byte-deterministic replay path); otherwise the committed
@@ -222,6 +165,26 @@ fn main() {
             Ok(()) => eprintln!("# wrote {path}"),
             Err(e) => eprintln!("# could not write {path}: {e}"),
         }
+        let broken: Vec<u64> = t
+            .rows
+            .iter()
+            .filter(|r| {
+                r.soundness_violations > 0
+                    || r.staleness_violations > 0
+                    || r.availability < AVAILABILITY_FLOOR
+                    || !r.restart_served_from_cache
+            })
+            .map(|r| r.seed)
+            .collect();
+        if !broken.is_empty() {
+            for seed in &broken {
+                eprintln!(
+                    "torture regression at seed {seed}: add it to SEED_CORPUS in \
+                     crates/bench/src/torture.rs and fix before merging"
+                );
+            }
+            std::process::exit(1);
+        }
     }
     if want("adaptive") {
         let t = exp.adaptive();
@@ -229,17 +192,6 @@ fn main() {
         // Persist the adaptive-vs-static axes (hit rate, origin time,
         // soundness verdicts) for run-over-run comparison.
         let path = "BENCH_adaptive.json";
-        match std::fs::write(path, serde_json::to_string(&t).expect("serializes")) {
-            Ok(()) => eprintln!("# wrote {path}"),
-            Err(e) => eprintln!("# could not write {path}: {e}"),
-        }
-    }
-    if want("cluster") {
-        let t = exp.cluster(&fleet_sweep(nodes));
-        print_block(json, &t, &serde_json::to_string(&t).expect("serializes"));
-        // Persist the fleet axes (origin fetches vs fleet size, kill-run
-        // availability and failover time) for run-over-run comparison.
-        let path = "BENCH_cluster.json";
         match std::fs::write(path, serde_json::to_string(&t).expect("serializes")) {
             Ok(()) => eprintln!("# wrote {path}"),
             Err(e) => eprintln!("# could not write {path}: {e}"),
@@ -264,8 +216,7 @@ fn parse_num(v: Option<String>, flag: &str) -> usize {
 
 fn print_usage() {
     eprintln!(
-        "usage: repro [--objects N] [--queries N] [--seed S] [--threads K] [--edge-conns N] \
-         [--nodes N] [--json] [--chaos] [--adaptive] \
-         [trace-stats|table1|figure5|figure6|compaction|replacement|coverage|checktime|throughput|tiered|edge|chaos|cluster|torture|adaptive|all]..."
+        "usage: repro [--objects N] [--queries N] [--seed S] [--json] [--adaptive] [{}]...",
+        EXPERIMENTS.join("|")
     );
 }

@@ -1,5 +1,4 @@
-//! Availability under origin failure: the chaos experiment behind
-//! `repro --chaos`.
+//! Availability under origin failure, as a test.
 //!
 //! The paper's evaluation assumes the origin site always answers; a
 //! deployed proxy cannot. This harness replays the calibrated Radial
@@ -11,7 +10,7 @@
 //! consume that same virtual time, so the run is bit-for-bit
 //! deterministic on any machine.
 //!
-//! The question the report answers: **what fraction of queries does the
+//! The question the test answers: **what fraction of queries does the
 //! proxy still answer while its origin is down**, and at what quality?
 //! During the outage, exact and contained queries are served from cache
 //! as usual; region-containment and overlap queries are served
@@ -22,6 +21,7 @@
 //!
 //! [`MockClock`]: funcproxy::resilience::MockClock
 
+use crate::torture::is_subset;
 use crate::Experiment;
 use fp_trace::Rbe;
 use funcproxy::metrics::Outcome;
@@ -30,7 +30,6 @@ use funcproxy::template::TemplateManager;
 use funcproxy::{
     ChaosOrigin, CostModel, Fault, ProxyConfig, ProxyHandle, ResilienceConfig, Scheme, SiteOrigin,
 };
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -57,7 +56,7 @@ fn policy() -> ResilienceConfig {
 }
 
 /// The availability report of one chaos replay.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// Queries in the trace.
     pub queries: usize,
@@ -75,11 +74,6 @@ pub struct ChaosReport {
     /// Queries that failed outside the outage window (the injected
     /// latency spikes).
     pub failed_outside_outage: usize,
-    /// Rows served by degraded answers, summed over the trace.
-    pub degraded_rows: usize,
-    /// Rows the no-cache oracle returns for those same queries — the
-    /// denominator of the degraded-completeness fraction.
-    pub degraded_oracle_rows: usize,
     /// Every served answer was a subset of (or equal to) the oracle
     /// answer for that query. Soundness holds even under fault
     /// injection; `false` would be a bug.
@@ -100,27 +94,6 @@ pub struct ChaosReport {
     pub breaker_reclose_ms: Option<f64>,
 }
 
-/// The compact availability summary `repro --chaos` persists to
-/// `BENCH_availability.json`, so successive lifecycle/resilience changes
-/// can be compared on fixed axes.
-#[derive(Debug, Clone, Serialize)]
-pub struct AvailabilityBench {
-    /// Queries in the trace.
-    pub queries: usize,
-    /// Fraction of all queries answered.
-    pub availability: f64,
-    /// Fraction of outage-window queries still answered.
-    pub availability_in_outage: f64,
-    /// Of the outage answers, the fraction served degraded.
-    pub degraded_hit_rate: f64,
-    /// Virtual ms from outage end until the breaker re-closed.
-    pub breaker_reclose_ms: Option<f64>,
-    /// Times the breaker opened over the run.
-    pub breaker_opens: u64,
-    /// Every served answer verified as a subset of the oracle answer.
-    pub all_answers_sound: bool,
-}
-
 impl ChaosReport {
     /// Fraction of all queries answered.
     pub fn availability(&self) -> f64 {
@@ -133,81 +106,6 @@ impl ChaosReport {
             return 1.0;
         }
         self.answered_in_outage as f64 / self.outage_queries as f64
-    }
-
-    /// Mean completeness of degraded answers: degraded rows served over
-    /// the rows a healthy origin would have produced for those queries.
-    pub fn degraded_completeness(&self) -> f64 {
-        if self.degraded_oracle_rows == 0 {
-            return 1.0;
-        }
-        self.degraded_rows as f64 / self.degraded_oracle_rows as f64
-    }
-
-    /// Projects this report onto the persisted benchmark axes.
-    pub fn availability_bench(&self) -> AvailabilityBench {
-        AvailabilityBench {
-            queries: self.queries,
-            availability: self.availability(),
-            availability_in_outage: self.availability_in_outage(),
-            degraded_hit_rate: if self.answered_in_outage == 0 {
-                0.0
-            } else {
-                self.degraded_in_outage as f64 / self.answered_in_outage as f64
-            },
-            breaker_reclose_ms: self.breaker_reclose_ms,
-            breaker_opens: self.breaker_opens,
-            all_answers_sound: self.all_answers_sound,
-        }
-    }
-}
-
-impl std::fmt::Display for ChaosReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "Availability under origin failure (outage over the middle third of the trace, virtual clock)"
-        )?;
-        writeln!(
-            f,
-            "  queries: {} total, {} inside the outage window",
-            self.queries, self.outage_queries
-        )?;
-        writeln!(
-            f,
-            "  availability: {:.1}% overall, {:.1}% during the outage",
-            self.availability() * 100.0,
-            self.availability_in_outage() * 100.0
-        )?;
-        writeln!(
-            f,
-            "  outage window: {} answered ({} degraded), {} failed (disjoint misses)",
-            self.answered_in_outage, self.degraded_in_outage, self.failed_in_outage
-        )?;
-        writeln!(
-            f,
-            "  degraded answers: {} rows served of {} a healthy origin would return ({:.1}% complete), all sound subsets: {}",
-            self.degraded_rows,
-            self.degraded_oracle_rows,
-            self.degraded_completeness() * 100.0,
-            self.all_answers_sound
-        )?;
-        writeln!(
-            f,
-            "  resilience: {} timeouts, {} retries, {} fast-fails, breaker opened {}x, final state: {}",
-            self.origin_timeouts,
-            self.origin_retries,
-            self.origin_fast_fails,
-            self.breaker_opens,
-            self.final_breaker_state
-        )?;
-        match self.breaker_reclose_ms {
-            Some(ms) => writeln!(
-                f,
-                "  breaker re-closed {ms:.0} virtual ms after the outage ended"
-            ),
-            None => writeln!(f, "  breaker never re-closed"),
-        }
     }
 }
 
@@ -260,8 +158,6 @@ impl Experiment {
             degraded_in_outage: 0,
             failed_in_outage: 0,
             failed_outside_outage: 0,
-            degraded_rows: 0,
-            degraded_oracle_rows: 0,
             all_answers_sound: true,
             origin_timeouts: 0,
             origin_retries: 0,
@@ -287,8 +183,6 @@ impl Experiment {
                     }
                     if response.metrics.degraded {
                         report.degraded_in_outage += usize::from(in_outage);
-                        report.degraded_rows += response.result.len();
-                        report.degraded_oracle_rows += oracle.len();
                     } else if !matches!(response.metrics.outcome, Outcome::Forwarded)
                         && response.result.len() != oracle.len()
                     {
@@ -343,18 +237,6 @@ impl Experiment {
     }
 }
 
-/// Whether every key of `result` appears in the oracle's key set.
-fn is_subset(result: &fp_skyserver::ResultSet, oracle: &[fp_sqlmini::Value]) -> bool {
-    let Some(key_col) = result.column_index("objID") else {
-        return result.is_empty();
-    };
-    result
-        .rows
-        .iter()
-        .all(|r| oracle.iter().any(|v| *v == r[key_col]))
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::Scale;
@@ -401,9 +283,8 @@ mod tests {
             (0.0..=10_000.0).contains(&reclose),
             "reclose time {reclose} ms out of range"
         );
-        let bench = r.availability_bench();
-        assert!(bench.availability > 0.0 && bench.availability <= 1.0);
-        assert!(bench.degraded_hit_rate <= 1.0);
+        assert!(r.availability() > 0.0 && r.availability() <= 1.0);
+        assert!(r.degraded_in_outage <= r.answered_in_outage);
         // Outside the outage window, the only failures are the scripted
         // latency spikes plus the short post-outage tail where the
         // breaker is still in its last cooldown (at most

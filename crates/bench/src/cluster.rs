@@ -1,5 +1,4 @@
-//! Fleet-size sweep and mid-trace peer kill: the cluster experiment
-//! behind `repro --nodes N cluster`.
+//! Fleet-size comparison and mid-trace peer kill, as a test.
 //!
 //! The paper evaluates one proxy; a deployment runs several. This
 //! harness replays the calibrated Radial trace through an in-process
@@ -16,7 +15,7 @@
 //! per query and the SWIM failure detector runs one round per tick, so
 //! the sweep and the kill run are bit-for-bit deterministic.
 //!
-//! Two questions the report answers:
+//! Two questions the test answers:
 //!
 //! 1. **Does the fleet pool its cache?** Aggregate capacity grows with
 //!    N while per-node capacity stays fixed, so origin fetches must
@@ -33,11 +32,9 @@
 //!
 //! [`MockClock`]: funcproxy::resilience::MockClock
 
+use crate::torture::{is_subset, parse_result};
 use crate::Experiment;
-use fp_skyserver::ResultSet;
 use fp_trace::Rbe;
-use fp_xmlite::Element;
-use funcproxy::cache::DescriptionKind;
 use funcproxy::cluster::{routing_key, ClusterRouter, MembershipConfig, NodeId, NodeStatus};
 use funcproxy::metrics::Outcome;
 use funcproxy::origin::CountingOrigin;
@@ -45,7 +42,6 @@ use funcproxy::resilience::{Clock, MockClock};
 use funcproxy::runtime::RuntimeSnapshot;
 use funcproxy::template::TemplateManager;
 use funcproxy::{CostModel, Origin, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,25 +52,7 @@ const TICK: Duration = Duration::from_millis(10);
 const SHARDS: usize = 2;
 /// Fleet size of the mid-trace kill run.
 const KILL_FLEET: usize = 3;
-/// The canonical sweep of the acceptance criterion.
-pub const FLEET_SIZES: [usize; 4] = [1, 2, 4, 8];
-
-/// Power-of-two fleet sizes up to `max` (always including `max`), the
-/// way `thread_sweep` builds the throughput axis.
-pub fn fleet_sweep(max: usize) -> Vec<usize> {
-    let max = max.max(1);
-    let mut sizes = Vec::new();
-    let mut n = 1;
-    while n < max {
-        sizes.push(n);
-        n *= 2;
-    }
-    sizes.push(max);
-    sizes
-}
-
 /// One fleet-size row of the sweep.
-#[derive(Debug, Clone, Serialize)]
 pub struct ClusterRow {
     /// Fleet size.
     pub nodes: usize,
@@ -82,8 +60,6 @@ pub struct ClusterRow {
     pub queries: usize,
     /// Queries answered (all of them, or something is broken).
     pub answered: usize,
-    /// Fraction of queries answered.
-    pub availability: f64,
     /// Fraction of queries served without any origin fetch (local or
     /// peer cache hits, degraded answers included).
     pub hit_rate: f64,
@@ -91,26 +67,15 @@ pub struct ClusterRow {
     pub origin_fetches: usize,
     /// Serving-path probes of a peer's cache.
     pub peer_probes: u64,
-    /// Probes the peer's cache answered (zero-origin-traffic hits).
-    pub peer_hits: u64,
     /// Every served answer was a subset of (or equal to) the oracle
     /// answer; `false` would be a bug.
     pub all_answers_sound: bool,
 }
 
 /// The mid-trace kill run over a 3-node fleet.
-#[derive(Debug, Clone, Serialize)]
 pub struct KillReport {
-    /// Fleet size.
-    pub nodes: usize,
     /// Queries replayed.
     pub queries: usize,
-    /// Query index at which the victim was killed.
-    pub kill_at_query: usize,
-    /// Node index killed (never the routing viewpoint, node 0).
-    pub victim: usize,
-    /// Queries answered over the whole run.
-    pub answered: usize,
     /// Fraction of queries answered — must stay at least at the
     /// single-node chaos availability floor.
     pub availability: f64,
@@ -118,76 +83,18 @@ pub struct KillReport {
     /// excluded the victim (its slots failed over at that moment);
     /// `None` if the survivors never noticed, which would be a bug.
     pub failover_ms: Option<f64>,
-    /// Origin executions summed over the whole fleet.
-    pub origin_fetches: usize,
-    /// Serving-path probes that failed transport after retries — each
-    /// fed the failure detector and fell through to a local origin
-    /// path instead of surfacing to the client.
-    pub peer_probe_failures: u64,
     /// Suspected/Died transitions observed across the fleet.
     pub failovers: u64,
     /// Every served answer was a subset of the oracle answer.
     pub all_answers_sound: bool,
 }
 
-/// The cluster report `repro --nodes N cluster` persists to
-/// `BENCH_cluster.json`.
-#[derive(Debug, Clone, Serialize)]
+/// The fleet-size rows plus the kill run.
 pub struct ClusterBench {
     /// One row per fleet size.
     pub rows: Vec<ClusterRow>,
     /// The mid-trace kill run.
     pub kill: KillReport,
-}
-
-impl std::fmt::Display for ClusterBench {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "Proxy fleet sweep (1/6-size cache per node, owner-routed edge with 25% spray, virtual clock)"
-        )?;
-        writeln!(
-            f,
-            "  nodes | avail | hit rate | origin fetches | peer probes | peer hits | sound"
-        )?;
-        for r in &self.rows {
-            writeln!(
-                f,
-                "  {:>5} | {:>5.3} | {:>8.3} | {:>14} | {:>11} | {:>9} | {}",
-                r.nodes,
-                r.availability,
-                r.hit_rate,
-                r.origin_fetches,
-                r.peer_probes,
-                r.peer_hits,
-                r.all_answers_sound
-            )?;
-        }
-        let k = &self.kill;
-        writeln!(
-            f,
-            "Mid-trace peer kill ({} nodes, node {} killed at query {})",
-            k.nodes, k.victim, k.kill_at_query
-        )?;
-        writeln!(
-            f,
-            "  availability {:.3} ({} of {} answered), {} origin fetches, {} probe failures absorbed, {} failover transitions, sound: {}",
-            k.availability,
-            k.answered,
-            k.queries,
-            k.origin_fetches,
-            k.peer_probe_failures,
-            k.failovers,
-            k.all_answers_sound
-        )?;
-        match k.failover_ms {
-            Some(ms) => writeln!(
-                f,
-                "  survivors routed around the victim {ms:.0} virtual ms after the kill"
-            ),
-            None => writeln!(f, "  survivors never excluded the victim (bug)"),
-        }
-    }
 }
 
 /// Shared per-query accounting of one fleet replay.
@@ -205,40 +112,6 @@ impl Experiment {
         let rows = sizes.iter().map(|&n| self.run_fleet(n, &oracle)).collect();
         let kill = self.run_kill(&oracle);
         ClusterBench { rows, kill }
-    }
-
-    /// Oracle pass: the objID set every query answers when nothing is
-    /// cached and nothing fails, keyed by query string (the trace
-    /// repeats queries). Shared with the torture harness.
-    pub(crate) fn oracle_object_ids(&self) -> HashMap<String, Vec<fp_sqlmini::Value>> {
-        let rbe = Rbe::default();
-        let oracle = crate::make_proxy(
-            &self.site,
-            Scheme::NoCache,
-            DescriptionKind::Array,
-            None,
-            CostModel::free(),
-        );
-        let mut oracle_rows: HashMap<String, Vec<fp_sqlmini::Value>> = HashMap::new();
-        for q in &self.trace.queries {
-            oracle_rows.entry(q.query_string()).or_insert_with(|| {
-                let response = oracle
-                    .handle_form(&rbe.form_path, &q.form_fields())
-                    .expect("oracle executes");
-                let key_col = response
-                    .result
-                    .column_index("objID")
-                    .expect("radial results carry objID");
-                response
-                    .result
-                    .rows
-                    .iter()
-                    .map(|r| r[key_col].clone())
-                    .collect()
-            });
-        }
-        self.site.reset_load();
-        oracle_rows
     }
 
     /// Builds an N-node fleet: every node gets its own 1/6-size cache
@@ -285,11 +158,9 @@ impl Experiment {
             nodes: n,
             queries: self.trace.len(),
             answered: tally.answered,
-            availability: tally.answered as f64 / self.trace.len().max(1) as f64,
             hit_rate: tally.zero_origin as f64 / self.trace.len().max(1) as f64,
             origin_fetches: counting.fetches(),
             peer_probes: fleet_sum(&router, |s| s.peer_probes),
-            peer_hits: fleet_sum(&router, |s| s.peer_hits),
             all_answers_sound: tally.all_sound,
         }
     }
@@ -331,15 +202,9 @@ impl Experiment {
         );
         self.site.reset_load();
         KillReport {
-            nodes: KILL_FLEET,
             queries: self.trace.len(),
-            kill_at_query: kill_at,
-            victim,
-            answered: tally.answered,
             availability: tally.answered as f64 / self.trace.len().max(1) as f64,
             failover_ms: failover.map(|d| d.as_secs_f64() * 1000.0),
-            origin_fetches: counting.fetches(),
-            peer_probe_failures: fleet_sum(&router, |s| s.peer_probe_failures),
             failovers: router.stats().failovers(),
             all_answers_sound: tally.all_sound,
         }
@@ -436,26 +301,6 @@ fn fleet_sum(router: &ClusterRouter, counter: fn(&RuntimeSnapshot) -> usize) -> 
         .sum()
 }
 
-/// Parses a served XML body back into rows (the client's view of the
-/// answer, whichever node or cache produced it).
-pub(crate) fn parse_result(body: &[u8]) -> Option<ResultSet> {
-    let text = std::str::from_utf8(body).ok()?;
-    let doc = Element::parse(text).ok()?;
-    ResultSet::from_xml(&doc)
-}
-
-/// Whether every key of `result` appears in the oracle's objID set.
-pub(crate) fn is_subset(result: &ResultSet, oracle: &[fp_sqlmini::Value]) -> bool {
-    let Some(key_col) = result.column_index("objID") else {
-        return result.is_empty();
-    };
-    result
-        .rows
-        .iter()
-        .all(|r| oracle.iter().any(|v| *v == r[key_col]))
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::Scale;
@@ -515,14 +360,5 @@ mod tests {
             k.failovers >= 1,
             "the kill must be observed as a membership transition"
         );
-    }
-
-    #[test]
-    fn fleet_sweep_is_powers_of_two_up_to_max() {
-        assert_eq!(fleet_sweep(8), vec![1, 2, 4, 8]);
-        assert_eq!(fleet_sweep(4), vec![1, 2, 4]);
-        assert_eq!(fleet_sweep(6), vec![1, 2, 4, 6]);
-        assert_eq!(fleet_sweep(1), vec![1]);
-        assert_eq!(fleet_sweep(0), vec![1]);
     }
 }

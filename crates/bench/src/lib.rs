@@ -12,17 +12,6 @@
 //! * [`Experiment::figure6`] — response time of the three active schemes
 //!   with an unlimited cache and the array description.
 //! * [`Experiment::compaction`] — region-containment compaction ablation.
-//! * [`Experiment::throughput`] — extension: multi-client throughput over
-//!   the concurrent runtime (see [`throughput`]).
-//! * [`Experiment::edge_concurrency`] — extension: qps and tail latency of
-//!   the nonblocking edge server under 64–1024 concurrent keep-alive
-//!   connections (see [`edge`]).
-//! * [`Experiment::chaos`] — extension: availability under a mid-trace
-//!   origin outage with the resilience layer engaged (see [`chaos`]).
-//! * [`Experiment::budget_sweep`] — extension: hit rate vs RAM budget,
-//!   RAM-only vs the disk-backed tier at equal RAM (see [`tiered`]).
-//! * [`Experiment::cluster`] — extension: fleet-size sweep and mid-trace
-//!   peer kill over the slot-sharded proxy cluster (see [`cluster`]).
 //! * [`Experiment::torture`] — extension: seeded whole-stack torture runs
 //!   injecting origin, network, storage, and process faults at once while
 //!   invariant oracles watch every answer (see [`torture`]).
@@ -35,24 +24,20 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod chaos;
-pub mod cluster;
-pub mod edge;
-pub mod throughput;
-pub mod tiered;
 pub mod torture;
+// Test-only harnesses: availability under an origin outage, the fleet's
+// pooled cache and mid-trace kill, and RAM-only vs tiered at equal RAM.
+#[cfg(test)]
+mod chaos;
+#[cfg(test)]
+mod cluster;
+#[cfg(test)]
+mod tiered;
 
 pub use adaptive::{
     AdaptiveBench, AdaptiveRow, AdaptiveSection, ADAPTIVE_CACHE_FRACTION, ADAPTIVE_HIT_TOLERANCE,
     ADAPTIVE_ORIGIN_TOLERANCE,
 };
-pub use chaos::ChaosReport;
-pub use cluster::{fleet_sweep, ClusterBench, ClusterRow, KillReport, FLEET_SIZES};
-pub use edge::{conn_sweep, EdgeConcurrency, EdgeConcurrencyRow, EDGE_WORKERS};
-pub use throughput::{
-    thread_sweep, HitLatencyReport, HitLatencyRow, Throughput, ThroughputRow, THROUGHPUT_SHARDS,
-};
-pub use tiered::{BudgetSweep, BudgetSweepRow, BUDGET_FRACTIONS};
 pub use torture::{TortureBench, TortureRow, TortureRun, AVAILABILITY_FLOOR, SEED_CORPUS};
 
 use fp_skyserver::{Catalog, CatalogSpec, SkySite};

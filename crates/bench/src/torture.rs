@@ -33,9 +33,11 @@
 //!
 //! [`MockClock`]: funcproxy::resilience::MockClock
 
-use crate::cluster::{is_subset, parse_result};
 use crate::Experiment;
+use fp_skyserver::ResultSet;
 use fp_trace::Rbe;
+use fp_xmlite::Element;
+use funcproxy::cache::DescriptionKind;
 use funcproxy::cache::{IoFault, IoOp, SlabIo, TierConfig};
 use funcproxy::cluster::{
     routing_key, ClusterRouter, LossyTransport, MembershipConfig, NodeId, NodeStatus,
@@ -46,6 +48,7 @@ use funcproxy::resilience::{ChaosOrigin, Clock, MockClock};
 use funcproxy::template::TemplateManager;
 use funcproxy::{CostModel, LifecycleConfig, Origin, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use serde::Serialize;
+use std::collections::HashMap;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -706,6 +709,61 @@ fn fnv1a(events: &[String]) -> String {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     format!("{h:016x}")
+}
+
+impl Experiment {
+    /// Oracle pass: the objID set every query answers when nothing is
+    /// cached and nothing fails, keyed by query string (the trace
+    /// repeats queries). Shared with the chaos and cluster tests.
+    pub(crate) fn oracle_object_ids(&self) -> HashMap<String, Vec<fp_sqlmini::Value>> {
+        let rbe = Rbe::default();
+        let oracle = crate::make_proxy(
+            &self.site,
+            Scheme::NoCache,
+            DescriptionKind::Array,
+            None,
+            CostModel::free(),
+        );
+        let mut oracle_rows: HashMap<String, Vec<fp_sqlmini::Value>> = HashMap::new();
+        for q in &self.trace.queries {
+            oracle_rows.entry(q.query_string()).or_insert_with(|| {
+                let response = oracle
+                    .handle_form(&rbe.form_path, &q.form_fields())
+                    .expect("oracle executes");
+                let key_col = response
+                    .result
+                    .column_index("objID")
+                    .expect("radial results carry objID");
+                response
+                    .result
+                    .rows
+                    .iter()
+                    .map(|r| r[key_col].clone())
+                    .collect()
+            });
+        }
+        self.site.reset_load();
+        oracle_rows
+    }
+}
+
+/// Parses a served XML body back into rows (the client's view of the
+/// answer, whichever node or cache produced it).
+pub(crate) fn parse_result(body: &[u8]) -> Option<ResultSet> {
+    let text = std::str::from_utf8(body).ok()?;
+    let doc = Element::parse(text).ok()?;
+    ResultSet::from_xml(&doc)
+}
+
+/// Whether every key of `result` appears in the oracle's objID set.
+pub(crate) fn is_subset(result: &ResultSet, oracle: &[fp_sqlmini::Value]) -> bool {
+    let Some(key_col) = result.column_index("objID") else {
+        return result.is_empty();
+    };
+    result
+        .rows
+        .iter()
+        .all(|r| oracle.iter().any(|v| *v == r[key_col]))
 }
 
 #[cfg(test)]

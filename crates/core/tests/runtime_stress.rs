@@ -325,6 +325,35 @@ fn disjoint_concurrent_queries_proceed_independently() {
     }
 }
 
+/// Concurrent misses overlap their origin waits: eight disjoint cones
+/// in one shard, each fetch sleeping 100 ms, finish together in well
+/// under the 800 ms a fetch serialized behind the shard lock would take.
+#[test]
+fn concurrent_misses_overlap_their_origin_waits() {
+    let (handle, counting) = counting_handle(site(), 100);
+    let barrier = Barrier::new(THREADS);
+    let started = std::time::Instant::now();
+    std::thread::scope(|scope| {
+        for i in 0..THREADS {
+            let handle = handle.clone();
+            let barrier = &barrier;
+            scope.spawn(move || {
+                barrier.wait();
+                let ra = 183.0 + i as f64 * 0.5;
+                handle
+                    .handle_form("/search/radial", &radial_fields(ra, 0.0, 6.0))
+                    .unwrap();
+            });
+        }
+    });
+    let elapsed = started.elapsed();
+    assert_eq!(counting.fetches(), THREADS);
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "{THREADS} concurrent misses took {elapsed:?}: origin waits did not overlap"
+    );
+}
+
 #[test]
 fn mixed_concurrent_workload_matches_the_single_threaded_proxy() {
     let site = site();

@@ -21,7 +21,9 @@
 //!   breaker-aware load shedding — all answered with an immediate
 //!   `503` + `Retry-After` instead of an unbounded thread or queue;
 //! * a **fleet member** ([`fleet`]) is the same service plus a
-//!   [`funcproxy::cluster::Node`] talking to its peers over HTTP.
+//!   [`funcproxy::cluster::Node`] talking to its peers over HTTP;
+//! * the **origin over HTTP** ([`origin`]): the stand-in origin site's
+//!   SQL page and the proxy's [`origin::HttpOrigin`] client for it.
 //!
 //! The only `unsafe` in the crate is the [`sys`] module's hand-declared
 //! epoll/eventfd/signal bindings (the build environment has no `libc`
@@ -32,6 +34,7 @@
 
 pub mod conn;
 pub mod fleet;
+pub mod origin;
 mod outq;
 pub mod pool;
 pub mod reactor;
@@ -40,6 +43,7 @@ pub mod stats;
 #[allow(unsafe_code)]
 pub mod sys;
 
+pub use origin::{origin_router, HttpOrigin};
 pub use reactor::{EdgeConfig, EdgeServer, INLINE_BODY_MAX};
 pub use service::{EdgeService, ProxyEdgeService};
 pub use stats::{EdgeSnapshot, EdgeStats};

@@ -93,10 +93,11 @@ pub struct EdgeConfig {
     pub idle_timeout: Duration,
     /// How long a graceful shutdown waits for in-flight requests.
     pub drain_deadline: Duration,
-    /// Observe hub for accept/parse/queue-wait/handoff phase latencies.
+    /// Observe hub for accept/parse/queue-wait/handoff phase latencies;
+    /// when absent, the service's own ([`EdgeService::telemetry`]).
     pub observer: Option<Arc<Observer>>,
-    /// Counter block to record into (lets `/metrics` endpoints share
-    /// the instance); a private one is created when absent.
+    /// Counter block to record into; when absent, the service's own
+    /// ([`EdgeService::telemetry`]), else a private one.
     pub stats: Option<Arc<EdgeStats>>,
 }
 
@@ -159,13 +160,14 @@ impl EdgeConfig {
         self
     }
 
-    /// Records edge phase latencies into `observer`.
+    /// Records edge phase latencies into `observer` instead of the
+    /// service's.
     pub fn with_observer(mut self, observer: Arc<Observer>) -> Self {
         self.observer = Some(observer);
         self
     }
 
-    /// Counts into `stats` instead of a private instance.
+    /// Counts into `stats` instead of the service's (or a private) one.
     pub fn with_stats(mut self, stats: Arc<EdgeStats>) -> Self {
         self.stats = Some(stats);
         self
@@ -307,11 +309,9 @@ impl EdgeServer {
         epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
         epoll.add(shared.wake.raw_fd(), EPOLLIN, TOKEN_WAKE)?;
 
-        let stats = config
-            .stats
-            .clone()
-            .unwrap_or_else(|| Arc::new(EdgeStats::default()));
-        let observer = config.observer.clone();
+        let (service_stats, service_observer) = service.telemetry().unzip();
+        let stats = config.stats.clone().or(service_stats).unwrap_or_default();
+        let observer = config.observer.clone().or(service_observer);
 
         let pool = {
             let service = Arc::clone(&service);

@@ -7,6 +7,7 @@ use crate::stats::EdgeStats;
 use fp_httpd::urlenc::parse_query_borrowed;
 use fp_httpd::{Request, Response, Router, SharedTail, Status};
 use funcproxy::observe::registry::render_prometheus;
+use funcproxy::observe::Observer;
 use funcproxy::{DocResponse, ProxyError, ProxyHandle, XmlBody};
 use std::sync::Arc;
 
@@ -31,6 +32,14 @@ pub trait EdgeService: Send + Sync + 'static {
     /// backend is saturated and new offloads should be shed. Runs on
     /// the reactor thread per offload — must be cheap.
     fn shed_hint(&self) -> Option<u64> {
+        None
+    }
+
+    /// The edge counters and observe hub this service reports (on
+    /// `/metrics`), if any. A server records into them unless its
+    /// config names others, so what it counts is what the service
+    /// renders.
+    fn telemetry(&self) -> Option<(Arc<EdgeStats>, Arc<Observer>)> {
         None
     }
 }
@@ -83,9 +92,9 @@ impl ProxyEdgeService {
         }
     }
 
-    /// The edge counter block this service appends to `/metrics`. Hand
-    /// it to [`crate::EdgeConfig::with_stats`] so the reactor and the
-    /// metrics endpoint count on the same instance.
+    /// The edge counter block this service appends to `/metrics`; a
+    /// server bound over the service counts into it unless
+    /// [`crate::EdgeConfig::with_stats`] names another.
     pub fn edge_stats(&self) -> Arc<EdgeStats> {
         Arc::clone(&self.edge_stats)
     }
@@ -253,5 +262,9 @@ impl EdgeService for ProxyEdgeService {
 
     fn shed_hint(&self) -> Option<u64> {
         self.handle.breaker_shed_hint()
+    }
+
+    fn telemetry(&self) -> Option<(Arc<EdgeStats>, Arc<Observer>)> {
+        Some((self.edge_stats(), self.handle.observer_shared()))
     }
 }

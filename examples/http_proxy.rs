@@ -71,83 +71,19 @@
 
 use fp_suite::edge::fleet::{Fleet, Gossip};
 use fp_suite::edge::sys::install_interrupt_flag;
-use fp_suite::edge::{EdgeConfig, EdgeServer, ProxyEdgeService};
-use fp_suite::httpd::urlenc::encode_component;
-use fp_suite::httpd::{HttpClient, Request, Response, Router, Status};
+use fp_suite::edge::{origin_router, EdgeConfig, EdgeServer, HttpOrigin, ProxyEdgeService};
+use fp_suite::httpd::HttpClient;
 use fp_suite::proxy::cache::TierConfig;
 use fp_suite::proxy::cluster::NodeId;
 use fp_suite::proxy::template::TemplateManager;
 use fp_suite::proxy::{
-    CostModel, LifecycleConfig, ObserveConfig, Origin, OriginError, ProxyConfig, ProxyHandle,
-    ResilienceConfig, Scheme,
+    CostModel, LifecycleConfig, ObserveConfig, ProxyConfig, ProxyHandle, ResilienceConfig, Scheme,
 };
-use fp_suite::skyserver::result::QueryOutcome;
-use fp_suite::skyserver::{Catalog, CatalogSpec, ExecStats, ResultSet, SkySite};
-use fp_suite::sqlmini::Query;
+use fp_suite::skyserver::{Catalog, CatalogSpec, ResultSet, SkySite};
 use fp_suite::xmlite::Element;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The origin web site's HTTP face: the free-form SQL page
-/// (`GET /sql?cmd=<urlencoded sql>`), returning the XML result document
-/// plus execution statistics in response headers.
-fn origin_router(site: SkySite) -> Router {
-    Router::new().route("/sql", move |req: &Request| {
-        let Some((_, sql)) = req.query_params().into_iter().find(|(k, _)| k == "cmd") else {
-            return Response::error(Status::BAD_REQUEST, "missing cmd parameter");
-        };
-        match site.execute_sql(&sql) {
-            Ok(outcome) => {
-                let mut resp = Response::ok("text/xml", outcome.result.to_xml().to_xml());
-                resp.headers
-                    .set("X-Rows-Scanned", outcome.stats.rows_scanned.to_string());
-                resp.headers
-                    .set("X-Rows-Returned", outcome.stats.rows_returned.to_string());
-                resp
-            }
-            Err(e) => Response::error(Status::BAD_REQUEST, &e.to_string()),
-        }
-    })
-}
-
-/// An [`Origin`] that reaches the origin site over HTTP — what the proxy
-/// would use in a real deployment (the in-process `SiteOrigin` is the
-/// simulation shortcut). The keep-alive [`HttpClient`] reuses one origin
-/// connection across fetches.
-struct HttpOrigin {
-    client: HttpClient,
-}
-
-impl Origin for HttpOrigin {
-    fn execute(&self, query: &Query) -> Result<QueryOutcome, OriginError> {
-        let url = format!("/sql?cmd={}", encode_component(&query.to_sql()));
-        let response = self
-            .client
-            .get(&url)
-            .map_err(|e| OriginError::Unavailable(e.to_string()))?;
-        if !response.status.is_success() {
-            return Err(OriginError::Rejected(response.body_text()));
-        }
-        let doc = Element::parse(&response.body_text())
-            .map_err(|e| OriginError::Rejected(format!("bad XML from origin: {e}")))?;
-        let result = ResultSet::from_xml(&doc)
-            .ok_or_else(|| OriginError::Rejected("malformed result document".into()))?;
-        let header_num = |name: &str| {
-            response
-                .headers
-                .get(name)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0)
-        };
-        let stats = ExecStats {
-            rows_scanned: header_num("X-Rows-Scanned"),
-            rows_returned: header_num("X-Rows-Returned"),
-            result_bytes: response.body.len(),
-        };
-        Ok(QueryOutcome { result, stats })
-    }
-}
 
 fn main() {
     // 0. Lifecycle flags (all optional; without them the cache never
@@ -245,9 +181,7 @@ fn main() {
 
     // 2. The function proxy, talking to the origin over HTTP and serving
     //    the reactor and every worker through one shared handle.
-    let origin = HttpOrigin {
-        client: HttpClient::new(origin_server.addr()),
-    };
+    let origin = HttpOrigin::new(HttpClient::new(origin_server.addr()));
     let mut config = ProxyConfig::default()
         .with_scheme(Scheme::FullSemantic)
         .with_cost(CostModel::free())
@@ -275,9 +209,10 @@ fn main() {
             dir.display()
         );
     }
-    // The reactor, the proxy runtime, and `/metrics` share one
-    // stats/observer instance. In fleet mode the service is also a
-    // fleet member: `/peer`, and the owner's cache before the origin.
+    // The reactor counts into the service's stats and the handle's
+    // observer, which `/metrics` renders. In fleet mode the service is
+    // also a fleet member: `/peer`, and the owner's cache before the
+    // origin.
     let fleet = (!peers.is_empty()).then(|| {
         println!(
             "fleet  node{node_id} of {} nodes: {}",
@@ -296,9 +231,7 @@ fn main() {
     };
     let edge_config = EdgeConfig::default()
         .with_workers(workers)
-        .with_max_connections(max_conns)
-        .with_stats(service.edge_stats())
-        .with_observer(handle.observer_shared());
+        .with_max_connections(max_conns);
     let proxy_server =
         EdgeServer::bind(&format!("127.0.0.1:{port}"), Arc::new(service), edge_config)
             .expect("proxy binds");

@@ -4,7 +4,8 @@
 //! self-describing `<CacheEntry>` XML followed by its row bytes — plus a
 //! small `.fpmeta` index per shard. This example fills a cache, writes
 //! the index, "restarts" the proxy over the same directory, and shows
-//! the warm cache answering without touching the origin.
+//! the warm cache answering without touching the origin; it exits 1
+//! if the restarted proxy paid the origin at all.
 //!
 //! ```sh
 //! cargo run --example warm_restart
@@ -100,10 +101,14 @@ fn main() {
         );
     }
     p.quiesce_revalidations();
+    let paid = site.load().queries;
     println!(
-        "  origin queries in session 2: {} (everything served from the restored segments)",
-        site.load().queries
+        "  origin queries in session 2: {paid} (everything served from the restored segments)"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+    if paid > 0 {
+        eprintln!("warm restart paid the origin {paid} time(s): the restored cache missed");
+        std::process::exit(1);
+    }
 }

@@ -788,3 +788,74 @@ fn hit_reply_heads_are_golden() {
     );
     server.shutdown();
 }
+
+/// 256 keep-alive clients at once against the shipping proxy service:
+/// every request is answered, the only 5xx is a deliberate shed (`503`
+/// with `Retry-After`), the server stays at `1 + workers` threads, and
+/// each parsed request is accounted once as a fast-path serve, an
+/// offload or a shed.
+#[test]
+fn two_hundred_fifty_six_keep_alive_clients_get_answers_or_deliberate_sheds() {
+    const CLIENTS: usize = 256;
+    const REQUESTS: usize = 4;
+    let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+    let handle = ProxyHandle::new(
+        TemplateManager::with_sky_defaults(),
+        Arc::new(SiteOrigin::new(site)),
+        ProxyConfig::default()
+            .with_scheme(Scheme::FullSemantic)
+            .with_cost(CostModel::free()),
+    );
+    let server = EdgeServer::bind(
+        "127.0.0.1:0",
+        Arc::new(ProxyEdgeService::new(handle)),
+        EdgeConfig::default(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let statuses: Vec<u16> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|i| {
+                scope.spawn(move || {
+                    let client = HttpClient::new(addr).with_timeout(Duration::from_secs(30));
+                    (0..REQUESTS)
+                        .map(|j| {
+                            let ra = 180.0 + (i % 16) as f64 * 0.5;
+                            let radius = 5 + (j % 3) * 5;
+                            let url = format!("/search/radial?ra={ra}&dec=0.5&radius={radius}");
+                            let reply = client.get(&url).expect("every request is answered");
+                            if reply.status == Status::SERVICE_UNAVAILABLE {
+                                assert!(
+                                    reply.headers.get("Retry-After").is_some(),
+                                    "shed without Retry-After"
+                                );
+                            }
+                            reply.status.0
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    assert_eq!(statuses.len(), CLIENTS * REQUESTS);
+    assert!(statuses.contains(&200), "no successful responses");
+    let unexpected: Vec<u16> = statuses
+        .iter()
+        .copied()
+        .filter(|&s| s != 200 && s != 503)
+        .collect();
+    assert!(unexpected.is_empty(), "unexpected statuses: {unexpected:?}");
+    assert_eq!(server.thread_count(), 1 + EdgeConfig::default().workers);
+    let stats = server.stats();
+    assert_eq!(stats.requests, CLIENTS * REQUESTS);
+    assert!(stats.fast_path > 0, "repeated queries must hit inline");
+    assert_eq!(
+        stats.fast_path + stats.offloaded + stats.shed_total(),
+        stats.requests
+    );
+    server.shutdown();
+}

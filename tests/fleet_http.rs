@@ -169,7 +169,8 @@ fn a_dead_owner_is_suspected_and_the_request_still_succeeds() {
     let (fields, owner) = owned_request();
     let entry = (owner + 1) % NODES;
 
-    members[owner].server.take().unwrap().shutdown();
+    // The kill: the owner's server is dropped without a drain.
+    drop(members[owner].server.take());
     let reply = members[entry].get(&url(&fields));
     assert_eq!(reply.status.0, 200);
     assert_eq!(reply.headers.get("X-Served-By"), None, "served locally");
@@ -178,6 +179,62 @@ fn a_dead_owner_is_suspected_and_the_request_still_succeeds() {
         Some(NodeStatus::Suspect)
     );
     assert_eq!(members[entry].origin.fetches(), 1);
+    // The rest of the trace stays invisible to clients: every survivor
+    // answers every cone, the dead node's slots included.
+    for survivor in (0..NODES).filter(|&i| i != owner) {
+        for ra in [10, 55, 100, 145, 190, 235, 280, 325] {
+            let reply = members[survivor].get(&format!("/search/radial?ra={ra}&dec=5&radius=25"));
+            assert_eq!(reply.status.0, 200, "node{survivor}, ra={ra}");
+        }
+    }
+}
+
+/// A peer's owner probe is answered inline on the owner's reactor,
+/// never queued for a worker: replaying the owner's warm keys through
+/// another node raises the owner's fast-path count by at least one per
+/// answer it served.
+#[test]
+fn owner_probes_are_answered_inline_on_the_owners_reactor() {
+    let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+    let members = boot(&site);
+    let (_, owner) = owned_request();
+    let entry = (owner + 1) % NODES;
+    let all: Vec<NodeId> = (0..NODES as u16).map(NodeId).collect();
+    let templates = TemplateManager::with_sky_defaults();
+    let owned: Vec<String> = (0..24)
+        .map(|i| format!("/search/radial?ra={}&dec=5&radius=25", 10 + 15 * i))
+        .filter(|url| {
+            let query = url.split_once('?').unwrap().1;
+            let fields: Vec<(&str, &str)> = query
+                .split('&')
+                .map(|kv| kv.split_once('=').unwrap())
+                .collect();
+            let bound = templates.bind_form("/search/radial", &fields).unwrap();
+            owner_of_key(&routing_key(&bound.residual_key, &bound.region), &all)
+                == Some(NodeId(owner as u16))
+        })
+        .collect();
+    assert!(owned.len() >= 3, "the owner holds a share of the cones");
+    for url in &owned {
+        assert!(members[owner].get(url).status.is_success());
+    }
+
+    let stats = || members[owner].server.as_ref().unwrap().stats();
+    let (fast_before, offloaded_before) = (stats().fast_path, stats().offloaded);
+    let served = owned
+        .iter()
+        .filter(|url| {
+            members[entry].get(url).headers.get("X-Served-By")
+                == Some(format!("node{owner}").as_str())
+        })
+        .count();
+    assert_eq!(served, owned.len(), "every warm key is a peer hit");
+    assert!(stats().fast_path - fast_before >= served);
+    assert_eq!(
+        stats().offloaded,
+        offloaded_before,
+        "no probe took a worker"
+    );
 }
 
 #[test]

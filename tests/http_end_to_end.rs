@@ -1,121 +1,113 @@
-//! End-to-end over real sockets: origin site behind the edge server,
-//! proxy reaching it through an HTTP-backed `Origin`, assertions on both
-//! the answers and which hops each query took.
+//! End-to-end over real sockets: the origin site's SQL page behind the
+//! edge server, the proxy reaching it through `fp_edge::HttpOrigin`
+//! (the pair `examples/http_proxy.rs` runs), assertions on both the
+//! answers and which hops each query took.
 
-use fp_suite::edge::{EdgeConfig, EdgeServer};
-use fp_suite::httpd::{HttpClient, Request, Response, Router, Status};
+use fp_suite::edge::{origin_router, EdgeConfig, EdgeServer, HttpOrigin};
+use fp_suite::httpd::HttpClient;
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{CostModel, Origin, OriginError, ProxyConfig, ProxyHandle, Scheme};
-use fp_suite::skyserver::result::QueryOutcome;
-use fp_suite::skyserver::{Catalog, CatalogSpec, ExecStats, ResultSet, SkySite};
-use fp_suite::sqlmini::Query;
+use fp_suite::proxy::{CostModel, Origin, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
+use fp_suite::skyserver::{Catalog, CatalogSpec, ResultSet, SkySite};
 use fp_suite::xmlite::Element;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Origin HTTP facade: `GET /sql?cmd=<sql>` → XML result document.
-fn origin_router(site: SkySite, hits: Arc<AtomicUsize>) -> Router {
-    Router::new().route("/sql", move |req: &Request| {
-        hits.fetch_add(1, Ordering::SeqCst);
-        let Some((_, sql)) = req.query_params().into_iter().find(|(k, _)| k == "cmd") else {
-            return Response::error(Status::BAD_REQUEST, "missing cmd");
-        };
-        match site.execute_sql(&sql) {
-            Ok(outcome) => {
-                let mut resp = Response::ok("text/xml", outcome.result.to_xml().to_xml());
-                resp.headers
-                    .set("X-Rows-Scanned", outcome.stats.rows_scanned.to_string());
-                resp
-            }
-            Err(e) => Response::error(Status::BAD_REQUEST, &e.to_string()),
-        }
-    })
-}
-
-/// The origin router on an ephemeral port; a router runs on the workers.
-fn serve_origin(site: SkySite, hits: &Arc<AtomicUsize>) -> EdgeServer {
+/// The origin's SQL page on an ephemeral port; a router runs on the
+/// workers. `site.load().queries` counts the round trips it served.
+fn serve_origin(site: SkySite) -> EdgeServer {
     EdgeServer::bind(
         "127.0.0.1:0",
-        Arc::new(origin_router(site, Arc::clone(hits))),
+        Arc::new(origin_router(site)),
         EdgeConfig::default().with_workers(2),
     )
     .expect("origin binds")
 }
 
-struct HttpOrigin {
-    client: HttpClient,
+fn http_origin(server: &EdgeServer) -> Arc<HttpOrigin> {
+    Arc::new(HttpOrigin::new(HttpClient::new(server.addr())))
 }
 
-impl Origin for HttpOrigin {
-    fn execute(&self, query: &Query) -> Result<QueryOutcome, OriginError> {
-        let url = format!(
-            "/sql?cmd={}",
-            fp_suite::httpd::urlenc::encode_component(&query.to_sql())
+fn radial(ra: &str, dec: &str, radius: &str) -> Vec<(String, String)> {
+    vec![
+        ("ra".to_string(), ra.to_string()),
+        ("dec".to_string(), dec.to_string()),
+        ("radius".to_string(), radius.to_string()),
+    ]
+}
+
+/// The client and the SQL page agree with the site they front: for
+/// every cone, the rows `HttpOrigin` returns equal the no-cache oracle's
+/// answer, and its `ExecStats` row counts equal what `SiteOrigin`
+/// reports for the same query.
+#[test]
+fn http_origin_returns_the_rows_and_stats_of_the_site() {
+    let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+    let server = serve_origin(site.clone());
+    let http = http_origin(&server);
+    let direct = SiteOrigin::new(site.clone());
+    let oracle = ProxyHandle::with_shards(
+        TemplateManager::with_sky_defaults(),
+        Arc::new(SiteOrigin::new(site)),
+        ProxyConfig::default()
+            .with_scheme(Scheme::NoCache)
+            .with_cost(CostModel::free()),
+        1,
+    );
+    let templates = TemplateManager::with_sky_defaults();
+    for (ra, dec, radius) in [
+        ("185.0", "0.5", "20"),
+        ("184.2", "-0.3", "6"),
+        ("10", "80", "3"),
+    ] {
+        let fields = radial(ra, dec, radius);
+        let query = templates
+            .bind_form("/search/radial", &fields)
+            .expect("binds")
+            .complete()
+            .query;
+        let got = http.execute(&query).expect("origin answers over HTTP");
+        let want = direct.execute(&query).expect("site answers");
+        assert_eq!(
+            got.stats.rows_scanned, want.stats.rows_scanned,
+            "{fields:?}"
         );
-        let response = self
-            .client
-            .get(&url)
-            .map_err(|e| OriginError::Unavailable(e.to_string()))?;
-        if !response.status.is_success() {
-            return Err(OriginError::Rejected(response.body_text()));
-        }
-        let doc = Element::parse(&response.body_text())
-            .map_err(|e| OriginError::Rejected(e.to_string()))?;
-        let result = ResultSet::from_xml(&doc)
-            .ok_or_else(|| OriginError::Rejected("malformed result".into()))?;
-        let rows = result.len();
-        Ok(QueryOutcome {
-            result,
-            stats: ExecStats {
-                rows_scanned: response
-                    .headers
-                    .get("X-Rows-Scanned")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0),
-                rows_returned: rows,
-                result_bytes: response.body.len(),
-            },
-        })
+        assert_eq!(
+            got.stats.rows_returned, want.stats.rows_returned,
+            "{fields:?}"
+        );
+        let expected = oracle.handle_form("/search/radial", &fields).unwrap();
+        assert_eq!(got.result, *expected.result, "{fields:?}");
     }
+    server.shutdown();
 }
 
 #[test]
 fn proxy_over_http_origin_caches_and_answers_identically() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let origin_hits = Arc::new(AtomicUsize::new(0));
-    let server = serve_origin(site.clone(), &origin_hits);
+    let server = serve_origin(site.clone());
 
     let proxy = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
-        Arc::new(HttpOrigin {
-            client: HttpClient::new(server.addr()),
-        }),
+        http_origin(&server),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
             .with_cost(CostModel::free()),
         1,
     );
 
-    let fields = |radius: &str| {
-        vec![
-            ("ra".to_string(), "185.0".to_string()),
-            ("dec".to_string(), "0.5".to_string()),
-            ("radius".to_string(), radius.to_string()),
-        ]
-    };
+    let fields = |radius: &str| radial("185.0", "0.5", radius);
 
     // Miss → one HTTP round trip to the origin.
     let a = proxy
         .handle_form("/search/radial", &fields("20"))
         .expect("miss");
-    assert_eq!(origin_hits.load(Ordering::SeqCst), 1);
+    assert_eq!(site.load().queries, 1);
     assert!(!a.result.is_empty());
 
     // Exact hit → zero additional origin traffic.
     let b = proxy
         .handle_form("/search/radial", &fields("20"))
         .expect("hit");
-    assert_eq!(origin_hits.load(Ordering::SeqCst), 1);
+    assert_eq!(site.load().queries, 1);
     assert_eq!(b.result.rows.len(), a.result.rows.len());
 
     // Contained → still zero origin traffic, and the answer equals a
@@ -123,7 +115,7 @@ fn proxy_over_http_origin_caches_and_answers_identically() {
     let c = proxy
         .handle_form("/search/radial", &fields("8"))
         .expect("contained");
-    assert_eq!(origin_hits.load(Ordering::SeqCst), 1);
+    assert_eq!(site.load().queries, 1);
     assert_eq!(c.metrics.outcome.label(), "contained");
     let direct = site
         .execute_sql(
@@ -139,19 +131,13 @@ fn proxy_over_http_origin_caches_and_answers_identically() {
     };
     assert_eq!(key(&c.result), key(&direct.result));
 
-    // Overlap → exactly one more origin round trip (the remainder query).
+    // Overlap → exactly one more origin round trip (the remainder query;
+    // the direct execution above counted one on the site as well).
     let d = proxy
-        .handle_form(
-            "/search/radial",
-            &[
-                ("ra".to_string(), "185.4".to_string()),
-                ("dec".to_string(), "0.5".to_string()),
-                ("radius".to_string(), "15".to_string()),
-            ],
-        )
+        .handle_form("/search/radial", &radial("185.4", "0.5", "15"))
         .expect("overlap");
     assert_eq!(d.metrics.outcome.label(), "overlap");
-    assert_eq!(origin_hits.load(Ordering::SeqCst), 2);
+    assert_eq!(site.load().queries, 3);
 
     server.shutdown();
 }
@@ -159,27 +145,18 @@ fn proxy_over_http_origin_caches_and_answers_identically() {
 #[test]
 fn byte_serving_matches_row_serving_over_http() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let origin_hits = Arc::new(AtomicUsize::new(0));
-    let server = serve_origin(site, &origin_hits);
+    let server = serve_origin(site.clone());
 
     let handle = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
-        Arc::new(HttpOrigin {
-            client: HttpClient::new(server.addr()),
-        }),
+        http_origin(&server),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
             .with_cost(CostModel::free()),
         4,
     );
 
-    let fields = |radius: &str| {
-        vec![
-            ("ra".to_string(), "185.0".to_string()),
-            ("dec".to_string(), "0.5".to_string()),
-            ("radius".to_string(), radius.to_string()),
-        ]
-    };
+    let fields = |radius: &str| radial("185.0", "0.5", radius);
 
     // Miss: the byte front serializes the forwarded rows.
     let miss = handle
@@ -198,7 +175,7 @@ fn byte_serving_matches_row_serving_over_http() {
         .expect("hit");
     assert_eq!(hit.metrics.outcome.label(), "exact");
     assert_eq!(hit.body, miss.body);
-    assert_eq!(origin_hits.load(Ordering::SeqCst), 1);
+    assert_eq!(site.load().queries, 1);
 
     // Contained hit: assembled from per-row spans after micro-index
     // pruning; byte-identical to serializing the row response.
@@ -213,7 +190,7 @@ fn byte_serving_matches_row_serving_over_http() {
     assert_eq!(bytes.body, rows.result.to_xml_string().into_bytes());
     // Every selected row was among the scanned candidates.
     assert!(bytes.metrics.rows_scanned >= bytes.metrics.rows_total);
-    assert_eq!(origin_hits.load(Ordering::SeqCst), 1);
+    assert_eq!(site.load().queries, 1);
 
     server.shutdown();
 }
@@ -222,23 +199,16 @@ fn byte_serving_matches_row_serving_over_http() {
 fn dead_origin_surfaces_as_unavailable() {
     let proxy = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
-        Arc::new(HttpOrigin {
-            // Nothing listens on port 1.
-            client: HttpClient::new("127.0.0.1:1".parse().unwrap())
+        // Nothing listens on port 1.
+        Arc::new(HttpOrigin::new(
+            HttpClient::new("127.0.0.1:1".parse().unwrap())
                 .with_timeout(std::time::Duration::from_millis(200)),
-        }),
+        )),
         ProxyConfig::default().with_scheme(Scheme::FullSemantic),
         1,
     );
     let err = proxy
-        .handle_form(
-            "/search/radial",
-            &[
-                ("ra".to_string(), "185.0".to_string()),
-                ("dec".to_string(), "0.5".to_string()),
-                ("radius".to_string(), "5".to_string()),
-            ],
-        )
+        .handle_form("/search/radial", &radial("185.0", "0.5", "5"))
         .expect_err("origin is down");
     assert!(err.to_string().contains("origin"), "{err}");
 }

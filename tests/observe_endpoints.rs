@@ -192,6 +192,43 @@ fn metrics_endpoint_serves_well_formed_prometheus_text() {
     server.shutdown();
 }
 
+/// A server bound over a `ProxyEdgeService` with a config that names no
+/// counter block or observer (the `serve` helper) counts into the
+/// service's own edge counters and records its phases into the handle's
+/// observer: the scrape reports the traffic it carried.
+#[test]
+fn an_edge_server_counts_into_the_service_it_serves() {
+    let server = serve(warmed_handle());
+    let client = HttpClient::new(server.addr());
+    const N: usize = 6;
+    for _ in 0..N {
+        assert!(client
+            .get("/healthz")
+            .expect("liveness")
+            .status
+            .is_success());
+    }
+    let text = client.get("/metrics").expect("scrape /metrics").body_text();
+    let requests: usize = text
+        .lines()
+        .find_map(|l| l.strip_prefix("funcproxy_edge_requests_total "))
+        .and_then(|v| v.parse().ok())
+        .expect("edge requests sample");
+    assert!(
+        requests >= N,
+        "funcproxy_edge_requests_total {requests} < {N}"
+    );
+    for phase in ["accept", "parse"] {
+        let recorded = text.lines().any(|l| {
+            l.starts_with(&format!(
+                "funcproxy_phase_latency_seconds_count{{phase=\"{phase}\""
+            )) && !l.ends_with(" 0")
+        });
+        assert!(recorded, "edge phase `{phase}` has no samples");
+    }
+    server.shutdown();
+}
+
 /// Every family the registry declares reaches a live scrape of the
 /// shipping service, once each, and the retirement family counts real
 /// evictions: a small RAM budget over a slab tier demotes while the disk
@@ -216,17 +253,7 @@ fn every_declared_family_reaches_a_live_scrape() {
             .with_tier_config(TierConfig::new(&dir).with_io(io.clone())),
         1,
     );
-    let service = ProxyEdgeService::new(handle.clone());
-    let edge_stats = service.edge_stats();
-    let server = EdgeServer::bind(
-        "127.0.0.1:0",
-        Arc::new(service),
-        EdgeConfig::default()
-            .with_workers(1)
-            .with_stats(edge_stats)
-            .with_observer(handle.observer_shared()),
-    )
-    .expect("bind ephemeral port");
+    let server = serve(handle.clone());
     let client = HttpClient::new(server.addr());
     let radial = |ra: u32, dec: i32| {
         let url = format!("/search/radial?ra={ra}&dec={dec}&radius=10");
