@@ -52,6 +52,21 @@ const TICK: Duration = Duration::from_millis(10);
 const SHARDS: usize = 2;
 /// Fleet size of the mid-trace kill run.
 const KILL_FLEET: usize = 3;
+
+/// Power-of-two fleet sizes up to `max` (always including `max`): the
+/// sweep the fleet test replays.
+fn fleet_sweep(max: usize) -> Vec<usize> {
+    let max = max.max(1);
+    let mut sizes = Vec::new();
+    let mut n = 1;
+    while n < max {
+        sizes.push(n);
+        n *= 2;
+    }
+    sizes.push(max);
+    sizes
+}
+
 /// One fleet-size row of the sweep.
 pub struct ClusterRow {
     /// Fleet size.
@@ -315,12 +330,17 @@ mod tests {
             queries: 150,
             seed: 23,
         });
-        let bench = exp.cluster(&[1, 4]);
+        let bench = exp.cluster(&fleet_sweep(4));
 
+        let sizes: Vec<usize> = bench.rows.iter().map(|r| r.nodes).collect();
+        assert_eq!(sizes, vec![1, 2, 4]);
+        // Every size of the sweep answers every query soundly.
+        for row in &bench.rows {
+            assert_eq!(row.answered, row.queries, "{}-node fleet", row.nodes);
+            assert!(row.all_answers_sound, "{}-node fleet", row.nodes);
+        }
         let solo = &bench.rows[0];
-        let fleet = &bench.rows[1];
-        assert_eq!(solo.nodes, 1);
-        assert_eq!(fleet.nodes, 4);
+        let fleet = &bench.rows[2];
         // With a healthy origin every query is answered at any size.
         assert_eq!(solo.answered, solo.queries);
         assert_eq!(fleet.answered, fleet.queries);
@@ -360,5 +380,14 @@ mod tests {
             k.failovers >= 1,
             "the kill must be observed as a membership transition"
         );
+    }
+
+    #[test]
+    fn fleet_sweep_is_powers_of_two_up_to_max() {
+        assert_eq!(fleet_sweep(8), vec![1, 2, 4, 8]);
+        assert_eq!(fleet_sweep(4), vec![1, 2, 4]);
+        assert_eq!(fleet_sweep(6), vec![1, 2, 4, 6]);
+        assert_eq!(fleet_sweep(1), vec![1]);
+        assert_eq!(fleet_sweep(0), vec![1]);
     }
 }
