@@ -2,14 +2,17 @@
 //!
 //! The handle is the proxy's one decision procedure — exact match,
 //! containment, region containment and overlap, each answered as the
-//! configured [`Scheme`] allows — run in phases so no lock is ever held
+//! configured [`Scheme`] allows. It is one pipeline whatever form the
+//! answer takes (a `Sink`: rows, a slab document, or the edge
+//! reactor's non-blocking probe), run in phases so no lock is ever held
 //! across an origin fetch:
 //!
-//! 1. **Cache phase** (one shard lock): exact lookup, relationship
-//!    classification, and — when possible — the complete answer (exact
-//!    hit or local evaluation over a containing entry). Misses leave
-//!    the phase with an origin plan: which query to send and what
-//!    cached contribution to merge in.
+//! 1. **Cache phase** (one shard lock): exact lookup and relationship
+//!    classification. A hit — exact or contained, RAM or disk — leaves
+//!    the lock as a `HitPlan` of `Arc` snapshots, and one finisher
+//!    (`ProxyHandle::finish_hit`) selects its rows off-lock and hands
+//!    them to the sink. Misses leave the phase with an origin plan:
+//!    which query to send and what cached contribution to merge in.
 //! 2. **Flight phase** (flight-table lock only): the request joins or
 //!    leads the single flight for its canonical SQL. A leader re-runs
 //!    the cache phase after registering its flight; together with
@@ -37,7 +40,7 @@
 //! rejections and true disjoint misses surface the error.
 
 use crate::cache::{
-    entry_from_segment, CacheStats, CacheStore, ProfitEstimate, ProfitModel, SlabSlice,
+    entry_from_segment, CacheEntry, CacheStats, CacheStore, ProfitEstimate, ProfitModel, SlabSlice,
 };
 use crate::config::{ProxyConfig, SchemeChoice};
 use crate::lifecycle::Freshness;
@@ -57,13 +60,15 @@ use crate::schemes::Scheme;
 use crate::template::{BoundKey, BoundQuery, TemplateManager};
 use crate::ProxyError;
 use fp_geometry::Region;
-use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet, SlabDoc};
+use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet, SelectStats, SlabDoc};
 use fp_sqlmini::Query;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashSet;
+use std::hash::Hash;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -82,21 +87,17 @@ fn with_scratch<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
 /// serves itself without coalescing.
 pub const MAX_COALESCE_ATTEMPTS: usize = 3;
 
+/// Every request but the reactor probe is answered, never declined.
+const BLOCKING_ANSWERS: &str = "only the probe declines";
+
 /// A cheaply cloneable, thread-safe handle to one shared proxy.
 ///
 /// All methods take `&self`; clones share the cache shards, the flight
 /// table, and the runtime counters. This is the front the HTTP router
 /// and the multi-client replayer use.
+#[derive(Clone)]
 pub struct ProxyHandle {
     inner: Arc<Runtime>,
-}
-
-impl Clone for ProxyHandle {
-    fn clone(&self) -> Self {
-        ProxyHandle {
-            inner: Arc::clone(&self.inner),
-        }
-    }
 }
 
 struct Runtime {
@@ -168,12 +169,15 @@ impl ServeLife {
     }
 }
 
-/// Wall-clock bookkeeping for one request, accumulated across phases.
+/// Bookkeeping for one request, accumulated across phases.
 struct Timing {
     start: Instant,
     check_ms: f64,
     local_ms: f64,
     lock_wait_ms: f64,
+    /// A malformed entry already sent this request to the origin, and
+    /// was counted (a leader's re-check meets the same entry again).
+    fell_back: bool,
 }
 
 impl Timing {
@@ -183,6 +187,46 @@ impl Timing {
             check_ms: 0.0,
             local_ms: 0.0,
             lock_wait_ms: 0.0,
+            fell_back: false,
+        }
+    }
+
+    /// The metrics record of an answer finished now.
+    fn metrics(
+        &self,
+        rows_total: usize,
+        outcome: Outcome,
+        rows_from_cache: usize,
+        sim_ms: f64,
+    ) -> QueryMetrics {
+        let proxy_ms = ms_since(self.start);
+        QueryMetrics {
+            outcome,
+            response_ms: sim_ms + proxy_ms,
+            sim_ms,
+            proxy_ms,
+            check_ms: self.check_ms,
+            local_ms: self.local_ms,
+            rows_total,
+            rows_from_cache,
+            lock_wait_ms: self.lock_wait_ms,
+            ..QueryMetrics::default()
+        }
+    }
+
+    /// `result` as a row response finished now.
+    fn respond(
+        &self,
+        result: Arc<ResultSet>,
+        outcome: Outcome,
+        rows_from_cache: usize,
+        sim_ms: f64,
+    ) -> ProxyResponse {
+        let metrics = self.metrics(result.len(), outcome, rows_from_cache, sim_ms);
+        ProxyResponse {
+            result,
+            columnar: None,
+            metrics,
         }
     }
 }
@@ -259,42 +303,123 @@ impl DocResponse {
     }
 }
 
+/// Where a request's answer goes. Every sink runs the same pipeline;
+/// only the form of a finished hit differs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Sink {
+    /// A row response ([`ProxyResponse`]).
+    Rows,
+    /// A response document ([`DocResponse`]): a hit lends ranges of its
+    /// entry's slab where one exists.
+    Doc,
+    /// The edge reactor's probe: a document, served only from a fresh
+    /// hit and without blocking — no flight, no origin, no thread
+    /// spawned (a disk hit leaves its promotion to a blocking request).
+    Probe,
+}
+
+/// A finished answer in its sink's form. Misses, merges and degraded
+/// answers are rows whatever the sink; only a hit finished for a
+/// document sink is a document already.
+enum Served {
+    Rows(ProxyResponse),
+    Doc(DocResponse),
+}
+
+impl Served {
+    fn metrics(&self) -> &QueryMetrics {
+        match self {
+            Served::Rows(response) => &response.metrics,
+            Served::Doc(response) => &response.metrics,
+        }
+    }
+
+    fn metrics_mut(&mut self) -> &mut QueryMetrics {
+        match self {
+            Served::Rows(response) => &mut response.metrics,
+            Served::Doc(response) => &mut response.metrics,
+        }
+    }
+
+    /// Rows (and their columnar form, when it is the form of exactly
+    /// these rows), metrics still to be filled in.
+    fn rows(result: Arc<ResultSet>, columnar: Option<Arc<ColumnarRows>>) -> Self {
+        Served::Rows(ProxyResponse {
+            result,
+            columnar,
+            metrics: QueryMetrics::default(),
+        })
+    }
+
+    /// A document, metrics still to be filled in.
+    fn doc(body: XmlBody) -> Self {
+        Served::Doc(DocResponse {
+            body,
+            metrics: QueryMetrics::default(),
+        })
+    }
+
+    /// The row response. Only document sinks are lent a slab.
+    fn into_rows(self) -> ProxyResponse {
+        match self {
+            Served::Rows(response) => response,
+            Served::Doc(_) => unreachable!("the row sink is never lent a slab"),
+        }
+    }
+}
+
 /// What the cache phase decided (after off-lock local evaluation).
 enum Phase {
     /// Fully answered from the cache.
-    Served(ProxyResponse),
+    Served(Served),
     /// Origin work is needed; here is the plan.
     Origin(Box<OriginPlan>),
 }
 
-/// What the shard-lock window itself decided. Contained hits leave the
-/// lock with `Arc` snapshots of the entry; the actual region selection
-/// runs after the lock is released, so a large scan never serializes
-/// other requests on the same shard.
+/// What the shard-lock window itself decided. A hit leaves the lock
+/// with `Arc` snapshots of its entry (or the pinned slab segment of a
+/// demoted one); row selection runs after the lock is released, so a
+/// large scan never serializes other requests on the same shard.
 enum LockedPhase {
-    /// Exact hit: the entry's shared result (and columnar form, for
-    /// byte-level serving).
-    Exact {
+    Hit(HitPlan),
+    /// Origin work is needed; here is the plan.
+    Origin(Box<OriginPlan>),
+}
+
+/// An exact or contained hit, captured under the shard lock.
+struct HitPlan {
+    rows: HitRows,
+    /// `true` = exact hit (serve every row); `false` = contained hit
+    /// (select the query region).
+    exact: bool,
+    /// Simulated cost of reading the entry.
+    sim_ms: f64,
+    life: ServeLife,
+}
+
+/// Where a hit's rows lie.
+enum HitRows {
+    /// A resident entry's snapshots. Entries are immutable once
+    /// inserted, so they stay valid even if the entry is evicted while
+    /// the hit is finished.
+    Ram {
         result: Arc<ResultSet>,
         columnar: Option<Arc<ColumnarRows>>,
-        sim_ms: f64,
-        life: ServeLife,
+        /// Region dims → result columns (contained hits only); `None` =
+        /// the entry cannot map the template's coordinate columns
+        /// (treated like a malformed entry).
+        coord_idx: Option<Vec<usize>>,
     },
-    /// A containing entry was found; evaluate off-lock.
-    Contained(Box<ContainedPlan>),
-    /// The matching entry lives on the disk tier; serve it from the
-    /// mmap'd slab segment off-lock.
-    Disk(Box<DiskPlan>),
-    /// Origin work is needed; here is the plan.
-    Origin(Box<OriginPlan>),
+    /// A demoted entry on the disk tier.
+    Disk(Box<DiskRows>),
 }
 
-/// A demoted entry's serve plan, captured under the shard lock. The
+/// A demoted entry's slab segment, pinned under the shard lock. The
 /// slice pins the mmap (not the store), so row selection — by the
 /// resident skeleton — runs after the lock is released, and the answer
 /// lends the entry's pre-serialized row bytes straight out of the page
 /// cache.
-struct DiskPlan {
+struct DiskRows {
     id: u64,
     residual_key: Arc<str>,
     slice: Arc<SlabSlice>,
@@ -302,39 +427,31 @@ struct DiskPlan {
     /// slice's row slab. That it exists says the slice fits the
     /// skeleton.
     doc: SlabDoc,
-    /// Total rows in the demoted entry (exact hits serve them all).
-    rows: usize,
-    /// `true` = exact hit; `false` = contained (select, then name spans).
-    exact: bool,
-    sim_ms: f64,
-    life: ServeLife,
 }
 
-/// `Arc` snapshots of a containing entry, captured under the shard lock.
-/// Entries are immutable once inserted, so the snapshot stays valid even
-/// if the entry is evicted while we evaluate.
-struct ContainedPlan {
-    result: Arc<ResultSet>,
-    columnar: Option<Arc<ColumnarRows>>,
-    /// Region dims → result columns; `None` = the entry cannot map the
-    /// template's coordinate columns (treated like a malformed entry).
-    coord_idx: Option<Vec<usize>>,
-    sim_ms: f64,
-    life: ServeLife,
-}
-
-/// One probed entry in a merge plan: its shared result, its columnar
-/// form, and — on the overlap path — the coordinate mapping to filter
-/// it by. Filtering happens off-lock in [`ProxyHandle::execute_plan`].
+/// One probed entry in a merge: its shared result, its columnar form,
+/// and — on the overlap path — the coordinate mapping to filter it by.
+/// Filtering happens off-lock, in [`merge_parts`].
 struct ProbePart {
     result: Arc<ResultSet>,
     columnar: Option<Arc<ColumnarRows>>,
     /// `Some` = filter to the query region (overlap probes); `None` =
     /// contributes whole (region containment).
     filter_idx: Option<Vec<usize>>,
+    /// Simulated cost of reading the entry.
+    sim_ms: f64,
     /// Lifecycle facts for this entry alone; folded into the response
     /// only when the part contributes rows to the served answer.
     life: ServeLife,
+}
+
+/// Probe parts filtered to the query region and merged by key.
+struct Merged {
+    result: ResultSet,
+    /// Lifecycle facts of the parts whose rows reached the merge.
+    life: ServeLife,
+    rows_scanned: usize,
+    rows_pruned: usize,
 }
 
 /// Everything a leader needs to finish a request off-lock: what to leave
@@ -347,8 +464,6 @@ struct OriginPlan {
     exclude: Vec<Region>,
     /// Probed entries whose rows merge into the response.
     probe_parts: Vec<ProbePart>,
-    /// Simulated cost of reading the probed entries.
-    probe_sim_ms: f64,
     /// Entries subsumed by the merged result (compacted after insert).
     compact_ids: Vec<u64>,
     outcome: Outcome,
@@ -365,7 +480,6 @@ impl OriginPlan {
         Box::new(OriginPlan {
             exclude: Vec::new(),
             probe_parts: Vec::new(),
-            probe_sim_ms: 0.0,
             compact_ids,
             outcome: Outcome::Forwarded,
             local_fallback: false,
@@ -395,7 +509,7 @@ impl ProxyHandle {
         config: ProxyConfig,
         shards: usize,
     ) -> Self {
-        Self::build(manager, origin, config, shards, Arc::new(SystemClock))
+        Self::with_shards_clocked(manager, origin, config, shards, Arc::new(SystemClock))
     }
 
     /// [`ProxyHandle::with_shards`] with an injected clock for the
@@ -403,16 +517,6 @@ impl ProxyHandle {
     /// constructor deterministic tests and the chaos harness use. The
     /// clock is inert unless `config.resilience` is set.
     pub fn with_shards_clocked(
-        manager: TemplateManager,
-        origin: Arc<dyn Origin>,
-        config: ProxyConfig,
-        shards: usize,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        Self::build(manager, origin, config, shards, clock)
-    }
-
-    fn build(
         manager: TemplateManager,
         origin: Arc<dyn Origin>,
         config: ProxyConfig,
@@ -698,14 +802,7 @@ impl ProxyHandle {
     /// per expired key" is only countable once the refreshes landed).
     pub fn quiesce_revalidations(&self) {
         loop {
-            let threads: Vec<JoinHandle<()>> = {
-                let mut guard = self
-                    .inner
-                    .reval_threads
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                std::mem::take(&mut *guard)
-            };
+            let threads = std::mem::take(&mut *locked(&self.inner.reval_threads));
             if threads.is_empty() {
                 return;
             }
@@ -719,14 +816,15 @@ impl ProxyHandle {
     /// files and templates, then answer per the configured scheme.
     ///
     /// # Errors
-    /// Propagates resolution failures and origin errors.
+    /// Propagates resolution failures and origin errors; cache-side
+    /// failures fall back to forwarding instead of erroring.
     pub fn handle_form<K: AsRef<str>, V: AsRef<str>>(
         &self,
         path: &str,
         fields: &[(K, V)],
     ) -> Result<ProxyResponse, ProxyError> {
-        let bound = self.inner.manager.resolve_form(path, fields)?;
-        self.handle_bound(bound)
+        self.serve_form(path, fields, Sink::Rows)
+            .map(Served::into_rows)
     }
 
     /// Serves a raw SQL request (the power-user path). Queries that match
@@ -737,116 +835,7 @@ impl ProxyHandle {
     /// # Errors
     /// Propagates resolution failures and origin errors.
     pub fn handle_sql(&self, sql: &str) -> Result<ProxyResponse, ProxyError> {
-        match self.inner.manager.resolve_sql(sql) {
-            Some(bound) => self.handle_bound(bound?),
-            None => {
-                let _trace = self.inner.observe.begin_trace();
-                let started = Instant::now();
-                let response = self.forward_raw_sql(sql);
-                self.observe_request(started, response.as_ref().ok().map(|r| &r.metrics));
-                response
-            }
-        }
-    }
-
-    /// The unregistered-SQL path: parse and forward, no cache
-    /// interaction (there is no template, so no region to reason about).
-    fn forward_raw_sql(&self, sql: &str) -> Result<ProxyResponse, ProxyError> {
-        RuntimeStats::add(&self.inner.stats.requests, 1);
-        let query =
-            fp_sqlmini::parse_query(sql).map_err(|e| ProxyError::BadRequest(e.to_string()))?;
-        let timing = Timing::begin();
-        let (result, sim_ms) = self.fetch(&query, false, PathClass::Miss)?;
-        Ok(self.respond(
-            Arc::new(result),
-            Outcome::Forwarded,
-            0,
-            sim_ms,
-            &timing,
-            false,
-        ))
-    }
-
-    /// Serves an already-resolved query from any thread.
-    ///
-    /// # Errors
-    /// Propagates origin errors; cache-side failures fall back to
-    /// forwarding instead of erroring.
-    pub fn handle_bound(&self, bound: BoundQuery) -> Result<ProxyResponse, ProxyError> {
-        let _trace = self.inner.observe.begin_trace();
-        let started = Instant::now();
-        let reg = Arc::clone(&bound.reg);
-        let scheme = self.effective_scheme(&bound);
-        let response = self.handle_bound_inner(bound, scheme);
-        if let Ok(r) = &response {
-            self.note_served(&reg.template.name, scheme, &r.metrics);
-        }
-        self.observe_request(started, response.as_ref().ok().map(|r| &r.metrics));
-        self.maybe_snapshot();
-        response
-    }
-
-    /// End-of-request observe recording: fold the request's accumulated
-    /// timing segments into the per-phase histograms, classify the
-    /// outcome, and close the root span. `None` metrics = the request
-    /// errored; only the root span is recorded then (failure counters
-    /// live in [`RuntimeStats`] and the resilience layer).
-    ///
-    /// Phase segments record only when the phase actually ran — folding
-    /// in zero-length segments for phases a path never touched would
-    /// drown the distributions in zeros. The outcome histogram records
-    /// `proxy_ms` (measured proxy-side time), not `response_ms`, which
-    /// mixes in simulated WAN cost.
-    fn observe_request(&self, started: Instant, metrics: Option<&QueryMetrics>) {
-        let obs = &self.inner.observe;
-        let Some(m) = metrics else {
-            obs.span("request", "proxy", started, started.elapsed(), || {
-                Some("error".into())
-            });
-            return;
-        };
-        let path = if matches!(m.outcome, Outcome::Exact | Outcome::Contained) {
-            PathClass::Hit
-        } else {
-            PathClass::Miss
-        };
-        if m.check_ms > 0.0 {
-            obs.record_phase(ObsPhase::Classify, path, m.check_ms);
-        }
-        if m.local_ms > 0.0 {
-            obs.record_phase(ObsPhase::LocalEval, path, m.local_ms);
-        }
-        if m.lock_wait_ms > 0.0 {
-            obs.record_phase(ObsPhase::LockWait, path, m.lock_wait_ms);
-        }
-        let class = OutcomeClass::of(m.outcome, m.degraded, m.stale);
-        obs.record_outcome(class, m.proxy_ms);
-        obs.span("request", "proxy", started, started.elapsed(), || {
-            Some(class.label().to_string())
-        });
-    }
-
-    fn handle_bound_inner(
-        &self,
-        bound: BoundQuery,
-        scheme: Scheme,
-    ) -> Result<ProxyResponse, ProxyError> {
-        RuntimeStats::add(&self.inner.stats.requests, 1);
-        match scheme {
-            Scheme::NoCache => {
-                let timing = Timing::begin();
-                let (result, sim_ms) = self.fetch(&bound.query, false, PathClass::Miss)?;
-                Ok(self.respond(
-                    Arc::new(result),
-                    Outcome::Forwarded,
-                    0,
-                    sim_ms,
-                    &timing,
-                    false,
-                ))
-            }
-            _ => self.serve_caching(bound, scheme),
-        }
+        self.serve_sql(sql, Sink::Rows).map(Served::into_rows)
     }
 
     /// Serves an HTML-form request straight to response bytes:
@@ -877,8 +866,8 @@ impl ProxyHandle {
         path: &str,
         fields: &[(K, V)],
     ) -> Result<DocResponse, ProxyError> {
-        let key = self.inner.manager.bind_form(path, fields)?;
-        self.serve_xml(key)
+        self.serve_form(path, fields, Sink::Doc)
+            .map(|served| self.to_doc(served))
     }
 
     /// [`ProxyHandle::handle_sql`], served to a response document.
@@ -886,154 +875,8 @@ impl ProxyHandle {
     /// # Errors
     /// Propagates resolution failures and origin errors.
     pub fn handle_sql_doc(&self, sql: &str) -> Result<DocResponse, ProxyError> {
-        match self.inner.manager.bind_sql(sql) {
-            Some(key) => self.serve_xml(key?),
-            None => {
-                let _trace = self.inner.observe.begin_trace();
-                let started = Instant::now();
-                let response = self
-                    .forward_raw_sql(sql)
-                    .map(|response| self.xml_from_rows(response));
-                self.observe_request(started, response.as_ref().ok().map(|r| &r.metrics));
-                response
-            }
-        }
-    }
-
-    /// Turns a row response into a response document, timing the step
-    /// into the observe layer (the columnar hit paths time their range
-    /// building at the site). A response that carries its columnar form
-    /// — every miss under a caching scheme — lends the slab the insert
-    /// just built; only the rest serialize their rows here.
-    fn xml_from_rows(&self, response: ProxyResponse) -> DocResponse {
-        let ser_start = Instant::now();
-        let body = match &response.columnar {
-            Some(col) => XmlBody::Doc(col.doc()),
-            None => XmlBody::Bytes(response.result.to_xml_string().into_bytes()),
-        };
-        let path = if matches!(
-            response.metrics.outcome,
-            Outcome::Exact | Outcome::Contained
-        ) {
-            PathClass::Hit
-        } else {
-            PathClass::Miss
-        };
-        let obs = &self.inner.observe;
-        obs.record_phase(ObsPhase::Serialize, path, ms_since(ser_start));
-        obs.span("serialize", "serve", ser_start, ser_start.elapsed(), || {
-            None
-        });
-        DocResponse {
-            body,
-            metrics: response.metrics,
-        }
-    }
-
-    /// The byte-serving front: try the hot paths (exact / contained hit
-    /// as ranges of the columnar slab), fall back to the ordinary row
-    /// pipeline plus serialization for everything else.
-    fn serve_xml(&self, key: BoundKey) -> Result<DocResponse, ProxyError> {
-        let _trace = self.inner.observe.begin_trace();
-        let started = Instant::now();
-        let reg = Arc::clone(&key.reg);
-        let scheme = self.effective_scheme(&key);
-        let response = self.serve_xml_inner(key, scheme);
-        if let Ok(r) = &response {
-            self.note_served(&reg.template.name, scheme, &r.metrics);
-        }
-        self.observe_request(started, response.as_ref().ok().map(|r| &r.metrics));
-        self.maybe_snapshot();
-        response
-    }
-
-    /// A hit is answered from the key alone; the concrete query is built
-    /// only once the origin is needed.
-    fn serve_xml_inner(&self, key: BoundKey, scheme: Scheme) -> Result<DocResponse, ProxyError> {
-        RuntimeStats::add(&self.inner.stats.requests, 1);
-        if scheme == Scheme::NoCache {
-            let timing = Timing::begin();
-            let (result, sim_ms) = self.fetch(&key.complete().query, false, PathClass::Miss)?;
-            let response = self.respond(
-                Arc::new(result),
-                Outcome::Forwarded,
-                0,
-                sim_ms,
-                &timing,
-                false,
-            );
-            return Ok(self.xml_from_rows(response));
-        }
-
-        let mut timing = Timing::begin();
-        match self.try_locked_hit(&key, scheme, &mut timing, false) {
-            Some(response) => Ok(response),
-            // Malformed entry or miss: rejoin the ordinary loop (it
-            // re-runs the cache phase under the flight table, which is
-            // what closes the fetch/join race).
-            None => Ok(self.xml_from_rows(self.serve_caching(key.complete(), scheme)?)),
-        }
-    }
-
-    /// One shard-lock window's worth of byte serving: an exact or
-    /// contained hit becomes a response, anything needing origin work
-    /// (or a malformed entry) becomes `None`. With `fresh_only`, stale
-    /// hits also return `None` — the nonblocking edge path declines them
-    /// so revalidation spawning stays off the reactor thread.
-    fn try_locked_hit(
-        &self,
-        bound: &BoundKey,
-        scheme: Scheme,
-        timing: &mut Timing,
-        fresh_only: bool,
-    ) -> Option<DocResponse> {
-        match self.cache_phase_locked(bound, scheme, timing) {
-            LockedPhase::Exact {
-                result,
-                columnar,
-                sim_ms,
-                life,
-            } => {
-                if fresh_only && life.stale {
-                    return None;
-                }
-                let ser_start = Instant::now();
-                let body = match &columnar {
-                    Some(col) => XmlBody::Doc(col.doc()),
-                    None => XmlBody::Bytes(result.to_xml_string().into_bytes()),
-                };
-                let obs = &self.inner.observe;
-                obs.record_phase(ObsPhase::Serialize, PathClass::Hit, ms_since(ser_start));
-                obs.span("serialize", "serve", ser_start, ser_start.elapsed(), || {
-                    Some("exact".into())
-                });
-                let cached = result.len();
-                let mut metrics =
-                    self.metrics_for(result.len(), Outcome::Exact, cached, sim_ms, timing, false);
-                self.apply_life(&mut metrics, &life, true);
-                Some(DocResponse { body, metrics })
-            }
-            LockedPhase::Contained(plan) => {
-                if fresh_only && plan.life.stale {
-                    return None;
-                }
-                self.contained_bytes(bound, &plan, timing)
-            }
-            LockedPhase::Disk(plan) => {
-                if fresh_only && plan.life.stale {
-                    return None;
-                }
-                let response = self.disk_bytes(bound, &plan, timing);
-                // Promotion (a slab parse) runs on a worker; the edge
-                // reactor path must not spawn threads, so it serves
-                // from disk again until a blocking request promotes.
-                if !fresh_only {
-                    self.spawn_promotion(&plan);
-                }
-                Some(response)
-            }
-            LockedPhase::Origin(_) => None,
-        }
+        self.serve_sql(sql, Sink::Doc)
+            .map(|served| self.to_doc(served))
     }
 
     /// The edge reactor's fast path: serve an HTML-form request to bytes
@@ -1050,118 +893,208 @@ impl ProxyHandle {
         fields: &[(K, V)],
     ) -> Option<DocResponse> {
         let key = self.inner.manager.bind_form(path, fields).ok()?;
-        self.try_cached_xml(&key)
+        self.probe_key(key)
     }
 
     /// [`ProxyHandle::try_form_doc_cached`] for raw SQL requests.
     /// Unregistered SQL always declines (it always needs the origin).
     pub fn try_sql_doc_cached(&self, sql: &str) -> Option<DocResponse> {
         match self.inner.manager.bind_sql(sql)? {
-            Ok(key) => self.try_cached_xml(&key),
+            Ok(key) => self.probe_key(key),
             Err(_) => None,
         }
     }
 
-    fn try_cached_xml(&self, bound: &BoundKey) -> Option<DocResponse> {
-        let scheme = self.effective_scheme(bound);
-        if scheme == Scheme::NoCache {
-            return None;
-        }
-        let _trace = self.inner.observe.begin_trace();
-        let started = Instant::now();
-        let mut timing = Timing::begin();
-        let response = self.try_locked_hit(bound, scheme, &mut timing, true)?;
-        // Count the request only once it is actually served here; a
-        // declined probe is re-served (and counted) by the blocking
-        // path. Snapshot scheduling is deliberately skipped — the
-        // reactor thread must not absorb file I/O.
-        RuntimeStats::add(&self.inner.stats.requests, 1);
-        self.note_served(&bound.reg.template.name, scheme, &response.metrics);
-        self.observe_request(started, Some(&response.metrics));
-        Some(response)
+    /// A blocking form request through the one pipeline.
+    fn serve_form<K: AsRef<str>, V: AsRef<str>>(
+        &self,
+        path: &str,
+        fields: &[(K, V)],
+        sink: Sink,
+    ) -> Result<Served, ProxyError> {
+        let key = self.inner.manager.bind_form(path, fields)?;
+        self.serve_key(key, sink).expect(BLOCKING_ANSWERS)
     }
 
-    /// A contained hit as a document: select through the micro-index,
-    /// then name the selected rows' pre-serialized spans in the slab.
-    /// Returns `None` for malformed entries.
-    fn contained_bytes(
-        &self,
-        bound: &BoundKey,
-        plan: &ContainedPlan,
-        timing: &mut Timing,
-    ) -> Option<DocResponse> {
-        let idx = plan.coord_idx.as_deref()?;
-        let local_start = Instant::now();
-        if let Some(col) = plan.columnar.as_ref().filter(|c| c.coord_idx() == idx) {
-            let (doc, rows, stats, ser_ms) = with_scratch(|scratch| {
-                let (point, selected) = scratch.parts_mut();
-                let stats = col.select_region(&bound.region, selected, point);
-                if let Some(n) = bound.reg.top() {
-                    selected.truncate(n as usize);
-                }
-                let ser_start = Instant::now();
-                let doc = col.doc_of(selected);
-                (doc, selected.len(), stats, ms_since(ser_start))
-            });
-            // `local_ms` keeps its established meaning (all off-lock
-            // local work, range building included); the serialize
-            // histogram carves that share out separately.
-            timing.local_ms += ms_since(local_start);
-            self.inner
-                .observe
-                .record_phase(ObsPhase::Serialize, PathClass::Hit, ser_ms);
-            let mut metrics =
-                self.metrics_for(rows, Outcome::Contained, rows, plan.sim_ms, timing, false);
-            metrics.rows_scanned = stats.rows_scanned;
-            metrics.rows_pruned = stats.rows_pruned();
-            self.apply_life(&mut metrics, &plan.life, true);
-            return Some(DocResponse {
-                body: XmlBody::Doc(doc),
-                metrics,
-            });
-        }
-        // No matching columnar form: row-major selection, then serialize.
-        let eval = with_scratch(|scratch| {
-            eval_entry_region(&plan.result, None, idx, &bound.region, scratch)
-        })?;
-        let mut result = eval.result;
-        if let Some(n) = bound.reg.top() {
-            result.rows.truncate(n as usize);
-        }
-        timing.local_ms += ms_since(local_start);
-        let rows = result.len();
-        let ser_start = Instant::now();
-        let body = result.to_xml_string().into_bytes();
-        self.inner
-            .observe
-            .record_phase(ObsPhase::Serialize, PathClass::Hit, ms_since(ser_start));
-        let mut metrics =
-            self.metrics_for(rows, Outcome::Contained, rows, plan.sim_ms, timing, false);
-        metrics.rows_scanned = eval.stats.rows_scanned;
-        metrics.rows_pruned = eval.stats.rows_pruned();
-        self.apply_life(&mut metrics, &plan.life, true);
-        Some(DocResponse {
-            body: XmlBody::Bytes(body),
-            metrics,
+    /// A blocking raw SQL request: bound to a template when one matches,
+    /// forwarded uncached otherwise.
+    fn serve_sql(&self, sql: &str, sink: Sink) -> Result<Served, ProxyError> {
+        let served = match self.inner.manager.bind_sql(sql) {
+            Some(key) => self.serve_key(key?, sink),
+            None => self.request(sink, None, || {
+                let query =
+                    fp_sqlmini::parse_query(sql).map_err(|e| ProxyError::BadRequest(e.to_string()));
+                Some(query.and_then(|query| self.forward(&query)))
+            }),
+        };
+        served.expect(BLOCKING_ANSWERS)
+    }
+
+    /// The reactor probe of a bound request, as a document.
+    fn probe_key(&self, key: BoundKey) -> Option<DocResponse> {
+        let served = self.serve_key(key, Sink::Probe)?.ok()?;
+        Some(self.to_doc(served))
+    }
+
+    /// A bound request through the one pipeline, under the scheme it
+    /// resolves to (once, so it never straddles a scheme switch). `None`
+    /// only for a declined probe.
+    fn serve_key(&self, key: BoundKey, sink: Sink) -> Option<Result<Served, ProxyError>> {
+        let scheme = self.effective_scheme(&key);
+        let reg = Arc::clone(&key.reg);
+        self.request(sink, Some((&reg.template.name, scheme)), move || {
+            match (scheme, sink) {
+                (Scheme::NoCache, Sink::Probe) => None,
+                (Scheme::NoCache, _) => Some(self.forward(&key.complete().query)),
+                (_, Sink::Probe) => self.probe(&key, scheme).map(Ok),
+                _ => Some(self.serve_caching(key, scheme, sink)),
+            }
         })
     }
 
-    /// The caching schemes' request loop: cache phase, then flight
-    /// phase, retried while coalescing fails to help.
+    /// The one request wrapper: a sampled trace around `serve`, then the
+    /// adaptive tally (for a request with a template, under its scheme)
+    /// and the observe record. A blocking request is counted as it starts
+    /// — so a concurrent reader never sees more coalesced requests than
+    /// requests — and runs the `.fpmeta` schedule as it ends. The probe
+    /// counts only what it serves (a declined probe is re-served, and
+    /// counted, by a blocking request) and keeps file I/O off the
+    /// reactor thread.
+    fn request(
+        &self,
+        sink: Sink,
+        template: Option<(&str, Scheme)>,
+        serve: impl FnOnce() -> Option<Result<Served, ProxyError>>,
+    ) -> Option<Result<Served, ProxyError>> {
+        let _trace = self.inner.observe.begin_trace();
+        let started = Instant::now();
+        let probe = sink == Sink::Probe;
+        if !probe {
+            RuntimeStats::add(&self.inner.stats.requests, 1);
+        }
+        let served = serve()?;
+        if probe {
+            RuntimeStats::add(&self.inner.stats.requests, 1);
+        }
+        let metrics = served.as_ref().ok().map(Served::metrics);
+        if let (Some((template, scheme)), Some(m)) = (template, metrics) {
+            self.note_served(template, scheme, m);
+        }
+        self.observe_request(started, metrics);
+        if !probe {
+            self.maybe_snapshot();
+        }
+        Some(served)
+    }
+
+    /// End-of-request observe recording: fold the request's accumulated
+    /// timing segments into the per-phase histograms, classify the
+    /// outcome, and close the root span. `None` metrics = the request
+    /// errored; only the root span is recorded then (failure counters
+    /// live in [`RuntimeStats`] and the resilience layer).
+    ///
+    /// Phase segments record only when the phase actually ran — folding
+    /// in zero-length segments for phases a path never touched would
+    /// drown the distributions in zeros. The outcome histogram records
+    /// `proxy_ms` (measured proxy-side time), not `response_ms`, which
+    /// mixes in simulated WAN cost.
+    fn observe_request(&self, started: Instant, metrics: Option<&QueryMetrics>) {
+        let obs = &self.inner.observe;
+        let Some(m) = metrics else {
+            obs.span("request", "proxy", started, started.elapsed(), || {
+                Some("error".into())
+            });
+            return;
+        };
+        let path = path_of(m.outcome);
+        if m.check_ms > 0.0 {
+            obs.record_phase(ObsPhase::Classify, path, m.check_ms);
+        }
+        if m.local_ms > 0.0 {
+            obs.record_phase(ObsPhase::LocalEval, path, m.local_ms);
+        }
+        if m.lock_wait_ms > 0.0 {
+            obs.record_phase(ObsPhase::LockWait, path, m.lock_wait_ms);
+        }
+        let class = OutcomeClass::of(m.outcome, m.degraded, m.stale);
+        obs.record_outcome(class, m.proxy_ms);
+        obs.span("request", "proxy", started, started.elapsed(), || {
+            Some(class.label().to_string())
+        });
+    }
+
+    /// The one uncached forward: the origin's answer to `query`, neither
+    /// merged nor cached (unregistered SQL, the no-cache scheme).
+    fn forward(&self, query: &Query) -> Result<Served, ProxyError> {
+        let timing = Timing::begin();
+        let (result, sim_ms) = self.fetch(query, false, PathClass::Miss)?;
+        let response = timing.respond(Arc::new(result), Outcome::Forwarded, 0, sim_ms);
+        Ok(Served::Rows(response))
+    }
+
+    /// A served answer as a response document. A hit finished for a
+    /// document sink already is one; rows lend their columnar form's
+    /// slab when they carry one (misses under a caching scheme, exact
+    /// RAM hits) and are serialized otherwise.
+    fn to_doc(&self, served: Served) -> DocResponse {
+        let response = match served {
+            Served::Doc(doc) => return doc,
+            Served::Rows(response) => response,
+        };
+        let body = self.serialized(path_of(response.metrics.outcome), || {
+            match &response.columnar {
+                Some(col) => XmlBody::Doc(col.doc()),
+                None => XmlBody::Bytes(response.result.to_xml_string().into_bytes()),
+            }
+        });
+        DocResponse {
+            body,
+            metrics: response.metrics,
+        }
+    }
+
+    /// Builds a response body, timed into the observe layer's serialize
+    /// phase — the one place that phase is recorded.
+    fn serialized(&self, path: PathClass, build: impl FnOnce() -> XmlBody) -> XmlBody {
+        let start = Instant::now();
+        let body = build();
+        let obs = &self.inner.observe;
+        obs.record_phase(ObsPhase::Serialize, path, ms_since(start));
+        obs.span("serialize", "serve", start, start.elapsed(), || None);
+        body
+    }
+
+    /// The reactor probe: one shard-lock window and the hit finisher, or
+    /// `None` — a miss, a stale or malformed entry, anything that needs
+    /// the origin.
+    fn probe(&self, key: &BoundKey, scheme: Scheme) -> Option<Served> {
+        let mut timing = Timing::begin();
+        match self.cache_phase_locked(key, scheme, &mut timing) {
+            LockedPhase::Hit(hit) if !hit.life.stale => {
+                self.finish_hit(key, hit, Sink::Probe, &mut timing).ok()
+            }
+            _ => None,
+        }
+    }
+
+    /// The caching schemes' request loop: a cache check on the bound key
+    /// (a hit needs neither the flight table nor the concrete query),
+    /// then the flight phase, retried while coalescing fails to help.
     fn serve_caching(
         &self,
-        bound: BoundQuery,
+        key: BoundKey,
         scheme: Scheme,
-    ) -> Result<ProxyResponse, ProxyError> {
+        sink: Sink,
+    ) -> Result<Served, ProxyError> {
         let mut timing = Timing::begin();
         // Passive caching cannot answer a query from a containing
         // entry, so it must not wait on a merely containing flight.
         let allow_contained = scheme != Scheme::Passive;
 
-        // Fast path: a cache hit needs no flight-table traffic.
-        if let Phase::Served(response) = self.cache_phase(&bound, scheme, &mut timing, false) {
-            return Ok(response);
+        if let Phase::Served(served) = self.cache_phase(&key, scheme, sink, &mut timing) {
+            return Ok(served);
         }
+        let bound = key.complete();
 
         for _ in 0..MAX_COALESCE_ATTEMPTS {
             match self.inner.flights.join(
@@ -1174,17 +1107,13 @@ impl ProxyHandle {
                     RuntimeStats::add(&self.inner.stats.flights_led, 1);
                     // Re-check under the registered flight: a fetch that
                     // landed between our miss and this join is visible
-                    // now, because leaders insert before resolving.
-                    let response = match self.cache_phase(&bound, scheme, &mut timing, false) {
-                        Phase::Served(response) => response,
-                        Phase::Origin(plan) => {
-                            return self.lead_origin(&bound, scheme, *plan, lease, &mut timing)
-                        }
-                    };
-                    lease.resolve(response.clone());
-                    return Ok(response);
+                    // now, because leaders insert before resolving. The
+                    // flight publishes rows, so a hit here is finished
+                    // for the row sink.
+                    let phase = self.cache_phase(&bound, scheme, Sink::Rows, &mut timing);
+                    return self.lead(&bound, scheme, sink, phase, lease, &mut timing);
                 }
-                Joined::Follow(Coalesce::Exact, ticket) => {
+                Joined::Follow(coalesce, ticket) => {
                     let wait_start = Instant::now();
                     let waited = ticket.wait();
                     self.inner.observe.span(
@@ -1192,56 +1121,38 @@ impl ProxyHandle {
                         "flight",
                         wait_start,
                         wait_start.elapsed(),
-                        || Some("exact".into()),
+                        || Some(format!("{coalesce:?}").to_lowercase()),
                     );
-                    match waited {
-                        Ok(leader) => {
+                    match (coalesce, waited) {
+                        (Coalesce::Exact, Ok(leader)) => {
                             RuntimeStats::add(&self.inner.stats.coalesced_exact, 1);
-                            return Ok(self.adopt(leader, &timing));
+                            return Ok(Served::Rows(self.adopt(leader, &timing)));
+                        }
+                        (Coalesce::Contained, Ok(_)) => {
+                            if let Phase::Served(mut served) =
+                                self.cache_phase(&bound, scheme, sink, &mut timing)
+                            {
+                                RuntimeStats::add(&self.inner.stats.coalesced_contained, 1);
+                                served.metrics_mut().coalesced = true;
+                                return Ok(served);
+                            }
+                            // The flight landed but didn't leave a usable
+                            // entry (truncated or evicted result): retry.
                         }
                         // The leader's failure is this request's failure: a
                         // fresh flight here would turn one outage into a
                         // retry storm. Re-check the cache (the entry may
                         // have landed through another group), then try
                         // degraded serving.
-                        Err(error) => {
-                            if let Phase::Served(response) =
-                                self.cache_phase(&bound, scheme, &mut timing, false)
+                        (_, Err(error)) => {
+                            if let Phase::Served(served) =
+                                self.cache_phase(&bound, scheme, sink, &mut timing)
                             {
-                                return Ok(response);
+                                return Ok(served);
                             }
-                            return self.serve_after_failure(&bound, scheme, error, &mut timing);
-                        }
-                    }
-                }
-                Joined::Follow(Coalesce::Contained, ticket) => {
-                    let wait_start = Instant::now();
-                    let waited = ticket.wait();
-                    self.inner.observe.span(
-                        "flight.wait",
-                        "flight",
-                        wait_start,
-                        wait_start.elapsed(),
-                        || Some("contained".into()),
-                    );
-                    match waited {
-                        Ok(_) => {
-                            if let Phase::Served(response) =
-                                self.cache_phase(&bound, scheme, &mut timing, true)
-                            {
-                                RuntimeStats::add(&self.inner.stats.coalesced_contained, 1);
-                                return Ok(response);
-                            }
-                            // The flight landed but didn't leave a usable
-                            // entry (truncated or evicted result): retry.
-                        }
-                        Err(error) => {
-                            if let Phase::Served(response) =
-                                self.cache_phase(&bound, scheme, &mut timing, false)
-                            {
-                                return Ok(response);
-                            }
-                            return self.serve_after_failure(&bound, scheme, error, &mut timing);
+                            return self
+                                .degraded_phase(&bound, scheme, sink, &error, &mut timing)
+                                .ok_or(error);
                         }
                     }
                 }
@@ -1249,107 +1160,96 @@ impl ProxyHandle {
         }
 
         // Coalescing kept failing; serve uncoalesced rather than loop.
-        match self.cache_phase(&bound, scheme, &mut timing, false) {
-            Phase::Served(response) => Ok(response),
+        match self.cache_phase(&bound, scheme, sink, &mut timing) {
+            Phase::Served(served) => Ok(served),
             Phase::Origin(plan) => match self.execute_plan(&bound, scheme, *plan, &mut timing) {
-                Ok(response) => Ok(response),
-                Err(error) => self.serve_after_failure(&bound, scheme, error, &mut timing),
+                Ok(response) => Ok(Served::Rows(response)),
+                Err(error) => self
+                    .degraded_phase(&bound, scheme, sink, &error, &mut timing)
+                    .ok_or(error),
             },
         }
     }
 
-    /// The leader's origin phase plus failure handling: on success the
-    /// flight resolves with the response; on failure the error is
-    /// published to every follower exactly once and the leader falls
-    /// back to degraded serving for its own client.
-    fn lead_origin(
+    /// The leader's answer — the re-check's hit, or its origin phase —
+    /// and its flight: on success the flight resolves with the response;
+    /// on failure the error is published to every follower exactly once
+    /// and the leader falls back to degraded serving for its own client.
+    fn lead(
         &self,
         bound: &BoundQuery,
         scheme: Scheme,
-        plan: OriginPlan,
+        sink: Sink,
+        phase: Phase,
         lease: FlightLease<'_>,
         timing: &mut Timing,
-    ) -> Result<ProxyResponse, ProxyError> {
+    ) -> Result<Served, ProxyError> {
         let lead_start = Instant::now();
-        match self.execute_plan(bound, scheme, plan, timing) {
+        let led = match phase {
+            Phase::Served(served) => Ok(served.into_rows()),
+            Phase::Origin(plan) => self.execute_plan(bound, scheme, *plan, timing),
+        };
+        let obs = &self.inner.observe;
+        obs.span(
+            "flight.lead",
+            "flight",
+            lead_start,
+            lead_start.elapsed(),
+            || {
+                Some(match &led {
+                    Ok(response) => format!("{:?}", response.metrics.outcome),
+                    Err(_) => "failed".into(),
+                })
+            },
+        );
+        match led {
             Ok(response) => {
-                self.inner.observe.span(
-                    "flight.lead",
-                    "flight",
-                    lead_start,
-                    lead_start.elapsed(),
-                    || Some(format!("{:?}", response.metrics.outcome)),
-                );
                 lease.resolve(response.clone());
-                Ok(response)
+                Ok(Served::Rows(response))
             }
             Err(error) => {
-                self.inner.observe.span(
-                    "flight.lead",
-                    "flight",
-                    lead_start,
-                    lead_start.elapsed(),
-                    || Some("failed".into()),
-                );
                 lease.fail(error.clone());
-                self.serve_after_failure(bound, scheme, error, timing)
+                self.degraded_phase(bound, scheme, sink, &error, timing)
+                    .ok_or(error)
             }
         }
     }
 
-    /// After a failed fetch (this request's own or a followed
-    /// leader's): serve degraded from the cache when the failure is
-    /// transient and the cache covers any of the query; otherwise
-    /// surface the error.
-    fn serve_after_failure(
-        &self,
-        bound: &BoundKey,
-        scheme: Scheme,
-        error: ProxyError,
-        timing: &mut Timing,
-    ) -> Result<ProxyResponse, ProxyError> {
-        let transient = matches!(&error, ProxyError::Origin(e) if e.is_transient());
-        if transient {
-            if let Some(response) = self.degraded_phase(bound, scheme, timing) {
-                return Ok(response);
-            }
-        }
-        Err(error)
-    }
-
-    /// One pass over the shard, then off-lock local evaluation: classify
+    /// One pass over the shard, then the off-lock hit finisher: classify
     /// and either answer from the cache or plan the origin work.
     fn cache_phase(
         &self,
         bound: &BoundKey,
         scheme: Scheme,
+        sink: Sink,
         timing: &mut Timing,
-        coalesced: bool,
     ) -> Phase {
-        match self.cache_phase_locked(bound, scheme, timing) {
-            LockedPhase::Exact {
-                result,
-                columnar,
-                sim_ms,
-                life,
-            } => {
-                let cached = result.len();
-                let mut response =
-                    self.respond(result, Outcome::Exact, cached, sim_ms, timing, coalesced);
-                response.columnar = columnar;
-                self.apply_life(&mut response.metrics, &life, true);
-                Phase::Served(response)
-            }
-            LockedPhase::Contained(plan) => self.finish_contained(bound, &plan, timing, coalesced),
-            LockedPhase::Disk(plan) => self.finish_disk_rows(bound, *plan, timing, coalesced),
-            LockedPhase::Origin(plan) => Phase::Origin(plan),
+        let plan = match self.cache_phase_locked(bound, scheme, timing) {
+            LockedPhase::Hit(hit) => match self.finish_hit(bound, hit, sink, timing) {
+                Ok(served) => return Phase::Served(served),
+                Err(plan) => plan,
+            },
+            LockedPhase::Origin(plan) => plan,
+        };
+        if plan.local_fallback {
+            self.note_fallback(timing);
+        }
+        Phase::Origin(plan)
+    }
+
+    /// Counts a request sent to the origin because a cached entry could
+    /// not be evaluated locally — once per request, however many cache
+    /// passes meet the entry.
+    fn note_fallback(&self, timing: &mut Timing) {
+        if !std::mem::replace(&mut timing.fell_back, true) {
+            RuntimeStats::add(&self.inner.stats.local_eval_fallbacks, 1);
         }
     }
 
     /// The shard-lock window: exact lookup, classification, and `Arc`
     /// snapshots of whatever entries the answer needs. Never fetches,
-    /// never scans tuples — contained-hit selection and overlap probe
-    /// filtering both run after the lock is released.
+    /// never scans tuples — hit selection and overlap probe filtering
+    /// both run after the lock is released.
     fn cache_phase_locked(
         &self,
         bound: &BoundKey,
@@ -1380,35 +1280,10 @@ impl ProxyHandle {
         timing.check_ms += ms_since(check_start);
 
         match status {
-            QueryStatus::ExactMatch(id) => {
+            QueryStatus::ExactMatch(id) | QueryStatus::ContainedBy(id) => {
+                let exact = matches!(status, QueryStatus::ExactMatch(_));
                 let life = self.life_of(&store, id);
-                if store.peek(id).is_some() {
-                    let entry = store.get(id).expect("resident above");
-                    LockedPhase::Exact {
-                        result: Arc::clone(&entry.result),
-                        columnar: entry.columnar.clone(),
-                        sim_ms: config.cost.cache_read_ms(entry.bytes),
-                        life,
-                    }
-                } else {
-                    self.disk_phase(&mut store, id, true, life)
-                }
-            }
-
-            QueryStatus::ContainedBy(id) => {
-                let life = self.life_of(&store, id);
-                if store.peek(id).is_some() {
-                    let entry = store.get(id).expect("resident above");
-                    LockedPhase::Contained(Box::new(ContainedPlan {
-                        result: Arc::clone(&entry.result),
-                        columnar: entry.columnar.clone(),
-                        coord_idx: entry.coord_indexes(&bound.reg.coord_columns),
-                        sim_ms: config.cost.cache_read_ms(entry.bytes),
-                        life,
-                    }))
-                } else {
-                    self.disk_phase(&mut store, id, false, life)
-                }
+                self.hit_plan(&mut store, bound, id, exact, life)
             }
 
             QueryStatus::RegionContainment(ids) if scheme.handles_region_containment() => {
@@ -1429,252 +1304,253 @@ impl ProxyHandle {
         }
     }
 
-    /// Builds the serve plan for a classification hit on a demoted
-    /// entry: pin its slab segment (zero-copy mmap slice) and frame it
-    /// with its resident skeleton, all within the held lock window. A
-    /// segment that is unreachable, or not the length the skeleton's
-    /// spans index, drops the entry (counting the corruption) and falls
-    /// back to forwarding — no document over it ever exists.
-    fn disk_phase(
+    /// The plan for a hit on entry `id`, within the held lock: `Arc`
+    /// snapshots of a resident entry (touching its recency), or a demoted
+    /// entry's slab segment pinned (a zero-copy mmap slice) and framed by
+    /// its resident skeleton. A segment that is unreachable, or not the
+    /// length the skeleton's spans index, is quarantined and the request
+    /// forwards — no document over it ever exists.
+    fn hit_plan(
         &self,
         store: &mut CacheStore,
+        bound: &BoundKey,
         id: u64,
         exact: bool,
         life: ServeLife,
     ) -> LockedPhase {
-        let Some(d) = store.disk_entry(id) else {
-            return LockedPhase::Origin(OriginPlan::forward(Vec::new()));
-        };
-        let skeleton = Arc::clone(&d.skeleton);
-        let residual_key = Arc::clone(&d.residual_key);
-        let rows = d.rows;
-        let bytes = d.bytes;
-        if !exact && skeleton.coord_idx().is_empty() {
-            // The skeleton cannot select rows by region — same handling
-            // as a malformed contained entry.
-            RuntimeStats::add(&self.inner.stats.local_eval_fallbacks, 1);
-            return LockedPhase::Origin(OriginPlan::forward_fallback());
-        }
-        let pinned = store.disk_slice(id).map(Arc::new).and_then(|slice| {
-            let doc = skeleton.doc().over(Arc::clone(&slice) as _)?;
-            Some((slice, doc))
-        });
-        match pinned {
-            Some((slice, doc)) => LockedPhase::Disk(Box::new(DiskPlan {
-                id,
-                residual_key,
-                slice,
-                doc,
-                rows,
-                exact,
-                sim_ms: self.inner.config.cost.cache_read_ms(bytes),
-                life,
-            })),
+        let (rows, bytes) = match store.get(id) {
+            Some(entry) => (
+                HitRows::Ram {
+                    result: Arc::clone(&entry.result),
+                    columnar: entry.columnar.clone(),
+                    coord_idx: (!exact)
+                        .then(|| entry.coord_indexes(&bound.reg.coord_columns))
+                        .flatten(),
+                },
+                entry.bytes,
+            ),
             None => {
-                // Read-repair: quarantine the unreadable segment; the
-                // forward plan below re-fetches from origin and its
-                // insert rewrites the entry.
-                if store.quarantine_corrupt_demoted(id).is_some() {
-                    RuntimeStats::add(&self.inner.stats.read_repairs, 1);
-                }
-                LockedPhase::Origin(OriginPlan::forward(Vec::new()))
+                let Some(d) = store.disk_entry(id) else {
+                    return LockedPhase::Origin(OriginPlan::forward(Vec::new()));
+                };
+                let (skeleton, residual_key, bytes) = (
+                    Arc::clone(&d.skeleton),
+                    Arc::clone(&d.residual_key),
+                    d.bytes,
+                );
+                let pinned = store.disk_slice(id).map(Arc::new).and_then(|slice| {
+                    let doc = skeleton.doc().over(Arc::clone(&slice) as _)?;
+                    Some((slice, doc))
+                });
+                let Some((slice, doc)) = pinned else {
+                    // Read-repair: quarantine the unreadable segment; the
+                    // forward plan re-fetches from origin and its insert
+                    // rewrites the entry.
+                    if store.quarantine_corrupt_demoted(id).is_some() {
+                        RuntimeStats::add(&self.inner.stats.read_repairs, 1);
+                    }
+                    return LockedPhase::Origin(OriginPlan::forward(Vec::new()));
+                };
+                let disk = DiskRows {
+                    id,
+                    residual_key,
+                    slice,
+                    doc,
+                };
+                (HitRows::Disk(Box::new(disk)), bytes)
             }
-        }
+        };
+        LockedPhase::Hit(HitPlan {
+            rows,
+            exact,
+            sim_ms: self.inner.config.cost.cache_read_ms(bytes),
+            life,
+        })
     }
 
-    /// A disk-tier hit as a document, entirely off-lock: an exact hit
-    /// is the skeleton's XML framing around the mmap'd row slab; a
-    /// contained hit selects rows through the resident micro-index first
-    /// and names only the selected spans. The mapping is lent, not
-    /// copied, and the document keeps it alive — across a compaction's
-    /// rename too. Byte-identical to serving the entry from RAM.
-    fn disk_bytes(&self, bound: &BoundKey, plan: &DiskPlan, timing: &mut Timing) -> DocResponse {
-        let serve_start = Instant::now();
-        let obs = &self.inner.observe;
-        let (doc, rows, scanned, pruned) = if plan.exact {
-            (plan.doc.clone(), plan.rows, 0, 0)
-        } else {
-            let (doc, rows, stats) = with_scratch(|scratch| {
-                let (point, selected) = scratch.parts_mut();
-                let stats = plan
-                    .doc
-                    .form()
-                    .select_region(&bound.region, selected, point);
-                if let Some(n) = bound.reg.top() {
-                    selected.truncate(n as usize);
-                }
-                (plan.doc.of_rows(selected), selected.len(), stats)
-            });
-            timing.local_ms += ms_since(serve_start);
-            (doc, rows, stats.rows_scanned, stats.rows_pruned())
+    /// The one hit finisher, off-lock, for every sink: select the hit's
+    /// rows — all of them, or the query region's through the micro-index
+    /// (row-major when the entry has no matching columnar form) — and
+    /// hand them to the sink. A document sink gets the selected ranges of
+    /// the entry's slab (a disk hit's straight from the mmap, kept alive
+    /// by the document across a compaction's rename too); the row sink
+    /// gets tuples. Byte for byte the same answer either way.
+    ///
+    /// `Err` is the plan to forward instead: a malformed entry (a
+    /// fall-back plan), or a disk segment that fails to parse.
+    fn finish_hit(
+        &self,
+        bound: &BoundKey,
+        hit: HitPlan,
+        sink: Sink,
+        timing: &mut Timing,
+    ) -> Result<Served, Box<OriginPlan>> {
+        let HitPlan {
+            rows,
+            exact,
+            sim_ms,
+            life,
+        } = hit;
+        let disk_hit = matches!(rows, HitRows::Disk(_));
+        let rows = match rows {
+            // A skeleton that cannot select rows by region: treat like a
+            // malformed entry.
+            HitRows::Disk(disk) if !exact && disk.doc.form().coord_idx().is_empty() => {
+                return Err(OriginPlan::forward_fallback())
+            }
+            HitRows::Disk(disk) if sink == Sink::Rows => self.promote_inline(&disk, timing)?,
+            rows => rows,
         };
-        obs.record_phase(ObsPhase::DiskServe, PathClass::Hit, ms_since(serve_start));
-        obs.span(
-            "disk.serve",
-            "serve",
-            serve_start,
-            serve_start.elapsed(),
-            || Some(if plan.exact { "exact" } else { "contained" }.into()),
-        );
-        RuntimeStats::add(&self.inner.stats.disk_hits, 1);
-        let outcome = if plan.exact {
+        let start = Instant::now();
+        let (mut served, rows, stats) = match rows {
+            HitRows::Disk(disk) => {
+                let (doc, rows, stats) = if exact {
+                    (
+                        disk.doc.clone(),
+                        disk.doc.form().len(),
+                        SelectStats::default(),
+                    )
+                } else {
+                    let selected = select_rows(bound, disk.doc.form(), |ids| disk.doc.of_rows(ids));
+                    timing.local_ms += ms_since(start);
+                    selected
+                };
+                let obs = &self.inner.observe;
+                obs.record_phase(ObsPhase::DiskServe, PathClass::Hit, ms_since(start));
+                obs.span("disk.serve", "serve", start, start.elapsed(), || {
+                    Some(if exact { "exact" } else { "contained" }.into())
+                });
+                RuntimeStats::add(&self.inner.stats.disk_hits, 1);
+                // Promotion (a slab parse) runs on a worker; the probe
+                // must not spawn threads, so it serves from disk again
+                // until a blocking request promotes.
+                if sink == Sink::Doc {
+                    self.spawn_promotion(&disk);
+                }
+                (Served::doc(XmlBody::Doc(doc)), rows, stats)
+            }
+            HitRows::Ram {
+                result, columnar, ..
+            } if exact => {
+                let rows = result.len();
+                (Served::rows(result, columnar), rows, SelectStats::default())
+            }
+            HitRows::Ram {
+                result,
+                columnar,
+                coord_idx,
+            } => {
+                let Some(idx) = coord_idx else {
+                    return Err(OriginPlan::forward_fallback());
+                };
+                let selected = match columnar.filter(|c| c.coord_idx() == idx) {
+                    Some(col) => Some(select_rows(bound, &col, |ids| match sink {
+                        Sink::Rows => Served::rows(Arc::new(col.materialize(&result, ids)), None),
+                        Sink::Doc | Sink::Probe => Served::doc(
+                            self.serialized(PathClass::Hit, || XmlBody::Doc(col.doc_of(ids))),
+                        ),
+                    })),
+                    None => with_scratch(|scratch| {
+                        eval_entry_region(&result, None, &idx, &bound.region, scratch)
+                    })
+                    .map(|eval| {
+                        let mut selected = eval.result;
+                        if let Some(n) = bound.reg.top() {
+                            selected.rows.truncate(n as usize);
+                        }
+                        let rows = selected.len();
+                        (Served::rows(Arc::new(selected), None), rows, eval.stats)
+                    }),
+                };
+                timing.local_ms += ms_since(start);
+                selected.ok_or_else(OriginPlan::forward_fallback)?
+            }
+        };
+        let outcome = if exact {
             Outcome::Exact
         } else {
             Outcome::Contained
         };
-        let mut metrics = self.metrics_for(rows, outcome, rows, plan.sim_ms, timing, false);
-        metrics.rows_scanned = scanned;
-        metrics.rows_pruned = pruned;
-        metrics.disk_hit = true;
-        self.apply_life(&mut metrics, &plan.life, true);
-        DocResponse {
-            body: XmlBody::Doc(doc),
-            metrics,
-        }
+        let metrics = served.metrics_mut();
+        *metrics = timing.metrics(rows, outcome, rows, sim_ms);
+        metrics.rows_scanned = stats.rows_scanned;
+        metrics.rows_pruned = stats.rows_pruned();
+        metrics.disk_hit = disk_hit;
+        self.apply_life(metrics, &life, true);
+        Ok(served)
     }
 
-    /// A disk-tier hit on the row-response path. The slab payload must
-    /// be parsed back into tuples anyway, and that parse *is* the
-    /// promotion work — so the entry is promoted inline (relock, swap
-    /// in the rebuilt result) instead of spawning a worker.
-    fn finish_disk_rows(
+    /// A disk hit for the row sink. The slab payload must be parsed back
+    /// into tuples anyway, and that parse *is* the promotion work — so
+    /// the entry is promoted inline (relock, swap in the rebuilt result)
+    /// instead of on a worker, and the hit is finished over the resident
+    /// rows. A segment that fails to parse is quarantined and the request
+    /// forwards; the fetch's insert rewrites the entry (read-repair).
+    fn promote_inline(
         &self,
-        bound: &BoundKey,
-        plan: DiskPlan,
+        disk: &DiskRows,
         timing: &mut Timing,
-        coalesced: bool,
-    ) -> Phase {
-        let serve_start = Instant::now();
-        let Some((result, columnar, coord_idx)) = parse_demoted(&plan.slice) else {
-            let (mut store, wait) = self.inner.store.lock(&bound.residual_key);
+    ) -> Result<HitRows, Box<OriginPlan>> {
+        let start = Instant::now();
+        let Some((result, columnar, coord_idx)) = parse_demoted(&disk.slice) else {
+            let (mut store, wait) = self.inner.store.lock(&disk.residual_key);
             self.note_lock_wait(timing, wait);
-            // Read-repair: quarantine, then let the forward plan's
-            // origin fetch and insert rewrite the entry.
-            if store.quarantine_corrupt_demoted(plan.id).is_some() {
+            if store.quarantine_corrupt_demoted(disk.id).is_some() {
                 RuntimeStats::add(&self.inner.stats.read_repairs, 1);
             }
-            return Phase::Origin(OriginPlan::forward(Vec::new()));
+            return Err(OriginPlan::forward(Vec::new()));
         };
-        timing.local_ms += ms_since(serve_start);
+        timing.local_ms += ms_since(start);
         self.inner
             .observe
-            .record_phase(ObsPhase::DiskServe, PathClass::Hit, ms_since(serve_start));
+            .record_phase(ObsPhase::DiskServe, PathClass::Hit, ms_since(start));
         {
-            let (mut store, wait) = self.inner.store.lock(&plan.residual_key);
+            let (mut store, wait) = self.inner.store.lock(&disk.residual_key);
             self.note_lock_wait(timing, wait);
-            store.promote(plan.id, Arc::clone(&result), columnar.clone());
+            store.promote(disk.id, Arc::clone(&result), columnar.clone());
         }
         RuntimeStats::add(&self.inner.stats.disk_hits, 1);
-        if plan.exact {
-            let cached = result.len();
-            let mut response = self.respond(
-                result,
-                Outcome::Exact,
-                cached,
-                plan.sim_ms,
-                timing,
-                coalesced,
-            );
-            response.metrics.disk_hit = true;
-            self.apply_life(&mut response.metrics, &plan.life, true);
-            Phase::Served(response)
-        } else {
-            let contained = ContainedPlan {
-                result,
-                columnar,
-                coord_idx: Some(coord_idx),
-                sim_ms: plan.sim_ms,
-                life: plan.life.clone(),
-            };
-            match self.finish_contained(bound, &contained, timing, coalesced) {
-                Phase::Served(mut response) => {
-                    response.metrics.disk_hit = true;
-                    Phase::Served(response)
-                }
-                phase => phase,
-            }
-        }
+        Ok(HitRows::Ram {
+            result,
+            columnar,
+            coord_idx: Some(coord_idx),
+        })
     }
 
-    /// The off-lock half of a contained hit: select the rows inside the
-    /// query region from the snapshotted entry (columnar when the forms
-    /// match, row-major otherwise).
-    fn finish_contained(
-        &self,
-        bound: &BoundKey,
-        plan: &ContainedPlan,
-        timing: &mut Timing,
-        coalesced: bool,
-    ) -> Phase {
-        let local_start = Instant::now();
-        let eval = plan.coord_idx.as_deref().and_then(|idx| {
-            with_scratch(|scratch| {
-                eval_entry_region(
-                    &plan.result,
-                    plan.columnar.as_deref(),
-                    idx,
-                    &bound.region,
-                    scratch,
-                )
-            })
-        });
-        timing.local_ms += ms_since(local_start);
-        match eval {
-            Some(eval) => {
-                let mut result = eval.result;
-                if let Some(n) = bound.reg.top() {
-                    result.rows.truncate(n as usize);
-                }
-                let cached = result.len();
-                let mut response = self.respond(
-                    Arc::new(result),
-                    Outcome::Contained,
-                    cached,
-                    plan.sim_ms,
-                    timing,
-                    coalesced,
-                );
-                response.metrics.rows_scanned = eval.stats.rows_scanned;
-                response.metrics.rows_pruned = eval.stats.rows_pruned();
-                self.apply_life(&mut response.metrics, &plan.life, true);
-                Phase::Served(response)
-            }
-            // Malformed cached document: fall back to the origin.
-            None => {
-                RuntimeStats::add(&self.inner.stats.local_eval_fallbacks, 1);
-                Phase::Origin(OriginPlan::forward_fallback())
-            }
-        }
-    }
-
-    /// Cache-only answering after a transient origin failure.
+    /// Cache-only answering after a failed fetch (this request's own or
+    /// a followed leader's); `None` surfaces the error. Only a transient
+    /// failure is answered, and only when the cache covers any of the
+    /// query.
     ///
     /// Re-classifies the query against the cache, ignoring the gates
     /// the full path applies (remainder support, `TOP`, the coverage
     /// threshold) — origin-side completion is off the table, so any
     /// sound cached subset beats a refusal:
     ///
-    /// * exact / contained: complete answers, served normally (these
-    ///   arise when another group's fetch landed the entry meanwhile);
+    /// * exact / contained: complete answers, finished like any hit
+    ///   (these arise when another group's fetch landed the entry
+    ///   meanwhile, or when an entry is in its stale-if-error window);
     /// * region containment: the union of the subsumed cached entries,
     ///   a sound subset of the full answer, marked `degraded`;
     /// * overlap: the cached entries filtered to the query region (the
     ///   cached intersection), likewise sound, marked `degraded`.
     ///
-    /// Malformed entries are skipped best-effort rather than failing
-    /// the whole answer. Degraded responses are **never** inserted into
-    /// the cache. Returns `None` when the cache cannot contribute
-    /// (disjoint, passive scheme, nothing usable).
+    /// Malformed and demoted entries are skipped best-effort rather than
+    /// failing the whole answer. Degraded responses are **never**
+    /// inserted into the cache. Returns `None` when the cache cannot
+    /// contribute (disjoint, passive scheme, nothing usable).
     fn degraded_phase(
         &self,
         bound: &BoundKey,
         scheme: Scheme,
+        sink: Sink,
+        error: &ProxyError,
         timing: &mut Timing,
-    ) -> Option<ProxyResponse> {
-        let config = &self.inner.config;
+    ) -> Option<Served> {
+        let transient = matches!(error, ProxyError::Origin(e) if e.is_transient());
         // Passive caching cannot reason spatially; its only possible
         // hit (exact text) was already checked before the fetch.
-        if !scheme.caches() || scheme == Scheme::Passive {
+        if !transient || !scheme.caches() || scheme == Scheme::Passive {
             return None;
         }
 
@@ -1694,56 +1570,23 @@ impl ProxyHandle {
         timing.check_ms += ms_since(check_start);
 
         let (ids, filtered, outcome) = match status {
-            QueryStatus::ExactMatch(id) => {
+            QueryStatus::ExactMatch(id) | QueryStatus::ContainedBy(id) => {
+                let exact = matches!(status, QueryStatus::ExactMatch(_));
                 let life = self.error_life_of(&store, id);
-                if store.peek(id).is_none() {
-                    // Demoted: serve (and promote) from the slab.
-                    let LockedPhase::Disk(plan) = self.disk_phase(&mut store, id, true, life)
-                    else {
-                        return None;
-                    };
-                    drop(store);
-                    return match self.finish_disk_rows(bound, *plan, timing, false) {
-                        Phase::Served(response) => Some(response),
-                        Phase::Origin(_) => None,
-                    };
-                }
-                let entry = store.get(id).expect("resident above");
-                let result = Arc::clone(&entry.result);
-                let sim_ms = config.cost.cache_read_ms(entry.bytes);
-                drop(store);
-                let cached = result.len();
-                let mut response =
-                    self.respond(result, Outcome::Exact, cached, sim_ms, timing, false);
-                self.apply_life(&mut response.metrics, &life, false);
-                return Some(response);
-            }
-            QueryStatus::ContainedBy(id) => {
-                let life = self.error_life_of(&store, id);
-                if store.peek(id).is_none() {
-                    let LockedPhase::Disk(plan) = self.disk_phase(&mut store, id, false, life)
-                    else {
-                        return None;
-                    };
-                    drop(store);
-                    return match self.finish_disk_rows(bound, *plan, timing, false) {
-                        Phase::Served(response) => Some(response),
-                        Phase::Origin(_) => None,
-                    };
-                }
-                let entry = store.get(id).expect("resident above");
-                let plan = ContainedPlan {
-                    result: Arc::clone(&entry.result),
-                    columnar: entry.columnar.clone(),
-                    coord_idx: entry.coord_indexes(&bound.reg.coord_columns),
-                    sim_ms: config.cost.cache_read_ms(entry.bytes),
-                    life,
+                let LockedPhase::Hit(hit) = self.hit_plan(&mut store, bound, id, exact, life)
+                else {
+                    return None;
                 };
                 drop(store);
-                return match self.finish_contained(bound, &plan, timing, false) {
-                    Phase::Served(response) => Some(response),
+                return match self.finish_hit(bound, hit, sink, timing) {
+                    Ok(served) => Some(served),
                     // Malformed entry; nothing else covers the query.
-                    Phase::Origin(_) => None,
+                    Err(plan) => {
+                        if plan.local_fallback {
+                            self.note_fallback(timing);
+                        }
+                        None
+                    }
                 };
             }
             QueryStatus::RegionContainment(ids) if scheme.handles_region_containment() => {
@@ -1755,94 +1598,63 @@ impl ProxyHandle {
             _ => return None,
         };
 
-        // Snapshot the contributing entries, skipping malformed ones.
-        let mut probe_sim_ms = 0.0;
-        let mut parts: Vec<ProbePart> = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            // Demoted entries skip the merge — their rows are on disk,
-            // and a degraded answer is best-effort anyway.
-            let Some(entry) = store.peek(id) else {
-                continue;
-            };
-            let filter_idx = if filtered {
-                match entry.coord_indexes(&bound.reg.coord_columns) {
-                    Some(idx) => Some(idx),
-                    None => continue,
-                }
-            } else {
-                None
-            };
-            probe_sim_ms += config.cost.cache_read_ms(entry.bytes);
-            parts.push(ProbePart {
-                result: Arc::clone(&entry.result),
-                columnar: entry.columnar.clone(),
-                filter_idx,
-                life: self.error_life_of(&store, id),
-            });
-        }
+        // Snapshot the resident, well-formed contributing entries (a
+        // demoted entry's rows are on disk, and a degraded answer is
+        // best-effort anyway).
+        let parts: Vec<ProbePart> = ids
+            .iter()
+            .filter_map(|&id| {
+                let entry = store.peek(id)?;
+                self.probe_part(entry, bound, filtered, self.error_life_of(&store, id))
+            })
+            .collect();
         drop(store);
-        if parts.is_empty() {
-            return None;
-        }
 
-        // Off-lock: filter the overlap parts and merge by key. Like the
-        // healthy merge path, lifecycle facts come only from the parts
-        // that contribute rows to the served answer.
         let local_start = Instant::now();
-        let mut life = ServeLife::default();
-        let mut rows_scanned = 0usize;
-        let mut rows_pruned = 0usize;
-        let mut pieces: Vec<ResultSet> = Vec::with_capacity(parts.len());
-        let mut wholes: Vec<Arc<ResultSet>> = Vec::new();
-        for p in &parts {
-            match &p.filter_idx {
-                None => {
-                    if !p.result.rows.is_empty() {
-                        life.absorb(&p.life);
-                    }
-                    wholes.push(Arc::clone(&p.result));
-                }
-                Some(idx) => {
-                    let eval = with_scratch(|scratch| {
-                        eval_entry_region(
-                            &p.result,
-                            p.columnar.as_deref(),
-                            idx,
-                            &bound.region,
-                            scratch,
-                        )
-                    });
-                    if let Some(e) = eval {
-                        rows_scanned += e.stats.rows_scanned;
-                        rows_pruned += e.stats.rows_pruned();
-                        if !e.result.rows.is_empty() {
-                            life.absorb(&p.life);
-                        }
-                        pieces.push(e.result);
-                    }
-                }
+        let merged = merge_parts(bound, &parts, false).map(|mut merged| {
+            if let Some(n) = bound.reg.top() {
+                merged.result.rows.truncate(n as usize);
             }
-        }
-        let refs: Vec<&ResultSet> = wholes.iter().map(|a| &**a).chain(pieces.iter()).collect();
-        if refs.is_empty() {
-            timing.local_ms += ms_since(local_start);
-            return None;
-        }
-        let mut merged = merge_results(&bound.reg.key_column, &refs);
-        if let Some(n) = bound.reg.top() {
-            merged.rows.truncate(n as usize);
-        }
+            merged
+        });
         timing.local_ms += ms_since(local_start);
+        let merged = merged?;
 
-        let result = Arc::new(merged);
+        let result = Arc::new(merged.result);
         let rows = result.len();
         self.inner.stats.note_degraded(rows);
-        let mut response = self.respond(result, outcome, rows, probe_sim_ms, timing, false);
+        let probe_sim_ms = parts.iter().map(|p| p.sim_ms).sum();
+        let mut response = timing.respond(result, outcome, rows, probe_sim_ms);
         response.metrics.degraded = true;
-        response.metrics.rows_scanned = rows_scanned;
-        response.metrics.rows_pruned = rows_pruned;
-        self.apply_life(&mut response.metrics, &life, false);
-        Some(response)
+        response.metrics.rows_scanned = merged.rows_scanned;
+        response.metrics.rows_pruned = merged.rows_pruned;
+        self.apply_life(&mut response.metrics, &merged.life, false);
+        Some(Served::Rows(response))
+    }
+
+    /// Snapshots a resident entry as a merge part, under the held lock:
+    /// shared (not deep-copied) rows and form, the coordinate mapping a
+    /// part to `filter` is filtered by, and the simulated cost of reading
+    /// it. `None` when a part to filter cannot map the template's
+    /// coordinate columns (a malformed entry).
+    fn probe_part(
+        &self,
+        entry: &CacheEntry,
+        bound: &BoundKey,
+        filter: bool,
+        life: ServeLife,
+    ) -> Option<ProbePart> {
+        let filter_idx = match filter {
+            true => Some(entry.coord_indexes(&bound.reg.coord_columns)?),
+            false => None,
+        };
+        Some(ProbePart {
+            result: Arc::clone(&entry.result),
+            columnar: entry.columnar.clone(),
+            filter_idx,
+            sim_ms: self.inner.config.cost.cache_read_ms(entry.bytes),
+            life,
+        })
     }
 
     /// Plans the merge paths (region containment / overlap): probe the
@@ -1855,7 +1667,7 @@ impl ProxyHandle {
         &self,
         store: &mut CacheStore,
         bound: &BoundKey,
-        mut ids: Vec<u64>,
+        ids: Vec<u64>,
         probe_filters: bool,
         timing: &mut Timing,
     ) -> LockedPhase {
@@ -1873,15 +1685,8 @@ impl ProxyHandle {
         // before the remainder's exclude-regions are computed, so the
         // fetch covers their regions again — but under region
         // containment they are still subsumed and compact away.
-        let mut demoted_ids: Vec<u64> = Vec::new();
-        ids.retain(|id| {
-            if store.peek(*id).is_some() {
-                true
-            } else {
-                demoted_ids.push(*id);
-                false
-            }
-        });
+        let (mut ids, demoted_ids): (Vec<u64>, Vec<u64>) =
+            ids.into_iter().partition(|id| store.peek(*id).is_some());
         if ids.is_empty() {
             let compact_ids = if probe_filters {
                 Vec::new()
@@ -1900,35 +1705,16 @@ impl ProxyHandle {
         // containment compacts them away). Each part carries its own
         // lifecycle facts; `execute_plan` folds in only the parts whose
         // rows actually reach the served answer, so a stale-but-empty
-        // probe can never flag (or age) the response.
-        // Probe phase: snapshot each entry (shared, not deep-copied) and
-        // charge the simulated read cost. Actual filtering is deferred
-        // to `execute_plan`, outside this lock window.
+        // probe can never flag (or age) the response. Filtering is
+        // deferred to `execute_plan`, outside this lock window.
         let local_start = Instant::now();
-        let mut probe_sim_ms = 0.0;
         let mut probe_parts: Vec<ProbePart> = Vec::with_capacity(ids.len());
         for &id in &ids {
             let entry = store.peek(id).expect("classify returned live ids");
-            probe_sim_ms += config.cost.cache_read_ms(entry.bytes);
-            let filter_idx = if probe_filters {
-                match entry.coord_indexes(&bound.reg.coord_columns) {
-                    Some(idx) => Some(idx),
-                    // The entry cannot map the template's coordinate
-                    // columns: treat like a malformed entry.
-                    None => {
-                        RuntimeStats::add(&self.inner.stats.local_eval_fallbacks, 1);
-                        return LockedPhase::Origin(OriginPlan::forward_fallback());
-                    }
-                }
-            } else {
-                None
-            };
-            probe_parts.push(ProbePart {
-                result: Arc::clone(&entry.result),
-                columnar: entry.columnar.clone(),
-                filter_idx,
-                life: self.life_of(store, id),
-            });
+            match self.probe_part(entry, bound, probe_filters, self.life_of(store, id)) {
+                Some(part) => probe_parts.push(part),
+                None => return LockedPhase::Origin(OriginPlan::forward_fallback()),
+            }
         }
 
         // Remainder phase setup (the fetch itself happens off-lock).
@@ -1947,7 +1733,6 @@ impl ProxyHandle {
         LockedPhase::Origin(Box::new(OriginPlan {
             exclude,
             probe_parts,
-            probe_sim_ms,
             compact_ids,
             outcome,
             local_fallback: false,
@@ -1965,77 +1750,29 @@ impl ProxyHandle {
         mut plan: OriginPlan,
         timing: &mut Timing,
     ) -> Result<ProxyResponse, ProxyError> {
-        // Probe filtering runs here, off-lock, against the `Arc`
-        // snapshots taken in `merge_plan` (entries are immutable, so
-        // concurrent eviction cannot invalidate them).
-        enum Part {
-            Whole(Arc<ResultSet>),
-            Filtered(ResultSet),
-        }
-        let mut rows_scanned = 0usize;
-        let mut rows_pruned = 0usize;
+        let (mut rows_scanned, mut rows_pruned) = (0, 0);
         let mut cached_part: Option<ResultSet> = None;
         if !plan.probe_parts.is_empty() {
             let local_start = Instant::now();
-            let mut served_life = ServeLife::default();
-            let mut parts: Vec<Part> = Vec::with_capacity(plan.probe_parts.len());
-            let mut malformed = false;
-            for p in &plan.probe_parts {
-                match &p.filter_idx {
-                    None => {
-                        if !p.result.rows.is_empty() {
-                            served_life.absorb(&p.life);
-                        }
-                        parts.push(Part::Whole(Arc::clone(&p.result)));
-                    }
-                    Some(idx) => {
-                        let eval = with_scratch(|scratch| {
-                            eval_entry_region(
-                                &p.result,
-                                p.columnar.as_deref(),
-                                idx,
-                                &bound.region,
-                                scratch,
-                            )
-                        });
-                        match eval {
-                            Some(e) => {
-                                rows_scanned += e.stats.rows_scanned;
-                                rows_pruned += e.stats.rows_pruned();
-                                if !e.result.rows.is_empty() {
-                                    served_life.absorb(&p.life);
-                                }
-                                parts.push(Part::Filtered(e.result));
-                            }
-                            None => {
-                                malformed = true;
-                                break;
-                            }
-                        }
-                    }
+            match merge_parts(bound, &plan.probe_parts, true) {
+                Some(merged) => {
+                    rows_scanned = merged.rows_scanned;
+                    rows_pruned = merged.rows_pruned;
+                    // Only the entries whose rows reached the merged
+                    // answer shape its lifecycle facts (staleness flag
+                    // and age).
+                    plan.life = merged.life;
+                    cached_part = Some(merged.result);
                 }
-            }
-            if malformed {
                 // Malformed probe entry: forward the original query.
-                RuntimeStats::add(&self.inner.stats.local_eval_fallbacks, 1);
-                plan = *OriginPlan::forward_fallback();
-                rows_scanned = 0;
-                rows_pruned = 0;
-            } else {
-                let refs: Vec<&ResultSet> = parts
-                    .iter()
-                    .map(|p| match p {
-                        Part::Whole(a) => &**a,
-                        Part::Filtered(r) => r,
-                    })
-                    .collect();
-                cached_part = Some(merge_results(&bound.reg.key_column, &refs));
-                // Only the entries whose rows reached the merged answer
-                // shape its lifecycle facts (staleness flag and age).
-                plan.life = served_life;
+                None => {
+                    self.note_fallback(timing);
+                    plan = *OriginPlan::forward_fallback();
+                }
             }
             timing.local_ms += ms_since(local_start);
         }
+        let probe_sim_ms: f64 = plan.probe_parts.iter().map(|p| p.sim_ms).sum();
 
         let exclude: Vec<&Region> = plan.exclude.iter().collect();
         let (fetched, origin_sim_ms) = match remainder_query(bound, &exclude) {
@@ -2096,14 +1833,8 @@ impl ProxyHandle {
             store.compact(&plan.compact_ids);
         }
 
-        let mut response = self.respond(
-            result,
-            plan.outcome,
-            rows_from_cache,
-            origin_sim_ms + plan.probe_sim_ms,
-            timing,
-            false,
-        );
+        let sim_ms = origin_sim_ms + probe_sim_ms;
+        let mut response = timing.respond(result, plan.outcome, rows_from_cache, sim_ms);
         response.columnar = prebuilt.and_then(|(_, columnar)| columnar);
         response.metrics.rows_scanned = rows_scanned;
         response.metrics.rows_pruned = rows_pruned;
@@ -2227,38 +1958,21 @@ impl ProxyHandle {
         }
     }
 
-    /// Registers `id` in the promotion dedup set and spawns the worker
-    /// that parses its slab payload back into a resident entry. A
-    /// second disk hit on the same entry while the first promotion is
-    /// in flight is a no-op.
-    fn spawn_promotion(&self, plan: &DiskPlan) {
-        {
-            let mut inflight = self
-                .inner
-                .promoting
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if !inflight.insert(plan.id) {
-                return;
-            }
-        }
-        let handle = self.clone();
-        let id = plan.id;
-        let residual_key = Arc::clone(&plan.residual_key);
-        let slice = Arc::clone(&plan.slice);
-        let spawned = std::thread::Builder::new()
-            .name("fp-promote".into())
-            .spawn(move || handle.promote_demoted(id, &residual_key, slice));
-        match spawned {
-            Ok(thread) => self.track_background(thread),
-            Err(_) => {
-                self.inner
-                    .promoting
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&id);
-            }
-        }
+    /// Spawns the worker that parses a demoted entry's slab payload
+    /// back into a resident entry; a second disk hit on the same entry
+    /// while the first promotion is in flight is a no-op.
+    fn spawn_promotion(&self, disk: &DiskRows) {
+        let (id, residual_key, slice) = (
+            disk.id,
+            Arc::clone(&disk.residual_key),
+            Arc::clone(&disk.slice),
+        );
+        self.spawn_once(
+            |r| &r.promoting,
+            id,
+            "fp-promote",
+            move |h| h.promote_demoted(id, &residual_key, slice),
+        );
     }
 
     /// The promotion worker body: parse the pinned slab slice (XML →
@@ -2294,45 +2008,48 @@ impl ProxyHandle {
         self.inner
             .observe
             .span("promote", "lifecycle", start, start.elapsed(), || None);
-        self.inner
-            .promoting
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&id);
     }
 
-    /// Registers `sql` in the dedup set and spawns its background
-    /// refresh thread. A second stale hit on the same key while the
-    /// first refresh is in flight is a no-op — exactly one refresh per
-    /// expired key.
+    /// Spawns the background refresh of `sql`; a second stale hit on the
+    /// same key while the first refresh is in flight is a no-op —
+    /// exactly one refresh per expired key.
     fn spawn_revalidation(&self, sql: String) {
-        {
-            let mut inflight = self
-                .inner
-                .revalidating
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if !inflight.insert(sql.clone()) {
-                return;
-            }
+        let key = sql.clone();
+        self.spawn_once(
+            |r| &r.revalidating,
+            key,
+            "fp-revalidate",
+            move |h| h.revalidate(sql),
+        );
+    }
+
+    /// Spawns `task` on a background thread named `name`, once per `key`:
+    /// while a task for `key` is in flight (in the dedup set `inflight`
+    /// picks out), another spawn for it is a no-op. The key is released
+    /// when the task ends, or at once if the thread cannot be spawned,
+    /// so a later request can retry.
+    fn spawn_once<K: Eq + Hash + Clone + Send + 'static>(
+        &self,
+        inflight: fn(&Runtime) -> &Mutex<HashSet<K>>,
+        key: K,
+        name: &str,
+        task: impl FnOnce(&ProxyHandle) + Send + 'static,
+    ) {
+        if !locked(inflight(&self.inner)).insert(key.clone()) {
+            return;
         }
         let handle = self.clone();
+        let released = key.clone();
         let spawned = std::thread::Builder::new()
-            .name("fp-revalidate".into())
-            .spawn({
-                let sql = sql.clone();
-                move || handle.revalidate(sql)
+            .name(name.into())
+            .spawn(move || {
+                task(&handle);
+                locked(inflight(&handle.inner)).remove(&released);
             });
         match spawned {
             Ok(thread) => self.track_background(thread),
             Err(_) => {
-                // Could not spawn: release the reservation so a later
-                // stale hit can retry.
-                self.inner
-                    .revalidating
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&sql);
+                locked(inflight(&self.inner)).remove(&key);
             }
         }
     }
@@ -2343,11 +2060,7 @@ impl ProxyHandle {
     /// server holds one handle per *live* task, not one per task ever
     /// spawned.
     fn track_background(&self, thread: JoinHandle<()>) {
-        let mut threads = self
-            .inner
-            .reval_threads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut threads = locked(&self.inner.reval_threads);
         threads.retain(|t| !t.is_finished());
         threads.push(thread);
     }
@@ -2399,11 +2112,6 @@ impl ProxyHandle {
             reval_start.elapsed(),
             || None,
         );
-        self.inner
-            .revalidating
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&sql);
     }
 
     fn note_lock_wait(&self, timing: &mut Timing, wait: std::time::Duration) {
@@ -2411,61 +2119,6 @@ impl ProxyHandle {
             .stats
             .note_lock_wait(u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX));
         timing.lock_wait_ms += wait.as_secs_f64() * 1000.0;
-    }
-
-    fn respond(
-        &self,
-        result: Arc<ResultSet>,
-        outcome: Outcome,
-        rows_from_cache: usize,
-        sim_ms: f64,
-        timing: &Timing,
-        coalesced: bool,
-    ) -> ProxyResponse {
-        let metrics = self.metrics_for(
-            result.len(),
-            outcome,
-            rows_from_cache,
-            sim_ms,
-            timing,
-            coalesced,
-        );
-        ProxyResponse {
-            result,
-            columnar: None,
-            metrics,
-        }
-    }
-
-    fn metrics_for(
-        &self,
-        rows_total: usize,
-        outcome: Outcome,
-        rows_from_cache: usize,
-        sim_ms: f64,
-        timing: &Timing,
-        coalesced: bool,
-    ) -> QueryMetrics {
-        let proxy_ms = ms_since(timing.start);
-        QueryMetrics {
-            outcome,
-            response_ms: sim_ms + proxy_ms,
-            sim_ms,
-            proxy_ms,
-            check_ms: timing.check_ms,
-            local_ms: timing.local_ms,
-            rows_total,
-            rows_from_cache,
-            coalesced,
-            lock_wait_ms: timing.lock_wait_ms,
-            rows_scanned: 0,
-            rows_pruned: 0,
-            local_fallback: false,
-            degraded: false,
-            stale: false,
-            entry_age_ms: 0.0,
-            disk_hit: false,
-        }
     }
 
     /// End-of-request `.fpmeta` check: when the tier has a metadata
@@ -2509,7 +2162,7 @@ impl ProxyHandle {
         let Some(sched) = &self.inner.snap else {
             return Ok(0);
         };
-        let mut s = sched.lock().unwrap_or_else(|e| e.into_inner());
+        let mut s = locked(sched);
         Ok(self.write_tier_metas(&mut s.written_gens))
     }
 
@@ -2601,6 +2254,88 @@ fn prebuild(bound: &BoundKey, result: &ResultSet) -> (usize, Option<Arc<Columnar
     (bytes, columnar)
 }
 
+/// Hits (exact and contained) and everything else, for the observe layer.
+fn path_of(outcome: Outcome) -> PathClass {
+    if matches!(outcome, Outcome::Exact | Outcome::Contained) {
+        PathClass::Hit
+    } else {
+        PathClass::Miss
+    }
+}
+
+/// Selects the rows of `form` inside the query region through its
+/// micro-index — ascending ids, cut to the template's `TOP` — and hands
+/// them to `take`. Returns what `take` made, the row count, and the
+/// scan counts.
+fn select_rows<R>(
+    bound: &BoundKey,
+    form: &ColumnarRows,
+    take: impl FnOnce(&[u32]) -> R,
+) -> (R, usize, SelectStats) {
+    with_scratch(|scratch| {
+        let (point, selected) = scratch.parts_mut();
+        let stats = form.select_region(&bound.region, selected, point);
+        if let Some(n) = bound.reg.top() {
+            selected.truncate(n as usize);
+        }
+        (take(selected), selected.len(), stats)
+    })
+}
+
+/// The one probe-part filter and merge, off-lock against the `Arc`
+/// snapshots (entries are immutable, so concurrent eviction cannot
+/// invalidate them): overlap parts are filtered to the query region,
+/// region-containment parts contribute whole, and the rows merge by
+/// key. Only the parts whose rows reach the answer shape its lifecycle
+/// facts, so a stale-but-empty probe never flags (or ages) it. A
+/// malformed part fails the merge when `strict` (the healthy path then
+/// forwards) and is skipped otherwise (degraded serving is best-effort);
+/// `None` also when no part is left.
+fn merge_parts(bound: &BoundKey, parts: &[ProbePart], strict: bool) -> Option<Merged> {
+    let mut life = ServeLife::default();
+    let (mut rows_scanned, mut rows_pruned) = (0, 0);
+    let mut pieces: Vec<Cow<'_, ResultSet>> = Vec::with_capacity(parts.len());
+    for p in parts {
+        let piece = match &p.filter_idx {
+            None => Cow::Borrowed(&*p.result),
+            Some(idx) => {
+                let eval = with_scratch(|scratch| {
+                    eval_entry_region(
+                        &p.result,
+                        p.columnar.as_deref(),
+                        idx,
+                        &bound.region,
+                        scratch,
+                    )
+                });
+                match eval {
+                    Some(e) => {
+                        rows_scanned += e.stats.rows_scanned;
+                        rows_pruned += e.stats.rows_pruned();
+                        Cow::Owned(e.result)
+                    }
+                    None if strict => return None,
+                    None => continue,
+                }
+            }
+        };
+        if !piece.rows.is_empty() {
+            life.absorb(&p.life);
+        }
+        pieces.push(piece);
+    }
+    if pieces.is_empty() {
+        return None;
+    }
+    let refs: Vec<&ResultSet> = pieces.iter().map(|p| &**p).collect();
+    Some(Merged {
+        result: merge_results(&bound.reg.key_column, &refs),
+        life,
+        rows_scanned,
+        rows_pruned,
+    })
+}
+
 /// What a promotion swaps into RAM: the rows, their columnar form, and
 /// the coordinate indexes that form was built over.
 type Promoted = (Arc<ResultSet>, Option<Arc<ColumnarRows>>, Vec<usize>);
@@ -2611,6 +2346,12 @@ fn parse_demoted(slice: &SlabSlice) -> Option<Promoted> {
     let parsed = entry_from_segment(slice.xml(), slice.row_slab())?;
     let columnar = ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Arc::new);
     Some((Arc::new(parsed.result), columnar, parsed.coord_idx))
+}
+
+/// Locks `mutex`, taking over from a holder that panicked: the sets and
+/// lists behind these locks are consistent after every single step.
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn ms_since(start: Instant) -> f64 {

@@ -730,8 +730,9 @@ fn hit_reply_heads_are_golden() {
         Arc::new(SiteOrigin::new(site)),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
-            // A fixed simulated read cost far from a rounding edge, so
-            // `X-Sim-Response-Ms` does not depend on the measured part.
+            // A fixed simulated read cost: `X-Sim-Response-Ms` renders
+            // the modelled cost alone, so the head reads 7 however long
+            // the hit takes.
             .with_cost(CostModel {
                 cache_hit_base_ms: 7.25,
                 ..CostModel::free()
