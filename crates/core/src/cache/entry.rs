@@ -1,20 +1,26 @@
-//! Cache entries: one cached query and its result.
+//! Cache entries: one cached query and its result, wherever its rows
+//! live.
 
+use crate::cache::tier::SegRef;
 use fp_geometry::{HyperRect, Region};
 use fp_skyserver::{ColumnarRows, ResultSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One cached query result.
+/// One cached query, as the store keeps it: the paper's region in the
+/// cache description plus its query result, whether the result's rows
+/// sit in RAM or on the disk tier.
 ///
-/// Entries are immutable once stored; replacement bookkeeping
-/// (`last_used`) lives in the store. The heavy parts — the result tuples,
-/// the columnar form, the key strings — sit behind `Arc`s so the runtime
-/// can lift them out of the store's lock window and serve hits without
-/// deep copies.
+/// The store keeps exactly one `Entry` per id. Demotion and promotion
+/// swap its [`Body`] in place; every other field is fixed for the
+/// entry's lifetime. The heavy parts — the result tuples, the columnar
+/// form, the key strings — sit behind `Arc`s so the runtime can lift
+/// them out of the store's lock window and serve hits without deep
+/// copies.
 #[derive(Debug, Clone)]
-pub struct CacheEntry {
-    /// Store-assigned id (stable for the entry's lifetime).
+pub struct Entry {
+    /// Store-assigned id (stable for the entry's lifetime, across
+    /// demotions and promotions).
     pub id: u64,
     /// Residual group key: only queries with an equal key may be answered
     /// from this entry (same template, same non-spatial parameters, same
@@ -25,13 +31,6 @@ pub struct CacheEntry {
     /// `region.bounding_rect()`, computed once at insert and reused by
     /// the description index on insert and remove.
     pub bbox: HyperRect,
-    /// The cached result tuples.
-    pub result: Arc<ResultSet>,
-    /// The columnar hot-path form: SoA coordinate columns, spatial
-    /// micro-index, and the pre-serialized row slab. `None` when the
-    /// entry has no declared coordinate columns or a coordinate cell is
-    /// non-numeric (such entries fall back to row-major evaluation).
-    pub columnar: Option<Arc<ColumnarRows>>,
     /// Serialized XML size — the unit the paper's cache-size fractions
     /// and the simulation's transfer cost model are defined in.
     pub bytes: usize,
@@ -53,25 +52,146 @@ pub struct CacheEntry {
     /// grace → dead windows (see [`crate::lifecycle::Freshness`]).
     /// `None` = the entry never expires.
     pub expires_at: Option<Instant>,
+    /// Where the rows are.
+    pub body: Body,
+    /// The entry's slab segment, once it has one. It is written on the
+    /// first demotion (or `.fpmeta` pass) and kept across promotions:
+    /// entries are immutable, so its bytes never go stale and
+    /// re-demotion is free.
+    pub seg: Option<SegRef>,
 }
 
-impl CacheEntry {
-    /// Bytes charged against the cache capacity: the XML size plus the
-    /// columnar form's heap (SoA columns, micro-index, row slab).
-    pub fn footprint(&self) -> usize {
-        self.bytes + self.columnar.as_ref().map_or(0, |c| c.heap_bytes())
+/// Where an entry's rows live.
+#[derive(Debug, Clone)]
+pub enum Body {
+    /// In RAM, charged against the cache capacity.
+    Ram {
+        /// The cached result tuples.
+        result: Arc<ResultSet>,
+        /// The columnar hot-path form: SoA coordinate columns, spatial
+        /// micro-index, and the pre-serialized row slab. `None` when the
+        /// entry has no declared coordinate columns or a coordinate cell
+        /// is non-numeric (such entries fall back to row-major
+        /// evaluation, and cannot be demoted).
+        columnar: Option<Arc<ColumnarRows>>,
+    },
+    /// In the entry's slab segment. Everything classification and
+    /// contained-row selection need stays resident; the selected row
+    /// spans are spliced from the mmap'd slab.
+    Disk {
+        /// The columnar skeleton: coordinate columns, spans, header and
+        /// micro-index with an empty row slab.
+        skeleton: Arc<ColumnarRows>,
+        /// Row count (classification's smallest-containing preference).
+        rows: usize,
+    },
+}
+
+impl Entry {
+    /// Whether the rows are in RAM.
+    pub fn is_resident(&self) -> bool {
+        matches!(self.body, Body::Ram { .. })
     }
 
-    /// Indexes of the coordinate columns inside the result, in region
-    /// dimension order.
+    /// Result row count, whichever tier holds the rows.
+    pub fn rows(&self) -> usize {
+        match &self.body {
+            Body::Ram { result, .. } => result.len(),
+            Body::Disk { rows, .. } => *rows,
+        }
+    }
+
+    /// Bytes charged against the cache capacity: the XML size plus the
+    /// columnar form's heap (SoA columns, micro-index, row slab) while
+    /// the rows are in RAM; nothing while they are on disk.
+    pub fn footprint(&self) -> usize {
+        match &self.body {
+            Body::Ram { columnar, .. } => {
+                self.bytes + columnar.as_ref().map_or(0, |c| c.heap_bytes())
+            }
+            Body::Disk { .. } => 0,
+        }
+    }
+
+    /// Indexes of the coordinate columns inside a resident result, in
+    /// region dimension order.
     ///
     /// Returns `None` when any column is missing — which registration
-    /// prevents, so callers treat `None` as "not locally evaluable".
+    /// prevents, so callers treat `None` as "not locally evaluable" —
+    /// or when the rows are on disk.
     pub fn coord_indexes(&self, coord_columns: &[String]) -> Option<Vec<usize>> {
+        let Body::Ram { result, .. } = &self.body else {
+            return None;
+        };
         coord_columns
             .iter()
-            .map(|c| self.result.column_index(c))
+            .map(|c| result.column_index(c))
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl Entry {
+    /// The RAM body's result and columnar form; panics while the rows
+    /// are on disk.
+    pub(crate) fn ram(&self) -> (&Arc<ResultSet>, Option<&Arc<ColumnarRows>>) {
+        match &self.body {
+            Body::Ram { result, columnar } => (result, columnar.as_ref()),
+            Body::Disk { .. } => panic!("entry {} is demoted", self.id),
+        }
+    }
+}
+
+/// A cached query with its rows in RAM, written out field by field: the
+/// slab codec's public input ([`crate::cache::segment_header`]). The
+/// store keeps [`Entry`]; a `CacheEntry` converts into a resident one.
+#[derive(Debug, Clone)]
+pub struct CacheEntry {
+    /// See [`Entry::id`].
+    pub id: u64,
+    /// See [`Entry::residual_key`].
+    pub residual_key: Arc<str>,
+    /// See [`Entry::region`].
+    pub region: Region,
+    /// See [`Entry::bbox`].
+    pub bbox: HyperRect,
+    /// The cached result tuples.
+    pub result: Arc<ResultSet>,
+    /// The columnar hot-path form (see [`Body::Ram`]).
+    pub columnar: Option<Arc<ColumnarRows>>,
+    /// See [`Entry::bytes`].
+    pub bytes: usize,
+    /// See [`Entry::truncated`].
+    pub truncated: bool,
+    /// See [`Entry::exact_sql`].
+    pub exact_sql: Arc<str>,
+    /// See [`Entry::epoch`].
+    pub epoch: u64,
+    /// See [`Entry::inserted_at`].
+    pub inserted_at: Option<Instant>,
+    /// See [`Entry::expires_at`].
+    pub expires_at: Option<Instant>,
+}
+
+impl From<CacheEntry> for Entry {
+    fn from(e: CacheEntry) -> Entry {
+        Entry {
+            id: e.id,
+            residual_key: e.residual_key,
+            region: e.region,
+            bbox: e.bbox,
+            bytes: e.bytes,
+            truncated: e.truncated,
+            exact_sql: e.exact_sql,
+            epoch: e.epoch,
+            inserted_at: e.inserted_at,
+            expires_at: e.expires_at,
+            body: Body::Ram {
+                result: e.result,
+                columnar: e.columnar,
+            },
+            seg: None,
+        }
     }
 }
 
@@ -83,7 +203,7 @@ mod tests {
     #[test]
     fn coord_indexes_resolve_in_order() {
         let region = Region::Rect(HyperRect::new(vec![0.0], vec![1.0]).unwrap());
-        let entry = CacheEntry {
+        let entry = Entry::from(CacheEntry {
             id: 1,
             residual_key: "k".into(),
             bbox: region.bounding_rect(),
@@ -104,12 +224,13 @@ mod tests {
             epoch: 0,
             inserted_at: None,
             expires_at: None,
-        };
+        });
         assert_eq!(
             entry.coord_indexes(&["cx".into(), "cy".into(), "cz".into()]),
             Some(vec![2, 3, 1])
         );
         assert_eq!(entry.coord_indexes(&["missing".into()]), None);
         assert_eq!(entry.footprint(), 10);
+        assert_eq!(entry.rows(), 1);
     }
 }

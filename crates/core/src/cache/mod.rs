@@ -11,12 +11,12 @@ mod store;
 mod tier;
 
 pub use description::{ArrayDescription, CacheDescription, DescriptionKind, RTreeDescription};
-pub use entry::CacheEntry;
+pub use entry::{Body, CacheEntry, Entry};
 pub use persist::{entry_from_segment, segment_header, SegmentEntry};
 pub use profit::{ProfitEstimate, ProfitModel, ProfitParams};
 pub use replace::Replacement;
-pub use store::{CacheStats, CacheStore, ClassifyView};
+pub use store::{CacheStats, CacheStore};
 pub use tier::{
-    encode_payload, DemotedEntry, EvictionManager, IoFault, IoOp, SegRef, SlabFile, SlabIo,
-    SlabSlice, TierConfig, SLAB_MAGIC, SLAB_VERSION,
+    encode_payload, EvictionManager, IoFault, IoOp, SegRef, SlabFile, SlabIo, SlabSlice,
+    TierConfig, SLAB_MAGIC, SLAB_VERSION,
 };

@@ -19,7 +19,7 @@
 //! tolerances), so numbers are written with Rust's shortest-roundtrip
 //! formatting and parsed back exactly.
 
-use crate::cache::entry::CacheEntry;
+use crate::cache::entry::{Body, CacheEntry, Entry};
 use crate::lifecycle::LifecycleStamp;
 use fp_geometry::{HalfSpace, HyperRect, HyperSphere, Point, Polytope, Region};
 use fp_skyserver::{ResultSet, FOOTER};
@@ -31,6 +31,15 @@ use std::time::Instant;
 /// given (a clocked store), the lifecycle stamp rides along as
 /// *relative* times: `Instant`s don't survive a restart, offsets do.
 pub fn segment_header(entry: &CacheEntry, now: Option<Instant>) -> Vec<u8> {
+    header(&Entry::from(entry.clone()), now).expect("a CacheEntry's rows are in RAM")
+}
+
+/// [`segment_header`] of a store entry; `None` while its rows are on
+/// disk (they were written with its segment).
+pub(crate) fn header(entry: &Entry, now: Option<Instant>) -> Option<Vec<u8>> {
+    let Body::Ram { result, columnar } = &entry.body else {
+        return None;
+    };
     let doc = Element::new("CacheEntry")
         .with_attr("truncated", if entry.truncated { "1" } else { "0" })
         .with_child(Element::new("ResidualKey").with_text(&*entry.residual_key))
@@ -38,7 +47,7 @@ pub fn segment_header(entry: &CacheEntry, now: Option<Instant>) -> Vec<u8> {
         .with_child(region_to_xml(&entry.region));
     let epoch = (entry.epoch > 0).then_some(entry.epoch);
     let mut doc = with_stamp(doc, epoch, entry.inserted_at, entry.expires_at, now);
-    match &entry.columnar {
+    match columnar {
         Some(col) => {
             // The coordinate column indexes let a reload rebuild the
             // columnar form without knowing the template registry.
@@ -49,15 +58,15 @@ pub fn segment_header(entry: &CacheEntry, now: Option<Instant>) -> Vec<u8> {
             doc.push_child(ci);
             // The document's head; its rows are the row slab.
             let mut columns = Element::new("Columns");
-            for c in &entry.result.columns {
+            for c in &result.columns {
                 columns.push_child(Element::new("C").with_text(c.as_str()));
             }
             doc.push_child(columns);
         }
         // No row slab to carry the rows: they stay inline.
-        None => doc.push_child(entry.result.to_xml()),
+        None => doc.push_child(result.to_xml()),
     }
-    doc.to_xml().into_bytes()
+    Some(doc.to_xml().into_bytes())
 }
 
 /// Adds an entry's lifecycle stamp to `el` as attributes: `epoch` when
@@ -390,10 +399,10 @@ mod tests {
         assert_eq!(store.recover_tier().recovered, 1);
         let id = store.lookup_exact(&entry.exact_sql).unwrap();
         let slice = store.disk_slice(id).expect("restored demoted");
-        let served = store
-            .disk_entry(id)
-            .unwrap()
-            .skeleton
+        let Some(Body::Disk { skeleton, .. }) = store.peek(id).map(|e| &e.body) else {
+            panic!("restored demoted");
+        };
+        let served = skeleton
             .doc()
             .over(Arc::new(slice.clone()))
             .expect("the slab fits the skeleton");
@@ -409,10 +418,10 @@ mod tests {
         let rebuilt = ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Arc::new);
         assert!(store.promote(id, Arc::new(parsed.result), rebuilt));
         let resident = store.peek(id).expect("promoted");
-        let rebuilt = resident.columnar.as_ref().unwrap();
+        let rebuilt = resident.ram().1.unwrap();
         assert_eq!(rebuilt.slab(), col.slab());
         assert_eq!(rebuilt.full_document(), document);
-        assert_eq!(resident.footprint(), entry.footprint());
+        assert_eq!(resident.footprint(), Entry::from(entry).footprint());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -469,7 +478,7 @@ mod tests {
             let id = store
                 .insert("g", sample_regions()[1].clone(), rs, false, "Q", &coords)
                 .unwrap();
-            assert!(store.peek(id).unwrap().columnar.is_some());
+            assert!(store.peek(id).unwrap().ram().1.is_some());
             assert_eq!(store.tier_meta().unwrap().write().unwrap(), 1);
             store.peek(id).unwrap().footprint()
         };
@@ -484,7 +493,7 @@ mod tests {
             fp_skyserver::ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Into::into);
         assert!(restored.promote(rid, parsed.result.into(), columnar));
         let entry = restored.peek(rid).unwrap();
-        let col = entry.columnar.as_ref().expect("columnar rebuilt on load");
+        let col = entry.ram().1.expect("columnar rebuilt on load");
         assert_eq!(col.coord_idx(), &[1, 2]);
         assert_eq!(entry.footprint(), footprint);
         std::fs::remove_dir_all(&config.dir).unwrap();

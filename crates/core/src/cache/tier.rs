@@ -1,6 +1,6 @@
 //! The disk tier: per-shard append-only slab files plus the
-//! promotion/demotion bookkeeping that turns the RAM store into the hot
-//! tier of a two-level cache.
+//! bookkeeping that turns the RAM store into the hot tier of a
+//! two-level cache.
 //!
 //! # Why a tier
 //!
@@ -22,6 +22,17 @@
 //! unchanged over both tiers, and a demoted exact/contained hit is
 //! served by splicing row bytes straight out of an `mmap` of the slab —
 //! zero copies until the response buffer is assembled.
+//!
+//! # One record, two bodies
+//!
+//! A demoted entry is not a second kind of entry. The store keeps one
+//! [`crate::cache::Entry`] per id whichever tier holds its rows: its
+//! scalars (region, keys, lifecycle stamp) once, a
+//! [`crate::cache::Body`] that is either RAM (`result`, `columnar`) or
+//! disk (`skeleton`, `rows`), and its own [`SegRef`] once it has been
+//! spilled. Demotion and promotion switch the body in place. This module
+//! owns only the files and their bookkeeping ([`EvictionManager`]:
+//! the slab, demotion/promotion/compaction counters, degraded mode).
 //!
 //! # The cache's only on-disk form
 //!
@@ -53,16 +64,13 @@
 //! either the old file or the new one, never a mix. In-flight readers
 //! keep serving from their `Arc`'d mapping of the pre-compaction inode.
 
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fp_geometry::{HyperRect, Region};
 use fp_mmap::Mmap;
-use fp_skyserver::ColumnarRows;
 
 use crate::cache::frame::{self, crc32};
 
@@ -702,53 +710,17 @@ impl SlabFile {
     }
 }
 
-/// A demoted entry: everything classification and contained-row
-/// selection need stays resident; the row bytes live in the slab.
-#[derive(Debug, Clone)]
-pub struct DemotedEntry {
-    /// Store-assigned id (unchanged across demote/promote).
-    pub id: u64,
-    /// Residual group key (shared with the store's maps).
-    pub residual_key: Arc<str>,
-    /// The query's spatial region.
-    pub region: Region,
-    /// `region.bounding_rect()`, kept for description-index removal.
-    pub bbox: HyperRect,
-    /// The columnar skeleton: coordinate columns, spans, header, and
-    /// micro-index with an empty row slab. Row selection runs on this;
-    /// the selected spans are then spliced from the mmap'd slab.
-    pub skeleton: Arc<ColumnarRows>,
-    /// Row count (classification's smallest-containing preference).
-    pub rows: usize,
-    /// Serialized XML size of the full result (cost accounting).
-    pub bytes: usize,
-    /// Whether the result may have been clipped by a `TOP` limit.
-    pub truncated: bool,
-    /// The exact normalized SQL (shared with the store's exact map).
-    pub exact_sql: Arc<str>,
-    /// Data-release epoch the entry was cached under.
-    pub epoch: u64,
-    /// When the entry was inserted (TTL anchor).
-    pub inserted_at: Option<Instant>,
-    /// When the entry stops being fresh.
-    pub expires_at: Option<Instant>,
-}
-
-/// Per-shard tier state: the slab file plus which entries live on disk
-/// and where. Owned by `CacheStore`, which drives demotion from its
-/// budget loop and promotion from the runtime's background parse.
+/// Per-shard tier state: the slab file and its demotion, promotion,
+/// compaction and fault bookkeeping. Owned by `CacheStore`, whose
+/// entries record their own slab segments; the store drives demotion
+/// from its budget loop and promotion from the runtime's background
+/// parse.
 #[derive(Debug)]
 pub struct EvictionManager {
     pub(crate) compact_ratio: f64,
     /// Where this shard's warm-restart metadata snapshot lives.
     pub(crate) meta_path: PathBuf,
     pub(crate) slab: SlabFile,
-    /// Entries currently resident only on disk, by id.
-    pub(crate) demoted: HashMap<u64, DemotedEntry>,
-    /// Slab segment for every entry that has ever been spilled —
-    /// resident entries keep theirs so re-demotion is free (entries are
-    /// immutable, so the bytes never go stale).
-    pub(crate) refs: HashMap<u64, SegRef>,
     pub(crate) demotions: usize,
     pub(crate) promotions: usize,
     pub(crate) compactions: usize,
@@ -787,8 +759,6 @@ impl EvictionManager {
             compact_ratio: config.compact_ratio,
             meta_path: config.meta_path(shard),
             slab,
-            demoted: HashMap::new(),
-            refs: HashMap::new(),
             demotions: 0,
             promotions: 0,
             compactions: 0,
@@ -839,32 +809,19 @@ impl EvictionManager {
         }
     }
 
-    /// Compacts the slab if the dead-byte trigger has fired. Returns
-    /// the ids whose segments turned out unreadable (the store must
-    /// drop those entries); empty when nothing happened.
-    pub(crate) fn maybe_compact(&mut self) -> Vec<u64> {
-        if !self.slab.needs_compact(self.compact_ratio) {
-            return Vec::new();
-        }
-        let live: Vec<(u64, SegRef)> = self.refs.iter().map(|(&id, &seg)| (id, seg)).collect();
-        match self.slab.compact(&live) {
-            Ok((new_refs, _dropped)) => {
-                let relocated: HashMap<u64, SegRef> = new_refs.into_iter().collect();
-                let lost: Vec<u64> = self
-                    .refs
-                    .keys()
-                    .filter(|id| !relocated.contains_key(id))
-                    .copied()
-                    .collect();
-                self.refs = relocated;
+    /// Rewrites the slab keeping only the `live` segments. Returns where
+    /// each one landed (an unreadable one is missing: its entry is
+    /// lost), or `None` when the rewrite failed — not fatal: the old
+    /// file and segments stay valid, and the next trigger retries.
+    pub(crate) fn compact(&mut self, live: &[(u64, SegRef)]) -> Option<Vec<(u64, SegRef)>> {
+        match self.slab.compact(live) {
+            Ok((moved, _dropped)) => {
                 self.compactions += 1;
-                lost
+                Some(moved)
             }
-            // Compaction failure is not fatal: the old file and refs
-            // stay valid; we'll retry at the next trigger.
             Err(_) => {
                 self.io_errors += 1;
-                Vec::new()
+                None
             }
         }
     }

@@ -76,12 +76,13 @@ fn classify_candidates(
             Some(f) if f.serveable(allow_grace) => {}
             _ => continue,
         }
-        // The classify view covers both tiers from resident metadata —
-        // demoted entries participate without any disk access.
-        let Some(entry) = store.classify_view(id) else {
+        // Every entry's region and row count are resident, whichever
+        // tier holds its rows: demoted entries classify without disk
+        // access.
+        let Some(entry) = store.peek(id) else {
             continue;
         };
-        match bound.region.relate(entry.region) {
+        match bound.region.relate(&entry.region) {
             Relation::Equal => {
                 // Equal region within one residual group means the same
                 // query; a truncated equal entry was clipped the same way.
@@ -92,8 +93,8 @@ fn classify_candidates(
                 // scans fewer tuples.
                 match contained_by {
                     Some(prev) => {
-                        let prev_len = store.classify_view(prev).map_or(usize::MAX, |e| e.rows);
-                        if entry.rows < prev_len {
+                        let prev_len = store.peek(prev).map_or(usize::MAX, |e| e.rows());
+                        if entry.rows() < prev_len {
                             contained_by = Some(id);
                         }
                     }
@@ -253,7 +254,7 @@ mod tests {
         let label = status.label();
         let mut key = match status {
             QueryStatus::ExactMatch(id) => vec![id],
-            QueryStatus::ContainedBy(id) => vec![store.classify_view(id).unwrap().rows as u64],
+            QueryStatus::ContainedBy(id) => vec![store.peek(id).unwrap().rows() as u64],
             QueryStatus::RegionContainment(ids) | QueryStatus::Overlapping(ids) => ids,
             QueryStatus::Disjoint => Vec::new(),
         };

@@ -40,7 +40,7 @@
 //! rejections and true disjoint misses surface the error.
 
 use crate::cache::{
-    entry_from_segment, CacheEntry, CacheStats, CacheStore, ProfitEstimate, ProfitModel, SlabSlice,
+    entry_from_segment, Body, CacheStats, CacheStore, Entry, ProfitEstimate, ProfitModel, SlabSlice,
 };
 use crate::config::{ProxyConfig, SchemeChoice};
 use crate::lifecycle::Freshness;
@@ -1069,7 +1069,7 @@ impl ProxyHandle {
     /// the origin.
     fn probe(&self, key: &BoundKey, scheme: Scheme) -> Option<Served> {
         let mut timing = Timing::begin();
-        match self.cache_phase_locked(key, scheme, &mut timing) {
+        match self.cache_phase_locked(key, scheme, Sink::Probe, &mut timing) {
             LockedPhase::Hit(hit) if !hit.life.stale => {
                 self.finish_hit(key, hit, Sink::Probe, &mut timing).ok()
             }
@@ -1224,7 +1224,7 @@ impl ProxyHandle {
         sink: Sink,
         timing: &mut Timing,
     ) -> Phase {
-        let plan = match self.cache_phase_locked(bound, scheme, timing) {
+        let plan = match self.cache_phase_locked(bound, scheme, sink, timing) {
             LockedPhase::Hit(hit) => match self.finish_hit(bound, hit, sink, timing) {
                 Ok(served) => return Phase::Served(served),
                 Err(plan) => plan,
@@ -1249,11 +1249,14 @@ impl ProxyHandle {
     /// The shard-lock window: exact lookup, classification, and `Arc`
     /// snapshots of whatever entries the answer needs. Never fetches,
     /// never scans tuples — hit selection and overlap probe filtering
-    /// both run after the lock is released.
+    /// both run after the lock is released. The probe sink serves hits
+    /// only, so it declines the merge relationships before any merge
+    /// plan is built.
     fn cache_phase_locked(
         &self,
         bound: &BoundKey,
         scheme: Scheme,
+        sink: Sink,
         timing: &mut Timing,
     ) -> LockedPhase {
         let (mut store, wait) = self.inner.store.lock(&bound.residual_key);
@@ -1285,6 +1288,8 @@ impl ProxyHandle {
                 let life = self.life_of(&store, id);
                 self.hit_plan(&mut store, bound, id, exact, life)
             }
+
+            _ if sink == Sink::Probe => LockedPhase::Origin(OriginPlan::forward(Vec::new())),
 
             QueryStatus::RegionContainment(ids) if scheme.handles_region_containment() => {
                 self.merge_plan(
@@ -1318,26 +1323,21 @@ impl ProxyHandle {
         exact: bool,
         life: ServeLife,
     ) -> LockedPhase {
-        let (rows, bytes) = match store.get(id) {
-            Some(entry) => (
-                HitRows::Ram {
-                    result: Arc::clone(&entry.result),
-                    columnar: entry.columnar.clone(),
-                    coord_idx: (!exact)
-                        .then(|| entry.coord_indexes(&bound.reg.coord_columns))
-                        .flatten(),
-                },
-                entry.bytes,
-            ),
-            None => {
-                let Some(d) = store.disk_entry(id) else {
-                    return LockedPhase::Origin(OriginPlan::forward(Vec::new()));
-                };
-                let (skeleton, residual_key, bytes) = (
-                    Arc::clone(&d.skeleton),
-                    Arc::clone(&d.residual_key),
-                    d.bytes,
-                );
+        let Some(entry) = store.get(id) else {
+            return LockedPhase::Origin(OriginPlan::forward(Vec::new()));
+        };
+        let bytes = entry.bytes;
+        let rows = match &entry.body {
+            Body::Ram { result, columnar } => HitRows::Ram {
+                result: Arc::clone(result),
+                columnar: columnar.clone(),
+                coord_idx: (!exact)
+                    .then(|| entry.coord_indexes(&bound.reg.coord_columns))
+                    .flatten(),
+            },
+            Body::Disk { skeleton, .. } => {
+                let (skeleton, residual_key) =
+                    (Arc::clone(skeleton), Arc::clone(&entry.residual_key));
                 let pinned = store.disk_slice(id).map(Arc::new).and_then(|slice| {
                     let doc = skeleton.doc().over(Arc::clone(&slice) as _)?;
                     Some((slice, doc))
@@ -1357,7 +1357,7 @@ impl ProxyHandle {
                     slice,
                     doc,
                 };
-                (HitRows::Disk(Box::new(disk)), bytes)
+                HitRows::Disk(Box::new(disk))
             }
         };
         LockedPhase::Hit(HitPlan {
@@ -1639,18 +1639,21 @@ impl ProxyHandle {
     /// coordinate columns (a malformed entry).
     fn probe_part(
         &self,
-        entry: &CacheEntry,
+        entry: &Entry,
         bound: &BoundKey,
         filter: bool,
         life: ServeLife,
     ) -> Option<ProbePart> {
+        let Body::Ram { result, columnar } = &entry.body else {
+            return None;
+        };
         let filter_idx = match filter {
             true => Some(entry.coord_indexes(&bound.reg.coord_columns)?),
             false => None,
         };
         Some(ProbePart {
-            result: Arc::clone(&entry.result),
-            columnar: entry.columnar.clone(),
+            result: Arc::clone(result),
+            columnar: columnar.clone(),
             filter_idx,
             sim_ms: self.inner.config.cost.cache_read_ms(entry.bytes),
             life,
@@ -1685,8 +1688,9 @@ impl ProxyHandle {
         // before the remainder's exclude-regions are computed, so the
         // fetch covers their regions again — but under region
         // containment they are still subsumed and compact away.
-        let (mut ids, demoted_ids): (Vec<u64>, Vec<u64>) =
-            ids.into_iter().partition(|id| store.peek(*id).is_some());
+        let (mut ids, demoted_ids): (Vec<u64>, Vec<u64>) = ids
+            .into_iter()
+            .partition(|id| store.peek(*id).is_some_and(Entry::is_resident));
         if ids.is_empty() {
             let compact_ids = if probe_filters {
                 Vec::new()
@@ -1924,7 +1928,7 @@ impl ProxyHandle {
             Some(_) => ServeLife {
                 stale: true,
                 age_ms,
-                revalidate: store.exact_sql_of(id).map(|sql| sql.to_string()),
+                revalidate: store.peek(id).map(|e| e.exact_sql.to_string()),
             },
         }
     }
@@ -2230,7 +2234,12 @@ fn coverage_worthwhile(
     }
     let regions: Vec<&Region> = ids
         .iter()
-        .filter_map(|id| store.peek(*id).map(|e| &e.region))
+        .filter_map(|id| {
+            store
+                .peek(*id)
+                .filter(|e| e.is_resident())
+                .map(|e| &e.region)
+        })
         .collect();
     if regions.is_empty() {
         return false;
@@ -2820,9 +2829,53 @@ mod tests {
             1,
         );
         let r = radial(&h, 185.0, 0.0, 20.0);
+        assert_eq!(r.metrics.outcome, Outcome::Forwarded);
         assert!(r.metrics.sim_ms > 0.0);
+        let key = h
+            .inner
+            .manager
+            .bind_form("/search/radial", &radial_fields(185.0, 0.0, 20.0))
+            .unwrap();
+        {
+            let (store, _) = h.inner.store.lock(&key.residual_key);
+            let id = store.lookup_exact(&key.sql).unwrap();
+            // A forwarded miss charges only the origin fetch.
+            let seeded = (r.metrics.sim_ms * 1000.0) as u64;
+            assert_eq!(store.refetch_us(id), Some(seeded));
+        }
         let again = radial(&h, 185.0, 0.0, 20.0);
         assert_eq!(again.metrics.outcome, Outcome::Exact);
+    }
+
+    /// The reactor probe serves exact and contained hits only: an
+    /// overlap or region-containment query gets no merge plan and no
+    /// answer from it, while the blocking path still merges both.
+    #[test]
+    fn probe_declines_merges_before_planning_them() {
+        let h = handle(Scheme::FullSemantic);
+        radial(&h, 185.0 - 10.0 / 60.0, 0.0, 8.0);
+        radial(&h, 185.0 + 10.0 / 60.0, 0.0, 8.0);
+        let cases = [
+            (185.0 + 15.0 / 60.0, 10.0, Outcome::Overlap),
+            (185.0, 40.0, Outcome::RegionContainment),
+        ];
+        for (ra, radius, outcome) in cases {
+            let fields = radial_fields(ra, 0.0, radius);
+            let key = h
+                .inner
+                .manager
+                .bind_form("/search/radial", &fields)
+                .unwrap();
+            let mut timing = Timing::begin();
+            let phase = h.cache_phase_locked(&key, Scheme::FullSemantic, Sink::Probe, &mut timing);
+            let LockedPhase::Origin(plan) = phase else {
+                panic!("{outcome:?}: the probe planned a hit");
+            };
+            assert!(plan.exclude.is_empty() && plan.probe_parts.is_empty());
+            assert!(plan.compact_ids.is_empty());
+            assert!(h.try_form_doc_cached("/search/radial", &fields).is_none());
+            assert_eq!(radial(&h, ra, 0.0, radius).metrics.outcome, outcome);
+        }
     }
 
     #[test]
