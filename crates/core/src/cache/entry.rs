@@ -13,9 +13,9 @@ use std::time::Instant;
 ///
 /// The store keeps exactly one `Entry` per id. Demotion and promotion
 /// swap its [`Body`] in place; every other field is fixed for the
-/// entry's lifetime. The heavy parts — the result tuples, the columnar
-/// form, the key strings — sit behind `Arc`s so the runtime can lift
-/// them out of the store's lock window and serve hits without deep
+/// entry's lifetime. The heavy parts — the answer (held once, see
+/// [`Answer`]), the key strings — sit behind `Arc`s so the runtime can
+/// lift them out of the store's lock window and serve hits without deep
 /// copies.
 #[derive(Debug, Clone)]
 pub struct Entry {
@@ -65,39 +65,94 @@ pub struct Entry {
 #[derive(Debug, Clone)]
 pub enum Body {
     /// In RAM, charged against the cache capacity.
-    Ram {
-        /// The cached result tuples.
-        result: Arc<ResultSet>,
-        /// The columnar hot-path form: SoA coordinate columns, spatial
-        /// micro-index, and the pre-serialized row slab. `None` when the
-        /// entry has no declared coordinate columns or a coordinate cell
-        /// is non-numeric (such entries fall back to row-major
-        /// evaluation, and cannot be demoted).
-        columnar: Option<Arc<ColumnarRows>>,
-    },
+    Ram(Answer),
     /// In the entry's slab segment. Everything classification and
     /// contained-row selection need stays resident; the selected row
     /// spans are spliced from the mmap'd slab.
     Disk {
-        /// The columnar skeleton: coordinate columns, spans, header and
-        /// micro-index with an empty row slab.
+        /// The columnar skeleton: coordinate columns, spans, header,
+        /// column names and micro-index with an empty row slab.
         skeleton: Arc<ColumnarRows>,
-        /// Row count (classification's smallest-containing preference).
-        rows: usize,
     },
+}
+
+/// A resident entry's answer, in exactly one representation.
+#[derive(Debug, Clone)]
+pub enum Answer {
+    /// The columnar hot-path form: SoA coordinate columns, spatial
+    /// micro-index, and the pre-serialized row slab every document is
+    /// served from. Tuples are materialized from the slab only for the
+    /// callers that need `Value`s ([`ColumnarRows::rows_of`]).
+    Form(Arc<ColumnarRows>),
+    /// Row-major tuples, for a result with no columnar form: no declared
+    /// coordinate columns, or a non-numeric coordinate cell. Such
+    /// entries are evaluated row-major and cannot be demoted.
+    Rows(Arc<ResultSet>),
+}
+
+impl Answer {
+    /// The form when there is one, the tuples otherwise.
+    pub fn new(result: Arc<ResultSet>, form: Option<Arc<ColumnarRows>>) -> Answer {
+        match form {
+            Some(form) => Answer::Form(form),
+            None => Answer::Rows(result),
+        }
+    }
+
+    /// Row count.
+    pub fn len(&self) -> usize {
+        match self {
+            Answer::Form(form) => form.len(),
+            Answer::Rows(result) => result.len(),
+        }
+    }
+
+    /// Whether the answer has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The result's column names.
+    pub fn columns(&self) -> &[String] {
+        match self {
+            Answer::Form(form) => form.columns(),
+            Answer::Rows(result) => &result.columns,
+        }
+    }
+
+    /// The columnar form, if the answer is one.
+    pub fn form(&self) -> Option<&Arc<ColumnarRows>> {
+        match self {
+            Answer::Form(form) => Some(form),
+            Answer::Rows(_) => None,
+        }
+    }
+
+    /// Every row as tuples: shared when the answer is tuples,
+    /// materialized from the slab when it is a form. `None` when the
+    /// slab does not parse.
+    pub fn tuples(&self) -> Option<Arc<ResultSet>> {
+        match self {
+            Answer::Form(form) => {
+                let all: Vec<u32> = (0..form.len() as u32).collect();
+                form.rows_of(&all).map(Arc::new)
+            }
+            Answer::Rows(result) => Some(Arc::clone(result)),
+        }
+    }
 }
 
 impl Entry {
     /// Whether the rows are in RAM.
     pub fn is_resident(&self) -> bool {
-        matches!(self.body, Body::Ram { .. })
+        matches!(self.body, Body::Ram(_))
     }
 
     /// Result row count, whichever tier holds the rows.
     pub fn rows(&self) -> usize {
         match &self.body {
-            Body::Ram { result, .. } => result.len(),
-            Body::Disk { rows, .. } => *rows,
+            Body::Ram(answer) => answer.len(),
+            Body::Disk { skeleton } => skeleton.len(),
         }
     }
 
@@ -106,37 +161,35 @@ impl Entry {
     /// the rows are in RAM; nothing while they are on disk.
     pub fn footprint(&self) -> usize {
         match &self.body {
-            Body::Ram { columnar, .. } => {
-                self.bytes + columnar.as_ref().map_or(0, |c| c.heap_bytes())
-            }
+            Body::Ram(answer) => self.bytes + answer.form().map_or(0, |f| f.heap_bytes()),
             Body::Disk { .. } => 0,
         }
     }
 
-    /// Indexes of the coordinate columns inside a resident result, in
-    /// region dimension order.
+    /// Indexes of the coordinate columns among a resident answer's
+    /// columns, in region dimension order.
     ///
     /// Returns `None` when any column is missing — which registration
     /// prevents, so callers treat `None` as "not locally evaluable" —
     /// or when the rows are on disk.
     pub fn coord_indexes(&self, coord_columns: &[String]) -> Option<Vec<usize>> {
-        let Body::Ram { result, .. } = &self.body else {
+        let Body::Ram(answer) = &self.body else {
             return None;
         };
+        let columns = answer.columns();
         coord_columns
             .iter()
-            .map(|c| result.column_index(c))
+            .map(|c| columns.iter().position(|name| name == c))
             .collect()
     }
 }
 
 #[cfg(test)]
 impl Entry {
-    /// The RAM body's result and columnar form; panics while the rows
-    /// are on disk.
-    pub(crate) fn ram(&self) -> (&Arc<ResultSet>, Option<&Arc<ColumnarRows>>) {
+    /// The RAM body's answer; panics while the rows are on disk.
+    pub(crate) fn ram(&self) -> &Answer {
         match &self.body {
-            Body::Ram { result, columnar } => (result, columnar.as_ref()),
+            Body::Ram(answer) => answer,
             Body::Disk { .. } => panic!("entry {} is demoted", self.id),
         }
     }
@@ -144,7 +197,9 @@ impl Entry {
 
 /// A cached query with its rows in RAM, written out field by field: the
 /// slab codec's public input ([`crate::cache::segment_header`]). The
-/// store keeps [`Entry`]; a `CacheEntry` converts into a resident one.
+/// store keeps [`Entry`]; a `CacheEntry` converts into a resident one,
+/// which keeps the columnar form when there is one and the tuples
+/// otherwise ([`Answer::new`]).
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
     /// See [`Entry::id`].
@@ -157,7 +212,7 @@ pub struct CacheEntry {
     pub bbox: HyperRect,
     /// The cached result tuples.
     pub result: Arc<ResultSet>,
-    /// The columnar hot-path form (see [`Body::Ram`]).
+    /// The columnar hot-path form (see [`Answer::Form`]).
     pub columnar: Option<Arc<ColumnarRows>>,
     /// See [`Entry::bytes`].
     pub bytes: usize,
@@ -186,10 +241,7 @@ impl From<CacheEntry> for Entry {
             epoch: e.epoch,
             inserted_at: e.inserted_at,
             expires_at: e.expires_at,
-            body: Body::Ram {
-                result: e.result,
-                columnar: e.columnar,
-            },
+            body: Body::Ram(Answer::new(e.result, e.columnar)),
             seg: None,
         }
     }
@@ -200,37 +252,46 @@ mod tests {
     use super::*;
     use fp_sqlmini::Value;
 
+    /// Coordinate columns resolve by name among the answer's columns,
+    /// whichever representation holds it; only a form is charged heap.
     #[test]
     fn coord_indexes_resolve_in_order() {
         let region = Region::Rect(HyperRect::new(vec![0.0], vec![1.0]).unwrap());
-        let entry = Entry::from(CacheEntry {
-            id: 1,
-            residual_key: "k".into(),
-            bbox: region.bounding_rect(),
-            region,
-            result: Arc::new(ResultSet {
-                columns: vec!["objID".into(), "cz".into(), "cx".into(), "cy".into()],
-                rows: vec![vec![
-                    Value::Int(1),
-                    Value::Float(3.0),
-                    Value::Float(1.0),
-                    Value::Float(2.0),
-                ]],
-            }),
-            columnar: None,
-            bytes: 10,
-            truncated: false,
-            exact_sql: "SELECT".into(),
-            epoch: 0,
-            inserted_at: None,
-            expires_at: None,
+        let result = Arc::new(ResultSet {
+            columns: vec!["objID".into(), "cz".into(), "cx".into(), "cy".into()],
+            rows: vec![vec![
+                Value::Int(1),
+                Value::Float(3.0),
+                Value::Float(1.0),
+                Value::Float(2.0),
+            ]],
         });
-        assert_eq!(
-            entry.coord_indexes(&["cx".into(), "cy".into(), "cz".into()]),
-            Some(vec![2, 3, 1])
-        );
-        assert_eq!(entry.coord_indexes(&["missing".into()]), None);
-        assert_eq!(entry.footprint(), 10);
-        assert_eq!(entry.rows(), 1);
+        let form = ColumnarRows::build(&result, &[2, 3, 1]).map(Arc::new);
+        for columnar in [None, form] {
+            let heap = columnar.as_ref().map_or(0, |f| f.heap_bytes());
+            let entry = Entry::from(CacheEntry {
+                id: 1,
+                residual_key: "k".into(),
+                bbox: region.bounding_rect(),
+                region: region.clone(),
+                result: Arc::clone(&result),
+                columnar,
+                bytes: 10,
+                truncated: false,
+                exact_sql: "SELECT".into(),
+                epoch: 0,
+                inserted_at: None,
+                expires_at: None,
+            });
+            assert_eq!(entry.ram().form().is_some(), heap > 0);
+            assert_eq!(
+                entry.coord_indexes(&["cx".into(), "cy".into(), "cz".into()]),
+                Some(vec![2, 3, 1])
+            );
+            assert_eq!(entry.coord_indexes(&["missing".into()]), None);
+            assert_eq!(entry.footprint(), 10 + heap);
+            assert_eq!(entry.rows(), 1);
+            assert_eq!(entry.ram().tuples().as_deref(), Some(&*result));
+        }
     }
 }

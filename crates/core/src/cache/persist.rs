@@ -19,7 +19,7 @@
 //! tolerances), so numbers are written with Rust's shortest-roundtrip
 //! formatting and parsed back exactly.
 
-use crate::cache::entry::{Body, CacheEntry, Entry};
+use crate::cache::entry::{Answer, Body, CacheEntry, Entry};
 use crate::lifecycle::LifecycleStamp;
 use fp_geometry::{HalfSpace, HyperRect, HyperSphere, Point, Polytope, Region};
 use fp_skyserver::{ResultSet, FOOTER};
@@ -37,7 +37,7 @@ pub fn segment_header(entry: &CacheEntry, now: Option<Instant>) -> Vec<u8> {
 /// [`segment_header`] of a store entry; `None` while its rows are on
 /// disk (they were written with its segment).
 pub(crate) fn header(entry: &Entry, now: Option<Instant>) -> Option<Vec<u8>> {
-    let Body::Ram { result, columnar } = &entry.body else {
+    let Body::Ram(answer) = &entry.body else {
         return None;
     };
     let doc = Element::new("CacheEntry")
@@ -47,24 +47,24 @@ pub(crate) fn header(entry: &Entry, now: Option<Instant>) -> Option<Vec<u8>> {
         .with_child(region_to_xml(&entry.region));
     let epoch = (entry.epoch > 0).then_some(entry.epoch);
     let mut doc = with_stamp(doc, epoch, entry.inserted_at, entry.expires_at, now);
-    match columnar {
-        Some(col) => {
+    match answer {
+        Answer::Form(form) => {
             // The coordinate column indexes let a reload rebuild the
             // columnar form without knowing the template registry.
             let mut ci = Element::new("CoordIdx");
-            for &i in col.coord_idx() {
+            for &i in form.coord_idx() {
                 ci.push_child(Element::new("I").with_text(i.to_string()));
             }
             doc.push_child(ci);
             // The document's head; its rows are the row slab.
             let mut columns = Element::new("Columns");
-            for c in &result.columns {
+            for c in form.columns() {
                 columns.push_child(Element::new("C").with_text(c.as_str()));
             }
             doc.push_child(columns);
         }
         // No row slab to carry the rows: they stay inline.
-        None => doc.push_child(result.to_xml()),
+        Answer::Rows(result) => doc.push_child(result.to_xml()),
     }
     Some(doc.to_xml().into_bytes())
 }
@@ -415,10 +415,10 @@ mod tests {
         assert_eq!(parsed.coord_idx, [1, 2]);
         assert_eq!(parsed.stamp.epoch, 4);
         assert_eq!(parsed.stamp.remaining_ms, Some(600_000));
-        let rebuilt = ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Arc::new);
-        assert!(store.promote(id, Arc::new(parsed.result), rebuilt));
+        let rebuilt = ColumnarRows::build(&parsed.result, &parsed.coord_idx).unwrap();
+        assert!(store.promote(id, Arc::new(rebuilt)));
         let resident = store.peek(id).expect("promoted");
-        let rebuilt = resident.ram().1.unwrap();
+        let rebuilt = resident.ram().form().unwrap();
         assert_eq!(rebuilt.slab(), col.slab());
         assert_eq!(rebuilt.full_document(), document);
         assert_eq!(resident.footprint(), Entry::from(entry).footprint());
@@ -478,7 +478,7 @@ mod tests {
             let id = store
                 .insert("g", sample_regions()[1].clone(), rs, false, "Q", &coords)
                 .unwrap();
-            assert!(store.peek(id).unwrap().ram().1.is_some());
+            assert!(store.peek(id).unwrap().ram().form().is_some());
             assert_eq!(store.tier_meta().unwrap().write().unwrap(), 1);
             store.peek(id).unwrap().footprint()
         };
@@ -489,11 +489,10 @@ mod tests {
         let slice = restored.disk_slice(rid).expect("restored demoted");
         let parsed = entry_from_segment(slice.xml(), slice.row_slab()).unwrap();
         assert_eq!(parsed.coord_idx, [1, 2]);
-        let columnar =
-            fp_skyserver::ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Into::into);
-        assert!(restored.promote(rid, parsed.result.into(), columnar));
+        let columnar = ColumnarRows::build(&parsed.result, &parsed.coord_idx).unwrap();
+        assert!(restored.promote(rid, Arc::new(columnar)));
         let entry = restored.peek(rid).unwrap();
-        let col = entry.ram().1.expect("columnar rebuilt on load");
+        let col = entry.ram().form().expect("columnar rebuilt on load");
         assert_eq!(col.coord_idx(), &[1, 2]);
         assert_eq!(entry.footprint(), footprint);
         std::fs::remove_dir_all(&config.dir).unwrap();

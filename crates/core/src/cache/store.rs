@@ -9,7 +9,7 @@
 //! live in [`disk`].
 
 use crate::cache::description::{CacheDescription, DescriptionKind};
-use crate::cache::entry::{Body, Entry};
+use crate::cache::entry::{Answer, Body, Entry};
 use crate::cache::replace::{policy_key, select_victim, EntryCost, Replacement};
 use crate::cache::tier::{EvictionManager, TierConfig};
 use crate::lifecycle::{freshness_at, Freshness, LifecycleConfig, LifecycleStamp};
@@ -332,7 +332,8 @@ impl CacheStore {
     /// `coord_columns` names the result's coordinate attributes in region
     /// dimension order; when they resolve and every coordinate cell is
     /// numeric, the entry gets its columnar hot-path form (SoA columns,
-    /// micro-index, row slab) built here, once, off the serve path.
+    /// micro-index, row slab) built here, once, off the serve path — and
+    /// keeps only that form: the store holds no handle on `result` then.
     ///
     /// Replaces any previous entry with the same canonical SQL. Evicts
     /// policy victims until the new entry fits. The key strings are
@@ -356,33 +357,23 @@ impl CacheStore {
         let columnar = ColumnarRows::build(&result, coord_idx.as_deref().unwrap_or(&[]));
         let columnar = columnar.map(Arc::new);
         let bytes = accounted_xml_bytes(&result, columnar.as_deref());
-        self.insert_prebuilt(
-            residual_key,
-            region,
-            result,
-            truncated,
-            exact_sql,
-            bytes,
-            columnar,
-        )
+        let answer = Answer::new(result, columnar);
+        self.insert_prebuilt(residual_key, region, answer, truncated, exact_sql, bytes)
     }
 
-    /// [`Self::insert`] with the serialized size and columnar form
-    /// already computed. The runtime prebuilds both *outside* the shard
-    /// lock (serialization and index construction are the expensive
-    /// parts of an insert), so the locked window here is just map
-    /// updates — this is what keeps concurrent hit latency flat while
-    /// misses land.
-    #[allow(clippy::too_many_arguments)] // insert minus the build work
+    /// [`Self::insert`] with the answer and its serialized size already
+    /// computed. The runtime prebuilds both *outside* the shard lock
+    /// (serialization and index construction are the expensive parts of
+    /// an insert), so the locked window here is just map updates — this
+    /// is what keeps concurrent hit latency flat while misses land.
     pub(crate) fn insert_prebuilt(
         &mut self,
         residual_key: &str,
         region: Region,
-        result: Arc<ResultSet>,
+        answer: Answer,
         truncated: bool,
         exact_sql: &str,
         bytes: usize,
-        columnar: Option<Arc<ColumnarRows>>,
     ) -> Option<u64> {
         let (inserted_at, expires_at) = match &self.time {
             Some(clock) => {
@@ -403,7 +394,7 @@ impl CacheStore {
             epoch: self.epoch,
             inserted_at,
             expires_at,
-            body: Body::Ram { result, columnar },
+            body: Body::Ram(answer),
             seg: None,
         })
     }
@@ -595,11 +586,12 @@ impl CacheStore {
         }
     }
 
-    /// Removes entries subsumed by a region-containment merge, counting
-    /// the resident ones as compactions rather than evictions.
+    /// Removes entries subsumed by a region-containment merge, from
+    /// whichever tier holds them, counting them as compactions rather
+    /// than evictions.
     pub fn compact(&mut self, ids: &[u64]) {
         for &id in ids {
-            if self.remove(id).is_some_and(|e| e.is_resident()) {
+            if self.remove(id).is_some() {
                 self.compactions += 1;
             }
         }
@@ -934,7 +926,7 @@ mod tests {
             .insert("k", region(0.0, 10.0), rs_coords(20), false, "A", &coords)
             .unwrap();
         let e = s.peek(id).unwrap();
-        let col = e.ram().1.expect("columnar form built");
+        let col = e.ram().form().expect("columnar form built");
         assert_eq!(col.len(), 20);
         assert_eq!(col.coord_idx(), &[1, 2]);
         assert!(e.footprint() > e.bytes, "columnar heap is charged");
@@ -945,7 +937,7 @@ mod tests {
         let id2 = s
             .insert("k", region(20.0, 30.0), rs_coords(5), false, "B", &missing)
             .unwrap();
-        assert!(s.peek(id2).unwrap().ram().1.is_none());
+        assert!(s.peek(id2).unwrap().ram().form().is_none());
 
         // Non-numeric coordinate cell: row-major fallback, no columnar.
         let mut bad = rs_coords(5);
@@ -953,7 +945,7 @@ mod tests {
         let id3 = s
             .insert("k", region(40.0, 50.0), bad, false, "C", &coords)
             .unwrap();
-        assert!(s.peek(id3).unwrap().ram().1.is_none());
+        assert!(s.peek(id3).unwrap().ram().form().is_none());
     }
 
     #[test]
@@ -992,6 +984,76 @@ mod tests {
         assert_eq!(st.compactions, 2);
         assert_eq!(st.evictions, 0);
         assert_eq!(st.entries, 0);
+    }
+
+    /// A resident entry keeps its answer once: the columnar form when the
+    /// coordinates build one (the caller's result is then not shared
+    /// with the store), the tuples otherwise. Either way the charge is
+    /// the XML size plus the form's heap.
+    #[test]
+    fn a_resident_entry_holds_its_answer_once() {
+        let mut s = CacheStore::new(DescriptionKind::Array, None);
+        let coords = ["cx".to_string(), "cy".to_string()];
+        let rows = Arc::new(rs_coords(40));
+        let a = s
+            .insert(
+                "k",
+                region(0.0, 40.0),
+                Arc::clone(&rows),
+                false,
+                "A",
+                &coords,
+            )
+            .unwrap();
+        assert_eq!(Arc::strong_count(&rows), 1, "the store kept no clone");
+        let Answer::Form(form) = s.peek(a).unwrap().ram() else {
+            panic!("numeric coordinates build a form");
+        };
+        let charged = accounted_xml_bytes(&rows, Some(form)) + form.heap_bytes();
+        assert_eq!(
+            form.rows_of(&[0, 39]).unwrap().rows,
+            [&rows.rows[0], &rows.rows[39]].map(Clone::clone)
+        );
+        assert_eq!(s.stats().bytes, charged);
+
+        let mut bad = rs_coords(5);
+        bad.rows[3][1] = Value::Str("corrupt".into());
+        let bad = Arc::new(bad);
+        let b = s
+            .insert(
+                "k",
+                region(50.0, 60.0),
+                Arc::clone(&bad),
+                false,
+                "B",
+                &coords,
+            )
+            .unwrap();
+        let Answer::Rows(kept) = s.peek(b).unwrap().ram() else {
+            panic!("a non-numeric coordinate builds no form");
+        };
+        assert!(Arc::ptr_eq(kept, &bad), "the tuples are shared, not copied");
+        assert_eq!(s.stats().bytes, charged + accounted_xml_bytes(&bad, None));
+    }
+
+    /// Compaction counts every entry it removes, resident or demoted,
+    /// as region-containment retirements (and not as evictions).
+    #[test]
+    fn compaction_counts_demoted_entries_too() {
+        let dir = tier_dir("compact");
+        let (mut s, a, b) = tiered_pair(&dir);
+        assert!(!s.peek(a).unwrap().is_resident());
+        assert!(s.peek(b).unwrap().is_resident());
+        s.compact(&[a, b]);
+        let st = s.stats();
+        assert_eq!(st.compactions, 2);
+        assert_eq!((st.entries, st.disk_entries, st.evictions), (0, 0, 0));
+        let rendered = crate::observe::registry::render_prometheus(&st);
+        assert!(
+            rendered.contains("funcproxy_cache_retired_total{reason=\"compacted\"} 2"),
+            "{rendered}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1055,10 +1117,10 @@ mod tests {
 
     /// Parses a demoted entry's slab payload back into its result and
     /// columnar form, exactly like the promotion worker does off-lock.
-    fn parse_slice(slice: &SlabSlice) -> (Arc<ResultSet>, Option<Arc<ColumnarRows>>) {
+    fn parse_slice(slice: &SlabSlice) -> (ResultSet, Arc<ColumnarRows>) {
         let parsed = entry_from_segment(slice.xml(), slice.row_slab()).unwrap();
-        let columnar = ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Arc::new);
-        (Arc::new(parsed.result), columnar)
+        let form = ColumnarRows::build(&parsed.result, &parsed.coord_idx).unwrap();
+        (parsed.result, Arc::new(form))
     }
 
     #[test]
@@ -1086,10 +1148,10 @@ mod tests {
         let dir = tier_dir("promote");
         let (mut s, a, _b) = tiered_pair(&dir);
         let slice = s.disk_slice(a).expect("demoted entry has a slab segment");
-        let (result, columnar) = parse_slice(&slice);
+        let (result, form) = parse_slice(&slice);
         // The slab payload reproduces the original result exactly.
-        assert_eq!(*result, rs_coords(10));
-        assert_eq!(columnar.as_ref().unwrap().coord_idx(), &[1, 2]);
+        assert_eq!(result, rs_coords(10));
+        assert_eq!(form.coord_idx(), &[1, 2]);
         // And the demoted skeleton + mapped row slab rebuild the exact
         // XML document the resident entry would have served.
         let Some(Body::Disk { skeleton, .. }) = s.peek(a).map(|e| &e.body) else {
@@ -1098,7 +1160,7 @@ mod tests {
         let doc = skeleton.doc().over(Arc::new(slice)).expect("slab fits");
         assert_eq!(doc.to_vec(), result.to_xml_string().into_bytes());
 
-        assert!(s.promote(a, result, columnar));
+        assert!(s.promote(a, Arc::clone(&form)));
         assert!(
             s.peek(a).unwrap().is_resident(),
             "promoted entry is resident again"
@@ -1109,7 +1171,7 @@ mod tests {
         assert_eq!(st.demotions, 2);
         assert_eq!(st.entries + st.disk_entries, 2, "no entry lost");
         // Promoting an id that is not demoted is a no-op.
-        assert!(!s.promote(a, Arc::new(rs_coords(1)), None));
+        assert!(!s.promote(a, form));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1189,12 +1251,15 @@ mod tests {
         let c = s.lookup_exact("C").unwrap();
         assert_eq!(s.candidates("k", &region(41.0, 42.0)), vec![c]);
         assert!(s.peek(c).unwrap().truncated);
-        assert_eq!(**s.peek(c).unwrap().ram().0, rs(3));
+        let Answer::Rows(c_rows) = s.peek(c).unwrap().ram() else {
+            panic!("C has no form");
+        };
+        assert_eq!(**c_rows, rs(3));
         let a = s.lookup_exact("A").unwrap();
         let slice = s.disk_slice(a).expect("recovered demoted entry readable");
-        let (result, columnar) = parse_slice(&slice);
-        assert_eq!(*result, rs_coords(10));
-        assert!(s.promote(a, result, columnar));
+        let (result, form) = parse_slice(&slice);
+        assert_eq!(result, rs_coords(10));
+        assert!(s.promote(a, form));
         drop(s);
 
         // Replay mode: lose the metadata, scan the slab alone.

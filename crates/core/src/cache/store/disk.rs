@@ -3,14 +3,14 @@
 //! `.fpmeta` warm restart.
 
 use super::CacheStore;
-use crate::cache::entry::{Body, Entry};
+use crate::cache::entry::{Answer, Body, Entry};
 use crate::cache::frame;
 use crate::cache::persist::{entry_from_segment, header, stamp_of, with_stamp, SegmentEntry};
 use crate::cache::tier::{
     encode_payload, split_payload, IoOp, SegRef, SlabIo, SlabSlice, META_MAGIC, SLAB_VERSION,
 };
 use crate::lifecycle::LifecycleStamp;
-use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet};
+use fp_skyserver::{accounted_xml_bytes, ColumnarRows};
 use fp_xmlite::Element;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -112,12 +112,12 @@ impl CacheStore {
         if entry.seg.is_some() {
             return true;
         }
-        let (Body::Ram { columnar, .. }, Some(xml)) = (&entry.body, header(entry, now)) else {
+        let (Body::Ram(answer), Some(xml)) = (&entry.body, header(entry, now)) else {
             return false;
         };
         // The rows go to disk once: as the row slab when the entry has
         // one, inline in the header otherwise.
-        let row_slab = columnar.as_ref().map_or(&[][..], |c| c.slab());
+        let row_slab = answer.form().map_or(&[][..], |c| c.slab());
         let payload = encode_payload(&xml, row_slab);
         // Eviction-only degraded mode: skip the append (the caller
         // evicts instead) until the periodic re-probe goes through.
@@ -151,12 +151,8 @@ impl CacheStore {
         // No columnar form means no skeleton to select rows with; such
         // entries stay RAM-or-nothing.
         let body = match self.entries.get(&id).map(|e| &e.body) {
-            Some(Body::Ram {
-                result,
-                columnar: Some(col),
-            }) => Body::Disk {
-                skeleton: Arc::new(col.skeleton()),
-                rows: result.len(),
+            Some(Body::Ram(Answer::Form(form))) => Body::Disk {
+                skeleton: Arc::new(form.skeleton()),
             },
             _ => return false,
         };
@@ -172,23 +168,19 @@ impl CacheStore {
         true
     }
 
-    /// Brings a demoted entry back to RAM with its rebuilt result and
-    /// columnar form (both parsed from the slab *outside* the shard
-    /// lock by the promotion worker). The entry keeps its id, lifecycle
-    /// stamps, and slab segment; the budget enforcer may demote other
-    /// entries to make room. Returns `false` when `id` is no longer
-    /// demoted (raced with a remove or another promotion).
-    pub(crate) fn promote(
-        &mut self,
-        id: u64,
-        result: Arc<ResultSet>,
-        columnar: Option<Arc<ColumnarRows>>,
-    ) -> bool {
+    /// Brings a demoted entry back to RAM with its rebuilt columnar form
+    /// (the slab parsed and the form rebuilt *outside* the shard lock by
+    /// the promotion worker; the parse is the check the segment passes).
+    /// The entry keeps its id, lifecycle stamps, and slab segment; the
+    /// budget enforcer may demote other entries to make room. Returns
+    /// `false` when `id` is no longer demoted (raced with a remove or
+    /// another promotion).
+    pub(crate) fn promote(&mut self, id: u64, form: Arc<ColumnarRows>) -> bool {
         let Some(entry) = self.entries.get_mut(&id).filter(|e| !e.is_resident()) else {
             return false;
         };
-        entry.bytes = accounted_xml_bytes(&result, columnar.as_deref());
-        entry.body = Body::Ram { result, columnar };
+        entry.bytes = form.document_len();
+        entry.body = Body::Ram(Answer::Form(form));
         let footprint = entry.footprint();
         self.charge(id, footprint);
         self.tier
@@ -402,16 +394,12 @@ impl CacheStore {
         let bytes = accounted_xml_bytes(&result, columnar.as_ref());
         let body = match columnar {
             // A skeleton serves the rows from the slab: RAM fills back
-            // up on access.
-            Some(col) => Body::Disk {
-                skeleton: Arc::new(col.skeleton()),
-                rows: result.len(),
+            // up on access. The parsed tuples are dropped.
+            Some(form) => Body::Disk {
+                skeleton: Arc::new(form.skeleton()),
             },
             // Nothing to serve rows from disk with: restore resident.
-            None => Body::Ram {
-                result: Arc::new(result),
-                columnar: None,
-            },
+            None => Body::Ram(Answer::Rows(Arc::new(result))),
         };
         let restored = self.insert_entry(Entry {
             id: 0,

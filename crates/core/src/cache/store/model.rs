@@ -298,11 +298,10 @@ impl ModelStore {
         dead.len()
     }
 
-    /// Only resident entries count: a demoted one leaves uncounted.
+    /// Every entry removed counts, resident or demoted.
     fn compact(&mut self, ids: &[u64]) {
         for &id in ids {
-            let resident = self.pos(id).is_some_and(|i| !self.entries[i].disk);
-            if self.remove(id) && resident {
+            if self.remove(id) {
                 self.stats.compactions += 1;
             }
         }
@@ -654,7 +653,10 @@ fn apply(
             let id = pick_where(model, n, |e| e.disk);
             let Some(e) = model.pos(id).map(|i| &model.entries[i]).filter(|e| e.disk) else {
                 prop_assert!(
-                    !store.promote(id, Arc::new(rows(0, 1)), None),
+                    !store.promote(
+                        id,
+                        Arc::new(ColumnarRows::build(&rows(0, 1), &COORDS).unwrap())
+                    ),
                     "promoted {}",
                     id
                 );
@@ -668,8 +670,9 @@ fn apply(
             let parsed = entry_from_segment(slice.xml(), slice.row_slab())
                 .ok_or_else(|| TestCaseError::fail("segment does not parse"))?;
             prop_assert_eq!(&parsed.result, &*e.result, "slab rows of {}", id);
-            let columnar = ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Arc::new);
-            prop_assert!(store.promote(id, Arc::new(parsed.result), columnar));
+            let form = ColumnarRows::build(&parsed.result, &parsed.coord_idx)
+                .ok_or_else(|| TestCaseError::fail("demoted rows build no form"))?;
+            prop_assert!(store.promote(id, Arc::new(form)));
             prop_assert!(model.promote(id));
         }
         Op::BumpEpoch(ahead) => {

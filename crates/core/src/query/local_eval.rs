@@ -15,7 +15,11 @@
 //! every coordinate cell; it remains as the fallback for entries without
 //! a columnar form (no declared coordinates, or a malformed cached
 //! document) and as the reference the property tests compare against.
+//! A resident entry with a form keeps no tuples, so the columnar path
+//! materializes only the rows it selects from the form's slab
+//! (`eval_answer_region`).
 
+use crate::cache::Answer;
 use fp_geometry::Region;
 use fp_skyserver::{ColumnarRows, ResultSet, SelectStats};
 
@@ -106,8 +110,12 @@ pub fn eval_entry_region(
     if let Some(col) = columnar {
         if col.coord_idx() == coord_idx {
             let stats = col.select_region(region, &mut scratch.selected, &mut scratch.point);
+            let rows = scratch.selected.iter();
             return Some(EntryEval {
-                result: col.materialize(result, &scratch.selected),
+                result: ResultSet {
+                    columns: result.columns.clone(),
+                    rows: rows.map(|&r| result.rows[r as usize].clone()).collect(),
+                },
                 stats,
                 columnar: true,
             });
@@ -124,6 +132,30 @@ pub fn eval_entry_region(
         stats,
         columnar: false,
     })
+}
+
+/// [`eval_entry_region`] over a resident entry's one representation.
+/// A form whose coordinate set is `coord_idx` selects through its
+/// micro-index and materializes only the selected rows from its slab;
+/// any other form is materialized whole and evaluated row-major, like
+/// tuples. `None` also when the slab does not parse.
+pub(crate) fn eval_answer_region(
+    answer: &Answer,
+    coord_idx: &[usize],
+    region: &Region,
+    scratch: &mut EvalScratch,
+) -> Option<EntryEval> {
+    match answer {
+        Answer::Form(form) if form.coord_idx() == coord_idx => {
+            let stats = form.select_region(region, &mut scratch.selected, &mut scratch.point);
+            Some(EntryEval {
+                result: form.rows_of(&scratch.selected)?,
+                stats,
+                columnar: true,
+            })
+        }
+        answer => eval_entry_region(&*answer.tuples()?, None, coord_idx, region, scratch),
+    }
 }
 
 #[cfg(test)]

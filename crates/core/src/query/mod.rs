@@ -6,6 +6,7 @@ mod merge;
 mod relate;
 mod remainder;
 
+pub(crate) use local_eval::eval_answer_region;
 pub use local_eval::{
     eval_entry_region, eval_region_over, eval_region_scratch, EntryEval, EvalScratch,
 };

@@ -40,7 +40,8 @@
 //! rejections and true disjoint misses surface the error.
 
 use crate::cache::{
-    entry_from_segment, Body, CacheStats, CacheStore, Entry, ProfitEstimate, ProfitModel, SlabSlice,
+    entry_from_segment, Answer, Body, CacheStats, CacheStore, Entry, ProfitEstimate, ProfitModel,
+    SlabSlice,
 };
 use crate::config::{ProxyConfig, SchemeChoice};
 use crate::lifecycle::Freshness;
@@ -49,8 +50,8 @@ use crate::observe::registry::render_prometheus;
 use crate::observe::{Observer, OutcomeClass, PathClass, Phase as ObsPhase};
 use crate::origin::Origin;
 use crate::query::{
-    classify, classify_graded, eval_entry_region, merge_results, remainder_query, EvalScratch,
-    QueryStatus,
+    classify, classify_graded, eval_answer_region, eval_entry_region, merge_results,
+    remainder_query, EvalScratch, QueryStatus,
 };
 use crate::resilience::{Clock, ResilientOrigin, SystemClock};
 use crate::runtime::shard::ShardedStore;
@@ -62,7 +63,6 @@ use crate::ProxyError;
 use fp_geometry::Region;
 use fp_skyserver::{accounted_xml_bytes, ColumnarRows, ResultSet, SelectStats, SlabDoc};
 use fp_sqlmini::Query;
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -233,8 +233,9 @@ impl Timing {
 
 /// A served request: the result plus its metrics record.
 ///
-/// The result is `Arc`-shared with the cache entry that holds (or was
-/// served from) it, so responding never deep-copies tuples.
+/// A miss's result is `Arc`-shared with the entry it inserts when that
+/// entry keeps tuples, and so is an exact hit's; a hit on an entry whose
+/// answer is a columnar form materializes its rows from the form's slab.
 #[derive(Debug, Clone)]
 pub struct ProxyResponse {
     /// Rows returned to the client.
@@ -399,16 +400,21 @@ struct HitPlan {
 
 /// Where a hit's rows lie.
 enum HitRows {
-    /// A resident entry's snapshots. Entries are immutable once
-    /// inserted, so they stay valid even if the entry is evicted while
-    /// the hit is finished.
+    /// A resident entry's answer, snapshotted. Entries are immutable
+    /// once inserted, so it stays valid even if the entry is evicted
+    /// while the hit is finished.
     Ram {
-        result: Arc<ResultSet>,
-        columnar: Option<Arc<ColumnarRows>>,
-        /// Region dims → result columns (contained hits only); `None` =
+        answer: Answer,
+        /// Region dims → answer columns (contained hits only); `None` =
         /// the entry cannot map the template's coordinate columns
         /// (treated like a malformed entry).
         coord_idx: Option<Vec<usize>>,
+    },
+    /// A demoted entry's rows, just parsed by the row sink's inline
+    /// promotion: the tuples, and the form the entry was promoted with.
+    Parsed {
+        result: Arc<ResultSet>,
+        form: Arc<ColumnarRows>,
     },
     /// A demoted entry on the disk tier.
     Disk(Box<DiskRows>),
@@ -429,12 +435,11 @@ struct DiskRows {
     doc: SlabDoc,
 }
 
-/// One probed entry in a merge: its shared result, its columnar form,
-/// and — on the overlap path — the coordinate mapping to filter it by.
-/// Filtering happens off-lock, in [`merge_parts`].
+/// One probed entry in a merge: its shared answer and — on the overlap
+/// path — the coordinate mapping to filter it by. Filtering happens
+/// off-lock, in [`merge_parts`].
 struct ProbePart {
-    result: Arc<ResultSet>,
-    columnar: Option<Arc<ColumnarRows>>,
+    answer: Answer,
     /// `Some` = filter to the query region (overlap probes); `None` =
     /// contributes whole (region containment).
     filter_idx: Option<Vec<usize>>,
@@ -1035,7 +1040,7 @@ impl ProxyHandle {
     /// A served answer as a response document. A hit finished for a
     /// document sink already is one; rows lend their columnar form's
     /// slab when they carry one (misses under a caching scheme, exact
-    /// RAM hits) and are serialized otherwise.
+    /// hits finished for the row sink) and are serialized otherwise.
     fn to_doc(&self, served: Served) -> DocResponse {
         let response = match served {
             Served::Doc(doc) => return doc,
@@ -1328,9 +1333,8 @@ impl ProxyHandle {
         };
         let bytes = entry.bytes;
         let rows = match &entry.body {
-            Body::Ram { result, columnar } => HitRows::Ram {
-                result: Arc::clone(result),
-                columnar: columnar.clone(),
+            Body::Ram(answer) => HitRows::Ram {
+                answer: answer.clone(),
                 coord_idx: (!exact)
                     .then(|| entry.coord_indexes(&bound.reg.coord_columns))
                     .flatten(),
@@ -1374,7 +1378,8 @@ impl ProxyHandle {
     /// hand them to the sink. A document sink gets the selected ranges of
     /// the entry's slab (a disk hit's straight from the mmap, kept alive
     /// by the document across a compaction's rename too); the row sink
-    /// gets tuples. Byte for byte the same answer either way.
+    /// gets tuples, which a resident form materializes from its slab.
+    /// Byte for byte the same answer either way.
     ///
     /// `Err` is the plan to forward instead: a malformed entry (a
     /// fall-back plan), or a disk segment that fails to parse.
@@ -1429,41 +1434,20 @@ impl ProxyHandle {
                 }
                 (Served::doc(XmlBody::Doc(doc)), rows, stats)
             }
-            HitRows::Ram {
-                result, columnar, ..
-            } if exact => {
-                let rows = result.len();
-                (Served::rows(result, columnar), rows, SelectStats::default())
+            HitRows::Ram { answer, coord_idx } => {
+                let served = self.ram_hit(bound, answer, exact, coord_idx, sink);
+                if !exact {
+                    timing.local_ms += ms_since(start);
+                }
+                served.ok_or_else(OriginPlan::forward_fallback)?
             }
-            HitRows::Ram {
-                result,
-                columnar,
-                coord_idx,
-            } => {
-                let Some(idx) = coord_idx else {
-                    return Err(OriginPlan::forward_fallback());
-                };
-                let selected = match columnar.filter(|c| c.coord_idx() == idx) {
-                    Some(col) => Some(select_rows(bound, &col, |ids| match sink {
-                        Sink::Rows => Served::rows(Arc::new(col.materialize(&result, ids)), None),
-                        Sink::Doc | Sink::Probe => Served::doc(
-                            self.serialized(PathClass::Hit, || XmlBody::Doc(col.doc_of(ids))),
-                        ),
-                    })),
-                    None => with_scratch(|scratch| {
-                        eval_entry_region(&result, None, &idx, &bound.region, scratch)
-                    })
-                    .map(|eval| {
-                        let mut selected = eval.result;
-                        if let Some(n) = bound.reg.top() {
-                            selected.rows.truncate(n as usize);
-                        }
-                        let rows = selected.len();
-                        (Served::rows(Arc::new(selected), None), rows, eval.stats)
-                    }),
-                };
-                timing.local_ms += ms_since(start);
-                selected.ok_or_else(OriginPlan::forward_fallback)?
+            HitRows::Parsed { result, form } => {
+                let coord_idx = form.coord_idx().to_vec();
+                let served = tuples_hit(bound, result, Some(form), exact, Some(coord_idx));
+                if !exact {
+                    timing.local_ms += ms_since(start);
+                }
+                served.ok_or_else(OriginPlan::forward_fallback)?
             }
         };
         let outcome = if exact {
@@ -1480,19 +1464,58 @@ impl ProxyHandle {
         Ok(served)
     }
 
+    /// A resident hit's rows for `sink`: every row (exact) or the query
+    /// region's (contained). A document sink is lent ranges of the
+    /// form's slab; the row sink gets tuples — a form's materialized
+    /// from its slab, on a contained hit only the selected rows. `None`:
+    /// a malformed entry (no coordinate mapping, a non-numeric
+    /// coordinate) or a slab that does not parse.
+    fn ram_hit(
+        &self,
+        bound: &BoundKey,
+        answer: Answer,
+        exact: bool,
+        coord_idx: Option<Vec<usize>>,
+        sink: Sink,
+    ) -> Option<(Served, usize, SelectStats)> {
+        match answer {
+            Answer::Form(form) if exact && sink != Sink::Rows => {
+                let body = self.serialized(PathClass::Hit, || XmlBody::Doc(form.doc()));
+                Some((Served::doc(body), form.len(), SelectStats::default()))
+            }
+            Answer::Form(form) if !exact && coord_idx.as_deref() == Some(form.coord_idx()) => {
+                let (served, rows, stats) = select_rows(bound, &form, |ids| match sink {
+                    Sink::Rows => form.rows_of(ids).map(|rs| Served::rows(Arc::new(rs), None)),
+                    Sink::Doc | Sink::Probe => {
+                        Some(Served::doc(self.serialized(PathClass::Hit, || {
+                            XmlBody::Doc(form.doc_of(ids))
+                        })))
+                    }
+                });
+                Some((served?, rows, stats))
+            }
+            // Tuples: the entry's own, or its form's whole.
+            answer => {
+                let form = answer.form().cloned();
+                tuples_hit(bound, answer.tuples()?, form, exact, coord_idx)
+            }
+        }
+    }
+
     /// A disk hit for the row sink. The slab payload must be parsed back
     /// into tuples anyway, and that parse *is* the promotion work — so
-    /// the entry is promoted inline (relock, swap in the rebuilt result)
-    /// instead of on a worker, and the hit is finished over the resident
-    /// rows. A segment that fails to parse is quarantined and the request
-    /// forwards; the fetch's insert rewrites the entry (read-repair).
+    /// the entry is promoted inline (relock, swap in the rebuilt form)
+    /// instead of on a worker, and the hit is finished over the rows
+    /// just parsed. A segment that fails to parse is quarantined and the
+    /// request forwards; the fetch's insert rewrites the entry
+    /// (read-repair).
     fn promote_inline(
         &self,
         disk: &DiskRows,
         timing: &mut Timing,
     ) -> Result<HitRows, Box<OriginPlan>> {
         let start = Instant::now();
-        let Some((result, columnar, coord_idx)) = parse_demoted(&disk.slice) else {
+        let Some((result, form)) = parse_demoted(&disk.slice) else {
             let (mut store, wait) = self.inner.store.lock(&disk.residual_key);
             self.note_lock_wait(timing, wait);
             if store.quarantine_corrupt_demoted(disk.id).is_some() {
@@ -1507,14 +1530,10 @@ impl ProxyHandle {
         {
             let (mut store, wait) = self.inner.store.lock(&disk.residual_key);
             self.note_lock_wait(timing, wait);
-            store.promote(disk.id, Arc::clone(&result), columnar.clone());
+            store.promote(disk.id, Arc::clone(&form));
         }
         RuntimeStats::add(&self.inner.stats.disk_hits, 1);
-        Ok(HitRows::Ram {
-            result,
-            columnar,
-            coord_idx: Some(coord_idx),
-        })
+        Ok(HitRows::Parsed { result, form })
     }
 
     /// Cache-only answering after a failed fetch (this request's own or
@@ -1633,7 +1652,7 @@ impl ProxyHandle {
     }
 
     /// Snapshots a resident entry as a merge part, under the held lock:
-    /// shared (not deep-copied) rows and form, the coordinate mapping a
+    /// its shared (not deep-copied) answer, the coordinate mapping a
     /// part to `filter` is filtered by, and the simulated cost of reading
     /// it. `None` when a part to filter cannot map the template's
     /// coordinate columns (a malformed entry).
@@ -1644,7 +1663,7 @@ impl ProxyHandle {
         filter: bool,
         life: ServeLife,
     ) -> Option<ProbePart> {
-        let Body::Ram { result, columnar } = &entry.body else {
+        let Body::Ram(answer) = &entry.body else {
             return None;
         };
         let filter_idx = match filter {
@@ -1652,8 +1671,7 @@ impl ProxyHandle {
             false => None,
         };
         Some(ProbePart {
-            result: Arc::clone(result),
-            columnar: columnar.clone(),
+            answer: answer.clone(),
             filter_idx,
             sim_ms: self.inner.config.cost.cache_read_ms(entry.bytes),
             life,
@@ -1819,11 +1837,10 @@ impl ProxyHandle {
                 let inserted = store.insert_prebuilt(
                     &bound.residual_key,
                     bound.region.clone(),
-                    Arc::clone(&result),
+                    Answer::new(Arc::clone(&result), columnar.clone()),
                     truncated,
                     &bound.sql,
                     *bytes,
-                    columnar.clone(),
                 );
                 // Seed the entry's measured refetch cost for the
                 // cost-aware replacement policy: what this fetch just
@@ -1980,17 +1997,18 @@ impl ProxyHandle {
     }
 
     /// The promotion worker body: parse the pinned slab slice (XML →
-    /// tuples, rebuild the columnar form) entirely off-lock, then one
-    /// short lock window to swap the entry back into RAM. A payload
-    /// that fails to parse drops the demoted entry and counts the
-    /// corruption — the next request re-fetches from the origin.
+    /// tuples, rebuild the columnar form, drop the tuples) entirely
+    /// off-lock, then one short lock window to swap the form back into
+    /// RAM. A payload that fails to parse drops the demoted entry and
+    /// counts the corruption — the next request re-fetches from the
+    /// origin.
     fn promote_demoted(&self, id: u64, residual_key: &str, slice: Arc<SlabSlice>) {
         let _trace = self.inner.observe.begin_trace();
         let start = Instant::now();
         match parse_demoted(&slice) {
-            Some((result, columnar, _)) => {
+            Some((_, form)) => {
                 let (mut store, _) = self.inner.store.lock(residual_key);
-                store.promote(id, result, columnar);
+                store.promote(id, form);
             }
             None => {
                 // Read-repair: no client request is waiting on this
@@ -2096,15 +2114,15 @@ impl ProxyHandle {
                     // Prebuild off-lock, like the request path's insert.
                     let result = Arc::new(result);
                     let (bytes, columnar) = prebuild(&bound, &result);
+                    let answer = Answer::new(result, columnar);
                     let (mut store, _) = self.inner.store.lock(&bound.residual_key);
                     store.insert_prebuilt(
                         &bound.residual_key,
                         bound.region.clone(),
-                        result,
+                        answer,
                         truncated,
                         &bound.sql,
                         bytes,
-                        columnar,
                     );
                 }
             }
@@ -2291,42 +2309,65 @@ fn select_rows<R>(
     })
 }
 
+/// A hit finished over tuples in hand: every row (exact; `form`, the
+/// form of exactly these rows, rides along for a document sink), or the
+/// query region's — through `form` when it maps `coord_idx`, row-major
+/// otherwise — cut to the template's `TOP`. `None`: the entry cannot
+/// map the template's coordinates or has a non-numeric one.
+fn tuples_hit(
+    bound: &BoundKey,
+    result: Arc<ResultSet>,
+    form: Option<Arc<ColumnarRows>>,
+    exact: bool,
+    coord_idx: Option<Vec<usize>>,
+) -> Option<(Served, usize, SelectStats)> {
+    if exact {
+        let rows = result.len();
+        return Some((Served::rows(result, form), rows, SelectStats::default()));
+    }
+    let idx = coord_idx?;
+    let eval = with_scratch(|scratch| {
+        eval_entry_region(&result, form.as_deref(), &idx, &bound.region, scratch)
+    })?;
+    let mut selected = eval.result;
+    if let Some(n) = bound.reg.top() {
+        selected.rows.truncate(n as usize);
+    }
+    let rows = selected.len();
+    Some((Served::rows(Arc::new(selected), None), rows, eval.stats))
+}
+
 /// The one probe-part filter and merge, off-lock against the `Arc`
 /// snapshots (entries are immutable, so concurrent eviction cannot
-/// invalidate them): overlap parts are filtered to the query region,
-/// region-containment parts contribute whole, and the rows merge by
-/// key. Only the parts whose rows reach the answer shape its lifecycle
-/// facts, so a stale-but-empty probe never flags (or ages) it. A
-/// malformed part fails the merge when `strict` (the healthy path then
-/// forwards) and is skipped otherwise (degraded serving is best-effort);
-/// `None` also when no part is left.
+/// invalidate them): an overlap part's rows in the query region are
+/// selected (through its form's micro-index) and only those are
+/// materialized; a region-containment part contributes every row; the
+/// rows merge by key. Only the parts whose rows reach the answer shape
+/// its lifecycle facts, so a stale-but-empty probe never flags (or ages)
+/// it. A malformed part — or one whose slab does not parse — fails the
+/// merge when `strict` (the healthy path then forwards) and is skipped
+/// otherwise (degraded serving is best-effort); `None` also when no
+/// part is left.
 fn merge_parts(bound: &BoundKey, parts: &[ProbePart], strict: bool) -> Option<Merged> {
     let mut life = ServeLife::default();
     let (mut rows_scanned, mut rows_pruned) = (0, 0);
-    let mut pieces: Vec<Cow<'_, ResultSet>> = Vec::with_capacity(parts.len());
+    let mut pieces: Vec<Arc<ResultSet>> = Vec::with_capacity(parts.len());
     for p in parts {
         let piece = match &p.filter_idx {
-            None => Cow::Borrowed(&*p.result),
+            None => p.answer.tuples(),
             Some(idx) => {
-                let eval = with_scratch(|scratch| {
-                    eval_entry_region(
-                        &p.result,
-                        p.columnar.as_deref(),
-                        idx,
-                        &bound.region,
-                        scratch,
-                    )
-                });
-                match eval {
-                    Some(e) => {
+                with_scratch(|scratch| eval_answer_region(&p.answer, idx, &bound.region, scratch))
+                    .map(|e| {
                         rows_scanned += e.stats.rows_scanned;
                         rows_pruned += e.stats.rows_pruned();
-                        Cow::Owned(e.result)
-                    }
-                    None if strict => return None,
-                    None => continue,
-                }
+                        Arc::new(e.result)
+                    })
             }
+        };
+        let piece = match piece {
+            Some(piece) => piece,
+            None if strict => return None,
+            None => continue,
         };
         if !piece.rows.is_empty() {
             life.absorb(&p.life);
@@ -2345,16 +2386,14 @@ fn merge_parts(bound: &BoundKey, parts: &[ProbePart], strict: bool) -> Option<Me
     })
 }
 
-/// What a promotion swaps into RAM: the rows, their columnar form, and
-/// the coordinate indexes that form was built over.
-type Promoted = (Arc<ResultSet>, Option<Arc<ColumnarRows>>, Vec<usize>);
-
 /// Parses a demoted entry's slab segment back into rows and rebuilds
-/// their columnar form, off-lock; `None` when the segment is damaged.
-fn parse_demoted(slice: &SlabSlice) -> Option<Promoted> {
+/// their columnar form, off-lock. `None` when the segment is damaged —
+/// or its rows no longer build a form, which the skeleton they were
+/// demoted with says they did.
+fn parse_demoted(slice: &SlabSlice) -> Option<(Arc<ResultSet>, Arc<ColumnarRows>)> {
     let parsed = entry_from_segment(slice.xml(), slice.row_slab())?;
-    let columnar = ColumnarRows::build(&parsed.result, &parsed.coord_idx).map(Arc::new);
-    Some((Arc::new(parsed.result), columnar, parsed.coord_idx))
+    let form = ColumnarRows::build(&parsed.result, &parsed.coord_idx)?;
+    Some((Arc::new(parsed.result), Arc::new(form)))
 }
 
 /// Locks `mutex`, taking over from a holder that panicked: the sets and

@@ -30,7 +30,7 @@
 use crate::result::ResultSet;
 use fp_geometry::{HalfSpace, HyperRect, Region, EPS};
 use fp_sqlmini::Value;
-use fp_xmlite::{escape_text_into, escaped_len};
+use fp_xmlite::{escape_text_into, escaped_len, unescape_text};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::{fmt, io};
@@ -112,6 +112,9 @@ pub struct ColumnarRows {
     /// `<ResultSet><Columns>…</Columns>` prefix shared by every response
     /// assembled from this entry.
     header: Vec<u8>,
+    /// The result's column names, for tuples materialized from the slab
+    /// ([`Self::rows_of`]) and for name lookups.
+    columns: Vec<String>,
     index: MicroIndex,
 }
 
@@ -193,6 +196,7 @@ impl ColumnarRows {
             slab,
             spans,
             header,
+            columns: rs.columns.clone(),
             index,
         })
     }
@@ -200,6 +204,11 @@ impl ColumnarRows {
     /// The coordinate set this form was built for.
     pub fn coord_idx(&self) -> &[usize] {
         &self.coord_idx
+    }
+
+    /// The result's column names.
+    pub fn columns(&self) -> &[String] {
+        &self.columns
     }
 
     /// Number of rows.
@@ -220,9 +229,9 @@ impl ColumnarRows {
         }
     }
 
-    /// Heap bytes held beyond the row-major result: the coordinate
-    /// columns, the slab, the spans, and the index — the amount the
-    /// cache's capacity accounting charges on top of the XML size.
+    /// Heap bytes of the form: the coordinate columns, the slab, the
+    /// spans, the header and the index (not the column names) — the
+    /// second term of the cache's capacity charge, after the XML size.
     pub fn heap_bytes(&self) -> usize {
         let cols: usize = self.cols.iter().map(|c| c.len() * 8).sum();
         let index = match &self.index {
@@ -435,6 +444,13 @@ impl ColumnarRows {
         (ranges, self.header.len() + body + FOOTER.len())
     }
 
+    /// Length of the whole entry's document: header, row slab, footer —
+    /// the XML size the cache accounts for the result. A skeleton knows
+    /// it too, from its spans.
+    pub fn document_len(&self) -> usize {
+        self.header.len() + self.slab_len() + FOOTER.len()
+    }
+
     /// Length of the slab the spans index — of this form's own, or of
     /// the one a skeleton left behind.
     fn slab_len(&self) -> usize {
@@ -463,21 +479,31 @@ impl ColumnarRows {
             slab: Vec::new(),
             spans: self.spans.clone(),
             header: self.header.clone(),
+            columns: self.columns.clone(),
             index: self.index.clone(),
         }
     }
 
-    /// Materializes the selected rows as a row-major result (for callers
-    /// that need `Value`s — the simulation replay path; the HTTP path
-    /// uses [`Self::doc_of`] instead).
-    pub fn materialize(&self, base: &ResultSet, rows: &[u32]) -> ResultSet {
-        ResultSet {
-            columns: base.columns.clone(),
-            rows: rows
-                .iter()
-                .map(|&r| base.rows[r as usize].clone())
-                .collect(),
+    /// Materializes rows `ids` (in the order given) as tuples, parsed
+    /// straight out of their slab fragments — for the callers that need
+    /// `Value`s (row responses, merges); documents use [`Self::doc_of`].
+    /// Each cell reads back as [`ResultSet::from_xml`] reads the same
+    /// document: its unescaped text through `Value::from_form_text`.
+    ///
+    /// `None` when a fragment is damaged (not the shape the serializer
+    /// writes, or not one cell per column), an id is out of range, or
+    /// the form is a skeleton, whose slab is not here.
+    pub fn rows_of(&self, ids: &[u32]) -> Option<ResultSet> {
+        let mut rows = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let &(off, len) = self.spans.get(id as usize)?;
+            let fragment = self.slab.get(off as usize..(off + len) as usize)?;
+            rows.push(parse_row_xml(fragment, self.columns.len())?);
         }
+        Some(ResultSet {
+            columns: self.columns.clone(),
+            rows,
+        })
     }
 }
 
@@ -818,6 +844,10 @@ fn write_document_header(columns: &[String], out: &mut impl XmlSink) {
     }
 }
 
+/// The null cell: what [`write_row_xml`] writes for `Value::Null` and
+/// [`parse_row_xml`] reads back.
+const NULL_CELL: &[u8] = b"<V null=\"1\"/>";
+
 /// Serializes one `<Row>…</Row>` fragment, byte-identical to the
 /// [`fp_xmlite::Element`] tree built by [`ResultSet::to_xml`] (pinned by
 /// tests; note a non-null empty string still yields `<V></V>`, because
@@ -832,7 +862,7 @@ fn write_row_xml(row: &[Value], out: &mut impl XmlSink) {
     out.raw(b"<Row>");
     for v in row {
         match v {
-            Value::Null => out.raw(b"<V null=\"1\"/>"),
+            Value::Null => out.raw(NULL_CELL),
             Value::Str(s) => {
                 out.raw(b"<V>");
                 out.text(s);
@@ -846,6 +876,37 @@ fn write_row_xml(row: &[Value], out: &mut impl XmlSink) {
         }
     }
     out.raw(b"</Row>");
+}
+
+/// Parses one fragment [`write_row_xml`] wrote back into `width` cells.
+/// Its inverse up to the coercion every reader of the document applies:
+/// a cell is its unescaped, trimmed text through
+/// `Value::from_form_text`. `None` unless the fragment has exactly that
+/// shape — `<Row/>`, or `<Row>` then `<V>text</V>` or a null cell per
+/// column, then `</Row>`.
+fn parse_row_xml(fragment: &[u8], width: usize) -> Option<Vec<Value>> {
+    if fragment == b"<Row/>" {
+        return (width == 0).then(Vec::new);
+    }
+    let mut rest = fragment.strip_prefix(b"<Row>")?.strip_suffix(b"</Row>")?;
+    let mut row = Vec::with_capacity(width);
+    while !rest.is_empty() {
+        if let Some(tail) = rest.strip_prefix(NULL_CELL) {
+            row.push(Value::Null);
+            rest = tail;
+            continue;
+        }
+        let body = rest.strip_prefix(b"<V>")?;
+        let end = body.iter().position(|&b| b == b'<')?;
+        let text = std::str::from_utf8(&body[..end]).ok()?;
+        row.push(if text.contains('&') {
+            Value::from_form_text(&unescape_text(text).ok()?)
+        } else {
+            Value::from_form_text(text)
+        });
+        rest = body[end..].strip_prefix(b"</V>")?;
+    }
+    (row.len() == width).then_some(row)
 }
 
 /// The one serializer: the whole result document into `out`.
@@ -883,7 +944,7 @@ pub fn accounted_xml_bytes(rs: &ResultSet, columnar: Option<&ColumnarRows>) -> u
                 col.slab.len(),
                 "a skeleton carries no slab to size"
             );
-            col.header.len() + col.slab.len() + FOOTER.len()
+            col.document_len()
         }
         None => rs.xml_bytes(),
     }
@@ -1085,7 +1146,7 @@ mod tests {
 
         // A selection == Element-tree serialization of the filtered set.
         let picked = [0u32, 2];
-        let filtered = c.materialize(&base, &picked);
+        let filtered = c.rows_of(&picked).unwrap();
         assert_eq!(
             String::from_utf8(c.assemble_document(&picked)).unwrap(),
             filtered.to_xml().to_xml()
@@ -1148,9 +1209,12 @@ mod tests {
         assert_eq!(empty.doc().to_vec(), empty.full_document());
     }
 
-    /// The tree serialization of `rows` of `base`.
+    /// The tree serialization of `rows` of `base`, read back from the
+    /// form (whose cells all survive the document unchanged).
     fn base_bytes(c: &ColumnarRows, base: &ResultSet, rows: &[u32]) -> Vec<u8> {
-        c.materialize(base, rows).to_xml().to_xml().into_bytes()
+        let subset = c.rows_of(rows).unwrap();
+        assert_eq!(subset.columns, base.columns);
+        subset.to_xml().to_xml().into_bytes()
     }
 
     #[test]
@@ -1182,10 +1246,246 @@ mod tests {
         assert!(sk.heap_bytes() < c.heap_bytes());
     }
 
+    /// A form keeps its column names, and its skeleton does too; the
+    /// document length is the accounted XML size, a skeleton's too.
+    #[test]
+    fn forms_and_skeletons_know_their_columns_and_document() {
+        let base = rs(30);
+        let c = ColumnarRows::build(&base, &[1, 2]).unwrap();
+        assert_eq!(c.columns(), &base.columns[..]);
+        assert_eq!(c.document_len(), base.xml_bytes());
+        let sk = c.skeleton();
+        assert_eq!(sk.columns(), c.columns());
+        assert_eq!(sk.document_len(), c.document_len());
+        assert_eq!(c.heap_bytes() - sk.heap_bytes(), c.slab.len());
+    }
+
+    /// Rows come back as the tree parse of their document reads them, in
+    /// the order asked for, with the form's columns; a skeleton has no
+    /// slab to read them from.
+    #[test]
+    fn rows_of_reads_fragments_back() {
+        let base = rs(300);
+        let c = ColumnarRows::build(&base, &[1, 2]).unwrap();
+        assert_eq!(
+            c.index_kind(),
+            IndexKind::Grid,
+            "scan order is not row order"
+        );
+        let all: Vec<u32> = (0..300).collect();
+        assert_eq!(c.rows_of(&all).unwrap(), base);
+        let some = c.rows_of(&[7, 3, 7]).unwrap();
+        assert_eq!(some.columns, base.columns);
+        assert_eq!(
+            some.rows,
+            [&base.rows[7], &base.rows[3], &base.rows[7]].map(Clone::clone)
+        );
+        assert_eq!(
+            c.rows_of(&[]).unwrap(),
+            ResultSet::empty(base.columns.clone())
+        );
+        assert_eq!(c.rows_of(&[300]), None, "out of range");
+        assert_eq!(c.skeleton().rows_of(&[0]), None);
+        assert!(c.skeleton().rows_of(&[]).is_some());
+        // `<Row/>` (a result without columns) reads back as no cells.
+        assert_eq!(parse_row_xml(b"<Row/>", 0), Some(Vec::new()));
+        assert_eq!(parse_row_xml(b"<Row/>", 1), None);
+    }
+
+    /// `c` with row `row`'s fragment replaced by `fragment`.
+    fn with_fragment(c: &ColumnarRows, row: usize, fragment: &[u8]) -> ColumnarRows {
+        let mut damaged = c.clone();
+        damaged.slab.clear();
+        damaged.spans.clear();
+        for (i, &(off, len)) in c.spans.iter().enumerate() {
+            let bytes = match i == row {
+                true => fragment,
+                false => &c.slab[off as usize..(off + len) as usize],
+            };
+            let start = damaged.slab.len() as u32;
+            damaged.slab.extend_from_slice(bytes);
+            damaged.spans.push((start, bytes.len() as u32));
+        }
+        damaged
+    }
+
+    /// A damaged fragment reads back as `None`, never as a wrong row;
+    /// the undamaged rows around it still read.
+    #[test]
+    fn a_damaged_fragment_materializes_nothing() {
+        let c = ColumnarRows::build(&rs(4), &[1, 2]).unwrap();
+        let (off, len) = c.spans[2];
+        let good = &c.slab[off as usize..(off + len) as usize];
+        assert_eq!(with_fragment(&c, 2, good).rows_of(&[2]), c.rows_of(&[2]));
+        for damage in [
+            &b"<Ro"[..],
+            b"<Row><V>2</V><V>0.5</V><V>0.5</V><V>t2</V>",
+            b"<Row><V>2</V><V>0.5</V><V>0.5</V><V>t2</Row>",
+            b"<Row><V>2<V>0.5</V><V>0.5</V><V>t2</V></Row>",
+            b"<Row><V>2</V><V>0.5</V><V>t2</V></Row>",
+            b"<Row><V>2</V><V>0.5</V><V>0.5</V><V>t2</V><V>x</V></Row>",
+            b"<Row><V>2</V><V>0.5</V><V>0.5</V><V>&bogus;</V></Row>",
+            b"<Row><V>2</V><V null=\"0\"/><V>0.5</V><V>t2</V></Row>",
+            b"<Row><V>\xff</V><V>0.5</V><V>0.5</V><V>t2</V></Row>",
+            b"",
+        ] {
+            let damaged = with_fragment(&c, 2, damage);
+            assert_eq!(
+                damaged.rows_of(&[2]),
+                None,
+                "{}",
+                String::from_utf8_lossy(damage)
+            );
+            assert_eq!(damaged.rows_of(&[0, 2]), None);
+            assert_eq!(damaged.rows_of(&[1, 3]), c.rows_of(&[1, 3]));
+        }
+    }
+
     #[test]
     fn heap_bytes_accounts_slab_and_columns() {
         let c = ColumnarRows::build(&rs(100), &[1, 2]).unwrap();
         assert!(c.heap_bytes() > c.slab.len());
         assert!(c.heap_bytes() >= 100 * 2 * 8);
+    }
+
+    mod materializer {
+        use super::*;
+        use fp_xmlite::Element;
+        use proptest::prelude::*;
+
+        /// Text from the escapables, spaces and letters.
+        fn arb_text() -> impl Strategy<Value = String> {
+            let ch = prop_oneof![
+                Just('<'),
+                Just('&'),
+                Just('>'),
+                Just('"'),
+                Just('\''),
+                Just(' '),
+                Just('a'),
+                Just('é'),
+                Just('1'),
+                Just('.'),
+            ];
+            prop::collection::vec(ch, 0..8).prop_map(|chars| chars.into_iter().collect())
+        }
+
+        /// Every cell shape the serializer has a case for, including the
+        /// ones its text does not carry back unchanged: floats at and
+        /// beyond the `{:.1}` cutoff at 1e15 (they read back as ints),
+        /// non-finite floats and numeric or padded strings.
+        fn arb_any_cell() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                any::<i64>().prop_map(Value::Int),
+                (-1e6f64..1e6).prop_map(Value::Float),
+                (-1_000_000i64..1_000_000).prop_map(|i| Value::Float(i as f64)),
+                prop_oneof![
+                    Just(-0.0),
+                    Just(1e15),
+                    Just(-1e15),
+                    Just(1.5e20),
+                    Just(f64::NAN),
+                    Just(f64::INFINITY),
+                ]
+                .prop_map(Value::Float),
+                Just(Value::Null),
+                Just(Value::Str(String::new())),
+                arb_text().prop_map(Value::Str),
+                any::<bool>().prop_map(Value::Bool),
+            ]
+        }
+
+        /// The catalog's value domain, where the document is lossless:
+        /// ints, finite floats under 1e15 in magnitude (integral ones and
+        /// `-0.0` included), nulls, and strings that are neither numbers
+        /// nor padded with whitespace.
+        fn arb_catalog_cell() -> impl Strategy<Value = Value> {
+            let word = prop::collection::vec(
+                prop_oneof![
+                    Just('<'),
+                    Just('&'),
+                    Just('>'),
+                    Just('"'),
+                    Just('\''),
+                    Just('a'),
+                    Just('é')
+                ],
+                0..8,
+            );
+            prop_oneof![
+                any::<i64>().prop_map(Value::Int),
+                (-1e6f64..1e6).prop_map(Value::Float),
+                (-999_999_999_999_999i64..=999_999_999_999_999)
+                    .prop_map(|i| Value::Float(i as f64)),
+                Just(Value::Float(-0.0)),
+                Just(Value::Null),
+                word.prop_map(|chars| Value::Str(chars.into_iter().collect())),
+            ]
+        }
+
+        /// Results with a numeric coordinate first and three cells of
+        /// `cell` after it, and a mask picking an id subset.
+        fn arb_case(
+            cell: impl Strategy<Value = Value>,
+        ) -> impl Strategy<Value = (ResultSet, Vec<bool>)> {
+            let row = (-1e3f64..1e3, prop::collection::vec(cell, 3));
+            (
+                prop::collection::vec(row, 0..300),
+                prop::collection::vec(any::<bool>(), 1..9),
+            )
+                .prop_map(|(rows, mask)| {
+                    let rs = ResultSet {
+                        columns: vec!["x".into(), "a".into(), "b".into(), "c".into()],
+                        rows: rows
+                            .into_iter()
+                            .map(|(x, cells)| {
+                                let mut row = vec![Value::Float(x)];
+                                row.extend(cells);
+                                row
+                            })
+                            .collect(),
+                    };
+                    (rs, mask)
+                })
+        }
+
+        /// The ids `mask` picks, cycling it over the rows, and those
+        /// rows of `rs`.
+        fn pick(rs: &ResultSet, mask: &[bool]) -> (Vec<u32>, ResultSet) {
+            let ids: Vec<u32> = (0..rs.len() as u32)
+                .filter(|&i| mask[i as usize % mask.len()])
+                .collect();
+            let rows = ids.iter().map(|&i| rs.rows[i as usize].clone()).collect();
+            let subset = ResultSet {
+                columns: rs.columns.clone(),
+                rows,
+            };
+            (ids, subset)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Rows read from the slab equal the tree parse of the same
+            /// rows' document, whatever the cells.
+            #[test]
+            fn rows_of_equals_the_tree_parse((rs, mask) in arb_case(arb_any_cell())) {
+                let form = ColumnarRows::build(&rs, &[0]).expect("numeric coordinate");
+                let (ids, subset) = pick(&rs, &mask);
+                let text = subset.to_xml_string();
+                let tree = ResultSet::from_xml(&Element::parse(&text).unwrap());
+                prop_assert_eq!(form.rows_of(&ids), tree);
+            }
+
+            /// On the catalog's domain they equal the original rows.
+            #[test]
+            fn rows_of_is_lossless_on_the_catalog_domain(
+                (rs, mask) in arb_case(arb_catalog_cell())
+            ) {
+                let form = ColumnarRows::build(&rs, &[0]).expect("numeric coordinate");
+                let (ids, subset) = pick(&rs, &mask);
+                prop_assert_eq!(form.rows_of(&ids), Some(subset));
+            }
+        }
     }
 }
