@@ -11,7 +11,7 @@ mod store;
 mod tier;
 
 pub use description::{ArrayDescription, CacheDescription, DescriptionKind, RTreeDescription};
-pub use entry::{Answer, Body, CacheEntry, Entry};
+pub use entry::{Body, Entry};
 pub use persist::{entry_from_segment, segment_header, SegmentEntry};
 pub use profit::{ProfitEstimate, ProfitModel, ProfitParams};
 pub use replace::Replacement;

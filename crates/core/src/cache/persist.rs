@@ -10,34 +10,30 @@
 //!   slab, every `<Row>…</Row>` exactly as a client receives it.
 //!
 //! Header columns + body + `</ResultSet>` *is* the result document, so
-//! every row reaches the disk once. An entry with no columnar form has
-//! no row slab and keeps its rows inline as a `<ResultSet>` child of the
-//! header — the layout every segment had before rows moved to the slab,
-//! which [`entry_from_segment`] still reads.
+//! every row reaches the disk once. Every cached entry has a columnar
+//! form, so every segment is written in this one layout. Segments written
+//! before rows moved to the slab keep their rows inline as a
+//! `<ResultSet>` child of the header; [`entry_from_segment`] still reads
+//! them, which is how a slab of that layout migrates.
 //!
 //! Floating-point fidelity matters here (regions are compared with tight
 //! tolerances), so numbers are written with Rust's shortest-roundtrip
 //! formatting and parsed back exactly.
 
-use crate::cache::entry::{Answer, Body, CacheEntry, Entry};
+use crate::cache::entry::{Body, Entry};
 use crate::lifecycle::LifecycleStamp;
 use fp_geometry::{HalfSpace, HyperRect, HyperSphere, Point, Polytope, Region};
 use fp_skyserver::{ResultSet, FOOTER};
 use fp_xmlite::Element;
 use std::time::Instant;
 
-/// The XML header of `entry`'s slab segment; the entry's row slab (empty
-/// without a columnar form) is the segment's other half. When `now` is
-/// given (a clocked store), the lifecycle stamp rides along as
-/// *relative* times: `Instant`s don't survive a restart, offsets do.
-pub fn segment_header(entry: &CacheEntry, now: Option<Instant>) -> Vec<u8> {
-    header(&Entry::from(entry.clone()), now).expect("a CacheEntry's rows are in RAM")
-}
-
-/// [`segment_header`] of a store entry; `None` while its rows are on
-/// disk (they were written with its segment).
-pub(crate) fn header(entry: &Entry, now: Option<Instant>) -> Option<Vec<u8>> {
-    let Body::Ram(answer) = &entry.body else {
+/// The XML header of a resident `entry`'s slab segment; the entry's row
+/// slab is the segment's other half. When `now` is given (a clocked
+/// store), the lifecycle stamp rides along as *relative* times:
+/// `Instant`s don't survive a restart, offsets do. `None` while the
+/// entry's rows are on disk (they were written with its segment).
+pub fn segment_header(entry: &Entry, now: Option<Instant>) -> Option<Vec<u8>> {
+    let Body::Ram(form) = &entry.body else {
         return None;
     };
     let doc = Element::new("CacheEntry")
@@ -47,25 +43,19 @@ pub(crate) fn header(entry: &Entry, now: Option<Instant>) -> Option<Vec<u8>> {
         .with_child(region_to_xml(&entry.region));
     let epoch = (entry.epoch > 0).then_some(entry.epoch);
     let mut doc = with_stamp(doc, epoch, entry.inserted_at, entry.expires_at, now);
-    match answer {
-        Answer::Form(form) => {
-            // The coordinate column indexes let a reload rebuild the
-            // columnar form without knowing the template registry.
-            let mut ci = Element::new("CoordIdx");
-            for &i in form.coord_idx() {
-                ci.push_child(Element::new("I").with_text(i.to_string()));
-            }
-            doc.push_child(ci);
-            // The document's head; its rows are the row slab.
-            let mut columns = Element::new("Columns");
-            for c in form.columns() {
-                columns.push_child(Element::new("C").with_text(c.as_str()));
-            }
-            doc.push_child(columns);
-        }
-        // No row slab to carry the rows: they stay inline.
-        Answer::Rows(result) => doc.push_child(result.to_xml()),
+    // The coordinate column indexes let a reload rebuild the columnar
+    // form without knowing the template registry.
+    let mut ci = Element::new("CoordIdx");
+    for &i in form.coord_idx() {
+        ci.push_child(Element::new("I").with_text(i.to_string()));
     }
+    doc.push_child(ci);
+    // The document's head; its rows are the row slab.
+    let mut columns = Element::new("Columns");
+    for c in form.columns() {
+        columns.push_child(Element::new("C").with_text(c.as_str()));
+    }
+    doc.push_child(columns);
     Some(doc.to_xml().into_bytes())
 }
 
@@ -124,16 +114,18 @@ pub struct SegmentEntry {
     pub result: ResultSet,
     /// Whether a `TOP` limit may have clipped the result.
     pub truncated: bool,
-    /// The coordinate column indexes; empty without a columnar form.
+    /// The coordinate column indexes; empty in a segment without
+    /// `<CoordIdx>` (an older binary's row-major entry).
     pub coord_idx: Vec<usize>,
     /// The lifecycle stamp written with the segment.
     pub stamp: LifecycleStamp,
 }
 
 /// Parses a slab segment — its XML header and its row slab — back into
-/// the entry. Rows inline in the header (an entry without a columnar
-/// form, or a segment written before rows moved to the slab, whose slab
-/// then repeats them and is ignored) parse as they are; otherwise the
+/// the entry. Rows inline in the header (a segment written before rows
+/// moved to the slab, whose slab then repeats them and is ignored, or an
+/// older binary's entry without a columnar form) parse as they are;
+/// otherwise the
 /// document is the header's columns, the row slab and the footer — the
 /// bytes an exact hit serves. `None` when any part is damaged.
 pub fn entry_from_segment(xml: &[u8], row_slab: &[u8]) -> Option<SegmentEntry> {
@@ -156,7 +148,7 @@ pub fn entry_from_segment(xml: &[u8], row_slab: &[u8]) -> Option<SegmentEntry> {
             ResultSet::from_xml(&Element::parse(&body).ok()?)?
         }
     };
-    // Absent for entries without a columnar form.
+    // Absent only in an older binary's row-major entry.
     let coord_idx: Vec<usize> = match doc.child("CoordIdx") {
         Some(ci) => ci
             .children_named("I")
@@ -271,9 +263,10 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// A columnar entry of `rows` rows whose cells survive the XML round
-    /// trip unchanged (so a parse of its document equals it).
-    fn columnar_entry(rows: usize) -> CacheEntry {
+    /// A resident entry of `rows` rows whose cells survive the XML round
+    /// trip unchanged (so a parse of its document equals them), and
+    /// those rows.
+    fn columnar_entry(rows: usize) -> (Entry, ResultSet) {
         let result = ResultSet {
             columns: vec!["objID".into(), "cx".into(), "cy".into(), "name".into()],
             rows: (0..rows)
@@ -291,28 +284,29 @@ mod tests {
                 })
                 .collect(),
         };
-        let columnar = ColumnarRows::build(&result, &[1, 2]).expect("numeric coordinates");
+        let form = ColumnarRows::build(&result, &[1, 2]).expect("numeric coordinates");
         let region = sample_regions()[1].clone();
-        CacheEntry {
+        let entry = Entry {
             id: 1,
             residual_key: "radial|top=".into(),
             bbox: region.bounding_rect(),
             region,
-            bytes: accounted_xml_bytes(&result, Some(&columnar)),
-            result: Arc::new(result),
-            columnar: Some(Arc::new(columnar)),
+            bytes: accounted_xml_bytes(&result, Some(&form)),
             truncated: false,
             exact_sql: "SELECT * FROM f(1, 2) WHERE a < 3".into(),
             epoch: 4,
             inserted_at: None,
             expires_at: None,
-        }
+            body: Body::Ram(Arc::new(form)),
+            seg: None,
+        };
+        (entry, result)
     }
 
     /// The encoder before rows moved to the slab, kept verbatim as the
     /// test-only source of old-layout segments: rows inline as
     /// `<ResultSet>`, which the row slab appended after it repeats.
-    fn parent_entry_to_xml(entry: &CacheEntry, now: Option<Instant>) -> Element {
+    fn parent_entry_to_xml(entry: &Entry, result: &ResultSet, now: Option<Instant>) -> Element {
         let doc = Element::new("CacheEntry")
             .with_attr("truncated", if entry.truncated { "1" } else { "0" })
             .with_child(Element::new("ResidualKey").with_text(&*entry.residual_key))
@@ -320,14 +314,12 @@ mod tests {
             .with_child(region_to_xml(&entry.region));
         let epoch = (entry.epoch > 0).then_some(entry.epoch);
         let mut doc = with_stamp(doc, epoch, entry.inserted_at, entry.expires_at, now);
-        if let Some(col) = &entry.columnar {
-            let mut ci = Element::new("CoordIdx");
-            for &i in col.coord_idx() {
-                ci.push_child(Element::new("I").with_text(i.to_string()));
-            }
-            doc.push_child(ci);
+        let mut ci = Element::new("CoordIdx");
+        for &i in entry.ram().coord_idx() {
+            ci.push_child(Element::new("I").with_text(i.to_string()));
         }
-        doc.push_child(entry.result.to_xml());
+        doc.push_child(ci);
+        doc.push_child(result.to_xml());
         doc
     }
 
@@ -338,15 +330,14 @@ mod tests {
     /// serves a miss, never an empty answer.
     #[test]
     fn columnar_header_carries_no_rows_so_old_readers_reject_it() {
-        let entry = columnar_entry(40);
-        let header = segment_header(&entry, None);
+        let (entry, result) = columnar_entry(40);
+        let header = segment_header(&entry, None).unwrap();
         let doc = Element::parse(std::str::from_utf8(&header).unwrap()).unwrap();
         assert!(doc.child("ResultSet").is_none());
         assert!(doc.child("Columns").is_some());
         assert!(!header.windows(5).any(|w| w == b"<Row>"));
-        let slab = entry.columnar.as_ref().unwrap().slab();
-        let parsed = entry_from_segment(&header, slab).unwrap();
-        assert_eq!(parsed.result, *entry.result);
+        let parsed = entry_from_segment(&header, entry.ram().slab()).unwrap();
+        assert_eq!(parsed.result, result);
         assert_eq!(parsed.stamp.epoch, 4);
     }
 
@@ -356,21 +347,14 @@ mod tests {
     #[test]
     fn segment_header_does_not_grow_with_rows() {
         let overhead = |rows: usize| {
-            let entry = columnar_entry(rows);
-            let slab = entry.columnar.as_ref().unwrap().slab();
-            let payload = encode_payload(&segment_header(&entry, None), slab);
+            let (entry, _) = columnar_entry(rows);
+            let slab = entry.ram().slab();
+            let payload = encode_payload(&segment_header(&entry, None).unwrap(), slab);
             payload.len() - slab.len()
         };
         let (small, large) = (overhead(10), overhead(2_000));
         assert_eq!(small, large);
         assert!(large < 2_048, "header is {large} bytes");
-        // Inline rows remain only where there is no row slab.
-        let mut entry = columnar_entry(10);
-        entry.columnar = None;
-        let header = segment_header(&entry, None);
-        let parsed = entry_from_segment(&header, &[]).unwrap();
-        assert_eq!(parsed.result, *entry.result);
-        assert!(parsed.coord_idx.is_empty());
     }
 
     /// Old → new: a segment in the old layout (rows inline *and* in the
@@ -383,13 +367,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let config = TierConfig::new(&dir);
-        let mut entry = columnar_entry(300); // above the grid crossover
+        let (mut entry, result) = columnar_entry(300); // above the grid crossover
         let now = Instant::now();
         entry.inserted_at = Some(now);
         entry.expires_at = Some(now + Duration::from_secs(600));
-        let col = Arc::clone(entry.columnar.as_ref().unwrap());
+        let col = Arc::clone(entry.ram());
         {
-            let xml = parent_entry_to_xml(&entry, Some(now)).to_xml();
+            let xml = parent_entry_to_xml(&entry, &result, Some(now)).to_xml();
             let mut slab = SlabFile::open(config.slab_path(0)).unwrap();
             slab.append(&encode_payload(xml.as_bytes(), col.slab()))
                 .unwrap();
@@ -406,11 +390,11 @@ mod tests {
             .doc()
             .over(Arc::new(slice.clone()))
             .expect("the slab fits the skeleton");
-        let document = entry.result.to_xml_string().into_bytes();
+        let document = result.to_xml_string().into_bytes();
         assert_eq!(served.to_vec(), document);
 
         let parsed = entry_from_segment(slice.xml(), slice.row_slab()).unwrap();
-        assert_eq!(parsed.result, *entry.result);
+        assert_eq!(parsed.result, result);
         assert_eq!(parsed.region, entry.region);
         assert_eq!(parsed.coord_idx, [1, 2]);
         assert_eq!(parsed.stamp.epoch, 4);
@@ -418,10 +402,10 @@ mod tests {
         let rebuilt = ColumnarRows::build(&parsed.result, &parsed.coord_idx).unwrap();
         assert!(store.promote(id, Arc::new(rebuilt)));
         let resident = store.peek(id).expect("promoted");
-        let rebuilt = resident.ram().form().unwrap();
+        let rebuilt = resident.ram();
         assert_eq!(rebuilt.slab(), col.slab());
         assert_eq!(rebuilt.full_document(), document);
-        assert_eq!(resident.footprint(), Entry::from(entry).footprint());
+        assert_eq!(resident.footprint(), entry.footprint());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -478,7 +462,6 @@ mod tests {
             let id = store
                 .insert("g", sample_regions()[1].clone(), rs, false, "Q", &coords)
                 .unwrap();
-            assert!(store.peek(id).unwrap().ram().form().is_some());
             assert_eq!(store.tier_meta().unwrap().write().unwrap(), 1);
             store.peek(id).unwrap().footprint()
         };
@@ -492,7 +475,7 @@ mod tests {
         let columnar = ColumnarRows::build(&parsed.result, &parsed.coord_idx).unwrap();
         assert!(restored.promote(rid, Arc::new(columnar)));
         let entry = restored.peek(rid).unwrap();
-        let col = entry.ram().form().expect("columnar rebuilt on load");
+        let col = entry.ram();
         assert_eq!(col.coord_idx(), &[1, 2]);
         assert_eq!(entry.footprint(), footprint);
         std::fs::remove_dir_all(&config.dir).unwrap();

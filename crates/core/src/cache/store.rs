@@ -9,7 +9,7 @@
 //! live in [`disk`].
 
 use crate::cache::description::{CacheDescription, DescriptionKind};
-use crate::cache::entry::{Answer, Body, Entry};
+use crate::cache::entry::{Body, Entry};
 use crate::cache::replace::{policy_key, select_victim, EntryCost, Replacement};
 use crate::cache::tier::{EvictionManager, TierConfig};
 use crate::lifecycle::{freshness_at, Freshness, LifecycleConfig, LifecycleStamp};
@@ -327,13 +327,15 @@ impl CacheStore {
     }
 
     /// Inserts a result; returns the new entry's id, or `None` when the
-    /// entry alone exceeds the capacity (too large to ever cache).
+    /// result builds no columnar form or the entry alone exceeds the
+    /// capacity (too large to ever cache).
     ///
     /// `coord_columns` names the result's coordinate attributes in region
-    /// dimension order; when they resolve and every coordinate cell is
-    /// numeric, the entry gets its columnar hot-path form (SoA columns,
-    /// micro-index, row slab) built here, once, off the serve path — and
-    /// keeps only that form: the store holds no handle on `result` then.
+    /// dimension order. The entry is the result's columnar form (SoA
+    /// columns, micro-index, row slab), built here, once, off the serve
+    /// path: the store holds no handle on `result`. When a column does
+    /// not resolve or a coordinate cell is not a number, no form builds
+    /// and nothing is cached.
     ///
     /// Replaces any previous entry with the same canonical SQL. Evicts
     /// policy victims until the new entry fits. The key strings are
@@ -350,18 +352,16 @@ impl CacheStore {
         coord_columns: &[String],
     ) -> Option<u64> {
         let result: Arc<ResultSet> = result.into();
-        let coord_idx: Option<Vec<usize>> = coord_columns
+        let coord_idx: Vec<usize> = coord_columns
             .iter()
             .map(|c| result.column_index(c))
-            .collect();
-        let columnar = ColumnarRows::build(&result, coord_idx.as_deref().unwrap_or(&[]));
-        let columnar = columnar.map(Arc::new);
-        let bytes = accounted_xml_bytes(&result, columnar.as_deref());
-        let answer = Answer::new(result, columnar);
-        self.insert_prebuilt(residual_key, region, answer, truncated, exact_sql, bytes)
+            .collect::<Option<_>>()?;
+        let form = Arc::new(ColumnarRows::build(&result, &coord_idx)?);
+        let bytes = accounted_xml_bytes(&result, Some(&form));
+        self.insert_prebuilt(residual_key, region, form, truncated, exact_sql, bytes)
     }
 
-    /// [`Self::insert`] with the answer and its serialized size already
+    /// [`Self::insert`] with the form and its serialized size already
     /// computed. The runtime prebuilds both *outside* the shard lock
     /// (serialization and index construction are the expensive parts of
     /// an insert), so the locked window here is just map updates — this
@@ -370,7 +370,7 @@ impl CacheStore {
         &mut self,
         residual_key: &str,
         region: Region,
-        answer: Answer,
+        form: Arc<ColumnarRows>,
         truncated: bool,
         exact_sql: &str,
         bytes: usize,
@@ -394,7 +394,7 @@ impl CacheStore {
             epoch: self.epoch,
             inserted_at,
             expires_at,
-            body: Body::Ram(answer),
+            body: Body::Ram(form),
             seg: None,
         })
     }
@@ -665,20 +665,13 @@ impl CacheStore {
 mod tests {
     use super::disk::TierRecovery;
     use super::*;
-    use crate::cache::persist::entry_from_segment;
-    use crate::cache::tier::SlabSlice;
+    use crate::cache::persist::{entry_from_segment, region_to_xml};
+    use crate::cache::tier::{encode_payload, SlabFile, SlabSlice};
     use fp_geometry::HyperRect;
     use fp_sqlmini::Value;
 
+    /// `n` rows with 2-D coordinate columns ([`coords`]).
     fn rs(n: usize) -> ResultSet {
-        ResultSet {
-            columns: vec!["objID".into()],
-            rows: (0..n).map(|i| vec![Value::Int(i as i64)]).collect(),
-        }
-    }
-
-    /// A result with 2-D coordinate columns, for columnar-form tests.
-    fn rs_coords(n: usize) -> ResultSet {
         ResultSet {
             columns: vec!["objID".into(), "cx".into(), "cy".into()],
             rows: (0..n)
@@ -697,13 +690,24 @@ mod tests {
         Region::Rect(HyperRect::new(vec![lo, lo], vec![hi, hi]).unwrap())
     }
 
-    const NO_COORDS: &[String] = &[];
+    fn coords() -> [String; 2] {
+        ["cx".to_string(), "cy".to_string()]
+    }
+
+    /// Bytes an entry of `rs(n)` is charged.
+    fn footprint(n: usize) -> usize {
+        let mut probe = CacheStore::new(DescriptionKind::Array, None);
+        let id = probe
+            .insert("k", region(0.0, 1.0), rs(n), false, "P", &coords())
+            .unwrap();
+        probe.peek(id).unwrap().footprint()
+    }
 
     #[test]
     fn insert_lookup_remove() {
         let mut s = CacheStore::new(DescriptionKind::Array, None);
         let id = s
-            .insert("k", region(0.0, 1.0), rs(3), false, "SQL A", NO_COORDS)
+            .insert("k", region(0.0, 1.0), rs(3), false, "SQL A", &coords())
             .unwrap();
         assert_eq!(s.lookup_exact("SQL A"), Some(id));
         assert_eq!(s.get(id).unwrap().rows(), 3);
@@ -721,10 +725,10 @@ mod tests {
     fn same_sql_replaces() {
         let mut s = CacheStore::new(DescriptionKind::Array, None);
         let a = s
-            .insert("k", region(0.0, 1.0), rs(3), false, "SQL", NO_COORDS)
+            .insert("k", region(0.0, 1.0), rs(3), false, "SQL", &coords())
             .unwrap();
         let b = s
-            .insert("k", region(0.0, 1.0), rs(5), false, "SQL", NO_COORDS)
+            .insert("k", region(0.0, 1.0), rs(5), false, "SQL", &coords())
             .unwrap();
         assert_ne!(a, b);
         assert_eq!(s.stats().entries, 1);
@@ -733,21 +737,21 @@ mod tests {
 
     #[test]
     fn capacity_evicts_lru() {
-        let one_bytes = rs(10).xml_bytes();
+        let one_bytes = footprint(10);
         let mut s = CacheStore::new(DescriptionKind::Array, Some(one_bytes * 3));
         let a = s
-            .insert("k", region(0.0, 1.0), rs(10), false, "A", NO_COORDS)
+            .insert("k", region(0.0, 1.0), rs(10), false, "A", &coords())
             .unwrap();
         let b = s
-            .insert("k", region(2.0, 3.0), rs(10), false, "B", NO_COORDS)
+            .insert("k", region(2.0, 3.0), rs(10), false, "B", &coords())
             .unwrap();
         let c = s
-            .insert("k", region(4.0, 5.0), rs(10), false, "C", NO_COORDS)
+            .insert("k", region(4.0, 5.0), rs(10), false, "C", &coords())
             .unwrap();
         // Touch A so B is the LRU.
         s.get(a);
         let d = s
-            .insert("k", region(6.0, 7.0), rs(10), false, "D", NO_COORDS)
+            .insert("k", region(6.0, 7.0), rs(10), false, "D", &coords())
             .unwrap();
         assert!(s.peek(b).is_none(), "B should have been evicted");
         for id in [a, c, d] {
@@ -762,7 +766,7 @@ mod tests {
         // Three entries of different sizes; capacity forces one eviction.
         let sizes = [30usize, 5, 60];
         let make = |policy| {
-            let bytes: usize = sizes.iter().map(|n| rs(*n).xml_bytes()).sum();
+            let bytes: usize = sizes.iter().map(|n| footprint(*n)).sum();
             let mut s = CacheStore::with_replacement(DescriptionKind::Array, Some(bytes), policy);
             let ids: Vec<u64> = sizes
                 .iter()
@@ -774,7 +778,7 @@ mod tests {
                         rs(*n),
                         false,
                         &format!("Q{i}"),
-                        NO_COORDS,
+                        &coords(),
                     )
                     .unwrap()
                 })
@@ -782,7 +786,7 @@ mod tests {
             // Touch entry 0 so FIFO and LRU would differ if sizes allowed.
             s.get(ids[0]);
             // Force an eviction with a fourth entry.
-            s.insert("k", region(100.0, 101.0), rs(3), false, "Q3", NO_COORDS)
+            s.insert("k", region(100.0, 101.0), rs(3), false, "Q3", &coords())
                 .unwrap();
             let survivors: Vec<bool> = ids.iter().map(|id| s.peek(*id).is_some()).collect();
             (survivors, s.stats().evictions)
@@ -810,7 +814,7 @@ mod tests {
         // cross-checks the incremental order against the O(n) scan on
         // every eviction.
         for &policy in Replacement::all() {
-            let cap = rs(8).xml_bytes() * 4;
+            let cap = footprint(8) * 4;
             let mut s = CacheStore::with_replacement(DescriptionKind::Array, Some(cap), policy);
             for i in 0..100u64 {
                 let n = 4 + (i % 7) as usize;
@@ -820,7 +824,7 @@ mod tests {
                     rs(n),
                     false,
                     &format!("Q{i}"),
-                    NO_COORDS,
+                    &coords(),
                 );
                 assert!(id.is_some(), "{policy}: insert {i} rejected");
                 // Touch a surviving entry now and then to churn LRU order.
@@ -844,7 +848,7 @@ mod tests {
     #[test]
     fn equal_size_ties_evict_smallest_id() {
         for &policy in &[Replacement::LargestFirst, Replacement::SmallestFirst] {
-            let bytes = rs(6).xml_bytes();
+            let bytes = footprint(6);
             let mut s =
                 CacheStore::with_replacement(DescriptionKind::Array, Some(bytes * 4), policy);
             let ids: Vec<u64> = (0..4)
@@ -855,7 +859,7 @@ mod tests {
                         rs(6),
                         false,
                         &format!("Q{i}"),
-                        NO_COORDS,
+                        &coords(),
                     )
                     .unwrap()
                 })
@@ -866,7 +870,7 @@ mod tests {
             for id in ids.iter().rev() {
                 s.get(*id);
             }
-            s.insert("k", region(100.0, 101.0), rs(6), false, "Q-last", NO_COORDS)
+            s.insert("k", region(100.0, 101.0), rs(6), false, "Q-last", &coords())
                 .unwrap();
             assert!(
                 s.peek(ids[0]).is_none(),
@@ -880,22 +884,22 @@ mod tests {
 
     #[test]
     fn cost_aware_keeps_expensive_entries() {
-        let bytes = rs(6).xml_bytes();
+        let bytes = footprint(6);
         let mut s = CacheStore::with_replacement(
             DescriptionKind::Array,
             Some(bytes * 2),
             Replacement::CostAware,
         );
         let a = s
-            .insert("k", region(0.0, 1.0), rs(6), false, "A", NO_COORDS)
+            .insert("k", region(0.0, 1.0), rs(6), false, "A", &coords())
             .unwrap();
         let b = s
-            .insert("k", region(10.0, 11.0), rs(6), false, "B", NO_COORDS)
+            .insert("k", region(10.0, 11.0), rs(6), false, "B", &coords())
             .unwrap();
         // A is expensive to refetch, B nearly free; equal size & reuse.
         s.note_refetch_cost(a, 5_000_000);
         s.note_refetch_cost(b, 10);
-        s.insert("k", region(20.0, 21.0), rs(6), false, "C", NO_COORDS)
+        s.insert("k", region(20.0, 21.0), rs(6), false, "C", &coords())
             .unwrap();
         assert!(s.peek(a).is_some(), "expensive entry survives");
         assert!(s.peek(b).is_none(), "cheap-to-refetch entry is the victim");
@@ -906,10 +910,10 @@ mod tests {
             s.get(a);
         }
         let d = s
-            .insert("k", region(30.0, 31.0), rs(6), false, "D", NO_COORDS)
+            .insert("k", region(30.0, 31.0), rs(6), false, "D", &coords())
             .unwrap();
         s.note_refetch_cost(d, 5_000_000);
-        s.insert("k", region(40.0, 41.0), rs(6), false, "E", NO_COORDS)
+        s.insert("k", region(40.0, 41.0), rs(6), false, "E", &coords())
             .unwrap();
         assert!(
             s.peek(a).is_some(),
@@ -921,38 +925,36 @@ mod tests {
     #[test]
     fn coord_columns_build_columnar_form() {
         let mut s = CacheStore::new(DescriptionKind::Array, None);
-        let coords = ["cx".to_string(), "cy".to_string()];
         let id = s
-            .insert("k", region(0.0, 10.0), rs_coords(20), false, "A", &coords)
+            .insert("k", region(0.0, 10.0), rs(20), false, "A", &coords())
             .unwrap();
         let e = s.peek(id).unwrap();
-        let col = e.ram().form().expect("columnar form built");
+        let col = e.ram();
         assert_eq!(col.len(), 20);
         assert_eq!(col.coord_idx(), &[1, 2]);
         assert!(e.footprint() > e.bytes, "columnar heap is charged");
-        assert_eq!(s.stats().bytes, e.footprint());
+        let charged = e.footprint();
+        assert_eq!(s.stats().bytes, charged);
 
-        // Unknown coordinate column: entry still stored, no columnar.
+        // Unknown coordinate column: no form, nothing cached.
         let missing = ["nope".to_string()];
-        let id2 = s
-            .insert("k", region(20.0, 30.0), rs_coords(5), false, "B", &missing)
-            .unwrap();
-        assert!(s.peek(id2).unwrap().ram().form().is_none());
+        let b = s.insert("k", region(20.0, 30.0), rs(5), false, "B", &missing);
+        assert_eq!(b, None);
 
-        // Non-numeric coordinate cell: row-major fallback, no columnar.
-        let mut bad = rs_coords(5);
+        // Non-numeric coordinate cell: no form, nothing cached.
+        let mut bad = rs(5);
         bad.rows[3][1] = Value::Str("corrupt".into());
-        let id3 = s
-            .insert("k", region(40.0, 50.0), bad, false, "C", &coords)
-            .unwrap();
-        assert!(s.peek(id3).unwrap().ram().form().is_none());
+        let c = s.insert("k", region(40.0, 50.0), bad, false, "C", &coords());
+        assert_eq!(c, None);
+        assert_eq!((s.stats().entries, s.stats().bytes), (1, charged));
+        assert_eq!((s.lookup_exact("B"), s.lookup_exact("C")), (None, None));
     }
 
     #[test]
     fn key_strings_are_shared_not_cloned() {
         let mut s = CacheStore::new(DescriptionKind::Array, None);
         let id = s
-            .insert("k", region(0.0, 1.0), rs(3), false, "SQL A", NO_COORDS)
+            .insert("k", region(0.0, 1.0), rs(3), false, "SQL A", &coords())
             .unwrap();
         let e = s.peek(id).unwrap();
         // Entry and maps hold the same allocation: 1 entry ref + 1 map
@@ -965,7 +967,7 @@ mod tests {
     fn oversized_entry_is_rejected() {
         let mut s = CacheStore::new(DescriptionKind::Array, Some(10));
         assert!(s
-            .insert("k", region(0.0, 1.0), rs(100), false, "A", NO_COORDS)
+            .insert("k", region(0.0, 1.0), rs(100), false, "A", &coords())
             .is_none());
         assert_eq!(s.stats().entries, 0);
     }
@@ -974,10 +976,10 @@ mod tests {
     fn compaction_counts_separately() {
         let mut s = CacheStore::new(DescriptionKind::RTree, None);
         let a = s
-            .insert("k", region(0.0, 1.0), rs(1), false, "A", NO_COORDS)
+            .insert("k", region(0.0, 1.0), rs(1), false, "A", &coords())
             .unwrap();
         let b = s
-            .insert("k", region(2.0, 3.0), rs(1), false, "B", NO_COORDS)
+            .insert("k", region(2.0, 3.0), rs(1), false, "B", &coords())
             .unwrap();
         s.compact(&[a, b, 999]);
         let st = s.stats();
@@ -986,15 +988,15 @@ mod tests {
         assert_eq!(st.entries, 0);
     }
 
-    /// A resident entry keeps its answer once: the columnar form when the
-    /// coordinates build one (the caller's result is then not shared
-    /// with the store), the tuples otherwise. Either way the charge is
-    /// the XML size plus the form's heap.
+    /// A resident entry keeps its answer once, as its columnar form:
+    /// the caller's result is not shared with the store, and the charge
+    /// is the XML size plus the form's heap. A result whose coordinates
+    /// build no form leaves the store untouched.
     #[test]
     fn a_resident_entry_holds_its_answer_once() {
         let mut s = CacheStore::new(DescriptionKind::Array, None);
-        let coords = ["cx".to_string(), "cy".to_string()];
-        let rows = Arc::new(rs_coords(40));
+        let coords = coords();
+        let rows = Arc::new(rs(40));
         let a = s
             .insert(
                 "k",
@@ -1006,9 +1008,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(Arc::strong_count(&rows), 1, "the store kept no clone");
-        let Answer::Form(form) = s.peek(a).unwrap().ram() else {
-            panic!("numeric coordinates build a form");
-        };
+        let form = s.peek(a).unwrap().ram();
         let charged = accounted_xml_bytes(&rows, Some(form)) + form.heap_bytes();
         assert_eq!(
             form.rows_of(&[0, 39]).unwrap().rows,
@@ -1016,24 +1016,20 @@ mod tests {
         );
         assert_eq!(s.stats().bytes, charged);
 
-        let mut bad = rs_coords(5);
+        let mut bad = rs(5);
         bad.rows[3][1] = Value::Str("corrupt".into());
         let bad = Arc::new(bad);
-        let b = s
-            .insert(
-                "k",
-                region(50.0, 60.0),
-                Arc::clone(&bad),
-                false,
-                "B",
-                &coords,
-            )
-            .unwrap();
-        let Answer::Rows(kept) = s.peek(b).unwrap().ram() else {
-            panic!("a non-numeric coordinate builds no form");
-        };
-        assert!(Arc::ptr_eq(kept, &bad), "the tuples are shared, not copied");
-        assert_eq!(s.stats().bytes, charged + accounted_xml_bytes(&bad, None));
+        let b = s.insert(
+            "k",
+            region(50.0, 60.0),
+            Arc::clone(&bad),
+            false,
+            "B",
+            &coords,
+        );
+        assert_eq!(b, None, "a non-numeric coordinate builds no form");
+        assert_eq!(Arc::strong_count(&bad), 1, "the store kept no clone");
+        assert_eq!(s.stats().bytes, charged);
     }
 
     /// Compaction counts every entry it removes, resident or demoted,
@@ -1060,10 +1056,10 @@ mod tests {
     fn groups_are_isolated_and_dimension_safe() {
         let mut s = CacheStore::new(DescriptionKind::RTree, None);
         // 2-D group and 3-D group coexist.
-        s.insert("g2", region(0.0, 1.0), rs(1), false, "A", NO_COORDS)
+        s.insert("g2", region(0.0, 1.0), rs(1), false, "A", &coords())
             .unwrap();
         let r3 = Region::Rect(HyperRect::new(vec![0.0; 3], vec![1.0; 3]).unwrap());
-        s.insert("g3", r3.clone(), rs(1), false, "B", NO_COORDS)
+        s.insert("g3", r3.clone(), rs(1), false, "B", &coords())
             .unwrap();
         assert_eq!(s.group_len("g2"), 1);
         assert_eq!(s.group_len("g3"), 1);
@@ -1080,35 +1076,17 @@ mod tests {
         p
     }
 
-    fn coords() -> [String; 2] {
-        ["cx".to_string(), "cy".to_string()]
-    }
-
     /// A tiered store sized to hold ~1.5 entries: the second insert
     /// demotes the first. Returns `(store, id_a, id_b)` with A demoted
     /// and B resident.
     fn tiered_pair(dir: &std::path::Path) -> (CacheStore, u64, u64) {
-        let footprint = {
-            let mut probe = CacheStore::new(DescriptionKind::Array, None);
-            let id = probe
-                .insert("k", region(0.0, 10.0), rs_coords(10), false, "A", &coords())
-                .unwrap();
-            probe.peek(id).unwrap().footprint()
-        };
-        let mut s = CacheStore::new(DescriptionKind::Array, Some(footprint * 3 / 2));
+        let mut s = CacheStore::new(DescriptionKind::Array, Some(footprint(10) * 3 / 2));
         s.attach_tier(&TierConfig::new(dir), 0).unwrap();
         let a = s
-            .insert("k", region(0.0, 10.0), rs_coords(10), false, "A", &coords())
+            .insert("k", region(0.0, 10.0), rs(10), false, "A", &coords())
             .unwrap();
         let b = s
-            .insert(
-                "k",
-                region(20.0, 30.0),
-                rs_coords(10),
-                false,
-                "B",
-                &coords(),
-            )
+            .insert("k", region(20.0, 30.0), rs(10), false, "B", &coords())
             .unwrap();
         assert!(!s.peek(a).unwrap().is_resident(), "A should be demoted");
         assert!(s.peek(b).unwrap().is_resident(), "B stays resident");
@@ -1150,7 +1128,7 @@ mod tests {
         let slice = s.disk_slice(a).expect("demoted entry has a slab segment");
         let (result, form) = parse_slice(&slice);
         // The slab payload reproduces the original result exactly.
-        assert_eq!(result, rs_coords(10));
+        assert_eq!(result, rs(10));
         assert_eq!(form.coord_idx(), &[1, 2]);
         // And the demoted skeleton + mapped row slab rebuild the exact
         // XML document the resident entry would have served.
@@ -1202,7 +1180,7 @@ mod tests {
         let dir = tier_dir("replace");
         let (mut s, a, _b) = tiered_pair(&dir);
         let a2 = s
-            .insert("k", region(0.0, 10.0), rs_coords(12), false, "A", &coords())
+            .insert("k", region(0.0, 10.0), rs(12), false, "A", &coords())
             .unwrap();
         assert_ne!(a, a2);
         assert_eq!(s.lookup_exact("A"), Some(a2));
@@ -1218,18 +1196,16 @@ mod tests {
         {
             let mut s = CacheStore::new(DescriptionKind::Array, None);
             s.attach_tier(&config, 0).unwrap();
-            s.insert("k", region(0.0, 10.0), rs_coords(10), false, "A", &coords())
+            s.insert("k", region(0.0, 10.0), rs(10), false, "A", &coords())
                 .unwrap();
-            s.insert("k", region(20.0, 30.0), rs_coords(7), false, "B", &coords())
+            s.insert("k", region(20.0, 30.0), rs(7), false, "B", &coords())
                 .unwrap();
-            // No coordinate columns: no columnar form, restores resident.
-            s.insert("k", region(40.0, 50.0), rs(3), true, "C", NO_COORDS)
+            s.insert("k", region(40.0, 50.0), rs(3), true, "C", &coords())
                 .unwrap();
             assert_eq!(s.tier_meta().unwrap().write().unwrap(), 3);
         }
 
-        // Meta mode: precise recovery, entries come up demoted
-        // (except C, which has no skeleton to serve from disk).
+        // Meta mode: precise recovery, entries come up demoted.
         let mut s = CacheStore::new(DescriptionKind::Array, None);
         s.attach_tier(&config, 0).unwrap();
         let outcome = s.recover_tier();
@@ -1242,8 +1218,8 @@ mod tests {
             }
         );
         let st = s.stats();
-        assert_eq!(st.disk_entries, 2);
-        assert_eq!(st.entries, 1);
+        assert_eq!(st.disk_entries, 3);
+        assert_eq!(st.entries, 0);
         for sql in ["A", "B", "C"] {
             assert!(s.lookup_exact(sql).is_some(), "{sql} survived restart");
         }
@@ -1251,14 +1227,11 @@ mod tests {
         let c = s.lookup_exact("C").unwrap();
         assert_eq!(s.candidates("k", &region(41.0, 42.0)), vec![c]);
         assert!(s.peek(c).unwrap().truncated);
-        let Answer::Rows(c_rows) = s.peek(c).unwrap().ram() else {
-            panic!("C has no form");
-        };
-        assert_eq!(**c_rows, rs(3));
+        assert_eq!(s.peek(c).unwrap().rows(), 3);
         let a = s.lookup_exact("A").unwrap();
         let slice = s.disk_slice(a).expect("recovered demoted entry readable");
         let (result, form) = parse_slice(&slice);
-        assert_eq!(result, rs_coords(10));
+        assert_eq!(result, rs(10));
         assert!(s.promote(a, form));
         drop(s);
 
@@ -1274,6 +1247,63 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A segment an older binary wrote for an entry it kept row-major —
+    /// rows inline as `<ResultSet>`, no `<CoordIdx>` — still parses but
+    /// builds no form: the restore drops it, dead and not corrupt, and
+    /// recovers nothing from it, while the form entry beside it
+    /// restores.
+    #[test]
+    fn tier_restore_drops_a_formless_segment() {
+        let dir = tier_dir("formless");
+        // Never compact, so the dropped segment's bytes stay visible.
+        let config = TierConfig::new(&dir).with_compact_ratio(1.0);
+        {
+            let mut s = CacheStore::new(DescriptionKind::Array, None);
+            s.attach_tier(&config, 0).unwrap();
+            s.insert("k", region(0.0, 10.0), rs(10), false, "A", &coords())
+                .unwrap();
+            assert_eq!(s.tier_meta().unwrap().write().unwrap(), 1);
+        }
+        let rows = ResultSet {
+            columns: vec!["objID".into()],
+            rows: (0..3).map(|i| vec![Value::Int(i)]).collect(),
+        };
+        let xml = fp_xmlite::Element::new("CacheEntry")
+            .with_attr("truncated", "0")
+            .with_child(fp_xmlite::Element::new("ResidualKey").with_text("k"))
+            .with_child(fp_xmlite::Element::new("Sql").with_text("C"))
+            .with_child(region_to_xml(&region(40.0, 50.0)))
+            .with_child(rows.to_xml())
+            .to_xml();
+        let parsed = entry_from_segment(xml.as_bytes(), &[]).expect("the segment parses");
+        assert_eq!((parsed.result, parsed.coord_idx), (rows, Vec::new()));
+        let seg = {
+            let mut slab = SlabFile::open(config.slab_path(0)).unwrap();
+            slab.append(&encode_payload(xml.as_bytes(), &[])).unwrap()
+        };
+        // Bare replay: every segment goes through the restore path.
+        std::fs::remove_file(config.meta_path(0)).unwrap();
+
+        let mut s = CacheStore::new(DescriptionKind::Array, None);
+        s.attach_tier(&config, 0).unwrap();
+        let outcome = s.recover_tier();
+        assert_eq!(
+            outcome,
+            TierRecovery {
+                recovered: 1,
+                corrupt: 0,
+                epoch: 0,
+            }
+        );
+        assert!(s.lookup_exact("A").is_some());
+        assert_eq!(s.lookup_exact("C"), None);
+        assert_eq!((s.stats().entries, s.stats().disk_entries), (0, 1));
+        assert_eq!(s.stats().slab_corrupt_segments, 0);
+        let slab = &s.tier.as_ref().unwrap().slab;
+        assert_eq!(slab.dead_bytes(), u64::from(seg.len), "C's segment is dead");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn tier_corrupt_slab_tail_is_counted_not_fatal() {
         let dir = tier_dir("corrupt");
@@ -1281,9 +1311,9 @@ mod tests {
         {
             let mut s = CacheStore::new(DescriptionKind::Array, None);
             s.attach_tier(&config, 0).unwrap();
-            s.insert("k", region(0.0, 10.0), rs_coords(10), false, "A", &coords())
+            s.insert("k", region(0.0, 10.0), rs(10), false, "A", &coords())
                 .unwrap();
-            s.insert("k", region(20.0, 30.0), rs_coords(7), false, "B", &coords())
+            s.insert("k", region(20.0, 30.0), rs(7), false, "B", &coords())
                 .unwrap();
             assert_eq!(s.tier_meta().unwrap().write().unwrap(), 2);
         }

@@ -3,9 +3,11 @@
 //! `.fpmeta` warm restart.
 
 use super::CacheStore;
-use crate::cache::entry::{Answer, Body, Entry};
+use crate::cache::entry::{Body, Entry};
 use crate::cache::frame;
-use crate::cache::persist::{entry_from_segment, header, stamp_of, with_stamp, SegmentEntry};
+use crate::cache::persist::{
+    entry_from_segment, segment_header, stamp_of, with_stamp, SegmentEntry,
+};
 use crate::cache::tier::{
     encode_payload, split_payload, IoOp, SegRef, SlabIo, SlabSlice, META_MAGIC, SLAB_VERSION,
 };
@@ -19,8 +21,7 @@ use std::sync::Arc;
 /// Outcome of a disk-tier warm restart.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierRecovery {
-    /// Entries restored (demoted or, when they have no columnar form,
-    /// resident).
+    /// Entries restored, every one demoted.
     pub recovered: usize,
     /// Damaged slab/metadata segments skipped along the way (an
     /// unrecognisable `.fpmeta` file counts as one).
@@ -112,13 +113,11 @@ impl CacheStore {
         if entry.seg.is_some() {
             return true;
         }
-        let (Body::Ram(answer), Some(xml)) = (&entry.body, header(entry, now)) else {
+        let (Body::Ram(form), Some(xml)) = (&entry.body, segment_header(entry, now)) else {
             return false;
         };
-        // The rows go to disk once: as the row slab when the entry has
-        // one, inline in the header otherwise.
-        let row_slab = answer.form().map_or(&[][..], |c| c.slab());
-        let payload = encode_payload(&xml, row_slab);
+        // The rows go to disk once, as the row slab.
+        let payload = encode_payload(&xml, form.slab());
         // Eviction-only degraded mode: skip the append (the caller
         // evicts instead) until the periodic re-probe goes through.
         if !tier.admit_append() {
@@ -141,17 +140,14 @@ impl CacheStore {
     /// the slab (if not already there), its skeleton (columns, spans,
     /// header, micro-index) stays resident, and its group/exact-map
     /// registrations are untouched so classification keeps seeing it.
-    /// Returns `false` when the entry can't be demoted (no tier, no
-    /// columnar form, or the slab append failed) — the caller evicts
-    /// instead.
+    /// Returns `false` when the entry can't be demoted (no tier, not
+    /// resident, or the slab append failed) — the caller evicts instead.
     pub(super) fn demote(&mut self, id: u64) -> bool {
         if self.tier.is_none() {
             return false;
         }
-        // No columnar form means no skeleton to select rows with; such
-        // entries stay RAM-or-nothing.
         let body = match self.entries.get(&id).map(|e| &e.body) {
-            Some(Body::Ram(Answer::Form(form))) => Body::Disk {
+            Some(Body::Ram(form)) => Body::Disk {
                 skeleton: Arc::new(form.skeleton()),
             },
             _ => return false,
@@ -180,7 +176,7 @@ impl CacheStore {
             return false;
         };
         entry.bytes = form.document_len();
-        entry.body = Body::Ram(Answer::Form(form));
+        entry.body = Body::Ram(form);
         let footprint = entry.footprint();
         self.charge(id, footprint);
         self.tier
@@ -273,8 +269,7 @@ impl CacheStore {
     /// advanced to the recorded epoch) or — when there is no usable
     /// `.fpmeta` — a front-recoverable replay where later segments win
     /// SQL collisions. Restored entries come up *demoted* (RAM fills
-    /// back up on access), except entries with no columnar form, which
-    /// restore resident.
+    /// back up on access).
     pub(crate) fn recover_tier(&mut self) -> TierRecovery {
         let mut outcome = TierRecovery::default();
         let Some(tier) = self.tier.as_mut() else {
@@ -361,10 +356,13 @@ impl CacheStore {
         outcome
     }
 
-    /// Restores one slab segment into the store (demoted when it has a
-    /// columnar skeleton, resident otherwise) through the insert path.
-    /// Returns `false` — after marking the segment dead — when the entry
-    /// is damaged, from an older epoch, or already aged out.
+    /// Restores one slab segment into the store, demoted, through the
+    /// insert path. Returns `false` — after marking the segment dead —
+    /// when the entry is damaged (counted corrupt), from an older epoch,
+    /// already aged out, or its rows build no columnar form (a segment
+    /// an older binary wrote for an entry it kept row-major: nothing
+    /// could serve it from disk, and the cache no longer keeps such
+    /// entries).
     fn restore_segment(
         &mut self,
         seg: SegRef,
@@ -390,16 +388,15 @@ impl CacheStore {
             self.seg_dead(seg, false);
             return false;
         };
-        let columnar = ColumnarRows::build(&result, &coord_idx);
-        let bytes = accounted_xml_bytes(&result, columnar.as_ref());
-        let body = match columnar {
-            // A skeleton serves the rows from the slab: RAM fills back
-            // up on access. The parsed tuples are dropped.
-            Some(form) => Body::Disk {
-                skeleton: Arc::new(form.skeleton()),
-            },
-            // Nothing to serve rows from disk with: restore resident.
-            None => Body::Ram(Answer::Rows(Arc::new(result))),
+        let Some(form) = ColumnarRows::build(&result, &coord_idx) else {
+            self.seg_dead(seg, false);
+            return false;
+        };
+        let bytes = accounted_xml_bytes(&result, Some(&form));
+        // A skeleton serves the rows from the slab: RAM fills back up on
+        // access. The parsed tuples are dropped.
+        let body = Body::Disk {
+            skeleton: Arc::new(form.skeleton()),
         };
         let restored = self.insert_entry(Entry {
             id: 0,

@@ -32,7 +32,6 @@
 
 use super::disk::TierRecovery;
 use super::*;
-use crate::cache::entry::CacheEntry;
 use crate::cache::persist::entry_from_segment;
 use crate::cache::segment_header;
 use crate::cache::tier::encode_payload;
@@ -60,7 +59,6 @@ struct Ent {
     slot: usize,
     sql: Arc<str>,
     result: Arc<ResultSet>,
-    columnar: bool,
     truncated: bool,
     bytes: usize,
     heap: usize,
@@ -149,11 +147,14 @@ impl ModelStore {
         columnar: bool,
         truncated: bool,
     ) -> Option<u64> {
-        let col = columnar
-            .then(|| ColumnarRows::build(&result, &COORDS))
-            .flatten();
-        let bytes = accounted_xml_bytes(&result, col.as_ref());
-        let heap = col.as_ref().map_or(0, ColumnarRows::heap_bytes);
+        // Without its coordinate columns a result builds no form, and
+        // is not cached.
+        if !columnar {
+            return None;
+        }
+        let col = ColumnarRows::build(&result, &COORDS)?;
+        let bytes = accounted_xml_bytes(&result, Some(&col));
+        let heap = col.heap_bytes();
         let footprint = bytes + heap;
         if self.capacity.is_some_and(|cap| footprint > cap) && !self.tiered {
             return None;
@@ -179,7 +180,6 @@ impl ModelStore {
             slot,
             sql: sql.into(),
             result: Arc::new(result),
-            columnar: col.is_some(),
             truncated,
             bytes,
             heap,
@@ -216,7 +216,7 @@ impl ModelStore {
 
     fn demote(&mut self, id: u64) -> bool {
         let Some(i) = self.pos(id) else { return false };
-        if !self.tiered || self.entries[i].disk || !self.entries[i].columnar {
+        if !self.tiered || self.entries[i].disk {
             return false;
         }
         self.ensure_segment(i);
@@ -314,11 +314,10 @@ impl ModelStore {
     }
 
     /// The `.fpmeta` pass spills every resident entry; a reopened store
-    /// then holds every live entry again under fresh ids — columnar ones
-    /// demoted, the rest resident in restore order — with counters reset
-    /// and dead entries counted expired. `new_id` is the reopened
-    /// store's id for an entry's SQL (restore order is unspecified);
-    /// `None` when a live entry did not come back.
+    /// then holds every live entry again under fresh ids, demoted, with
+    /// counters reset and dead entries counted expired. `new_id` is the
+    /// reopened store's id for an entry's SQL (restore order is
+    /// unspecified); `None` when a live entry did not come back.
     fn restore(&mut self, new_id: impl Fn(&str) -> Option<u64>) -> Option<usize> {
         for i in 0..self.entries.len() {
             if !self.entries[i].disk {
@@ -338,18 +337,11 @@ impl ModelStore {
         };
         for e in &mut self.entries {
             e.id = new_id(&e.sql)?;
-            e.disk = e.columnar;
+            e.disk = true;
             e.cost = None;
         }
         self.entries.sort_by_key(|e| e.id);
         self.tick = 0;
-        for e in self.entries.iter_mut().filter(|e| !e.disk) {
-            self.tick += 1;
-            e.cost = Some(EntryCost::new(
-                self.tick,
-                EntryCost::default_refetch_us(e.footprint()),
-            ));
-        }
         self.next_id = self.entries.len() as u64 + 1;
         Some(self.entries.len())
     }
@@ -406,25 +398,23 @@ impl ModelStore {
 
 /// The payload length `ensure_segment` writes for `e` at `now`.
 fn seg_len(e: &Ent, bound: &BoundKey, now: Instant) -> u32 {
-    let columnar = e
-        .columnar
-        .then(|| Arc::new(ColumnarRows::build(&e.result, &COORDS).expect("numeric")));
-    let entry = CacheEntry {
+    let form = Arc::new(ColumnarRows::build(&e.result, &COORDS).expect("numeric"));
+    let entry = Entry {
         id: e.id,
         residual_key: Arc::clone(&e.key),
         region: bound.region.clone(),
         bbox: bound.region.bounding_rect(),
-        result: Arc::clone(&e.result),
-        columnar,
         bytes: e.bytes,
         truncated: e.truncated,
         exact_sql: Arc::clone(&e.sql),
         epoch: e.epoch,
         inserted_at: Some(e.inserted_at),
         expires_at: e.expires_at,
+        body: Body::Ram(Arc::clone(&form)),
+        seg: None,
     };
-    let slab = entry.columnar.as_ref().map_or(&[][..], |c| c.slab());
-    encode_payload(&segment_header(&entry, Some(now)), slab).len() as u32
+    let header = segment_header(&entry, Some(now)).expect("resident");
+    encode_payload(&header, form.slab()).len() as u32
 }
 
 /// The regions entries are cached under and probes ask for: radial

@@ -71,9 +71,10 @@ pub struct QueryMetrics {
     /// Cached rows the per-entry micro-index skipped without testing
     /// (entry rows minus `rows_scanned`; zero for non-hit outcomes).
     pub rows_pruned: usize,
-    /// Whether a cached entry that *should* have been locally evaluable
-    /// was malformed (non-numeric coordinate cell) and the query fell
-    /// back to the origin.
+    /// Whether the query fell back to the origin because a cached form's
+    /// columns do not map the template's coordinates (a segment restored
+    /// under another registration), so it could not select the query
+    /// region locally.
     pub local_fallback: bool,
     /// Whether this answer was served degraded: the origin was
     /// unreachable, so the proxy answered from cached data alone. For
@@ -126,8 +127,9 @@ pub struct TraceReport {
     /// Queries answered by coalescing onto another request's origin
     /// flight (zero on single-threaded replays).
     pub coalesced: usize,
-    /// Queries that hit a malformed cached entry (non-numeric coordinate
-    /// cell) and fell back to the origin instead of local evaluation.
+    /// Queries that met a cached form whose columns do not map the
+    /// template's coordinates and fell back to the origin instead of
+    /// local evaluation.
     pub local_fallbacks: usize,
     /// Total cached rows tested by local evaluation across the trace
     /// (after micro-index pruning).

@@ -11,15 +11,13 @@
 //! Two evaluation paths exist. The **columnar** path reads `f64`
 //! coordinates straight out of an entry's [`ColumnarRows`] form (built
 //! once at insert), pruning candidates through its spatial micro-index.
-//! The **row-major** path walks `Vec<Vec<Value>>` tuples and re-parses
-//! every coordinate cell; it remains as the fallback for entries without
-//! a columnar form (no declared coordinates, or a malformed cached
-//! document) and as the reference the property tests compare against.
-//! A resident entry with a form keeps no tuples, so the columnar path
-//! materializes only the rows it selects from the form's slab
-//! (`eval_answer_region`).
+//! Every resident entry is such a form and keeps no tuples, so the serve
+//! paths materialize only the rows they select from the form's slab
+//! (`eval_answer_region`). The **row-major** path walks
+//! `Vec<Vec<Value>>` tuples and re-parses every coordinate cell; it
+//! serves no cached entry and remains as the reference the property
+//! tests and the `local_eval` bench compare against.
 
-use crate::cache::Answer;
 use fp_geometry::Region;
 use fp_skyserver::{ColumnarRows, ResultSet, SelectStats};
 
@@ -57,8 +55,7 @@ pub struct EntryEval {
 /// Selects the rows of `result` whose coordinate-attribute point lies in
 /// `region`. `coord_idx` maps region dimensions to result columns.
 ///
-/// Returns `None` when some coordinate cell is non-numeric (a malformed
-/// cached document — callers fall back to the origin site).
+/// Returns `None` when some coordinate cell is non-numeric.
 pub fn eval_region_over(
     result: &ResultSet,
     coord_idx: &[usize],
@@ -93,9 +90,9 @@ pub fn eval_region_scratch(
     Some(out)
 }
 
-/// Evaluates `region` over one cached entry, preferring its columnar
-/// form. Returns `None` only when the row-major fallback hits a
-/// non-numeric coordinate cell (malformed entry — forward to origin).
+/// Evaluates `region` over tuples, preferring their columnar form.
+/// Returns `None` only when the row-major path hits a non-numeric
+/// coordinate cell.
 ///
 /// `columnar` is the entry's pre-built form, used when its coordinate
 /// set matches `coord_idx`; both paths produce identical row sets in
@@ -134,28 +131,21 @@ pub fn eval_entry_region(
     })
 }
 
-/// [`eval_entry_region`] over a resident entry's one representation.
-/// A form whose coordinate set is `coord_idx` selects through its
-/// micro-index and materializes only the selected rows from its slab;
-/// any other form is materialized whole and evaluated row-major, like
-/// tuples. `None` also when the slab does not parse.
+/// Selects a resident form's rows in `region` through its micro-index
+/// and materializes only those from its slab. The caller has checked
+/// that the form's coordinate set is the template's. `None` when the
+/// slab does not parse.
 pub(crate) fn eval_answer_region(
-    answer: &Answer,
-    coord_idx: &[usize],
+    form: &ColumnarRows,
     region: &Region,
     scratch: &mut EvalScratch,
 ) -> Option<EntryEval> {
-    match answer {
-        Answer::Form(form) if form.coord_idx() == coord_idx => {
-            let stats = form.select_region(region, &mut scratch.selected, &mut scratch.point);
-            Some(EntryEval {
-                result: form.rows_of(&scratch.selected)?,
-                stats,
-                columnar: true,
-            })
-        }
-        answer => eval_entry_region(&*answer.tuples()?, None, coord_idx, region, scratch),
-    }
+    let stats = form.select_region(region, &mut scratch.selected, &mut scratch.point);
+    Some(EntryEval {
+        result: form.rows_of(&scratch.selected)?,
+        stats,
+        columnar: true,
+    })
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ impl QueryStatus {
 ///
 /// Entries whose result was clipped by a `TOP` limit are only eligible
 /// for exact matches — a clipped result cannot prove completeness for any
-/// other relationship (see `CacheEntry::truncated`).
+/// other relationship (see `Entry::truncated`).
 pub fn classify(store: &CacheStore, bound: &BoundKey) -> QueryStatus {
     classify_graded(store, bound, false)
 }
@@ -143,10 +143,21 @@ mod tests {
         .unwrap()
     }
 
+    /// `n` rows with the radial template's coordinate columns.
     fn rs(n: usize) -> ResultSet {
         ResultSet {
-            columns: vec!["objID".into()],
-            rows: (0..n).map(|i| vec![Value::Int(i as i64)]).collect(),
+            columns: ["objID", "cx", "cy", "cz"].map(String::from).to_vec(),
+            rows: (0..n)
+                .map(|i| {
+                    let x = i as f64 * 1e-3;
+                    vec![
+                        Value::Int(i as i64),
+                        Value::Float(x),
+                        Value::Float(-x),
+                        Value::Float(1.0 - x),
+                    ]
+                })
+                .collect(),
         }
     }
 
@@ -158,7 +169,7 @@ mod tests {
                 rs(n),
                 truncated,
                 &b.sql,
-                &[],
+                &b.reg.coord_columns,
             )
             .unwrap()
     }
@@ -291,7 +302,7 @@ mod tests {
                     Arc::clone(&results[i % results.len()]),
                     false,
                     &b.sql,
-                    &[],
+                    &b.reg.coord_columns,
                 );
             }
         }

@@ -40,8 +40,7 @@
 //! rejections and true disjoint misses surface the error.
 
 use crate::cache::{
-    entry_from_segment, Answer, Body, CacheStats, CacheStore, Entry, ProfitEstimate, ProfitModel,
-    SlabSlice,
+    entry_from_segment, Body, CacheStats, CacheStore, Entry, ProfitEstimate, ProfitModel, SlabSlice,
 };
 use crate::config::{ProxyConfig, SchemeChoice};
 use crate::lifecycle::Freshness;
@@ -50,8 +49,8 @@ use crate::observe::registry::render_prometheus;
 use crate::observe::{Observer, OutcomeClass, PathClass, Phase as ObsPhase};
 use crate::origin::Origin;
 use crate::query::{
-    classify, classify_graded, eval_answer_region, eval_entry_region, merge_results,
-    remainder_query, EvalScratch, QueryStatus,
+    classify, classify_graded, eval_answer_region, merge_results, remainder_query, EvalScratch,
+    QueryStatus,
 };
 use crate::resilience::{Clock, ResilientOrigin, SystemClock};
 use crate::runtime::shard::ShardedStore;
@@ -175,8 +174,9 @@ struct Timing {
     check_ms: f64,
     local_ms: f64,
     lock_wait_ms: f64,
-    /// A malformed entry already sent this request to the origin, and
-    /// was counted (a leader's re-check meets the same entry again).
+    /// A form that could not select the query region already sent this
+    /// request to the origin, and was counted (a leader's re-check meets
+    /// the same entry again).
     fell_back: bool,
 }
 
@@ -400,16 +400,10 @@ struct HitPlan {
 
 /// Where a hit's rows lie.
 enum HitRows {
-    /// A resident entry's answer, snapshotted. Entries are immutable
+    /// A resident entry's form, snapshotted. Entries are immutable
     /// once inserted, so it stays valid even if the entry is evicted
     /// while the hit is finished.
-    Ram {
-        answer: Answer,
-        /// Region dims → answer columns (contained hits only); `None` =
-        /// the entry cannot map the template's coordinate columns
-        /// (treated like a malformed entry).
-        coord_idx: Option<Vec<usize>>,
-    },
+    Ram(Arc<ColumnarRows>),
     /// A demoted entry's rows, just parsed by the row sink's inline
     /// promotion: the tuples, and the form the entry was promoted with.
     Parsed {
@@ -435,14 +429,14 @@ struct DiskRows {
     doc: SlabDoc,
 }
 
-/// One probed entry in a merge: its shared answer and — on the overlap
-/// path — the coordinate mapping to filter it by. Filtering happens
-/// off-lock, in [`merge_parts`].
+/// One probed entry in a merge: its shared form and whether to filter
+/// it to the query region. Filtering happens off-lock, in
+/// [`merge_parts`].
 struct ProbePart {
-    answer: Answer,
-    /// `Some` = filter to the query region (overlap probes); `None` =
+    form: Arc<ColumnarRows>,
+    /// `true` = filter to the query region (overlap probes); `false` =
     /// contributes whole (region containment).
-    filter_idx: Option<Vec<usize>>,
+    filter: bool,
     /// Simulated cost of reading the entry.
     sim_ms: f64,
     /// Lifecycle facts for this entry alone; folded into the response
@@ -472,8 +466,8 @@ struct OriginPlan {
     /// Entries subsumed by the merged result (compacted after insert).
     compact_ids: Vec<u64>,
     outcome: Outcome,
-    /// Whether this plan replaced a local evaluation that hit a
-    /// malformed cached entry.
+    /// Whether this plan replaced a local evaluation over a cached form
+    /// that could not select the query region.
     local_fallback: bool,
     /// Lifecycle facts about the probed entries (merge paths can draw
     /// on stale-but-serveable parts).
@@ -1242,7 +1236,7 @@ impl ProxyHandle {
         Phase::Origin(plan)
     }
 
-    /// Counts a request sent to the origin because a cached entry could
+    /// Counts a request sent to the origin because a cached form could
     /// not be evaluated locally — once per request, however many cache
     /// passes meet the entry.
     fn note_fallback(&self, timing: &mut Timing) {
@@ -1319,7 +1313,9 @@ impl ProxyHandle {
     /// entry's slab segment pinned (a zero-copy mmap slice) and framed by
     /// its resident skeleton. A segment that is unreachable, or not the
     /// length the skeleton's spans index, is quarantined and the request
-    /// forwards — no document over it ever exists.
+    /// forwards — no document over it ever exists. A contained hit on an
+    /// entry whose form cannot select the query region ([`maps_coords`])
+    /// forwards on a fall-back plan.
     fn hit_plan(
         &self,
         store: &mut CacheStore,
@@ -1331,14 +1327,12 @@ impl ProxyHandle {
         let Some(entry) = store.get(id) else {
             return LockedPhase::Origin(OriginPlan::forward(Vec::new()));
         };
+        if !exact && !maps_coords(entry, bound) {
+            return LockedPhase::Origin(OriginPlan::forward_fallback());
+        }
         let bytes = entry.bytes;
         let rows = match &entry.body {
-            Body::Ram(answer) => HitRows::Ram {
-                answer: answer.clone(),
-                coord_idx: (!exact)
-                    .then(|| entry.coord_indexes(&bound.reg.coord_columns))
-                    .flatten(),
-            },
+            Body::Ram(form) => HitRows::Ram(Arc::clone(form)),
             Body::Disk { skeleton, .. } => {
                 let (skeleton, residual_key) =
                     (Arc::clone(skeleton), Arc::clone(&entry.residual_key));
@@ -1374,15 +1368,15 @@ impl ProxyHandle {
 
     /// The one hit finisher, off-lock, for every sink: select the hit's
     /// rows — all of them, or the query region's through the micro-index
-    /// (row-major when the entry has no matching columnar form) — and
-    /// hand them to the sink. A document sink gets the selected ranges of
-    /// the entry's slab (a disk hit's straight from the mmap, kept alive
-    /// by the document across a compaction's rename too); the row sink
-    /// gets tuples, which a resident form materializes from its slab.
-    /// Byte for byte the same answer either way.
+    /// — and hand them to the sink. A document sink gets the selected
+    /// ranges of the entry's slab (a disk hit's straight from the mmap,
+    /// kept alive by the document across a compaction's rename too); the
+    /// row sink gets tuples, which a resident form materializes from its
+    /// slab. Byte for byte the same answer either way.
     ///
-    /// `Err` is the plan to forward instead: a malformed entry (a
-    /// fall-back plan), or a disk segment that fails to parse.
+    /// `Err` is the plan to forward instead: a fall-back plan for a
+    /// resident slab that does not parse, a plain forward for a disk
+    /// segment that fails to parse.
     fn finish_hit(
         &self,
         bound: &BoundKey,
@@ -1398,11 +1392,6 @@ impl ProxyHandle {
         } = hit;
         let disk_hit = matches!(rows, HitRows::Disk(_));
         let rows = match rows {
-            // A skeleton that cannot select rows by region: treat like a
-            // malformed entry.
-            HitRows::Disk(disk) if !exact && disk.doc.form().coord_idx().is_empty() => {
-                return Err(OriginPlan::forward_fallback())
-            }
             HitRows::Disk(disk) if sink == Sink::Rows => self.promote_inline(&disk, timing)?,
             rows => rows,
         };
@@ -1434,20 +1423,19 @@ impl ProxyHandle {
                 }
                 (Served::doc(XmlBody::Doc(doc)), rows, stats)
             }
-            HitRows::Ram { answer, coord_idx } => {
-                let served = self.ram_hit(bound, answer, exact, coord_idx, sink);
+            HitRows::Ram(form) => {
+                let served = self.ram_hit(bound, form, exact, sink);
                 if !exact {
                     timing.local_ms += ms_since(start);
                 }
                 served.ok_or_else(OriginPlan::forward_fallback)?
             }
             HitRows::Parsed { result, form } => {
-                let coord_idx = form.coord_idx().to_vec();
-                let served = tuples_hit(bound, result, Some(form), exact, Some(coord_idx));
+                let served = tuples_hit(bound, result, form, exact);
                 if !exact {
                     timing.local_ms += ms_since(start);
                 }
-                served.ok_or_else(OriginPlan::forward_fallback)?
+                served
             }
         };
         let outcome = if exact {
@@ -1466,40 +1454,35 @@ impl ProxyHandle {
 
     /// A resident hit's rows for `sink`: every row (exact) or the query
     /// region's (contained). A document sink is lent ranges of the
-    /// form's slab; the row sink gets tuples — a form's materialized
-    /// from its slab, on a contained hit only the selected rows. `None`:
-    /// a malformed entry (no coordinate mapping, a non-numeric
-    /// coordinate) or a slab that does not parse.
+    /// form's slab; the row sink gets tuples materialized from it, on a
+    /// contained hit only the selected rows. `None`: a slab that does
+    /// not parse.
     fn ram_hit(
         &self,
         bound: &BoundKey,
-        answer: Answer,
+        form: Arc<ColumnarRows>,
         exact: bool,
-        coord_idx: Option<Vec<usize>>,
         sink: Sink,
     ) -> Option<(Served, usize, SelectStats)> {
-        match answer {
-            Answer::Form(form) if exact && sink != Sink::Rows => {
-                let body = self.serialized(PathClass::Hit, || XmlBody::Doc(form.doc()));
-                Some((Served::doc(body), form.len(), SelectStats::default()))
-            }
-            Answer::Form(form) if !exact && coord_idx.as_deref() == Some(form.coord_idx()) => {
-                let (served, rows, stats) = select_rows(bound, &form, |ids| match sink {
-                    Sink::Rows => form.rows_of(ids).map(|rs| Served::rows(Arc::new(rs), None)),
-                    Sink::Doc | Sink::Probe => {
-                        Some(Served::doc(self.serialized(PathClass::Hit, || {
-                            XmlBody::Doc(form.doc_of(ids))
-                        })))
-                    }
-                });
-                Some((served?, rows, stats))
-            }
-            // Tuples: the entry's own, or its form's whole.
-            answer => {
-                let form = answer.form().cloned();
-                tuples_hit(bound, answer.tuples()?, form, exact, coord_idx)
-            }
+        if exact {
+            let rows = form.len();
+            let served = match sink {
+                Sink::Rows => Served::rows(Arc::new(every_row(&form)?), Some(form)),
+                Sink::Doc | Sink::Probe => {
+                    Served::doc(self.serialized(PathClass::Hit, || XmlBody::Doc(form.doc())))
+                }
+            };
+            return Some((served, rows, SelectStats::default()));
         }
+        let (served, rows, stats) = select_rows(bound, &form, |ids| match sink {
+            Sink::Rows => form.rows_of(ids).map(|rs| Served::rows(Arc::new(rs), None)),
+            Sink::Doc | Sink::Probe => {
+                Some(Served::doc(self.serialized(PathClass::Hit, || {
+                    XmlBody::Doc(form.doc_of(ids))
+                })))
+            }
+        });
+        Some((served?, rows, stats))
     }
 
     /// A disk hit for the row sink. The slab payload must be parsed back
@@ -1554,10 +1537,11 @@ impl ProxyHandle {
     /// * overlap: the cached entries filtered to the query region (the
     ///   cached intersection), likewise sound, marked `degraded`.
     ///
-    /// Malformed and demoted entries are skipped best-effort rather than
-    /// failing the whole answer. Degraded responses are **never**
-    /// inserted into the cache. Returns `None` when the cache cannot
-    /// contribute (disjoint, passive scheme, nothing usable).
+    /// Demoted entries, and forms that cannot select the query region,
+    /// are skipped best-effort rather than failing the whole answer.
+    /// Degraded responses are **never** inserted into the cache. Returns
+    /// `None` when the cache cannot contribute (disjoint, passive
+    /// scheme, nothing usable).
     fn degraded_phase(
         &self,
         bound: &BoundKey,
@@ -1592,21 +1576,21 @@ impl ProxyHandle {
             QueryStatus::ExactMatch(id) | QueryStatus::ContainedBy(id) => {
                 let exact = matches!(status, QueryStatus::ExactMatch(_));
                 let life = self.error_life_of(&store, id);
-                let LockedPhase::Hit(hit) = self.hit_plan(&mut store, bound, id, exact, life)
-                else {
-                    return None;
-                };
-                drop(store);
-                return match self.finish_hit(bound, hit, sink, timing) {
-                    Ok(served) => Some(served),
-                    // Malformed entry; nothing else covers the query.
-                    Err(plan) => {
-                        if plan.local_fallback {
-                            self.note_fallback(timing);
+                let plan = match self.hit_plan(&mut store, bound, id, exact, life) {
+                    LockedPhase::Hit(hit) => {
+                        drop(store);
+                        match self.finish_hit(bound, hit, sink, timing) {
+                            Ok(served) => return Some(served),
+                            Err(plan) => plan,
                         }
-                        None
                     }
+                    LockedPhase::Origin(plan) => plan,
                 };
+                // Nothing else covers the query.
+                if plan.local_fallback {
+                    self.note_fallback(timing);
+                }
+                return None;
             }
             QueryStatus::RegionContainment(ids) if scheme.handles_region_containment() => {
                 (ids, false, Outcome::RegionContainment)
@@ -1652,10 +1636,10 @@ impl ProxyHandle {
     }
 
     /// Snapshots a resident entry as a merge part, under the held lock:
-    /// its shared (not deep-copied) answer, the coordinate mapping a
-    /// part to `filter` is filtered by, and the simulated cost of reading
-    /// it. `None` when a part to filter cannot map the template's
-    /// coordinate columns (a malformed entry).
+    /// its shared (not deep-copied) form, whether it is filtered to the
+    /// query region, and the simulated cost of reading it. `None` when
+    /// the entry is demoted, or when a part to `filter` has a form that
+    /// cannot select the query region (see [`maps_coords`]).
     fn probe_part(
         &self,
         entry: &Entry,
@@ -1663,16 +1647,15 @@ impl ProxyHandle {
         filter: bool,
         life: ServeLife,
     ) -> Option<ProbePart> {
-        let Body::Ram(answer) = &entry.body else {
+        let Body::Ram(form) = &entry.body else {
             return None;
         };
-        let filter_idx = match filter {
-            true => Some(entry.coord_indexes(&bound.reg.coord_columns)?),
-            false => None,
-        };
+        if filter && !maps_coords(entry, bound) {
+            return None;
+        }
         Some(ProbePart {
-            answer: answer.clone(),
-            filter_idx,
+            form: Arc::clone(form),
+            filter,
             sim_ms: self.inner.config.cost.cache_read_ms(entry.bytes),
             life,
         })
@@ -1786,7 +1769,8 @@ impl ProxyHandle {
                     plan.life = merged.life;
                     cached_part = Some(merged.result);
                 }
-                // Malformed probe entry: forward the original query.
+                // A probe part's slab did not parse: forward the
+                // original query.
                 None => {
                     self.note_fallback(timing);
                     plan = *OriginPlan::forward_fallback();
@@ -1822,41 +1806,47 @@ impl ProxyHandle {
         // locked window below is just map updates. Building it under
         // the shard lock made every miss landing serialize the shard's
         // concurrent hits: the 8-thread hit p99 sat three orders of
-        // magnitude above single-thread.
-        let prebuilt = scheme.caches().then(|| {
-            let build_start = Instant::now();
-            let prebuilt = prebuild(bound, &result);
-            timing.local_ms += ms_since(build_start);
-            prebuilt
-        });
+        // magnitude above single-thread. A result that builds no form is
+        // served but not cached.
+        let prebuilt = scheme
+            .caches()
+            .then(|| {
+                let build_start = Instant::now();
+                let prebuilt = prebuild(bound, &result);
+                timing.local_ms += ms_since(build_start);
+                prebuilt
+            })
+            .flatten();
 
         {
             let (mut store, wait) = self.inner.store.lock(&bound.residual_key);
             self.note_lock_wait(timing, wait);
-            if let Some((bytes, columnar)) = &prebuilt {
-                let inserted = store.insert_prebuilt(
+            let inserted = prebuilt.as_ref().and_then(|(bytes, form)| {
+                store.insert_prebuilt(
                     &bound.residual_key,
                     bound.region.clone(),
-                    Answer::new(Arc::clone(&result), columnar.clone()),
+                    Arc::clone(form),
                     truncated,
                     &bound.sql,
                     *bytes,
-                );
+                )
+            });
+            if let Some(id) = inserted {
                 // Seed the entry's measured refetch cost for the
                 // cost-aware replacement policy: what this fetch just
                 // charged is what re-acquiring the entry would cost.
-                if let Some(id) = inserted {
-                    store.note_refetch_cost(id, (origin_sim_ms * 1000.0) as u64);
-                }
+                store.note_refetch_cost(id, (origin_sim_ms * 1000.0) as u64);
+                // The subsumed entries go only once their container has
+                // landed. Some ids may have been evicted while we
+                // fetched; compact skips missing entries, and ids are
+                // never reused.
+                store.compact(&plan.compact_ids);
             }
-            // Some ids may have been evicted while we fetched; compact
-            // skips missing entries, and ids are never reused.
-            store.compact(&plan.compact_ids);
         }
 
         let sim_ms = origin_sim_ms + probe_sim_ms;
         let mut response = timing.respond(result, plan.outcome, rows_from_cache, sim_ms);
-        response.columnar = prebuilt.and_then(|(_, columnar)| columnar);
+        response.columnar = prebuilt.map(|(_, form)| form);
         response.metrics.rows_scanned = rows_scanned;
         response.metrics.rows_pruned = rows_pruned;
         response.metrics.local_fallback = plan.local_fallback;
@@ -2112,18 +2102,17 @@ impl ProxyHandle {
                 {
                     let truncated = bound.reg.top().is_some_and(|n| result.len() as u64 >= n);
                     // Prebuild off-lock, like the request path's insert.
-                    let result = Arc::new(result);
-                    let (bytes, columnar) = prebuild(&bound, &result);
-                    let answer = Answer::new(result, columnar);
-                    let (mut store, _) = self.inner.store.lock(&bound.residual_key);
-                    store.insert_prebuilt(
-                        &bound.residual_key,
-                        bound.region.clone(),
-                        answer,
-                        truncated,
-                        &bound.sql,
-                        bytes,
-                    );
+                    if let Some((bytes, form)) = prebuild(&bound, &result) {
+                        let (mut store, _) = self.inner.store.lock(&bound.residual_key);
+                        store.insert_prebuilt(
+                            &bound.residual_key,
+                            bound.region.clone(),
+                            form,
+                            truncated,
+                            &bound.sql,
+                            bytes,
+                        );
+                    }
                 }
             }
         }
@@ -2268,17 +2257,34 @@ fn coverage_worthwhile(
 
 /// What an insert needs beyond the rows, computed off-lock with one
 /// serialization: the columnar form over the template's coordinate
-/// columns, and the accounted XML size read off its slab.
-fn prebuild(bound: &BoundKey, result: &ResultSet) -> (usize, Option<Arc<ColumnarRows>>) {
-    let coord_idx: Option<Vec<usize>> = bound
+/// columns, and the accounted XML size read off its slab. `None` when
+/// the rows build no form (a coordinate that is not a number): the
+/// result is served but not cached.
+fn prebuild(bound: &BoundKey, result: &ResultSet) -> Option<(usize, Arc<ColumnarRows>)> {
+    let coord_idx: Vec<usize> = bound
         .reg
         .coord_columns
         .iter()
         .map(|c| result.column_index(c))
-        .collect();
-    let columnar = ColumnarRows::build(result, coord_idx.as_deref().unwrap_or(&[])).map(Arc::new);
-    let bytes = accounted_xml_bytes(result, columnar.as_deref());
-    (bytes, columnar)
+        .collect::<Option<_>>()?;
+    let form = ColumnarRows::build(result, &coord_idx)?;
+    Some((accounted_xml_bytes(result, Some(&form)), Arc::new(form)))
+}
+
+/// Whether `entry`'s form, resident or on disk, can select `bound`'s
+/// region: its columns name the template's coordinates, in the order it
+/// was built over. Registration guarantees this for a form built under
+/// the same template, so a mismatch is a segment restored under another
+/// registration; a contained hit or overlap part on it forwards.
+fn maps_coords(entry: &Entry, bound: &BoundKey) -> bool {
+    entry.coord_indexes(&bound.reg.coord_columns).as_deref() == Some(entry.form().coord_idx())
+}
+
+/// Every row of `form`, materialized from its slab; `None` when the
+/// slab does not parse.
+fn every_row(form: &ColumnarRows) -> Option<ResultSet> {
+    let all: Vec<u32> = (0..form.len() as u32).collect();
+    form.rows_of(&all)
 }
 
 /// Hits (exact and contained) and everything else, for the observe layer.
@@ -2309,60 +2315,57 @@ fn select_rows<R>(
     })
 }
 
-/// A hit finished over tuples in hand: every row (exact; `form`, the
-/// form of exactly these rows, rides along for a document sink), or the
-/// query region's — through `form` when it maps `coord_idx`, row-major
-/// otherwise — cut to the template's `TOP`. `None`: the entry cannot
-/// map the template's coordinates or has a non-numeric one.
+/// A hit finished over tuples in hand and their form: every row (exact;
+/// the form rides along for a document sink), or the query region's,
+/// selected through the form's micro-index and cut to the template's
+/// `TOP`.
 fn tuples_hit(
     bound: &BoundKey,
     result: Arc<ResultSet>,
-    form: Option<Arc<ColumnarRows>>,
+    form: Arc<ColumnarRows>,
     exact: bool,
-    coord_idx: Option<Vec<usize>>,
-) -> Option<(Served, usize, SelectStats)> {
+) -> (Served, usize, SelectStats) {
     if exact {
         let rows = result.len();
-        return Some((Served::rows(result, form), rows, SelectStats::default()));
+        return (
+            Served::rows(result, Some(form)),
+            rows,
+            SelectStats::default(),
+        );
     }
-    let idx = coord_idx?;
-    let eval = with_scratch(|scratch| {
-        eval_entry_region(&result, form.as_deref(), &idx, &bound.region, scratch)
-    })?;
-    let mut selected = eval.result;
-    if let Some(n) = bound.reg.top() {
-        selected.rows.truncate(n as usize);
-    }
-    let rows = selected.len();
-    Some((Served::rows(Arc::new(selected), None), rows, eval.stats))
+    let (selected, rows, stats) = select_rows(bound, &form, |ids| ResultSet {
+        columns: result.columns.clone(),
+        rows: ids
+            .iter()
+            .map(|&r| result.rows[r as usize].clone())
+            .collect(),
+    });
+    (Served::rows(Arc::new(selected), None), rows, stats)
 }
 
 /// The one probe-part filter and merge, off-lock against the `Arc`
 /// snapshots (entries are immutable, so concurrent eviction cannot
 /// invalidate them): an overlap part's rows in the query region are
-/// selected (through its form's micro-index) and only those are
+/// selected through its form's micro-index and only those are
 /// materialized; a region-containment part contributes every row; the
 /// rows merge by key. Only the parts whose rows reach the answer shape
 /// its lifecycle facts, so a stale-but-empty probe never flags (or ages)
-/// it. A malformed part — or one whose slab does not parse — fails the
-/// merge when `strict` (the healthy path then forwards) and is skipped
-/// otherwise (degraded serving is best-effort); `None` also when no
-/// part is left.
+/// it. A part whose slab does not parse fails the merge when `strict`
+/// (the healthy path then forwards) and is skipped otherwise (degraded
+/// serving is best-effort); `None` also when no part is left.
 fn merge_parts(bound: &BoundKey, parts: &[ProbePart], strict: bool) -> Option<Merged> {
     let mut life = ServeLife::default();
     let (mut rows_scanned, mut rows_pruned) = (0, 0);
-    let mut pieces: Vec<Arc<ResultSet>> = Vec::with_capacity(parts.len());
+    let mut pieces: Vec<ResultSet> = Vec::with_capacity(parts.len());
     for p in parts {
-        let piece = match &p.filter_idx {
-            None => p.answer.tuples(),
-            Some(idx) => {
-                with_scratch(|scratch| eval_answer_region(&p.answer, idx, &bound.region, scratch))
-                    .map(|e| {
-                        rows_scanned += e.stats.rows_scanned;
-                        rows_pruned += e.stats.rows_pruned();
-                        Arc::new(e.result)
-                    })
-            }
+        let piece = if p.filter {
+            with_scratch(|scratch| eval_answer_region(&p.form, &bound.region, scratch)).map(|e| {
+                rows_scanned += e.stats.rows_scanned;
+                rows_pruned += e.stats.rows_pruned();
+                e.result
+            })
+        } else {
+            every_row(&p.form)
         };
         let piece = match piece {
             Some(piece) => piece,
@@ -2377,7 +2380,7 @@ fn merge_parts(bound: &BoundKey, parts: &[ProbePart], strict: bool) -> Option<Me
     if pieces.is_empty() {
         return None;
     }
-    let refs: Vec<&ResultSet> = pieces.iter().map(|p| &**p).collect();
+    let refs: Vec<&ResultSet> = pieces.iter().collect();
     Some(Merged {
         result: merge_results(&bound.reg.key_column, &refs),
         life,
@@ -2980,5 +2983,117 @@ mod tests {
         assert!(retained <= 8, "{retained} thread handles retained");
         h.quiesce_revalidations();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Region containment compacts the subsumed entries only when the
+    /// merged container lands. Here the RAM budget holds two small cones
+    /// but not the cone containing both: the container is served, not
+    /// cached, and the cones stay.
+    #[test]
+    fn a_container_too_large_to_cache_compacts_nothing() {
+        let cones = [(185.0, 0.0, 3.0), (185.05, 0.0, 3.0)];
+        let container = (185.025, 0.0, 10.0);
+        let footprint = |cones: &[(f64, f64, f64)]| {
+            let h = handle(Scheme::FullSemantic);
+            for &(ra, dec, radius) in cones {
+                radial(&h, ra, dec, radius);
+            }
+            h.cache_stats().bytes
+        };
+        let (both, whole) = (footprint(&cones), footprint(&[container]));
+        assert!(
+            both < whole,
+            "the container must not fit where the cones do"
+        );
+        let h = one_shard(SiteOrigin::new(small_site()), |c| {
+            c.with_capacity(Some(both))
+        });
+        for &(ra, dec, radius) in &cones {
+            radial(&h, ra, dec, radius);
+        }
+        let (ra, dec, radius) = container;
+        let r = radial(&h, ra, dec, radius);
+        assert_eq!(r.metrics.outcome, Outcome::RegionContainment);
+        let stats = h.cache_stats();
+        assert_eq!((stats.entries, stats.compactions), (2, 0));
+        for &(ra, dec, radius) in &cones {
+            assert_eq!(radial(&h, ra, dec, radius).metrics.outcome, Outcome::Exact);
+        }
+    }
+
+    /// A form whose columns do not name the template's coordinates (a
+    /// segment restored under another registration) cannot select a
+    /// contained query's region, whether it is resident or demoted: both
+    /// sinks forward, counting one local-evaluation fallback per
+    /// request. An exact hit on it still serves its rows.
+    #[test]
+    fn a_form_without_the_template_coordinates_forwards_on_either_sink() {
+        let dir = std::env::temp_dir().join(format!("fp_unmapped_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A tier under a one-byte budget spills every entry at once.
+        let tiers = [None, Some(dir.clone())];
+        for tier in tiers {
+            let demoted = tier.is_some();
+            let h = one_shard(SiteOrigin::new(small_site()), |c| match tier {
+                Some(dir) => c.with_capacity(Some(1)).with_tier(dir),
+                None => c,
+            });
+            let big = radial_fields(185.0, 0.0, 20.0);
+            let key = h.inner.manager.bind_form("/search/radial", &big).unwrap();
+            let planted = ResultSet {
+                columns: ["objID", "a", "b", "c"].map(String::from).to_vec(),
+                rows: (0..4)
+                    .map(|i| {
+                        let x = f64::from(i) * 0.25;
+                        vec![
+                            fp_sqlmini::Value::Int(i64::from(i)),
+                            fp_sqlmini::Value::Float(x),
+                            fp_sqlmini::Value::Float(-x),
+                            fp_sqlmini::Value::Float(1.0),
+                        ]
+                    })
+                    .collect(),
+            };
+            {
+                let (mut store, _) = h.inner.store.lock(&key.residual_key);
+                let abc = ["a", "b", "c"].map(String::from);
+                let id = store
+                    .insert(
+                        &key.residual_key,
+                        key.region.clone(),
+                        planted,
+                        false,
+                        &key.sql,
+                        &abc,
+                    )
+                    .expect("the planted rows build a form");
+                assert_eq!(store.peek(id).unwrap().is_resident(), !demoted);
+            }
+            let inside = |dec: f64| radial_fields(185.0, dec, 4.0);
+            let rows = h.handle_form("/search/radial", &inside(-0.1)).unwrap();
+            let doc = h.handle_form_doc("/search/radial", &inside(0.1)).unwrap();
+            for (sink, metrics) in [("rows", &rows.metrics), ("doc", &doc.metrics)] {
+                assert_eq!(
+                    metrics.outcome,
+                    Outcome::Forwarded,
+                    "{sink}, demoted {demoted}"
+                );
+                assert!(
+                    metrics.local_fallback,
+                    "{sink}, demoted {demoted}: no fallback"
+                );
+            }
+            assert_eq!(
+                h.runtime_stats().local_eval_fallbacks,
+                2,
+                "demoted {demoted}"
+            );
+            let exact = h.handle_form("/search/radial", &big).unwrap();
+            assert_eq!(exact.metrics.outcome, Outcome::Exact);
+            assert_eq!(exact.metrics.disk_hit, demoted);
+            assert_eq!(exact.result.len(), 4);
+            h.quiesce_revalidations();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

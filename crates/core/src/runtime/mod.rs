@@ -83,8 +83,9 @@ crate::counters! {
         /// Origin-bound flights actually led (each is at most one WAN fetch).
         flights_led: usize [AtomicUsize] => counter("funcproxy_flights_led_total",
             "Origin-bound flights led.");
-        /// Contained hits whose cached entry turned out malformed
-        /// (non-numeric coordinate cell) and fell back to the origin.
+        /// Requests whose cached form's columns do not map the template's
+        /// coordinates (a segment restored under another registration),
+        /// so a contained hit or overlap part fell back to the origin.
         local_eval_fallbacks: usize [AtomicUsize] => counter("funcproxy_local_eval_fallbacks_total",
             "Contained hits whose cached entry was malformed and went to the origin.");
         /// Shard lock acquisitions.

@@ -112,11 +112,18 @@ mod tests {
     use fp_skyserver::ResultSet;
     use fp_sqlmini::Value;
 
+    /// `n` rows with 2-D coordinate columns ([`coords`]).
     fn rs(n: usize) -> ResultSet {
         ResultSet {
-            columns: vec!["objID".into()],
-            rows: (0..n).map(|i| vec![Value::Int(i as i64)]).collect(),
+            columns: ["objID", "cx", "cy"].map(String::from).to_vec(),
+            rows: (0..n)
+                .map(|i| vec![Value::Int(i as i64), Value::Float(0.5), Value::Float(0.5)])
+                .collect(),
         }
+    }
+
+    fn coords() -> [String; 2] {
+        ["cx".to_string(), "cy".to_string()]
     }
 
     fn region() -> Region {
@@ -140,7 +147,7 @@ mod tests {
         // to, the aggregate must see every entry.
         for (i, key) in ["k1", "k2", "k3"].iter().enumerate() {
             let (mut shard, _) = store.lock(key);
-            shard.insert(key, region(), rs(2), false, &format!("SQL {i}"), &[]);
+            shard.insert(key, region(), rs(2), false, &format!("SQL {i}"), &coords());
         }
         let stats = store.stats();
         assert_eq!(stats.entries, 3);
@@ -152,11 +159,16 @@ mod tests {
         // Total capacity holds the entry, but the per-shard slice
         // (total / 4) is one byte short: the insert must be rejected.
         let big = rs(50);
-        let config = ProxyConfig::default().with_capacity(Some((big.xml_bytes() - 1) * 4));
+        let footprint = {
+            let mut probe = CacheStore::new(crate::cache::DescriptionKind::Array, None);
+            let id = probe.insert("k", region(), big.clone(), false, "BIG", &coords());
+            probe.peek(id.unwrap()).unwrap().footprint()
+        };
+        let config = ProxyConfig::default().with_capacity(Some((footprint - 1) * 4));
         let store = ShardedStore::new(&config, 4);
         let (mut shard, _) = store.lock("k");
         assert!(shard
-            .insert("k", region(), big, false, "BIG", &[])
+            .insert("k", region(), big, false, "BIG", &coords())
             .is_none());
     }
 

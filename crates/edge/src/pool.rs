@@ -106,14 +106,16 @@ impl WorkerPool {
     /// jobs still waiting are dropped (hard shutdown); otherwise the
     /// workers finish the backlog first (graceful drain).
     pub fn stop(mut self, discard_queued: bool) {
-        if discard_queued {
-            self.shared
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clear();
+        {
+            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            if discard_queued {
+                queue.clear();
+            }
+            // Under the queue lock: a worker that found the queue empty
+            // and `stop` unset is then already waiting, so it gets the
+            // notification below instead of missing it and never waking.
+            self.shared.stop.store(true, Ordering::SeqCst);
         }
-        self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();

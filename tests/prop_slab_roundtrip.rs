@@ -21,7 +21,7 @@
 
 use fp_suite::geometry::{HyperRect, HyperSphere, Point, Polytope, Region};
 use fp_suite::proxy::cache::{
-    encode_payload, entry_from_segment, segment_header, CacheEntry, SegmentEntry, SlabFile,
+    encode_payload, entry_from_segment, segment_header, Body, Entry, SegmentEntry, SlabFile,
     TierConfig,
 };
 use fp_suite::proxy::metrics::Outcome;
@@ -106,13 +106,14 @@ fn arb_text() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// Strategy: a cache entry over the codec's whole input space. A null
-/// coordinate (1 cell in 100) leaves it without a columnar form, so its
-/// rows stay inline.
-fn arb_entry() -> impl Strategy<Value = (CacheEntry, Instant)> {
+/// Strategy: a resident cache entry over the codec's whole input space,
+/// with the rows its form was built from. Every cached entry has a
+/// columnar form, so both coordinates are numbers (non-finite included);
+/// the other columns take every cell kind.
+fn arb_entry() -> impl Strategy<Value = (Entry, ResultSet, Instant)> {
     let row = (
         any::<i64>(),
-        prop_oneof![99 => arb_float().prop_map(Value::Float), 1 => Just(Value::Null)],
+        arb_float(),
         arb_float(),
         arb_text(),
         prop::option::of(arb_float()),
@@ -134,7 +135,7 @@ fn arb_entry() -> impl Strategy<Value = (CacheEntry, Instant)> {
                     .map(|(id, cx, cy, name, mag)| {
                         vec![
                             Value::Int(id),
-                            cx,
+                            Value::Float(cx),
                             Value::Float(cy),
                             name,
                             mag.map_or(Value::Null, Value::Float),
@@ -148,28 +149,28 @@ fn arb_entry() -> impl Strategy<Value = (CacheEntry, Instant)> {
                 1 => Region::Rect(rect),
                 _ => Region::Polytope(Polytope::from_rect(&rect)),
             };
-            let columnar = ColumnarRows::build(&result, &[1, 2]);
+            let form = ColumnarRows::build(&result, &[1, 2]).expect("numeric coordinates");
             let now = Instant::now() + Duration::from_secs(3_600);
             let expires_at = if left >= 0 {
                 now + Duration::from_millis(left as u64)
             } else {
                 now - Duration::from_millis(left.unsigned_abs())
             };
-            let entry = CacheEntry {
+            let entry = Entry {
                 id: 1,
                 residual_key: key.as_str().into(),
                 bbox: region.bounding_rect(),
                 region,
-                bytes: accounted_xml_bytes(&result, columnar.as_ref()),
-                result: Arc::new(result),
-                columnar: columnar.map(Arc::new),
+                bytes: accounted_xml_bytes(&result, Some(&form)),
                 truncated,
                 exact_sql: sql.as_str().into(),
                 epoch,
                 inserted_at: Some(now - Duration::from_millis(age)),
                 expires_at: Some(expires_at),
+                body: Body::Ram(Arc::new(form)),
+                seg: None,
             };
-            (entry, now)
+            (entry, result, now)
         },
     )
 }
@@ -193,9 +194,12 @@ fn parent_layout(header: &[u8], result: &ResultSet) -> Vec<u8> {
     old.to_xml().into_bytes()
 }
 
-/// The row slab of a columnar entry; empty without one.
-fn row_slab(entry: &CacheEntry) -> &[u8] {
-    entry.columnar.as_ref().map_or(&[][..], |c| c.slab())
+/// A resident entry's form.
+fn form_of(entry: &Entry) -> &ColumnarRows {
+    let Body::Ram(form) = &entry.body else {
+        unreachable!("the strategy builds resident entries");
+    };
+    form
 }
 
 proptest! {
@@ -295,22 +299,20 @@ proptest! {
     /// inline), region, coordinate indexes and stamp, and a columnar
     /// rebuild with byte-identical slabs.
     #[test]
-    fn segment_parse_equals_the_rows_inline_parse((entry, now) in arb_entry()) {
-        let header = segment_header(&entry, Some(now));
-        let slab = row_slab(&entry);
-        if entry.columnar.is_some() {
-            prop_assert!(!header.windows(4).any(|w| w == b"<Row"), "rows in the header");
-        }
+    fn segment_parse_equals_the_rows_inline_parse((entry, result, now) in arb_entry()) {
+        let header = segment_header(&entry, Some(now)).expect("a resident entry");
+        let form = form_of(&entry);
+        let slab = form.slab();
+        prop_assert!(!header.windows(4).any(|w| w == b"<Row"), "rows in the header");
         let new = entry_from_segment(&header, slab).expect("a segment parses");
-        let old = entry_from_segment(&parent_layout(&header, &entry.result), slab)
+        let old = entry_from_segment(&parent_layout(&header, &result), slab)
             .expect("an old-layout segment parses");
         prop_assert_eq!(&new, &old);
 
-        let inline = Element::parse(&entry.result.to_xml().to_xml()).unwrap();
+        let inline = Element::parse(&result.to_xml().to_xml()).unwrap();
         prop_assert_eq!(&new.result, &ResultSet::from_xml(&inline).unwrap());
         prop_assert_eq!(&new.region, &entry.region);
-        let coord_idx = entry.columnar.as_ref().map_or(Vec::new(), |c| c.coord_idx().to_vec());
-        prop_assert_eq!(&new.coord_idx, &coord_idx);
+        prop_assert_eq!(&new.coord_idx, &form.coord_idx().to_vec());
         prop_assert_eq!(new.stamp.epoch, entry.epoch);
         let age = now.duration_since(entry.inserted_at.unwrap()).as_millis() as u64;
         prop_assert_eq!(new.stamp.age_ms, Some(age));

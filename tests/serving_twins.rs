@@ -226,8 +226,7 @@ fn uncached_forwards_serve_the_same_answer_to_rows_and_documents() {
 }
 
 /// An origin whose answers, while `corrupt` is set, carry a non-numeric
-/// `cx` in their first row: the entry they leave cannot be evaluated
-/// locally.
+/// `cx` in their first row: such an answer builds no columnar form.
 struct CorruptCoords {
     inner: SiteOrigin,
     corrupt: AtomicBool,
@@ -246,8 +245,11 @@ impl Origin for CorruptCoords {
     }
 }
 
+/// An answer whose coordinates build no columnar form is served to
+/// either API as twins and not cached, so a query inside it later is a
+/// plain forward, not a fallback from a malformed entry.
 #[test]
-fn a_malformed_contained_entry_falls_back_on_either_api() {
+fn a_malformed_answer_is_served_but_not_cached_on_either_api() {
     let make = || {
         let origin = Arc::new(CorruptCoords {
             inner: SiteOrigin::new(site()),
@@ -257,19 +259,27 @@ fn a_malformed_contained_entry_falls_back_on_either_api() {
             Arc::clone(&origin) as Arc<dyn Origin>,
             ProxyConfig::default().with_scheme(Scheme::FullSemantic),
         );
-        warm(&h, &[BIG]);
-        origin.corrupt.store(false, Ordering::SeqCst);
-        h
+        (h, origin)
     };
-    let (rows, doc) = (make(), make());
-    let (r, d) = serve_twins(&rows, &doc, INSIDE);
-    assert!(r.metrics.local_fallback, "the contained hit must fall back");
+    let ((rows, rows_origin), (doc, doc_origin)) = (make(), make());
+    let (r, d) = serve_twins(&rows, &doc, BIG);
     assert_eq!(r.metrics.outcome, Outcome::Forwarded);
-    // Counted once per request, though the leader's re-check under its
-    // flight meets the malformed entry a second time.
+    assert!(r.metrics.rows_total > 0, "empty answer");
+    assert_twins("malformed answer", &r, d);
     for (api, h) in [("rows", &rows), ("doc", &doc)] {
-        let fallbacks = h.runtime_stats().local_eval_fallbacks;
-        assert_eq!(fallbacks, 1, "{api}: one fallback per malformed request");
+        assert_eq!(h.cache_stats().entries, 0, "{api}: the answer was cached");
     }
-    assert_twins("malformed contained", &r, d);
+
+    rows_origin.corrupt.store(false, Ordering::SeqCst);
+    doc_origin.corrupt.store(false, Ordering::SeqCst);
+    let (r, d) = serve_twins(&rows, &doc, INSIDE);
+    assert_eq!(r.metrics.outcome, Outcome::Forwarded);
+    assert!(
+        !r.metrics.local_fallback,
+        "nothing cached to fall back from"
+    );
+    for (api, h) in [("rows", &rows), ("doc", &doc)] {
+        assert_eq!(h.runtime_stats().local_eval_fallbacks, 0, "{api}");
+    }
+    assert_twins("inside a malformed answer", &r, d);
 }
