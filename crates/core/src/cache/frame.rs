@@ -8,16 +8,19 @@
 //! frame := len u32 LE · crc32 u32 LE · payload (len bytes)
 //! ```
 //!
-//! [`push_frame`] is the one frame writer and [`scan`] the one reader.
-//! The reader recovers from the front: a frame whose CRC32 does not
-//! match is skipped (the length prefix keeps the stream aligned) and a
-//! torn tail stops the scan, so damage costs the damaged frames, never
-//! the file. [`write_staged`] is the one whole-file writer: stage to
-//! `<path>.tmp`, `sync_all`, rename over the target — a crash leaves the
-//! old file or the new one, never a mix.
+//! [`frame_header`] encodes every frame header that is written and
+//! [`scan`] is the one reader. A writer need not hold the payload in one
+//! buffer: [`crc32_parts`] checksums it across its parts, so a slab
+//! append borrows the row slab where it lies. The reader recovers from
+//! the front: a frame whose CRC32 does not match is skipped (the length
+//! prefix keeps the stream aligned) and a torn tail stops the scan, so
+//! damage costs the damaged frames, never the file. [`write_staged`] is
+//! the one file replacer: a fill closure writes `<path>.tmp` (one frame
+//! at a time, if it likes), then `sync_all`, then a rename over the
+//! target — a crash leaves the old file or the new one, never a mix.
 
-use std::fs::File;
-use std::io::{self, Write};
+use std::fs::{File, OpenOptions};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::cache::tier::{IoOp, SlabIo};
@@ -40,16 +43,30 @@ pub(crate) fn has_header(data: &[u8], magic: &[u8; 8], version: u32) -> bool {
     data.get(..HEADER_LEN) == Some(&header(magic, version)[..])
 }
 
+/// The length field of a frame whose payload is `len` bytes.
+///
+/// # Errors
+/// `InvalidInput` when the payload does not fit a `u32` length.
+pub(crate) fn payload_len(len: usize) -> io::Result<u32> {
+    u32::try_from(len).map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "segment too large"))
+}
+
+/// A frame header: the payload's length, then its CRC32.
+pub(crate) fn frame_header(len: u32, crc: u32) -> [u8; FRAME_LEN] {
+    let mut head = [0u8; FRAME_LEN];
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..].copy_from_slice(&crc.to_le_bytes());
+    head
+}
+
 /// Appends one frame (`len · crc32 · payload`) to `out` and returns the
 /// payload length.
 ///
 /// # Errors
 /// `InvalidInput` when the payload does not fit a `u32` length.
 pub(crate) fn push_frame(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<u32> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "segment too large"))?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let len = payload_len(payload.len())?;
+    out.extend_from_slice(&frame_header(len, crc32(payload)));
     out.extend_from_slice(payload);
     Ok(len)
 }
@@ -112,33 +129,43 @@ pub(crate) fn staging_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Replaces `path` with `bytes` atomically and durably: stage to
-/// [`staging_path`], `sync_all`, rename. Every step consults the fault
-/// seam — `stage` before the staging file is written, [`IoOp::Fsync`]
-/// before the barrier, and `commit` (when given) before the rename. On
-/// any error the previous file at `path` is untouched.
+/// Replaces `path` atomically and durably with what `fill` writes: it
+/// writes the staging file [`staging_path`] (opened empty, for reading
+/// and appending), which is then `sync_all`ed and renamed over `path`.
+/// Every step consults the fault seam — `stage` before the staging file
+/// is opened, [`IoOp::Fsync`] before the barrier, and `commit` (when
+/// given) before the rename. On any error the previous file at `path` is
+/// untouched.
+///
+/// Returns the staged file, which the rename made `path` (the rename is
+/// the last step, so nothing can fail once it is done), and what `fill`
+/// returned.
 ///
 /// # Errors
-/// Injected faults and filesystem errors.
-pub(crate) fn write_staged(
+/// Injected faults, `fill`'s errors and filesystem errors.
+pub(crate) fn write_staged<T>(
     path: &Path,
-    bytes: &[u8],
     io: &SlabIo,
     stage: IoOp,
     commit: Option<IoOp>,
-) -> io::Result<()> {
+    fill: impl FnOnce(&mut File) -> io::Result<T>,
+) -> io::Result<(File, T)> {
     let tmp = staging_path(path);
-    {
-        io.check(stage)?;
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        io.check(IoOp::Fsync)?;
-        file.sync_all()?;
-    }
+    io.check(stage)?;
+    let mut file = OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(&tmp)?;
+    file.set_len(0)?; // a stale staging file from an earlier attempt
+    let filled = fill(&mut file)?;
+    io.check(IoOp::Fsync)?;
+    file.sync_all()?;
     if let Some(op) = commit {
         io.check(op)?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    Ok((file, filled))
 }
 
 const CRC_POLY: u32 = 0xEDB8_8320;
@@ -176,8 +203,18 @@ static CRC_TABLES: [[u32; 256]; 8] = {
 /// checksum gzip and PNG use, eight bytes per step over tables built at
 /// compile time, to stay dependency-free.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(!0, data)
+}
+
+/// [`crc32`] of the concatenation of `parts`, without concatenating
+/// them.
+pub(crate) fn crc32_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u32 {
+    !parts.into_iter().fold(!0, crc32_update)
+}
+
+/// Folds `data` into a running (pre-inversion) CRC state.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -193,7 +230,7 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
     for &byte in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
 #[cfg(test)]
@@ -261,6 +298,17 @@ mod tests {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_parts_equals_crc32_of_the_concatenation() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+        for cut in [0, 1, 7, 8, 9, 150, 299, 300] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_parts([a, b]), crc32(&data), "cut {cut}");
+            assert_eq!(crc32_parts([&[][..], a, &[][..], b]), crc32(&data));
+        }
+        assert_eq!(crc32_parts([]), crc32(b""));
     }
 
     #[test]

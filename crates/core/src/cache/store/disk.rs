@@ -9,12 +9,13 @@ use crate::cache::persist::{
     entry_from_segment, segment_header, stamp_of, with_stamp, SegmentEntry,
 };
 use crate::cache::tier::{
-    encode_payload, split_payload, IoOp, SegRef, SlabIo, SlabSlice, META_MAGIC, SLAB_VERSION,
+    split_payload, IoOp, SegRef, SlabIo, SlabSlice, META_MAGIC, SLAB_VERSION,
 };
 use crate::lifecycle::LifecycleStamp;
 use fp_skyserver::{accounted_xml_bytes, ColumnarRows};
 use fp_xmlite::Element;
 use std::collections::{HashMap, HashSet};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -53,7 +54,9 @@ impl TierMeta {
         for record in &self.records {
             frame::push_frame(&mut bytes, record)?;
         }
-        frame::write_staged(&self.path, &bytes, &self.io, IoOp::MetaWrite, None)?;
+        frame::write_staged(&self.path, &self.io, IoOp::MetaWrite, None, |file| {
+            file.write_all(&bytes)
+        })?;
         Ok(self.records.len() - 1)
     }
 }
@@ -116,14 +119,14 @@ impl CacheStore {
         let (Body::Ram(form), Some(xml)) = (&entry.body, segment_header(entry, now)) else {
             return false;
         };
-        // The rows go to disk once, as the row slab.
-        let payload = encode_payload(&xml, form.slab());
         // Eviction-only degraded mode: skip the append (the caller
         // evicts instead) until the periodic re-probe goes through.
         if !tier.admit_append() {
             return false;
         }
-        match tier.slab.append(&payload) {
+        // The rows go to disk once, as the row slab, straight from the
+        // form.
+        match tier.slab.append_segment(&xml, form.slab()) {
             Ok(seg) => {
                 tier.note_append_ok();
                 entry.seg = Some(seg);

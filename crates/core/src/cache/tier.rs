@@ -28,11 +28,12 @@
 //! A demoted entry is not a second kind of entry. The store keeps one
 //! [`crate::cache::Entry`] per id whichever tier holds its rows: its
 //! scalars (region, keys, lifecycle stamp) once, a
-//! [`crate::cache::Body`] that is either RAM (`result`, `columnar`) or
-//! disk (`skeleton`, `rows`), and its own [`SegRef`] once it has been
-//! spilled. Demotion and promotion switch the body in place. This module
-//! owns only the files and their bookkeeping ([`EvictionManager`]:
-//! the slab, demotion/promotion/compaction counters, degraded mode).
+//! [`crate::cache::Body`] that is either `Ram` (the whole columnar
+//! form, row slab included) or `Disk` (the form's `skeleton`, with an
+//! empty row slab), and its own [`SegRef`] once it has been spilled.
+//! Demotion and promotion switch the body in place. This module owns
+//! only the files and their bookkeeping ([`EvictionManager`]: the slab,
+//! demotion/promotion/compaction counters, degraded mode).
 //!
 //! # The cache's only on-disk form
 //!
@@ -63,6 +64,15 @@
 //! file, fsync, and rename over the target — a crash at any point leaves
 //! either the old file or the new one, never a mix. In-flight readers
 //! keep serving from their `Arc`'d mapping of the pre-compaction inode.
+//!
+//! # No slab through the heap
+//!
+//! A shard's slab holds every answer it has demoted, so no write copies
+//! it whole. A demotion appends the segment in two writes, a small head
+//! (frame header, XML length, entry XML) and then the row slab borrowed
+//! from the entry's form. Compaction copies live segments one at a time:
+//! it `pread`s each frame into one reused buffer, checks its length and
+//! CRC, and writes it to the staged file as it was.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -478,9 +488,30 @@ impl SlabFile {
     /// tail stays on a valid frame boundary and later appends (or the
     /// next replay) see a clean stream.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<SegRef> {
-        let mut buf = Vec::with_capacity(frame::FRAME_LEN + payload.len());
-        let len = frame::push_frame(&mut buf, payload)?;
-        if let Err(e) = self.write_frame(&buf) {
+        self.append_parts(&[], payload)
+    }
+
+    /// [`Self::append`] of [`encode_payload`]`(xml, row_slab)`, written
+    /// without building it: the row slab goes to the file from where
+    /// it lies.
+    pub(crate) fn append_segment(&mut self, xml: &[u8], row_slab: &[u8]) -> io::Result<SegRef> {
+        self.append_parts(&[&(xml.len() as u32).to_le_bytes(), xml], row_slab)
+    }
+
+    /// Appends the frame whose payload is the `head` parts followed by
+    /// `body`, in at most two writes: a small buffer holding the frame
+    /// header and the head parts, then `body` as borrowed. The CRC runs
+    /// across the parts.
+    fn append_parts(&mut self, head: &[&[u8]], body: &[u8]) -> io::Result<SegRef> {
+        let head_len: usize = head.iter().map(|part| part.len()).sum();
+        let len = frame::payload_len(head_len + body.len())?;
+        let crc = frame::crc32_parts(head.iter().copied().chain([body]));
+        let mut first = Vec::with_capacity(frame::FRAME_LEN + head_len);
+        first.extend_from_slice(&frame::frame_header(len, crc));
+        for part in head {
+            first.extend_from_slice(part);
+        }
+        if let Err(e) = self.write_frame(&first, body) {
             let _ = self.file.set_len(self.len);
             return Err(e);
         }
@@ -488,20 +519,25 @@ impl SlabFile {
             off: self.len + FRAME_LEN,
             len,
         };
-        self.len += buf.len() as u64;
+        self.len += FRAME_LEN + u64::from(len);
         self.live_bytes += u64::from(len);
         Ok(seg)
     }
 
-    /// One frame write through the fault seam: a [`IoFault::Torn`]
-    /// lands its partial prefix before failing, exactly what a crash
-    /// mid-`write(2)` leaves on disk.
-    fn write_frame(&mut self, frame: &[u8]) -> io::Result<()> {
+    /// One frame write (`head` then `body`) through the fault seam: a
+    /// [`IoFault::Torn`] lands the first bytes of the frame before
+    /// failing, exactly what a crash mid-`write(2)` leaves on disk.
+    fn write_frame(&mut self, head: &[u8], body: &[u8]) -> io::Result<()> {
         match self.io.write_fault(IoOp::Append) {
-            None => self.file.write_all(frame),
+            None => {
+                self.file.write_all(head)?;
+                self.file.write_all(body)
+            }
             Some(IoFault::Torn(n)) => {
-                let n = n.min(frame.len());
-                self.file.write_all(&frame[..n])?;
+                let in_head = n.min(head.len());
+                self.file.write_all(&head[..in_head])?;
+                self.file
+                    .write_all(&body[..(n - in_head).min(body.len())])?;
                 Err(IoFault::Eio.to_error())
             }
             Some(fault) => Err(fault.to_error()),
@@ -541,27 +577,37 @@ impl SlabFile {
         self.file.read_exact_at(buf, off)
     }
 
-    /// Reads and CRC-verifies one segment's payload (used by recovery
-    /// and compaction, where trusting the page cache isn't enough).
+    /// Reads and CRC-verifies one segment's payload, through `pread`
+    /// rather than the mapping.
     pub fn read_segment(&self, seg: SegRef) -> io::Result<Vec<u8>> {
-        let mut head = [0u8; frame::FRAME_LEN];
-        self.read_exact_at(&mut head, seg.off - FRAME_LEN)?;
-        let (len, want_crc) = frame::frame_head(&head);
+        let mut framed = vec![0u8; frame::FRAME_LEN + seg.len as usize];
+        self.read_frame(seg, &mut framed)?;
+        framed.drain(..frame::FRAME_LEN);
+        Ok(framed)
+    }
+
+    /// Reads `seg`'s whole frame (header, then payload) into `framed`,
+    /// which is `FRAME_LEN + seg.len` bytes long, and checks the header's
+    /// length and CRC against it. `pread`, not the mapping: compaction
+    /// must not trust the page cache, and mapped pages count in the
+    /// process's resident set.
+    fn read_frame(&self, seg: SegRef, framed: &mut [u8]) -> io::Result<()> {
+        self.read_exact_at(framed, seg.off - FRAME_LEN)?;
+        let (head, payload) = framed.split_at(frame::FRAME_LEN);
+        let (len, want_crc) = frame::frame_head(head.try_into().expect("FRAME_LEN bytes"));
         if len != seg.len {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "segment length mismatch",
             ));
         }
-        let mut payload = vec![0u8; len as usize];
-        self.read_exact_at(&mut payload, seg.off)?;
-        if crc32(&payload) != want_crc {
+        if crc32(payload) != want_crc {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "segment crc mismatch",
             ));
         }
-        Ok(payload)
+        Ok(())
     }
 
     /// Front-recoverable scan of the whole file: yields every intact
@@ -630,43 +676,55 @@ impl SlabFile {
         self.dead_bytes > 0 && total > 0 && self.dead_bytes as f64 >= ratio * total as f64
     }
 
-    /// Rewrites the slab keeping only `live` segments, atomically
-    /// (stage to `.tmp`, fsync, rename). Returns the relocated refs and
-    /// how many live segments had to be dropped as unreadable. On any
-    /// I/O error the old file is left untouched and the old refs remain
-    /// valid.
+    /// Rewrites the slab keeping only `live` segments, in their order,
+    /// atomically (stage to `.tmp`, fsync, rename). Segments are copied
+    /// one at a time through one reused buffer: each frame is read,
+    /// checked and written back as it was. Returns the relocated refs
+    /// and how many live segments had to be dropped as unreadable.
+    ///
+    /// On an error the old file is left untouched and the old refs
+    /// remain valid. The rename over the slab is the last step that can
+    /// fail; after it the staged file's own handle becomes the slab's.
     pub fn compact(&mut self, live: &[(u64, SegRef)]) -> io::Result<(Vec<(u64, SegRef)>, usize)> {
-        let mut out = frame::header(SLAB_MAGIC, SLAB_VERSION).to_vec();
+        let largest = live.iter().map(|(_, seg)| seg.len as usize).max();
+        let mut buf = vec![0u8; frame::FRAME_LEN + largest.unwrap_or(0)];
         let mut new_refs = Vec::with_capacity(live.len());
         let mut dropped = 0;
         let mut live_bytes = 0u64;
-        for &(id, seg) in live {
-            match self.read_segment(seg) {
-                Ok(payload) => {
-                    let off = (out.len() + frame::FRAME_LEN) as u64;
-                    let len = frame::push_frame(&mut out, &payload)?;
-                    live_bytes += u64::from(len);
-                    new_refs.push((id, SegRef { off, len }));
-                }
-                Err(_) => dropped += 1, // unreadable live segment: entry is lost
-            }
-        }
         // The torn-rename crash point: with a `CompactRename` fault the
         // staged `.tmp` is complete on disk but the commit never
         // happens — the old slab stays authoritative, exactly like a
         // crash here would leave things.
-        frame::write_staged(
+        let (file, len) = frame::write_staged(
             &self.path,
-            &out,
             &self.io,
             IoOp::CompactWrite,
             Some(IoOp::CompactRename),
+            |out| {
+                out.write_all(&frame::header(SLAB_MAGIC, SLAB_VERSION))?;
+                let mut len = HEADER_LEN;
+                for &(id, seg) in live {
+                    let framed = &mut buf[..frame::FRAME_LEN + seg.len as usize];
+                    if self.read_frame(seg, framed).is_err() {
+                        dropped += 1; // unreadable live segment: entry is lost
+                        continue;
+                    }
+                    out.write_all(framed)?;
+                    new_refs.push((
+                        id,
+                        SegRef {
+                            off: len + FRAME_LEN,
+                            len: seg.len,
+                        },
+                    ));
+                    live_bytes += u64::from(seg.len);
+                    len += framed.len() as u64;
+                }
+                Ok(len)
+            },
         )?;
-        self.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        self.len = out.len() as u64;
+        self.file = file;
+        self.len = len;
         // Old mappings stay alive through their Arcs (readers mid-serve
         // keep the pre-compaction inode pinned); new slices remap.
         self.map = None;
@@ -946,6 +1004,49 @@ mod tests {
         assert_eq!(v3.payload(), &p3[..]);
         // The pre-compaction mapping still serves the old bytes.
         assert_eq!(pinned.payload(), &p1[..]);
+        // Appends after compaction extend the compacted file.
+        let p4 = payload(4, 100);
+        let s4 = slab.append(&p4).unwrap();
+        drop(slab);
+        let mut slab = SlabFile::open(dir.join("slab_0.fpslab")).unwrap();
+        assert_eq!(slab.replay(), vec![(new_refs[0].1, p3), (s4, p4)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A segment appended by parts (header, then the row slab where it
+    /// lies) is byte for byte the segment `append` writes, and a torn
+    /// write anywhere in it, in the head or in the row slab, leaves no
+    /// tail.
+    #[test]
+    fn append_segment_writes_what_append_writes_and_tears_cleanly() {
+        let dir = temp_dir("by_parts");
+        let (xml, rows) = (&b"<CacheEntry n=\"9\"/>"[..], vec![7u8; 5000]);
+        let whole = dir.join("whole.fpslab");
+        let parts = dir.join("parts.fpslab");
+        let io = SlabIo::healthy();
+        let mut a = SlabFile::open(&whole).unwrap();
+        let mut b = SlabFile::open_with(&parts, io.clone()).unwrap();
+        for row_slab in [&rows[..], &[][..]] {
+            let sa = a.append(&encode_payload(xml, row_slab)).unwrap();
+            let sb = b.append_segment(xml, row_slab).unwrap();
+            assert_eq!(sa, sb);
+        }
+        assert_eq!(
+            std::fs::read(&whole).unwrap(),
+            std::fs::read(&parts).unwrap()
+        );
+
+        let clean_len = b.bytes();
+        let head_len = frame::FRAME_LEN + 4 + xml.len();
+        for n in [3, head_len - 1, head_len, head_len + 100, usize::MAX] {
+            io.inject(IoOp::Append, IoFault::Torn(n));
+            let err = b.append_segment(xml, &rows).unwrap_err();
+            assert_eq!(err.raw_os_error(), Some(5), "torn at {n}");
+            assert_eq!(std::fs::metadata(&parts).unwrap().len(), clean_len);
+        }
+        io.heal_all();
+        let seg = b.append_segment(xml, &rows).unwrap();
+        assert_eq!(b.read_segment(seg).unwrap(), encode_payload(xml, &rows));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
